@@ -127,9 +127,10 @@ int main(int argc, char** argv) {
                   r.epochs[e].update_ms);
     }
     std::printf("  %-7s | hit rate %.4f | %10.0f pkts/s | swaps %zu | "
-                "update ms/epoch %s | churn %zu | violations %zu\n",
+                "update ms/epoch %s | churn %zu | failed swaps %zu | "
+                "violations %zu\n",
                 policy_name(policy), r.hit_rate(), r.pkts_per_s(), r.swaps,
-                update_ms.summary("").c_str(), r.churn_events,
+                update_ms.summary("").c_str(), r.churn_events, r.failed_swaps,
                 r.consistency_violations);
     hit_rate[policy == Policy::kFlowDriven] = r.hit_rate();
     if (auto* j = bench::json()) {
@@ -143,6 +144,9 @@ int main(int argc, char** argv) {
       j->field("update_ms_med", update_ms.median());
       j->field("update_ms_p90", update_ms.p90());
       j->field("churn_events", static_cast<double>(r.churn_events));
+      j->field("failed_swaps", static_cast<double>(r.failed_swaps));
+      j->field("rebalance_early_stops", static_cast<double>(r.rebalance_early_stops));
+      j->field("restore_failures", static_cast<double>(r.restore_failures));
       j->field("consistency_violations",
                static_cast<double>(r.consistency_violations));
     }

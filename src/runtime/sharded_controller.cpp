@@ -418,11 +418,11 @@ void adopt_slot(CompileShard& shard, const Orphan& o, const FleetSpec& spec) {
 /// integrates once its kill is the earliest unresolved-or-resolved event at
 /// or below this shard's clock: kills integrate in kill-time order, each at
 /// the first step boundary where the adopter's clock has reached it (or at
-/// the floor directly when the adopter is idle). Caller holds the shard
-/// lock. Returns true if anything was adopted.
-bool adopt_ready_orphans(CompileShard& shard, Fleet& fleet,
+/// the floor directly when the adopter is idle). `min_unresolved` is the
+/// caller's snapshot of the earliest unresolved kill time. Caller holds the
+/// shard lock. Returns true if anything was adopted.
+bool adopt_ready_orphans(CompileShard& shard, double min_unresolved,
                          const FleetSpec& spec) {
-  const double min_unresolved = fleet.min_unresolved_kill();
   std::vector<Orphan> take;
   {
     std::lock_guard<std::mutex> g(shard.adopt_mu);
@@ -487,11 +487,14 @@ bool run_shard_quantum(CompileShard& shard, Fleet& fleet,
       }
     }
     if (shard.adoptable) {
-      if (adopt_ready_orphans(shard, fleet, spec)) {
+      // One snapshot serves both checks: a kill that resolves between them
+      // must not lift the horizon for orphans this pass did not adopt.
+      const double min_unresolved = fleet.min_unresolved_kill();
+      if (adopt_ready_orphans(shard, min_unresolved, spec)) {
         progress = true;
         continue;
       }
-      if (shard.remaining > 0 && shard.vt_ms >= fleet.min_unresolved_kill()) {
+      if (shard.remaining > 0 && shard.vt_ms >= min_unresolved) {
         break;  // compile horizon: wall-block until the kill resolves
       }
     }

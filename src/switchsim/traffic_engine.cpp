@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "util/hash.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ruletris::switchsim {
@@ -22,8 +21,12 @@ TrafficEngine::TrafficEngine(tcam::CacheFlowManager& manager,
       config_(config),
       stream_(config.seed, config.flows, config.zipf_alpha) {
   if (rules_.empty()) throw std::invalid_argument("TrafficEngine: empty table");
-  dense_.reserve(rules_.size());
-  for (size_t i = 0; i < rules_.size(); ++i) dense_[rules_[i].id] = i;
+  if (manager_.rule_order().size() != rules_.size()) {
+    throw std::invalid_argument("TrafficEngine: table differs from the manager's");
+  }
+  shards_.resize(std::max<size_t>(1, config_.n_threads));
+  for (Shard& s : shards_) s.hits.assign(manager_.rule_order().size(), 0);
+  if (shards_.size() > 1) pool_ = std::make_unique<util::ThreadPool>(shards_.size());
 }
 
 Packet synth_packet(const std::vector<Rule>& rules, uint64_t flow_id) {
@@ -48,51 +51,48 @@ EpochStats TrafficEngine::run_lookup_epoch(uint64_t e) {
   EpochStats stats;
   stats.packets = config_.packets_per_epoch;
 
-  const size_t n_threads = std::max<size_t>(1, config_.n_threads);
-  const size_t n_rules = rules_.size();
-  // Per-worker dense hit counters; sums are order-independent integers, so
-  // any merge order gives the same totals as a serial run.
-  std::vector<std::vector<uint64_t>> shard_hits(
-      n_threads, std::vector<uint64_t>(n_rules, 0));
-  std::vector<uint64_t> shard_fast(n_threads, 0);
-
   util::Stopwatch watch;
-  auto lookup_range = [&](size_t slot, size_t begin, size_t end) {
-    auto& hits = shard_hits[slot];
+  auto lookup_range = [&](Shard& shard, size_t begin, size_t end) {
     uint64_t fast = 0;
     for (size_t i = begin; i < end; ++i) {
       const util::FlowStream::Event ev = stream_.at(e, i);
       const Packet p = packet_for(ev.flow_id);
       const auto out = manager_.classify(p);
-      if (out.rule != nullptr) ++hits[dense_.find(out.rule->id)->second];
+      if (out.rule != nullptr) {
+        const size_t pos = manager_.position_of(out.rule->id);
+        if (shard.hits[pos]++ == 0) shard.touched.push_back(pos);
+      }
       if (out.fast_path) ++fast;
     }
-    shard_fast[slot] += fast;
+    shard.fast += fast;
   };
-  if (n_threads == 1) {
-    lookup_range(0, 0, config_.packets_per_epoch);
+  if (!pool_) {
+    lookup_range(shards_[0], 0, config_.packets_per_epoch);
   } else {
-    util::ThreadPool pool(n_threads);
     util::ChunkCursor cursor(
         0, config_.packets_per_epoch,
-        util::ChunkCursor::suggest_chunk(config_.packets_per_epoch, n_threads));
+        util::ChunkCursor::suggest_chunk(config_.packets_per_epoch, shards_.size()));
     std::atomic<size_t> next_slot{0};
-    util::run_on_workers(pool, [&] {
+    util::run_on_workers(*pool_, [&] {
       return [&, slot = next_slot.fetch_add(1)] {
         size_t b = 0, fin = 0;
-        while (cursor.next(b, fin)) lookup_range(slot, b, fin);
+        while (cursor.next(b, fin)) lookup_range(shards_[slot], b, fin);
       };
     });
   }
   stats.lookup_wall_ms = watch.elapsed_ms();
 
-  // Deterministic merge: rule order, shard order.
-  for (size_t r = 0; r < n_rules; ++r) {
-    uint64_t total = 0;
-    for (size_t s = 0; s < n_threads; ++s) total += shard_hits[s][r];
-    if (total != 0) manager_.add_hits(rules_[r].id, total);
+  // Merge: per-rule sums are order-independent integers, so crediting shard
+  // by shard gives the same totals as a serial run.
+  for (Shard& shard : shards_) {
+    for (size_t pos : shard.touched) {
+      manager_.add_hits_at(pos, shard.hits[pos]);
+      shard.hits[pos] = 0;
+    }
+    shard.touched.clear();
+    stats.fast_hits += shard.fast;
+    shard.fast = 0;
   }
-  for (size_t s = 0; s < n_threads; ++s) stats.fast_hits += shard_fast[s];
 
   // Flow expiry/arrival churn at the epoch boundary.
   const size_t churn_events = static_cast<size_t>(
@@ -114,7 +114,13 @@ TrafficReport TrafficEngine::run() {
     // writes x 0.6 ms) is the update latency the data plane experiences
     // between this epoch and the next.
     const size_t writes_before = manager_.tcam().stats().entry_writes;
+    const tcam::CacheFlowManager::Stats fallbacks_before = manager_.stats();
     stats.swaps = manager_.rebalance(config_.policy, config_.rebalance_swaps);
+    report.failed_swaps += manager_.stats().failed_swaps - fallbacks_before.failed_swaps;
+    report.rebalance_early_stops +=
+        manager_.stats().early_stops - fallbacks_before.early_stops;
+    report.restore_failures +=
+        manager_.stats().restore_failures - fallbacks_before.restore_failures;
     stats.entry_writes = manager_.tcam().stats().entry_writes - writes_before;
     stats.update_ms = static_cast<double>(stats.entry_writes) * tcam::kEntryWriteMs;
 

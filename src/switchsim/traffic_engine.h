@@ -17,11 +17,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "flowspace/rule.h"
 #include "tcam/cacheflow.h"
 #include "util/flow_stream.h"
+#include "util/thread_pool.h"
 
 namespace ruletris::switchsim {
 
@@ -63,6 +65,10 @@ struct TrafficReport {
   size_t swaps = 0;
   size_t entry_writes = 0;
   size_t consistency_violations = 0;  // must be 0
+  // Rebalance fallbacks (CacheFlowManager::Stats) during the run.
+  size_t failed_swaps = 0;
+  size_t rebalance_early_stops = 0;
+  size_t restore_failures = 0;
   double update_ms = 0.0;
   double lookup_wall_ms = 0.0;
   // Determinism fingerprints: per-rule hit counts folded in rule order, and
@@ -114,11 +120,21 @@ class TrafficEngine {
  private:
   void finalize(TrafficReport& report) const;
 
+  /// One lookup shard's hit counters, indexed by the manager's rule_order()
+  /// position. `touched` lists the positions that went non-zero, so the
+  /// merge visits (and re-zeroes) only those instead of the whole table.
+  struct Shard {
+    std::vector<uint64_t> hits;
+    std::vector<size_t> touched;
+    uint64_t fast = 0;
+  };
+
   tcam::CacheFlowManager& manager_;
   const std::vector<flowspace::Rule>& rules_;
   TrafficConfig config_;
   util::FlowStream stream_;
-  std::unordered_map<flowspace::RuleId, size_t> dense_;  // id -> rules_ index
+  std::vector<Shard> shards_;               // one per lookup thread
+  std::unique_ptr<util::ThreadPool> pool_;  // null when serial
 };
 
 }  // namespace ruletris::switchsim

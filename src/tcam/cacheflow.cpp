@@ -1,6 +1,7 @@
 #include "tcam/cacheflow.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "util/logging.h"
@@ -14,21 +15,65 @@ using flowspace::Packet;
 using flowspace::Rule;
 using flowspace::RuleId;
 
-CacheFlowManager::CacheFlowManager(std::vector<Rule> rules, dag::DependencyGraph graph,
-                                   Mode mode, size_t tcam_capacity)
-    : full_graph_(std::move(graph)), mode_(mode), tcam_(std::make_unique<Tcam>(tcam_capacity)) {
-  rule_order_.reserve(rules.size());
-  for (Rule& r : rules) {
-    full_graph_.add_vertex(r.id);
-    rule_order_.push_back(r.id);
-    soft_.insert(r);  // ctor order == FlowTable tie order
-    rules_.emplace(r.id, std::move(r));
+CacheFlowManager::CacheFlowManager(std::vector<Rule> rules,
+                                   const dag::DependencyGraph& graph, Mode mode,
+                                   size_t tcam_capacity)
+    : rules_(std::move(rules)),
+      mode_(mode),
+      tcam_(std::make_unique<Tcam>(tcam_capacity)),
+      soft_(rules_),  // ctor order == FlowTable tie order
+      cached_(rules_.size(), 0),
+      cover_ids_(rules_.size(), flowspace::kInvalidRuleId),
+      cover_refs_(rules_.size(), 0),
+      hits_(rules_.size(), 0) {
+  if (rules_.size() > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("CacheFlow: table too large");
   }
+  rule_order_.reserve(rules_.size());
+  position_.reserve(rules_.size());
+  for (size_t i = 0; i < rules_.size(); ++i) {
+    rule_order_.push_back(rules_[i].id);
+    position_.emplace(rules_[i].id, static_cast<uint32_t>(i));
+  }
+  // A dependency must be in the table (its cover stands in for it); a
+  // dependent outside the table can never be cached and is dropped.
+  auto flatten = [&](auto neighbours, bool required, std::vector<uint32_t>& begin,
+                     std::vector<uint32_t>& flat) {
+    begin.reserve(rules_.size() + 1);
+    begin.push_back(0);
+    for (const Rule& r : rules_) {
+      if (graph.has_vertex(r.id)) {
+        for (RuleId n : (graph.*neighbours)(r.id)) {
+          const size_t pos = required ? require_position(n) : position_of(n);
+          if (pos != kNoPosition) flat.push_back(static_cast<uint32_t>(pos));
+        }
+      }
+      begin.push_back(static_cast<uint32_t>(flat.size()));
+    }
+  };
+  flatten(&dag::DependencyGraph::successors, true, succ_begin_, succ_);
+  flatten(&dag::DependencyGraph::predecessors, false, pred_begin_, pred_);
   if (mode_ == Mode::kDagFirmware) {
     dag_firmware_ = std::make_unique<DagScheduler>(*tcam_);
   } else {
     priority_firmware_ = std::make_unique<PriorityFirmware>(*tcam_);
   }
+}
+
+size_t CacheFlowManager::position_of(RuleId id) const {
+  auto it = position_.find(id);
+  return it == position_.end() ? kNoPosition : it->second;
+}
+
+size_t CacheFlowManager::require_position(RuleId id) const {
+  const size_t pos = position_of(id);
+  if (pos == kNoPosition) throw std::out_of_range("CacheFlow: unknown rule");
+  return pos;
+}
+
+bool CacheFlowManager::is_cached(RuleId id) const {
+  const size_t pos = position_of(id);
+  return pos != kNoPosition && cached_[pos];
 }
 
 bool CacheFlowManager::firmware_insert(const Rule& rule,
@@ -53,53 +98,51 @@ void CacheFlowManager::firmware_remove(RuleId id) {
   }
 }
 
-bool CacheFlowManager::ensure_cover(RuleId dep) {
-  auto [it, inserted] = cover_refs_.try_emplace(dep, 0);
-  ++it->second;
-  if (!inserted) return true;  // cover already installed
+bool CacheFlowManager::ensure_cover(size_t dep) {
+  if (cover_refs_[dep]++ > 0) return true;  // cover already installed
 
-  const Rule& target = full_rule(dep);
+  const Rule& target = rules_[dep];
   Rule cover{flowspace::next_rule_id(), target.match,
              ActionList{Action::to_software()}, target.priority};
-  cover_ids_[dep] = cover.id;
   // A cover only punts, so it needs no constraints of its own; the edges
   // from future dependents are added at their insert time.
   if (!firmware_insert(cover, {}, {})) {
     util::log_warn("CacheFlow: TCAM full while installing cover rule");
-    cover_ids_.erase(dep);
-    cover_refs_.erase(dep);
+    cover_refs_[dep] = 0;
     return false;
   }
-  cover_targets_[cover.id] = dep;
+  cover_ids_[dep] = cover.id;
+  cover_targets_[cover.id] = target.id;
   return true;
 }
 
-void CacheFlowManager::release_cover(RuleId dep) {
-  auto it = cover_refs_.find(dep);
-  if (it == cover_refs_.end()) return;
-  if (--it->second > 0) return;
-  firmware_remove(cover_ids_.at(dep));
-  cover_targets_.erase(cover_ids_.at(dep));
-  cover_ids_.erase(dep);
-  cover_refs_.erase(it);
+void CacheFlowManager::drop_cover(size_t dep) {
+  firmware_remove(cover_ids_[dep]);
+  cover_targets_.erase(cover_ids_[dep]);
+  cover_ids_[dep] = flowspace::kInvalidRuleId;
+  cover_refs_[dep] = 0;
+}
+
+void CacheFlowManager::release_cover(size_t dep) {
+  if (cover_refs_[dep] == 0 || --cover_refs_[dep] > 0) return;
+  drop_cover(dep);
 }
 
 bool CacheFlowManager::install(RuleId id) {
-  if (cached_.count(id)) return true;
-  auto rit = rules_.find(id);
-  if (rit == rules_.end()) throw std::out_of_range("CacheFlow: unknown rule");
+  const size_t pos = require_position(id);
+  if (cached_[pos]) return true;
 
   // Cover-set: every direct dependency must be present (really or as punt).
   // Cover acquisitions are rolled back if anything fails (full TCAM), so a
   // failed install leaves the cache state untouched.
   std::vector<RuleId> above;
-  std::vector<RuleId> acquired;
+  std::vector<size_t> acquired;
   auto rollback = [this, &acquired] {
-    for (RuleId dep : acquired) release_cover(dep);
+    for (size_t dep : acquired) release_cover(dep);
   };
-  for (RuleId dep : full_graph_.successors(id)) {
-    if (cached_.count(dep)) {
-      above.push_back(dep);
+  for (const size_t dep : successors_at(pos)) {
+    if (cached_[dep]) {
+      above.push_back(rule_order_[dep]);
       continue;
     }
     if (!ensure_cover(dep)) {
@@ -107,60 +150,55 @@ bool CacheFlowManager::install(RuleId id) {
       return false;
     }
     acquired.push_back(dep);
-    above.push_back(cover_ids_.at(dep));
+    above.push_back(cover_ids_[dep]);
   }
   // Cached rules that depend on `id` must sit below it.
   std::vector<RuleId> below;
-  for (RuleId pred : full_graph_.predecessors(id)) {
-    if (cached_.count(pred)) below.push_back(pred);
+  for (const size_t pred : predecessors_at(pos)) {
+    if (cached_[pred]) below.push_back(rule_order_[pred]);
   }
 
-  if (!firmware_insert(rit->second, above, below)) {
+  if (!firmware_insert(rules_[pos], above, below)) {
     rollback();
     return false;
   }
-  cached_.insert(id);
+  cached_[pos] = 1;
+  ++cached_count_;
 
   // If a cover was standing in for `id`, the real rule supersedes it.
-  auto cit = cover_ids_.find(id);
-  if (cit != cover_ids_.end()) {
-    firmware_remove(cit->second);
-    cover_targets_.erase(cit->second);
-    cover_ids_.erase(cit);
-    cover_refs_.erase(id);
-  }
+  if (cover_refs_[pos] > 0) drop_cover(pos);
   return true;
 }
 
 void CacheFlowManager::evict(RuleId id) {
-  if (!cached_.count(id)) return;
+  const size_t pos = position_of(id);
+  if (pos == kNoPosition || !cached_[pos]) return;
 
   std::vector<RuleId> cached_dependents;
-  for (RuleId pred : full_graph_.predecessors(id)) {
-    if (cached_.count(pred)) cached_dependents.push_back(pred);
+  for (const size_t pred : predecessors_at(pos)) {
+    if (cached_[pred]) cached_dependents.push_back(rule_order_[pred]);
   }
 
   firmware_remove(id);
-  cached_.erase(id);
+  cached_[pos] = 0;
+  --cached_count_;
 
   if (!cached_dependents.empty()) {
     // Demote to a cover: dependents still need the ambiguity resolved.
-    const Rule& target = full_rule(id);
+    const Rule& target = rules_[pos];
     Rule cover{flowspace::next_rule_id(), target.match,
                ActionList{Action::to_software()}, target.priority};
-    cover_ids_[id] = cover.id;
-    cover_refs_[id] = cached_dependents.size();
     if (!firmware_insert(cover, {}, cached_dependents)) {
       util::log_warn("CacheFlow: TCAM full while demoting rule to cover");
-      cover_ids_.erase(id);
-      cover_refs_.erase(id);
     } else {
+      cover_ids_[pos] = cover.id;
+      cover_refs_[pos] = static_cast<uint32_t>(cached_dependents.size());
       cover_targets_[cover.id] = id;
     }
   }
 
-  for (RuleId dep : full_graph_.successors(id)) {
-    if (!cached_.count(dep)) release_cover(dep);
+  for (const size_t dep : successors_at(pos)) {
+    if (!cached_[dep]) release_cover(dep);
   }
 }
 
@@ -170,7 +208,12 @@ bool CacheFlowManager::swap(RuleId out_id, RuleId in_id) {
 }
 
 std::vector<RuleId> CacheFlowManager::cached_rules() const {
-  return {cached_.begin(), cached_.end()};
+  std::vector<RuleId> out;
+  out.reserve(cached_count_);
+  for (size_t pos = 0; pos < rules_.size(); ++pos) {
+    if (cached_[pos]) out.push_back(rule_order_[pos]);
+  }
+  return out;
 }
 
 bool CacheFlowManager::lookup_consistent(const Packet& packet) const {
@@ -196,40 +239,44 @@ CacheFlowManager::LookupOutcome CacheFlowManager::classify(const Packet& packet)
 
 CacheFlowManager::LookupOutcome CacheFlowManager::lookup(const Packet& packet) {
   const LookupOutcome out = classify(packet);
-  if (out.rule != nullptr) ++hits_[out.rule->id];
+  if (out.rule != nullptr) add_hits(out.rule->id, 1);
   return out;
 }
 
+void CacheFlowManager::add_hits(RuleId id, uint64_t n) {
+  hits_[require_position(id)] += n;
+}
+
 uint64_t CacheFlowManager::hits(RuleId id) const {
-  auto it = hits_.find(id);
-  return it == hits_.end() ? 0 : it->second;
+  const size_t pos = position_of(id);
+  return pos == kNoPosition ? 0 : hits_[pos];
 }
 
 void CacheFlowManager::age_hits() {
-  for (auto& [id, h] : hits_) {
-    (void)id;
-    h >>= 1;
-  }
+  for (uint64_t& h : hits_) h >>= 1;
 }
 
 size_t CacheFlowManager::install_cost(RuleId id) const {
-  if (cached_.count(id)) {
+  return install_cost_at(require_position(id));
+}
+
+size_t CacheFlowManager::install_cost_at(size_t pos) const {
+  const auto deps = successors_at(pos);
+  if (cached_[pos]) {
     // Entries an eviction reclaims: the rule itself plus every cover held
     // solely on its behalf (refcount 1 covers of its dependencies). A
     // demotion-to-cover on evict would win one back, but dependents are the
     // exception in hot sets, so the symmetric estimate keeps densities
     // comparable in both directions.
     size_t reclaim = 1;
-    for (RuleId dep : full_graph_.successors(id)) {
-      if (cached_.count(dep)) continue;
-      auto it = cover_refs_.find(dep);
-      if (it != cover_refs_.end() && it->second == 1) ++reclaim;
+    for (const size_t dep : deps) {
+      if (!cached_[dep] && cover_refs_[dep] == 1) ++reclaim;
     }
     return reclaim;
   }
   size_t cost = 1;
-  for (RuleId dep : full_graph_.successors(id)) {
-    if (!cached_.count(dep) && !cover_refs_.count(dep)) ++cost;
+  for (const size_t dep : deps) {
+    if (!cached_[dep] && cover_refs_[dep] == 0) ++cost;
   }
   return cost;
 }
@@ -244,68 +291,90 @@ bool density_greater(uint64_t hits_a, size_t cost_a, uint64_t hits_b,
          static_cast<unsigned __int128>(hits_b) * cost_a;
 }
 
+/// One planner candidate: its sort inputs computed once, plus its
+/// rule_order position as the tie-break a stable sort would apply.
+struct Candidate {
+  uint64_t hits;
+  size_t cost;
+  size_t pos;
+};
+
+/// Densest first; equal densities keep rule order.
+bool denser(const Candidate& a, const Candidate& b) {
+  if (density_greater(a.hits, a.cost, b.hits, b.cost)) return true;
+  if (density_greater(b.hits, b.cost, a.hits, a.cost)) return false;
+  return a.pos < b.pos;
+}
+
+/// Sparsest first; equal densities keep rule order.
+bool sparser(const Candidate& a, const Candidate& b) {
+  if (density_greater(b.hits, b.cost, a.hits, a.cost)) return true;
+  if (density_greater(a.hits, a.cost, b.hits, b.cost)) return false;
+  return a.pos < b.pos;
+}
+
+/// Fewest dependencies first; ties keep rule order.
+bool fewer_deps(const Candidate& a, const Candidate& b) {
+  return a.cost != b.cost ? a.cost < b.cost : a.pos < b.pos;
+}
+
+/// Sorts the first k candidates into place; the rest stay unordered. Every
+/// comparator above is a strict total order ending on the position, so the
+/// prefix is exactly what a full stable sort would produce.
+void sort_top_k(std::vector<Candidate>& v, size_t k,
+                bool (*less)(const Candidate&, const Candidate&)) {
+  std::partial_sort(v.begin(), v.begin() + static_cast<ptrdiff_t>(k), v.end(), less);
+}
+
 }  // namespace
 
 size_t CacheFlowManager::warm(AdmissionPolicy policy, size_t target_occupied) {
-  // Candidate order over uncached rules, in rule_order_ for determinism.
-  std::vector<RuleId> candidates;
-  candidates.reserve(rule_order_.size());
-  for (RuleId id : rule_order_) {
-    if (!cached_.count(id)) candidates.push_back(id);
+  // Candidates are the uncached rules. kStaticDag ranks by DAG position
+  // only — rules whose cover set is small cache cheaply, and traffic never
+  // enters the ranking; kFlowDriven by hit density.
+  const bool by_deps = policy == AdmissionPolicy::kStaticDag;
+  std::vector<Candidate> candidates;
+  candidates.reserve(rules_.size() - cached_count_);
+  for (size_t pos = 0; pos < rules_.size(); ++pos) {
+    if (cached_[pos]) continue;
+    candidates.push_back(
+        by_deps ? Candidate{0, successors_at(pos).size(), pos}
+                : Candidate{hits_[pos], install_cost_at(pos), pos});
   }
-  if (policy == AdmissionPolicy::kStaticDag) {
-    // DAG position only: rules whose cover set is small cache cheaply; ties
-    // keep the matched-first order. Traffic never enters the ranking.
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [this](RuleId a, RuleId b) {
-                       return full_graph_.successors(a).size() <
-                              full_graph_.successors(b).size();
-                     });
-  } else {
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [this](RuleId a, RuleId b) {
-                       return density_greater(hits(a), install_cost(a), hits(b),
-                                              install_cost(b));
-                     });
-  }
+  // Every comparator is a strict total order ending on the position, so
+  // this sort gives the order a stable sort by the policy's key would.
+  std::sort(candidates.begin(), candidates.end(), by_deps ? fewer_deps : denser);
   size_t installed = 0;
-  for (RuleId id : candidates) {
+  for (const Candidate& c : candidates) {
     if (tcam_->occupied() >= target_occupied) break;
-    if (tcam_->occupied() + install_cost(id) > tcam_->capacity()) continue;
-    if (install(id)) ++installed;
+    if (tcam_->occupied() + install_cost_at(c.pos) > tcam_->capacity()) continue;
+    if (install(rule_order_[c.pos])) ++installed;
   }
   return installed;
 }
 
 std::vector<CacheFlowManager::SwapPlan> CacheFlowManager::plan_swaps(
     size_t max_swaps) const {
-  std::vector<RuleId> in_rules, out_rules;
-  for (RuleId id : rule_order_) {
-    if (cached_.count(id)) {
-      out_rules.push_back(id);
-    } else if (hits(id) > 0) {
-      in_rules.push_back(id);
+  std::vector<Candidate> in_rules, out_rules;
+  for (size_t pos = 0; pos < rules_.size(); ++pos) {
+    if (cached_[pos]) {
+      out_rules.push_back({hits_[pos], install_cost_at(pos), pos});
+    } else if (hits_[pos] > 0) {
+      in_rules.push_back({hits_[pos], install_cost_at(pos), pos});
     }
   }
-  std::stable_sort(in_rules.begin(), in_rules.end(), [this](RuleId a, RuleId b) {
-    return density_greater(hits(a), install_cost(a), hits(b), install_cost(b));
-  });
-  std::stable_sort(out_rules.begin(), out_rules.end(), [this](RuleId a, RuleId b) {
-    return density_greater(hits(b), install_cost(b), hits(a), install_cost(a));
-  });
+  const size_t pairs = std::min({max_swaps, in_rules.size(), out_rules.size()});
+  sort_top_k(in_rules, pairs, denser);
+  sort_top_k(out_rules, pairs, sparser);
 
   std::vector<SwapPlan> plan;
-  const size_t pairs = std::min({max_swaps, in_rules.size(), out_rules.size()});
   for (size_t i = 0; i < pairs; ++i) {
-    const RuleId in = in_rules[i];
-    const RuleId out = out_rules[i];
+    const Candidate& in = in_rules[i];
+    const Candidate& out = out_rules[i];
     // Swap only while the incoming density strictly beats the victim's —
     // both lists are sorted, so the first non-improving pair ends the plan.
-    if (!density_greater(hits(in), install_cost(in), hits(out),
-                         install_cost(out))) {
-      break;
-    }
-    plan.push_back(SwapPlan{out, in});
+    if (!density_greater(in.hits, in.cost, out.hits, out.cost)) break;
+    plan.push_back(SwapPlan{rule_order_[out.pos], rule_order_[in.pos]});
   }
   return plan;
 }
@@ -322,8 +391,12 @@ size_t CacheFlowManager::rebalance(AdmissionPolicy policy, size_t max_swaps) {
     }
     // Full TCAM (cover blow-up): restore the victim; a couple of failures
     // in a row means the remaining (denser-cover) candidates won't fit.
-    install(s.out);
-    if (++consecutive_failures >= 2) break;
+    ++stats_.failed_swaps;
+    if (!install(s.out)) ++stats_.restore_failures;
+    if (++consecutive_failures >= 2) {
+      ++stats_.early_stops;
+      break;
+    }
   }
   return done;
 }

@@ -15,11 +15,17 @@
 // real lookups, weighed against the cover-set installation cost of caching
 // the rule, pick what the TCAM holds — replacing the static DAG-position
 // ranking, which survives as the ablation baseline.
+//
+// Per-rule state (hit counters, cached flags, cover references) lives in
+// dense vectors indexed by the rule's position in rule_order(), so the
+// planner walks flat arrays: one (hits, cost, position) key per candidate,
+// then a partial sort of only the k candidates a plan can use.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "dag/dependency_graph.h"
@@ -42,9 +48,9 @@ class CacheFlowManager {
   enum class AdmissionPolicy { kStaticDag, kFlowDriven };
 
   /// `rules` is the full rule set (matched-first order with priorities set);
-  /// `graph` its minimum DAG.
-  CacheFlowManager(std::vector<Rule> rules, dag::DependencyGraph graph, Mode mode,
-                   size_t tcam_capacity);
+  /// `graph` its minimum DAG (flattened at construction, not retained).
+  CacheFlowManager(std::vector<Rule> rules, const dag::DependencyGraph& graph,
+                   Mode mode, size_t tcam_capacity);
 
   /// Installs `id` (and any cover rules its dependencies require).
   bool install(flowspace::RuleId id);
@@ -56,9 +62,9 @@ class CacheFlowManager {
   /// One cache swap: evict `out_id`, install `in_id`.
   bool swap(flowspace::RuleId out_id, flowspace::RuleId in_id);
 
-  bool is_cached(flowspace::RuleId id) const { return cached_.count(id) != 0; }
-  size_t cached_count() const { return cached_.size(); }
-  size_t cover_count() const { return cover_ids_.size(); }
+  bool is_cached(flowspace::RuleId id) const;
+  size_t cached_count() const { return cached_count_; }
+  size_t cover_count() const { return cover_targets_.size(); }
 
   /// For a cover (punt) rule: the full-table rule it stands in for;
   /// kInvalidRuleId otherwise. Cover rule ids come from the process-wide id
@@ -80,6 +86,11 @@ class CacheFlowManager {
   /// the deterministic iteration order for policies and reports.
   const std::vector<flowspace::RuleId>& rule_order() const { return rule_order_; }
 
+  static constexpr size_t kNoPosition = ~size_t{0};
+  /// Position of `id` in rule_order(), or kNoPosition for ids outside the
+  /// full table (cover rules included).
+  size_t position_of(flowspace::RuleId id) const;
+
   // --- data-plane lookup -----------------------------------------------
 
   struct LookupOutcome {
@@ -97,7 +108,9 @@ class CacheFlowManager {
   LookupOutcome lookup(const flowspace::Packet& packet);
 
   /// Bulk hit credit — the traffic engine counts per shard and merges here.
-  void add_hits(flowspace::RuleId id, uint64_t n) { hits_[id] += n; }
+  void add_hits(flowspace::RuleId id, uint64_t n);
+  /// add_hits by rule_order() position.
+  void add_hits_at(size_t position, uint64_t n) { hits_[position] += n; }
   uint64_t hits(flowspace::RuleId id) const;
   /// Exponential aging: halves every counter (integer, deterministic).
   void age_hits();
@@ -128,29 +141,53 @@ class CacheFlowManager {
 
   /// Executes plan_swaps for kFlowDriven (kStaticDag is a no-op: its layout
   /// is fixed by construction). Returns swaps performed; a failed install
-  /// (TCAM full of covers) restores the victim and moves on.
+  /// (TCAM full of covers) restores the victim and moves on. Every fallback
+  /// is counted in stats().
   size_t rebalance(AdmissionPolicy policy, size_t max_swaps);
+
+  /// Rebalance fallbacks, cumulative over the manager's life.
+  struct Stats {
+    size_t failed_swaps = 0;      // candidate did not fit; victim reinstalled
+    size_t early_stops = 0;       // two failures in a row ended the plan
+    size_t restore_failures = 0;  // the victim's reinstall failed too: it
+                                  // left the cache
+  };
+  const Stats& stats() const { return stats_; }
 
   /// Semantic check: for `packet`, the TCAM either returns the same decision
   /// as the full table or punts to software (never a wrong fast-path hit).
   bool lookup_consistent(const flowspace::Packet& packet) const;
 
  private:
-  const Rule& full_rule(flowspace::RuleId id) const { return rules_.at(id); }
+  /// position_of() that throws for ids outside the full table.
+  size_t require_position(flowspace::RuleId id) const;
+  size_t install_cost_at(size_t pos) const;
+  std::span<const uint32_t> successors_at(size_t pos) const {
+    return {succ_.data() + succ_begin_[pos], succ_.data() + succ_begin_[pos + 1]};
+  }
+  std::span<const uint32_t> predecessors_at(size_t pos) const {
+    return {pred_.data() + pred_begin_[pos], pred_.data() + pred_begin_[pos + 1]};
+  }
 
-  /// Ensures a cover for `dep` exists (or that `dep` is cached); bumps the
-  /// reference count held by `dependent`.
-  bool ensure_cover(flowspace::RuleId dep);
-  void release_cover(flowspace::RuleId dep);
+  /// Ensures a cover for the rule at `dep` exists (or that it is cached);
+  /// bumps the reference count held by a dependent.
+  bool ensure_cover(size_t dep);
+  void release_cover(size_t dep);
+  void drop_cover(size_t dep);
 
   bool firmware_insert(const Rule& rule,
                        const std::vector<flowspace::RuleId>& above_ids,
                        const std::vector<flowspace::RuleId>& below_ids);
   void firmware_remove(flowspace::RuleId id);
 
-  std::unordered_map<flowspace::RuleId, Rule> rules_;  // the full table
-  std::vector<flowspace::RuleId> rule_order_;          // matched-first order
-  dag::DependencyGraph full_graph_;
+  std::vector<Rule> rules_;                    // the full table, by position
+  std::vector<flowspace::RuleId> rule_order_;  // matched-first order
+  std::unordered_map<flowspace::RuleId, uint32_t> position_;  // id -> position
+  // The full table's minimum DAG as position adjacency (CSR): rule `pos`
+  // depends on succ_[succ_begin_[pos] .. succ_begin_[pos + 1]), in the
+  // graph's own iteration order; pred_ likewise holds its dependents.
+  std::vector<uint32_t> succ_begin_, succ_;
+  std::vector<uint32_t> pred_begin_, pred_;
   Mode mode_;
 
   std::unique_ptr<Tcam> tcam_;
@@ -158,11 +195,15 @@ class CacheFlowManager {
   std::unique_ptr<PriorityFirmware> priority_firmware_;
   SoftTable soft_;  // slow path == full-table truth
 
-  std::unordered_set<flowspace::RuleId> cached_;             // real rules in TCAM
-  std::unordered_map<flowspace::RuleId, flowspace::RuleId> cover_ids_;  // dep -> cover id
-  std::unordered_map<flowspace::RuleId, flowspace::RuleId> cover_targets_;  // cover id -> dep
-  std::unordered_map<flowspace::RuleId, size_t> cover_refs_;            // dep -> refcount
-  std::unordered_map<flowspace::RuleId, uint64_t> hits_;                // measured traffic
+  // Dense per-position state. A rule has a cover installed iff its
+  // cover_refs_ entry is non-zero.
+  std::vector<uint8_t> cached_;                 // real rule in TCAM
+  size_t cached_count_ = 0;
+  std::vector<flowspace::RuleId> cover_ids_;    // cover id standing in
+  std::vector<uint32_t> cover_refs_;            // cached dependents it serves
+  std::vector<uint64_t> hits_;                  // measured traffic
+  std::unordered_map<flowspace::RuleId, flowspace::RuleId> cover_targets_;  // cover id -> dep id
+  Stats stats_;
 };
 
 }  // namespace ruletris::tcam

@@ -113,7 +113,8 @@ bool SoftTable::erase(RuleId id) {
   return true;
 }
 
-const Rule* SoftTable::lookup(const Packet& p) const {
+template <typename CountProbe>
+const Rule* SoftTable::find(const Packet& p, CountProbe count_probe) const {
   const Rule* best = nullptr;
   uint64_t best_seq = 0;
   int32_t best_priority = std::numeric_limits<int32_t>::min();
@@ -125,6 +126,7 @@ const Rule* SoftTable::lookup(const Packet& p) const {
     // equal-priority entry could still win on lower insertion seq, so the
     // cut is on strict inequality only.
     if (best != nullptr && best_priority > t.max_priority) break;
+    count_probe();
     MaskKey key{};
     for (size_t f = 0; f < kNumFields; ++f) key[f] = p.fields[f] & t.masks[f];
     auto it = t.buckets.find(key);
@@ -141,30 +143,13 @@ const Rule* SoftTable::lookup(const Packet& p) const {
   return best;
 }
 
+const Rule* SoftTable::lookup(const Packet& p) const {
+  return find(p, [] {});
+}
+
 const Rule* SoftTable::lookup_counted(const Packet& p) {
   ++stats_.lookups;
-  const Rule* best = nullptr;
-  uint64_t best_seq = 0;
-  int32_t best_priority = std::numeric_limits<int32_t>::min();
-  for (size_t idx : order_) {
-    const Tuple& t = tuples_[idx];
-    if (t.entries == 0) continue;
-    if (best != nullptr && best_priority > t.max_priority) break;
-    ++stats_.tuples_probed;
-    MaskKey key{};
-    for (size_t f = 0; f < kNumFields; ++f) key[f] = p.fields[f] & t.masks[f];
-    auto it = t.buckets.find(key);
-    if (it == t.buckets.end()) continue;
-    for (const Entry& e : it->second) {
-      if (best == nullptr || e.rule.priority > best_priority ||
-          (e.rule.priority == best_priority && e.seq < best_seq)) {
-        best = &e.rule;
-        best_priority = e.rule.priority;
-        best_seq = e.seq;
-      }
-    }
-  }
-  return best;
+  return find(p, [this] { ++stats_.tuples_probed; });
 }
 
 }  // namespace ruletris::tcam

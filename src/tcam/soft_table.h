@@ -85,6 +85,9 @@ class SoftTable {
 
   void refresh_order();
   void recompute_max(Tuple& t);
+  /// The one lookup core; `count_probe()` runs once per hash probe issued.
+  template <typename CountProbe>
+  const flowspace::Rule* find(const flowspace::Packet& p, CountProbe count_probe) const;
 
   std::vector<Tuple> tuples_;
   std::unordered_map<MaskKey, size_t, ArrayHash> tuple_index_;  // masks -> idx

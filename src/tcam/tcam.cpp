@@ -6,7 +6,38 @@
 
 namespace ruletris::tcam {
 
-Tcam::Tcam(size_t capacity) : slots_(capacity) {
+namespace {
+
+using flowspace::FieldId;
+using flowspace::field_full_mask;
+using flowspace::field_index;
+
+/// The 128-bit key layout shared by packets and rows: each field's bits at
+/// a fixed offset of one of the two words. Masking every field to its width
+/// makes a packet's junk bits above a width invisible, as in
+/// TernaryMatch::matches.
+std::array<uint64_t, 2> pack_fields(const std::array<uint32_t, flowspace::kNumFields>& f) {
+  auto w = [&f](FieldId id) -> uint64_t {
+    return f[field_index(id)] & field_full_mask(id);
+  };
+  return {(w(FieldId::kSrcIp) << 32) | w(FieldId::kDstIp),
+          (w(FieldId::kInPort) << 56) | (w(FieldId::kEthType) << 40) |
+              (w(FieldId::kIpProto) << 32) | (w(FieldId::kSrcPort) << 16) |
+              w(FieldId::kDstPort)};
+}
+
+}  // namespace
+
+Tcam::Row Tcam::row_of(const flowspace::TernaryMatch& m) {
+  std::array<uint32_t, flowspace::kNumFields> values{}, masks{};
+  for (FieldId f : flowspace::kAllFields) {
+    values[field_index(f)] = m.field(f).value;
+    masks[field_index(f)] = m.field(f).mask;
+  }
+  return Row{pack_fields(values), pack_fields(masks)};
+}
+
+Tcam::Tcam(size_t capacity) : slots_(capacity), rows_(capacity, kFreeRow) {
   if (capacity == 0) throw std::invalid_argument("Tcam: zero capacity");
   // The id index will eventually hold up to `capacity` entries; sizing the
   // bucket array once keeps bulk installs and warm-boot restores rehash-free.
@@ -15,13 +46,13 @@ Tcam::Tcam(size_t capacity) : slots_(capacity) {
 
 bool Tcam::is_free(size_t addr) const {
   if (addr >= slots_.size()) throw std::out_of_range("Tcam: bad address");
-  return !slots_[addr].has_value();
+  return !occupied_at(addr);
 }
 
 std::optional<RuleId> Tcam::at(size_t addr) const {
   if (addr >= slots_.size()) throw std::out_of_range("Tcam: bad address");
-  if (!slots_[addr]) return std::nullopt;
-  return slots_[addr]->id;
+  if (!occupied_at(addr)) return std::nullopt;
+  return slots_[addr].id;
 }
 
 size_t Tcam::address_of(RuleId id) const {
@@ -30,12 +61,21 @@ size_t Tcam::address_of(RuleId id) const {
   return it->second;
 }
 
-const Rule& Tcam::rule(RuleId id) const { return *slots_[address_of(id)]; }
+const Rule& Tcam::rule(RuleId id) const { return slots_[address_of(id)]; }
+
+void Tcam::clear(size_t addr) {
+  slots_[addr] = Rule{};
+  rows_[addr] = kFreeRow;
+}
 
 void Tcam::write(size_t addr, Rule rule) {
   if (!is_free(addr)) throw std::logic_error("Tcam::write: slot occupied");
+  if (rule.id == flowspace::kInvalidRuleId) {
+    throw std::invalid_argument("Tcam::write: invalid rule id");
+  }
   if (by_id_.count(rule.id)) throw std::logic_error("Tcam::write: duplicate rule id");
   by_id_[rule.id] = addr;
+  rows_[addr] = row_of(rule.match);
   slots_[addr] = std::move(rule);
   ++stats_.entry_writes;
   notify(Op::kWrite, addr);
@@ -44,9 +84,10 @@ void Tcam::write(size_t addr, Rule rule) {
 void Tcam::move(size_t from, size_t to) {
   if (is_free(from)) throw std::logic_error("Tcam::move: source slot free");
   if (!is_free(to)) throw std::logic_error("Tcam::move: target slot occupied");
-  by_id_[slots_[from]->id] = to;
+  by_id_[slots_[from].id] = to;
   slots_[to] = std::move(slots_[from]);
-  slots_[from].reset();
+  rows_[to] = rows_[from];
+  clear(from);
   ++stats_.entry_writes;
   ++stats_.moves;
   notify(Op::kMove, to);
@@ -54,17 +95,17 @@ void Tcam::move(size_t from, size_t to) {
 
 void Tcam::erase(size_t addr) {
   if (is_free(addr)) return;
-  by_id_.erase(slots_[addr]->id);
-  slots_[addr].reset();
+  by_id_.erase(slots_[addr].id);
+  clear(addr);
   ++stats_.erases;
   notify(Op::kErase, addr);
 }
 
 Rule Tcam::take(size_t addr) {
   if (is_free(addr)) throw std::logic_error("Tcam::take: slot free");
-  Rule out = std::move(*slots_[addr]);
+  Rule out = std::move(slots_[addr]);
   by_id_.erase(out.id);
-  slots_[addr].reset();
+  clear(addr);
   ++stats_.erases;
   notify(Op::kErase, addr);
   return out;
@@ -72,14 +113,20 @@ Rule Tcam::take(size_t addr) {
 
 void Tcam::modify_actions(RuleId id, flowspace::ActionList actions) {
   const size_t addr = address_of(id);
-  slots_[addr]->actions = std::move(actions);
+  slots_[addr].actions = std::move(actions);
   ++stats_.entry_writes;
   notify(Op::kModify, addr);
 }
 
 const Rule* Tcam::lookup(const Packet& p) const {
-  for (size_t i = slots_.size(); i-- > 0;) {
-    if (slots_[i] && slots_[i]->match.matches(p)) return &*slots_[i];
+  const Key key = pack_fields(p.fields);
+  const Row* rows = rows_.data();
+  auto differs = [&key, rows](size_t i) {
+    return ((key[0] ^ rows[i].value[0]) & rows[i].mask[0]) |
+           ((key[1] ^ rows[i].value[1]) & rows[i].mask[1]);
+  };
+  for (size_t i = rows_.size(); i-- > 0;) {
+    if (differs(i) == 0 && occupied_at(i)) return &slots_[i];
   }
   return nullptr;
 }
@@ -88,7 +135,7 @@ std::vector<Rule> Tcam::entries_high_to_low() const {
   std::vector<Rule> out;
   out.reserve(by_id_.size());
   for (size_t i = slots_.size(); i-- > 0;) {
-    if (slots_[i]) out.push_back(*slots_[i]);
+    if (occupied_at(i)) out.push_back(slots_[i]);
   }
   return out;
 }
@@ -96,8 +143,8 @@ std::vector<Rule> Tcam::entries_high_to_low() const {
 std::string Tcam::to_string() const {
   std::string out = util::strfmt("TCAM %zu/%zu (top first)\n", occupied(), capacity());
   for (size_t i = slots_.size(); i-- > 0;) {
-    if (slots_[i]) {
-      out += util::strfmt("  [%4zu] %s\n", i, slots_[i]->to_string().c_str());
+    if (occupied_at(i)) {
+      out += util::strfmt("  [%4zu] %s\n", i, slots_[i].to_string().c_str());
     }
   }
   return out;

@@ -7,8 +7,16 @@
 // time; the paper's emulation estimates TCAM update time as
 // (#entry writes) x 0.6 ms, which this model reproduces. A delete is a mask
 // invalidation and is treated as free.
+//
+// Lookup compares the way a hardware TCAM row does. The 7 header fields are
+// exactly 128 bits wide, so every slot carries a packed 32-byte key row (two
+// value words, two mask words) next to its rule, kept current by every
+// write/move/erase. A lookup packs the packet once and scans the rows from
+// the highest address down for the first with ((packet ^ value) & mask) == 0
+// in both words.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -49,7 +57,8 @@ class Tcam {
   }
   const Rule& rule(RuleId id) const;
 
-  /// Installs a new entry into a free slot (1 entry write).
+  /// Installs a new entry into a free slot (1 entry write). The rule id must
+  /// not be kInvalidRuleId, which marks free slots.
   void write(size_t addr, Rule rule);
 
   /// Moves the entry at `from` to the free slot `to` (1 entry write; the old
@@ -98,11 +107,31 @@ class Tcam {
   std::string to_string() const;
 
  private:
+  /// A ternary key packed into 128 bits: word 0 holds src_ip:dst_ip, word 1
+  /// in_port:eth_type:ip_proto:src_port:dst_port.
+  using Key = std::array<uint64_t, 2>;
+  struct Row {
+    Key value{};
+    Key mask{};
+  };
+  static Row row_of(const flowspace::TernaryMatch& m);
+  /// A free slot's row. It matches only the all-ones packet, so a hit on it
+  /// is confirmed against the slot's occupancy before it counts.
+  static constexpr Row kFreeRow{{~uint64_t{0}, ~uint64_t{0}},
+                                {~uint64_t{0}, ~uint64_t{0}}};
+
+  bool occupied_at(size_t addr) const {
+    return slots_[addr].id != flowspace::kInvalidRuleId;
+  }
+  void clear(size_t addr);
   void notify(Op op, size_t addr) {
     if (observer_) observer_(op, addr);
   }
 
-  std::vector<std::optional<Rule>> slots_;  // index == physical address
+  // index == physical address; a free slot holds a rule with
+  // kInvalidRuleId, and rows_[addr] mirrors slots_[addr].match.
+  std::vector<Rule> slots_;
+  std::vector<Row> rows_;
   std::unordered_map<RuleId, size_t> by_id_;
   Stats stats_;
   OpObserver observer_;

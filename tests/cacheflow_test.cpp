@@ -3,6 +3,8 @@
 // demand them, and swaps keep everything consistent under both firmwares.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "classbench/generator.h"
 #include "dag/builder.h"
 #include "switchsim/traffic_engine.h"
@@ -15,10 +17,12 @@ namespace {
 using classbench::generate_router;
 using dag::build_min_dag;
 using flowspace::FlowTable;
+using flowspace::FieldId;
 using flowspace::Packet;
 using flowspace::Rule;
 using flowspace::RuleId;
 using tcam::CacheFlowManager;
+using Policy = CacheFlowManager::AdmissionPolicy;
 using util::Rng;
 
 class CacheFlowModeTest : public ::testing::TestWithParam<CacheFlowManager::Mode> {};
@@ -216,6 +220,143 @@ TEST_P(CacheFlowModeTest, RandomChurnStreamStaysConsistent) {
   }
 }
 
+// --- keyed top-k planner against the full stable sort --------------------
+
+bool density_greater(uint64_t ha, size_t ca, uint64_t hb, size_t cb) {
+  return static_cast<unsigned __int128>(ha) * cb >
+         static_cast<unsigned __int128>(hb) * ca;
+}
+
+/// The planner as a full stable sort whose comparator re-derives hits and
+/// install cost on every comparison: the reference for plan_swaps.
+std::vector<CacheFlowManager::SwapPlan> reference_plan(const CacheFlowManager& mgr,
+                                                       size_t max_swaps) {
+  std::vector<RuleId> in_rules, out_rules;
+  for (RuleId id : mgr.rule_order()) {
+    if (mgr.is_cached(id)) {
+      out_rules.push_back(id);
+    } else if (mgr.hits(id) > 0) {
+      in_rules.push_back(id);
+    }
+  }
+  auto denser = [&mgr](RuleId a, RuleId b) {
+    return density_greater(mgr.hits(a), mgr.install_cost(a), mgr.hits(b),
+                           mgr.install_cost(b));
+  };
+  std::stable_sort(in_rules.begin(), in_rules.end(), denser);
+  std::stable_sort(out_rules.begin(), out_rules.end(),
+                   [&denser](RuleId a, RuleId b) { return denser(b, a); });
+  std::vector<CacheFlowManager::SwapPlan> plan;
+  const size_t pairs = std::min({max_swaps, in_rules.size(), out_rules.size()});
+  for (size_t i = 0; i < pairs && denser(in_rules[i], out_rules[i]); ++i) {
+    plan.push_back({out_rules[i], in_rules[i]});
+  }
+  return plan;
+}
+
+/// warm() as a full stable sort of every uncached rule, then the same
+/// install loop: the reference for warm's keyed sort.
+size_t reference_warm(CacheFlowManager& mgr, const dag::DependencyGraph& graph,
+                      Policy policy, size_t target) {
+  std::vector<RuleId> candidates;
+  for (RuleId id : mgr.rule_order()) {
+    if (!mgr.is_cached(id)) candidates.push_back(id);
+  }
+  if (policy == Policy::kStaticDag) {
+    std::stable_sort(candidates.begin(), candidates.end(), [&](RuleId a, RuleId b) {
+      return graph.successors(a).size() < graph.successors(b).size();
+    });
+  } else {
+    std::stable_sort(candidates.begin(), candidates.end(), [&](RuleId a, RuleId b) {
+      return density_greater(mgr.hits(a), mgr.install_cost(a), mgr.hits(b),
+                             mgr.install_cost(b));
+    });
+  }
+  size_t installed = 0;
+  for (RuleId id : candidates) {
+    if (mgr.tcam().occupied() >= target) break;
+    if (mgr.tcam().occupied() + mgr.install_cost(id) > mgr.tcam().capacity()) continue;
+    if (mgr.install(id)) ++installed;
+  }
+  return installed;
+}
+
+bool same_plan(const std::vector<CacheFlowManager::SwapPlan>& a,
+               const std::vector<CacheFlowManager::SwapPlan>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].out != b[i].out || a[i].in != b[i].in) return false;
+  }
+  return true;
+}
+
+/// TCAM layout with covers canonicalized to their targets (cover ids come
+/// from the process-wide counter and differ between managers).
+std::vector<std::pair<RuleId, bool>> canonical_layout(const CacheFlowManager& mgr) {
+  std::vector<std::pair<RuleId, bool>> out;
+  for (size_t addr = 0; addr < mgr.tcam().capacity(); ++addr) {
+    const auto id = mgr.tcam().at(addr);
+    if (!id) {
+      out.emplace_back(flowspace::kInvalidRuleId, false);
+      continue;
+    }
+    const RuleId target = mgr.cover_target(*id);
+    out.emplace_back(target != flowspace::kInvalidRuleId ? target : *id,
+                     target != flowspace::kInvalidRuleId);
+  }
+  return out;
+}
+
+/// Hit counts from a tiny alphabet, so equal densities (ties) are common
+/// and many rules stay at zero hits.
+void add_tied_hits(CacheFlowManager& mgr, Rng& rng) {
+  static constexpr uint64_t kAlphabet[] = {0, 0, 0, 1, 2, 2, 4, 6};
+  for (RuleId id : mgr.rule_order()) mgr.add_hits(id, kAlphabet[rng.next_below(8)]);
+}
+
+TEST_P(CacheFlowModeTest, TopKPlanEqualsFullStableSort) {
+  Rng gen(21);
+  FlowTable table{generate_router(400, gen)};
+  CacheFlowManager mgr(table.rules(), build_min_dag(table), GetParam(), 96);
+  mgr.warm(Policy::kStaticDag, 80);
+  Rng rng(22);
+  size_t nonempty = 0;
+  for (int round = 0; round < 30; ++round) {
+    add_tied_hits(mgr, rng);
+    for (size_t k : {size_t{0}, size_t{1}, size_t{3}, size_t{16}, size_t{1000}}) {
+      ASSERT_TRUE(same_plan(mgr.plan_swaps(k), reference_plan(mgr, k)))
+          << "round " << round << " k " << k;
+    }
+    nonempty += !mgr.plan_swaps(8).empty();
+    mgr.rebalance(Policy::kFlowDriven, 8);  // move the state on
+    if (round % 4 == 3) mgr.age_hits();
+  }
+  EXPECT_GT(nonempty, 10u);
+}
+
+TEST_P(CacheFlowModeTest, KeyedWarmEqualsFullStableSort) {
+  Rng gen(31);
+  FlowTable table{generate_router(300, gen)};
+  const auto graph = build_min_dag(table);
+  for (Policy policy : {Policy::kStaticDag, Policy::kFlowDriven}) {
+    for (uint64_t seed : {1u, 2u}) {
+      CacheFlowManager fast(table.rules(), graph, GetParam(), 128);
+      CacheFlowManager ref(table.rules(), graph, GetParam(), 128);
+      Rng ra(seed), rb(seed);
+      add_tied_hits(fast, ra);
+      add_tied_hits(ref, rb);
+      // Warm in two steps: the second starts from a partly filled cache.
+      for (size_t target : {size_t{40}, size_t{110}}) {
+        const size_t got = fast.warm(policy, target);
+        const size_t want = reference_warm(ref, graph, policy, target);
+        ASSERT_EQ(got, want) << "target " << target;
+        ASSERT_EQ(fast.cached_rules(), ref.cached_rules()) << "target " << target;
+        ASSERT_EQ(canonical_layout(fast), canonical_layout(ref)) << "target " << target;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BothFirmwares, CacheFlowModeTest,
                          ::testing::Values(CacheFlowManager::Mode::kDagFirmware,
                                            CacheFlowManager::Mode::kPriorityFirmware),
@@ -267,6 +408,77 @@ TEST(CacheFlow, DagModeIsCheaperThanPriorityModeOnSwaps) {
   }
   EXPECT_LT(writes[0], writes[1])
       << "DAG-guided swaps must use fewer entry writes than priority-based";
+}
+
+TEST(CacheFlow, RebalanceFallbacksAreCounted) {
+  // Capacity 3 holds A, D (depends on A) and B. The plan swaps A out for C
+  // and B out for E (E needs a cover for F). Evicting A demotes it to a
+  // cover (D still depends on it), so C does not fit and neither does A's
+  // own restore; E then fails on its cover. Two failures in a row end the
+  // plan early.
+  auto route = [](uint32_t net, uint32_t len, int32_t priority) {
+    flowspace::TernaryMatch m;
+    m.set_prefix(FieldId::kDstIp, net << 24, len);
+    return Rule::make(m, flowspace::ActionList{flowspace::Action::forward(1)},
+                      priority);
+  };
+  const Rule a = route(10, 24, 20), f = route(11, 24, 20);
+  const Rule d = route(10, 16, 10), e = route(11, 16, 10);
+  const Rule b = route(12, 16, 10), c = route(13, 16, 10);
+  dag::DependencyGraph graph;
+  for (const Rule* r : {&a, &f, &d, &e, &b, &c}) graph.add_vertex(r->id);
+  graph.add_edge(d.id, a.id);
+  graph.add_edge(e.id, f.id);
+  CacheFlowManager mgr({a, f, d, e, b, c}, graph, CacheFlowManager::Mode::kDagFirmware, 3);
+  ASSERT_TRUE(mgr.install(d.id));
+  ASSERT_TRUE(mgr.install(a.id));
+  ASSERT_TRUE(mgr.install(b.id));
+  ASSERT_EQ(mgr.tcam().occupied(), 3u);
+  mgr.add_hits(d.id, 1000);
+  mgr.add_hits(b.id, 10);
+  mgr.add_hits(c.id, 1000);
+  mgr.add_hits(e.id, 100);
+
+  const auto plan = mgr.plan_swaps(4);
+  ASSERT_EQ(plan.size(), 2u);
+  EXPECT_EQ(plan[0].out, a.id);
+  EXPECT_EQ(plan[0].in, c.id);
+  EXPECT_EQ(plan[1].out, b.id);
+  EXPECT_EQ(plan[1].in, e.id);
+
+  EXPECT_EQ(mgr.rebalance(Policy::kFlowDriven, 4), 0u);
+  EXPECT_EQ(mgr.stats().failed_swaps, 2u);
+  EXPECT_EQ(mgr.stats().early_stops, 1u);
+  EXPECT_EQ(mgr.stats().restore_failures, 1u);
+  // A left the cache and survives only as D's cover; B was restored.
+  EXPECT_FALSE(mgr.is_cached(a.id));
+  EXPECT_TRUE(mgr.is_cached(b.id));
+  EXPECT_TRUE(mgr.is_cached(d.id));
+  EXPECT_EQ(mgr.cover_count(), 1u);
+}
+
+TEST(CacheFlow, SparseRuleIdsMapToPositions) {
+  // Ids far apart: positions, hit credit and installs work for any id set.
+  Rng gen(5);
+  FlowTable table{generate_router(40, gen)};
+  std::vector<Rule> rules = table.rules();
+  for (size_t i = 0; i < rules.size(); ++i) {
+    rules[i].id = (RuleId{1} << 40) * (i + 1) + 7;
+  }
+  FlowTable sparse{rules};
+  CacheFlowManager mgr(sparse.rules(), build_min_dag(sparse),
+                       CacheFlowManager::Mode::kDagFirmware, 16);
+  for (size_t i = 0; i < sparse.rules().size(); ++i) {
+    ASSERT_EQ(mgr.position_of(sparse.rules()[i].id), i);
+  }
+  EXPECT_EQ(mgr.position_of(12345), CacheFlowManager::kNoPosition);
+  EXPECT_EQ(mgr.hits(12345), 0u);
+  EXPECT_THROW(mgr.add_hits(12345, 1), std::out_of_range);
+  const RuleId hot = sparse.rules()[7].id;
+  mgr.add_hits(hot, 50);
+  EXPECT_EQ(mgr.hits(hot), 50u);
+  mgr.warm(Policy::kFlowDriven, 12);
+  EXPECT_TRUE(mgr.is_cached(hot));
 }
 
 }  // namespace

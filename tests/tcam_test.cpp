@@ -106,6 +106,124 @@ TEST(Tcam, EntriesHighToLow) {
   EXPECT_EQ(entries[1].id, a.id);
 }
 
+TEST(Tcam, InvalidRuleIdIsRejected) {
+  Tcam tcam(4);
+  Rule r = rule_with_port(80, 1);
+  r.id = flowspace::kInvalidRuleId;
+  EXPECT_THROW(tcam.write(0, r), std::invalid_argument);
+  EXPECT_EQ(tcam.occupied(), 0u);
+}
+
+// --- packed lookup against a brute-force scan --------------------------------
+
+/// Every field, with values drawn near 0 and near all-ones, so each field's
+/// position in the packed key is exercised and the edge packets hit rules.
+TernaryMatch random_wide_match(Rng& rng) {
+  TernaryMatch m;
+  for (FieldId f : flowspace::kAllFields) {
+    if (!rng.next_bool(0.5)) continue;
+    const uint32_t full = flowspace::field_full_mask(f);
+    const uint32_t mask = rng.next_bool(0.5) ? full : rng.next_u32() & full;
+    const uint32_t value = rng.next_bool(0.3)   ? 0u
+                           : rng.next_bool(0.5) ? full
+                                                : rng.next_u32();
+    m.set_ternary(f, value & mask, mask);
+  }
+  return m;
+}
+
+/// Highest-address match over the entry list, the reference semantics.
+const Rule* brute_force(const std::vector<Rule>& high_to_low, const Packet& p) {
+  for (const Rule& r : high_to_low) {
+    if (r.match.matches(p)) return &r;
+  }
+  return nullptr;
+}
+
+std::vector<Packet> edge_packets(Rng& rng) {
+  std::vector<Packet> out;
+  out.emplace_back();  // all-zero
+  Packet ones;
+  ones.fields.fill(~uint32_t{0});  // all-ones, bits beyond every width set
+  out.push_back(ones);
+  for (FieldId f : flowspace::kAllFields) {
+    ones.set(f, ~uint32_t{0});  // all-ones within widths only
+  }
+  out.push_back(ones);
+  for (int i = 0; i < 16; ++i) {
+    // Random headers with junk above each field's width: the junk must be
+    // ignored exactly as TernaryMatch::matches ignores it.
+    Packet p;
+    for (auto& v : p.fields) v = rng.next_u32();
+    out.push_back(p);
+  }
+  return out;
+}
+
+TEST(TcamPackedLookup, AgreesWithBruteForceUnderRandomStreams) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    Tcam tcam(48);
+    size_t checks = 0;
+    for (int step = 0; step < 1500; ++step) {
+      const size_t addr = rng.next_below(tcam.capacity());
+      const size_t other = rng.next_below(tcam.capacity());
+      switch (rng.next_below(4)) {
+        case 0:
+        case 1:
+          if (tcam.is_free(addr)) {
+            tcam.write(addr, Rule::make(random_wide_match(rng),
+                                        ActionList{Action::forward(1)}, 0));
+          }
+          break;
+        case 2:
+          if (!tcam.is_free(addr) && tcam.is_free(other)) tcam.move(addr, other);
+          break;
+        default:
+          if (rng.next_bool(0.5)) {
+            tcam.erase(addr);
+          } else if (!tcam.is_free(addr)) {
+            tcam.take(addr);
+          }
+          break;
+      }
+      const std::vector<Rule> entries = tcam.entries_high_to_low();
+      std::vector<Packet> packets = edge_packets(rng);
+      for (const Rule& r : entries) {
+        if (rng.next_bool(0.2)) packets.push_back(r.match.sample_packet());
+      }
+      for (const Packet& p : packets) {
+        const Rule* want = brute_force(entries, p);
+        const Rule* got = tcam.lookup(p);
+        ASSERT_EQ(got == nullptr, want == nullptr) << "seed " << seed << " step " << step;
+        if (want != nullptr) {
+          ASSERT_EQ(got->id, want->id) << "seed " << seed << " step " << step;
+        }
+        ++checks;
+      }
+    }
+    EXPECT_GT(checks, 1500u * 19u);
+  }
+}
+
+TEST(TcamPackedLookup, FreeSlotsNeverMatch) {
+  // A free slot's row matches the all-ones packet; lookup must skip it and
+  // keep scanning down to the real entry.
+  Tcam tcam(8);
+  Packet ones;
+  ones.fields.fill(~uint32_t{0});
+  EXPECT_EQ(tcam.lookup(ones), nullptr);
+  const Rule low = Rule::make(TernaryMatch::wildcard(), ActionList{Action::drop()}, 0);
+  tcam.write(1, low);
+  ASSERT_NE(tcam.lookup(ones), nullptr);
+  EXPECT_EQ(tcam.lookup(ones)->id, low.id);
+  // Freed slots (erase, take, move source) go back to never matching.
+  tcam.move(1, 6);
+  EXPECT_EQ(tcam.lookup(ones)->id, low.id);
+  tcam.take(6);
+  EXPECT_EQ(tcam.lookup(ones), nullptr);
+}
+
 // --- occupancy index ---------------------------------------------------------
 
 TEST(OccupancyIndex, CountsAndRanks) {

@@ -3,6 +3,8 @@
 // behaviour of the CacheFlow manager under the engine.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "classbench/generator.h"
 #include "dag/builder.h"
 #include "switchsim/traffic_engine.h"
@@ -201,6 +203,9 @@ TEST(TrafficEngine, BitIdenticalAcrossRunsAndThreadCounts) {
   EXPECT_EQ(pooled.hit_checksum, rerun.hit_checksum);
   EXPECT_EQ(pooled.layout_checksum, rerun.layout_checksum);
   EXPECT_EQ(serial.swaps, pooled.swaps);
+  EXPECT_EQ(serial.failed_swaps, pooled.failed_swaps);
+  EXPECT_EQ(serial.rebalance_early_stops, pooled.rebalance_early_stops);
+  EXPECT_EQ(serial.restore_failures, pooled.restore_failures);
   EXPECT_EQ(serial.consistency_violations, 0u);
   EXPECT_EQ(pooled.consistency_violations, 0u);
 
@@ -271,6 +276,56 @@ TEST(CacheFlowFdrc, RebalanceAdmitsTheMeasuredHotRule) {
   EXPECT_EQ(plan.front().in, hot);
   EXPECT_GT(mgr.rebalance(CacheFlowManager::AdmissionPolicy::kFlowDriven, 4), 0u);
   EXPECT_TRUE(mgr.is_cached(hot));
+}
+
+TEST(CacheFlowConcurrency, FourReadersMatchSerialClassify) {
+  // The read path (packed TCAM scan + tuple-space fallback) is const: four
+  // threads classifying against one frozen cache must each reproduce the
+  // serial answers exactly. Under the TSAN tree this also proves the path
+  // race-free.
+  Rng rng(88);
+  const FlowTable fib{generate_router(2000, rng)};
+  const auto graph = build_min_dag(fib);
+  CacheFlowManager mgr(fib.rules(), graph, CacheFlowManager::Mode::kDagFirmware, 256);
+  for (const Rule& r : fib.rules()) mgr.add_hits(r.id, rng.next_below(5));
+  mgr.warm(CacheFlowManager::AdmissionPolicy::kFlowDriven, 180);
+  // Cache some dependent rules too, so cover punts are on the read path.
+  for (const Rule& r : fib.rules()) {
+    if (mgr.cover_count() >= 8) break;
+    if (!graph.successors(r.id).empty()) mgr.install(r.id);
+  }
+  ASSERT_GT(mgr.cover_count(), 0u);
+
+  std::vector<Packet> packets;
+  for (uint64_t i = 0; i < 6000; ++i) {
+    packets.push_back(switchsim::synth_packet(fib.rules(), util::hash_pair(i, 0xc0)));
+  }
+  using Answer = std::pair<RuleId, bool>;
+  auto classify_all = [&mgr, &packets] {
+    std::vector<Answer> out;
+    out.reserve(packets.size());
+    for (const Packet& p : packets) {
+      const auto o = mgr.classify(p);
+      out.emplace_back(o.rule == nullptr ? flowspace::kInvalidRuleId : o.rule->id,
+                       o.fast_path);
+    }
+    return out;
+  };
+  const std::vector<Answer> serial = classify_all();
+  size_t fast = 0;
+  for (const Answer& a : serial) fast += a.second;
+  ASSERT_GT(fast, 0u);
+  ASSERT_LT(fast, serial.size());
+
+  std::vector<std::vector<Answer>> parallel(4);
+  std::vector<std::thread> readers;
+  for (auto& slot : parallel) {
+    readers.emplace_back([&slot, &classify_all] { slot = classify_all(); });
+  }
+  for (auto& t : readers) t.join();
+  for (size_t t = 0; t < parallel.size(); ++t) {
+    EXPECT_EQ(parallel[t], serial) << "reader " << t;
+  }
 }
 
 }  // namespace

@@ -589,6 +589,10 @@ int main(int argc, char** argv) {
                   "%.1f ms total TCAM time\n",
                   report.swaps, report.entry_writes, report.update_ms);
       std::printf("  flow churn     : %zu remaps\n", report.churn_events);
+      std::printf("  fallbacks      : %zu failed swaps, %zu early stops, "
+                  "%zu failed restores\n",
+                  report.failed_swaps, report.rebalance_early_stops,
+                  report.restore_failures);
       std::printf("  consistency    : %zu violations (must be 0)\n",
                   report.consistency_violations);
 
@@ -609,6 +613,10 @@ int main(int argc, char** argv) {
         j->field("entry_writes", static_cast<double>(report.entry_writes));
         j->field("update_ms", report.update_ms);
         j->field("churn_events", static_cast<double>(report.churn_events));
+        j->field("failed_swaps", static_cast<double>(report.failed_swaps));
+        j->field("rebalance_early_stops",
+                 static_cast<double>(report.rebalance_early_stops));
+        j->field("restore_failures", static_cast<double>(report.restore_failures));
         j->field("consistency_violations",
                  static_cast<double>(report.consistency_violations));
         bench::write_json();
