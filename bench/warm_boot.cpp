@@ -14,10 +14,13 @@
 //     layout_valid() on the restored scheduler, and — full mode, largest
 //     size — warm boot >= 100x faster than the cold compile.
 //
-//   delta — an epoch churn stream observed by EpochFreezer; every patch
-//     frame must decode and re-encode bit-identically (codec batch and
-//     inner delta blob alike), and a ThawedController replaying the frames
-//     must land on exactly the live compiler's final CompileSnapshot.
+//   delta — an epoch churn stream observed by EpochFreezer, which seals each
+//     patch from the compiler's recorded churn; every patch blob must equal
+//     the blob a capture + diff of consecutive epochs encodes (the
+//     differential oracle, run outside the churn timing), every patch frame
+//     must decode and re-encode bit-identically (codec batch and inner
+//     delta blob alike), and a ThawedController replaying the frames must
+//     land on exactly the live compiler's final CompileSnapshot.
 //
 // Flags: --threads N   compile worker count (default 4)
 //        --json PATH   machine-readable report (see bench_util.h)
@@ -266,11 +269,13 @@ int main(int argc, char** argv) {
 
     runtime::EpochFreezer freezer;
     freezer.observe(1, frontend);
+    frozen::PolicyImage oracle_prev = frozen::capture_policy(frontend, 1);
 
     std::vector<RuleId> live;
     for (const Rule& r : left_rules) live.push_back(r.id);
-    util::Stopwatch churn_watch;
+    double churn_ms = 0.0;
     for (size_t e = 2; e <= epochs; ++e) {
+      util::Stopwatch churn_watch;
       for (size_t k = 0; k < ops; ++k) {
         const size_t victim_idx = static_cast<size_t>(rng.next_below(live.size()));
         frontend.remove("left", live[victim_idx]);
@@ -279,8 +284,19 @@ int main(int argc, char** argv) {
         frontend.insert("left", fresh);
       }
       freezer.observe(e, frontend);
+      churn_ms += churn_watch.elapsed_ms();
+
+      // Differential oracle: the recorded patch must encode exactly like a
+      // diff of consecutive captures.
+      frozen::PolicyImage now = frozen::capture_policy(frontend, e);
+      const frozen::Bytes diffed = frozen::encode_delta(frozen::diff(oracle_prev, now));
+      oracle_prev = std::move(now);
+      const proto::MessageBatch batch = proto::decode_batch(freezer.patch_frames().back());
+      const auto* patch = std::get_if<proto::SnapshotPatch>(&batch.front());
+      if (patch == nullptr || patch->blob != diffed) {
+        return fail("recorded patch blob differs from the capture + diff blob");
+      }
     }
-    const double churn_ms = churn_watch.elapsed_ms();
 
     // Every patch frame must survive the codec bit-identically, outer batch
     // framing and inner delta blob alike.

@@ -1,6 +1,7 @@
 #include "compiler/composed_node.h"
 
 #include <algorithm>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
 
@@ -35,6 +36,65 @@ CompileOptions default_compile_options() {
   std::scoped_lock lock(g_default_opts_mutex);
   return g_default_compile_options;
 }
+
+// ---------------------------------------------------------------------------
+// DeltaRecorder
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Sums the signs of each key's events (sorted by key first) into the keys
+/// whose net is -1 and +1. Any other net means the events were not a
+/// sequence of set insertions and removals.
+template <typename Key, typename Event, typename KeyOf>
+void net_signs(std::vector<Event>& events, KeyOf key_of, std::vector<Key>& removed,
+               std::vector<Key>& added) {
+  std::sort(events.begin(), events.end(), [&key_of](const Event& a, const Event& b) {
+    return key_of(a) < key_of(b);
+  });
+  for (size_t i = 0; i < events.size();) {
+    const Key key = key_of(events[i]);
+    int net = 0;
+    for (; i < events.size() && key_of(events[i]) == key; ++i) net += events[i].sign;
+    if (net == -1) {
+      removed.push_back(key);
+    } else if (net == 1) {
+      added.push_back(key);
+    } else if (net != 0) {
+      throw std::logic_error("DeltaRecorder: events do not net to a set change");
+    }
+  }
+  events.clear();
+}
+
+}  // namespace
+
+DeltaRecorder::Net DeltaRecorder::take() {
+  Net net;
+  // Member ids are fresh on every add, so an id in both lists was added and
+  // removed within the epoch.
+  std::sort(entries_added_.begin(), entries_added_.end());
+  std::sort(entries_removed_.begin(), entries_removed_.end());
+  std::set_difference(entries_removed_.begin(), entries_removed_.end(),
+                      entries_added_.begin(), entries_added_.end(),
+                      std::back_inserter(net.entries_removed));
+  std::set_difference(entries_added_.begin(), entries_added_.end(),
+                      entries_removed_.begin(), entries_removed_.end(),
+                      std::back_inserter(net.entries_added));
+  entries_added_.clear();
+  entries_removed_.clear();
+
+  net_signs<RuleId>(visible_, [](const VisibleEvent& e) { return e.id; },
+                    net.visible_removed, net.visible_added);
+  net_signs<std::pair<RuleId, RuleId>>(
+      edges_, [](const EdgeEvent& e) { return std::make_pair(e.u, e.v); },
+      net.edges_removed, net.edges_added);
+  return net;
+}
+
+// ---------------------------------------------------------------------------
+// ComposedNode
+// ---------------------------------------------------------------------------
 
 ComposedNode::ComposedNode(OpKind op, std::unique_ptr<PolicyNode> left,
                            std::unique_ptr<PolicyNode> right)
@@ -90,8 +150,16 @@ TernaryMatch ComposedNode::right_probe(const TernaryMatch& left_match,
 // ---------------------------------------------------------------------------
 
 void ComposedNode::forward_delta(const dag::DagDelta& delta, UpdateBuilder& out) {
-  for (const auto& [u, v] : delta.removed_edges) out.remove_edge(u, v);
-  for (const auto& [u, v] : delta.added_edges) out.add_edge(u, v);
+  // The maintainer's delta is exact (a vertex removal lists its incident
+  // edges), so the recorder sees every visible-edge change.
+  for (const auto& [u, v] : delta.removed_edges) {
+    out.remove_edge(u, v);
+    if (recorder_) recorder_->edge_changed(u, v, -1);
+  }
+  for (const auto& [u, v] : delta.added_edges) {
+    out.add_edge(u, v);
+    if (recorder_) recorder_->edge_changed(u, v, +1);
+  }
 }
 
 void ComposedNode::make_visible(RuleId rep_id, UpdateBuilder& out) {
@@ -100,6 +168,7 @@ void ComposedNode::make_visible(RuleId rep_id, UpdateBuilder& out) {
     forward_delta(visible_dag_.insert(rep_id, rep.match), out);
   }
   out.add_rule(Rule{rep_id, rep.match, rep.actions, 0});
+  if (recorder_) recorder_->visible_changed(rep_id, +1);
 }
 
 void ComposedNode::make_invisible(RuleId rep_id, UpdateBuilder& out) {
@@ -107,6 +176,7 @@ void ComposedNode::make_invisible(RuleId rep_id, UpdateBuilder& out) {
     forward_delta(visible_dag_.remove(rep_id), out);
   }
   out.remove_rule(rep_id);
+  if (recorder_) recorder_->visible_changed(rep_id, -1);
 }
 
 void ComposedNode::promote_pending(UpdateBuilder& out) {
@@ -144,6 +214,7 @@ RuleId ComposedNode::add_entry(TernaryMatch match, ActionList actions,
   kv.members.push_back(eid);
   auto [it, inserted] = entries_.emplace(eid, std::move(e));
   const Entry& stored = it->second;
+  if (recorder_) recorder_->entry_added(eid);
 
   if (kv.members.size() == 1) {
     kv.rep = eid;
@@ -181,6 +252,7 @@ void ComposedNode::remove_member_edge(RuleId u, RuleId v, UpdateBuilder& out) {
 
 void ComposedNode::remove_entry(RuleId eid, UpdateBuilder& out) {
   const Entry e = entry(eid);  // copy: we are about to erase it
+  if (recorder_) recorder_->entry_removed(eid);
 
   member_graph_.remove_vertex(eid);
 
@@ -323,6 +395,7 @@ void ComposedNode::resolve_mega_seeded(const std::unordered_set<RuleId>& lower_s
 // ---------------------------------------------------------------------------
 
 void ComposedNode::full_rebuild() {
+  recorder_.reset();  // the rebuild is not churn: recording stops here
   entries_.clear();
   by_pair_.clear();
   by_left_.clear();
@@ -1043,6 +1116,15 @@ std::vector<ComposedNode::MemberView> ComposedNode::export_members() const {
     return a.right_src < b.right_src;
   });
   return out;
+}
+
+ComposedNode::MemberView ComposedNode::member(RuleId id) const {
+  const Entry& e = entry(id);
+  return MemberView{id, e.left_src, e.right_src, &e.match, &e.actions};
+}
+
+void ComposedNode::start_recording() {
+  recorder_ = std::make_unique<DeltaRecorder>(visible_order());
 }
 
 std::vector<RuleId> ComposedNode::representative_ids() const {

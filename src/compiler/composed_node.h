@@ -102,6 +102,57 @@ struct CompileSnapshot {
   bool operator==(const CompileSnapshot&) const = default;
 };
 
+/// The churn a recording ComposedNode logs between two epoch boundaries:
+/// the incremental compiler's own account of what changed (Sec. III-B(c)),
+/// from which frozen::seal_recorded derives the epoch delta without
+/// re-capturing the policy. Events append in O(1) from the node's mutation
+/// paths; take() nets them, so a member entry added and removed within the
+/// epoch cancels out, as does a visible rule or edge that leaves and
+/// returns.
+class DeltaRecorder {
+ public:
+  explicit DeltaRecorder(std::vector<RuleId> boundary_order)
+      : boundary_order_(std::move(boundary_order)) {}
+
+  void entry_added(RuleId id) { entries_added_.push_back(id); }
+  void entry_removed(RuleId id) { entries_removed_.push_back(id); }
+  void visible_changed(RuleId id, int sign) { visible_.push_back({id, sign}); }
+  void edge_changed(RuleId u, RuleId v, int sign) { edges_.push_back({u, v, sign}); }
+
+  /// Net change since the last take(); every list ascending.
+  struct Net {
+    std::vector<RuleId> entries_removed;
+    std::vector<RuleId> entries_added;
+    std::vector<RuleId> visible_removed;
+    std::vector<RuleId> visible_added;
+    std::vector<std::pair<RuleId, RuleId>> edges_removed;
+    std::vector<std::pair<RuleId, RuleId>> edges_added;
+  };
+  /// Nets and clears the events. Throws std::logic_error when they do not
+  /// net to a set change (an id made visible twice, an edge removed twice).
+  Net take();
+
+  /// Visible order at the last epoch boundary; the sealer checks the live
+  /// order against it and then advances it.
+  const std::vector<RuleId>& boundary_order() const { return boundary_order_; }
+  void set_boundary_order(const std::vector<RuleId>& order) { boundary_order_ = order; }
+
+ private:
+  struct VisibleEvent {
+    RuleId id;
+    int sign;
+  };
+  struct EdgeEvent {
+    RuleId u, v;
+    int sign;
+  };
+
+  std::vector<RuleId> boundary_order_;
+  std::vector<RuleId> entries_added_, entries_removed_;
+  std::vector<VisibleEvent> visible_;
+  std::vector<EdgeEvent> edges_;
+};
+
 class ComposedNode final : public PolicyNode {
  public:
   /// Takes ownership of both children and performs the initial full compile
@@ -145,6 +196,16 @@ class ComposedNode final : public PolicyNode {
   /// snapshot() uses.
   std::vector<MemberView> export_members() const;
 
+  /// One member entry by id; throws std::out_of_range on an unknown id.
+  MemberView member(RuleId id) const;
+
+  /// Starts logging this node's member-entry, visible-rule and visible-edge
+  /// churn into a fresh recorder anchored at the current visible order
+  /// (restarting any recording in progress). full_rebuild() stops it.
+  void start_recording();
+  /// The active recorder, or nullptr when not recording.
+  DeltaRecorder* recorder() { return recorder_.get(); }
+
   /// Ids of the current key-vertex representatives, sorted ascending.
   /// Skips keys with a promotion pending (only possible mid-update).
   std::vector<RuleId> representative_ids() const;
@@ -169,6 +230,10 @@ class ComposedNode final : public PolicyNode {
   size_t visible_size() const override { return keys_.size(); }
   bool visible_before(RuleId a, RuleId b) const override;
   std::vector<RuleId> visible_overlapping(const TernaryMatch& m) const override;
+  size_t cover_overflows() const override {
+    return visible_dag_.cover_overflows() + left_->cover_overflows() +
+           right_->cover_overflows();
+  }
 
  private:
   struct Entry {
@@ -352,6 +417,7 @@ class ComposedNode final : public PolicyNode {
   // During full_rebuild the visible DAG is bulk-loaded at the end instead of
   // being maintained per insert.
   bool bulk_building_ = false;
+  std::unique_ptr<DeltaRecorder> recorder_;
 
   // Reusable scratch for the resolution kernels: apply_child_update lands
   // here on every propagated update, so the hot path must not allocate at

@@ -36,11 +36,12 @@ bool LeafNode::is_direct(size_t hi_pos, size_t lo_pos) const {
               return a.specified_bits() < b.specified_bits();
             });
   switch (flowspace::try_cover(*overlap, {between.data(), between.size()},
-                               cover_scratch_)) {
+                               cover_scratch_, fragment_limit_)) {
     case flowspace::CoverResult::kCovered: return false;
     case flowspace::CoverResult::kNotCovered: return true;
     case flowspace::CoverResult::kOverflow: break;
   }
+  ++cover_overflows_;
   return true;  // conservative: keep the edge on fragment overflow
 }
 

@@ -51,6 +51,11 @@ class LeafNode final : public PolicyNode {
   std::vector<RuleId> visible_overlapping(const TernaryMatch& m) const override {
     return index_.find_overlapping(m);
   }
+  size_t cover_overflows() const override { return cover_overflows_; }
+
+  /// Fragment budget of the incremental cover tests (tests lower it to
+  /// force the conservative-edge fallback).
+  void set_fragment_limit(size_t limit) { fragment_limit_ = limit; }
 
  private:
   /// True iff the pair (lo_pos, hi_pos) is a *direct* dependency: their
@@ -66,6 +71,8 @@ class LeafNode final : public PolicyNode {
   // Reusable cover-test arenas for is_direct (hot on every update).
   mutable std::vector<TernaryMatch> between_scratch_;
   mutable flowspace::CoverScratch cover_scratch_;
+  size_t fragment_limit_ = flowspace::kDefaultFragmentLimit;
+  mutable size_t cover_overflows_ = 0;
 };
 
 }  // namespace ruletris::compiler

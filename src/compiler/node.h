@@ -47,6 +47,11 @@ class PolicyNode {
 
   /// Ids of visible rules whose match overlaps `m` (uses the node's index).
   virtual std::vector<RuleId> visible_overlapping(const TernaryMatch& m) const = 0;
+
+  /// Cover tests in this subtree's incremental min-DAG maintenance that hit
+  /// the fragment limit and kept a conservative edge instead (the visible
+  /// DAG may then carry an edge the minimum DAG would not).
+  virtual size_t cover_overflows() const = 0;
 };
 
 }  // namespace ruletris::compiler

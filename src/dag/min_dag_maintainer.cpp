@@ -30,13 +30,14 @@ bool MinDagMaintainer::is_direct(RuleId hi, RuleId lo) const {
               return a.specified_bits() < b.specified_bits();
             });
   switch (flowspace::try_cover(*overlap, {between.data(), between.size()},
-                               cover_scratch_)) {
+                               cover_scratch_, fragment_limit_)) {
     case flowspace::CoverResult::kCovered: return false;
     case flowspace::CoverResult::kNotCovered: return true;
     case flowspace::CoverResult::kOverflow: break;
   }
   // Fragment blow-up: treat the pair as direct. A spurious edge is a
   // harmless (consistent) extra constraint; a missing edge would not be.
+  ++cover_overflows_;
   return true;
 }
 

@@ -62,6 +62,12 @@ class MinDagMaintainer {
   /// edges, and the verified patch edges between former neighbours.
   DagDelta remove(RuleId id);
 
+  /// Cover tests that hit the fragment limit and kept a conservative edge.
+  size_t cover_overflows() const { return cover_overflows_; }
+  /// Fragment budget of the incremental cover tests (tests lower it to
+  /// force the conservative-edge fallback).
+  void set_fragment_limit(size_t limit) { fragment_limit_ = limit; }
+
   /// Replaces all content with `rules` already in matched-first order and
   /// builds the DAG pairwise (cheaper than n incremental inserts).
   void bulk_load(const std::vector<std::pair<RuleId, TernaryMatch>>& rules);
@@ -87,6 +93,8 @@ class MinDagMaintainer {
   // between-set and fragment buffers must not reallocate at steady state.
   mutable std::vector<TernaryMatch> between_scratch_;
   mutable flowspace::CoverScratch cover_scratch_;
+  size_t fragment_limit_ = flowspace::kDefaultFragmentLimit;
+  mutable size_t cover_overflows_ = 0;
 };
 
 }  // namespace ruletris::dag

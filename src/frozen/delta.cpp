@@ -178,6 +178,86 @@ PolicyDelta diff(const PolicyImage& from, const PolicyImage& to) {
   return delta;
 }
 
+namespace {
+
+compiler::ComposedNode& composed_root(compiler::RuleTrisCompiler& frontend) {
+  auto* root = dynamic_cast<compiler::ComposedNode*>(&frontend.root());
+  if (root == nullptr) fail("policy root is not a composed node");
+  return *root;
+}
+
+}  // namespace
+
+void start_recording(compiler::RuleTrisCompiler& frontend) {
+  composed_root(frontend).start_recording();
+}
+
+PolicyDelta seal_recorded(compiler::RuleTrisCompiler& frontend,
+                          uint64_t from_epoch, uint64_t to_epoch) {
+  compiler::ComposedNode& root = composed_root(frontend);
+  compiler::DeltaRecorder* rec = root.recorder();
+  if (rec == nullptr) fail("policy root is not recording");
+  compiler::DeltaRecorder::Net net = rec->take();
+
+  TableDelta d;
+  d.removed_entries = std::move(net.entries_removed);
+  d.added_entries.reserve(net.entries_added.size());
+  for (RuleId id : net.entries_added) {
+    const compiler::ComposedNode::MemberView m = root.member(id);
+    d.added_entries.push_back(
+        MemberEntry{m.id, m.left_src, m.right_src, *m.match, *m.actions});
+  }
+  std::sort(d.added_entries.begin(), d.added_entries.end(), prov_less);
+  // At an epoch boundary the representatives are exactly the visible rules.
+  d.reps_removed = std::move(net.visible_removed);
+  d.reps_added = std::move(net.visible_added);
+  d.edges_removed = std::move(net.edges_removed);
+  d.edges_added = std::move(net.edges_added);
+  const std::vector<RuleId>& live = root.visible_order();
+  d.order_inserts = order_edit(rec->boundary_order(), live, d.reps_removed,
+                               d.reps_added);
+  rec->set_boundary_order(live);
+
+  PolicyDelta delta;
+  delta.from_epoch = from_epoch;
+  delta.to_epoch = to_epoch;
+  delta.tables.push_back(std::move(d));
+  return delta;
+}
+
+std::vector<std::pair<RuleId, uint64_t>> order_edit(
+    const std::vector<RuleId>& from, const std::vector<RuleId>& to,
+    const std::vector<RuleId>& removed, const std::vector<RuleId>& joined) {
+  const auto in = [](const std::vector<RuleId>& sorted, RuleId id) {
+    return std::binary_search(sorted.begin(), sorted.end(), id);
+  };
+  std::vector<std::pair<RuleId, uint64_t>> inserts;
+  inserts.reserve(joined.size());
+  size_t next = 0;  // cursor into `from`
+  size_t dropped = 0;
+  const auto skip_removed = [&] {
+    for (; next < from.size() && in(removed, from[next]); ++next) ++dropped;
+  };
+  for (uint64_t pos = 0; pos < to.size(); ++pos) {
+    const RuleId id = to[pos];
+    if (in(joined, id)) {
+      inserts.emplace_back(id, pos);
+      continue;
+    }
+    skip_removed();
+    if (next == from.size() || from[next] != id) {
+      fail("surviving rules reordered between epochs");
+    }
+    ++next;
+  }
+  skip_removed();
+  if (next != from.size() || dropped != removed.size() ||
+      inserts.size() != joined.size()) {
+    fail("recorded visible churn disagrees with the visible order");
+  }
+  return inserts;
+}
+
 void apply_delta(PolicyImage& image, const PolicyDelta& delta) {
   if (image.epoch != delta.from_epoch) fail("epoch chain mismatch");
   if (image.tables.size() != delta.tables.size()) fail("table count mismatch");

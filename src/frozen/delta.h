@@ -7,8 +7,13 @@
 // edit. Order is encoded as (id, final position) inserts applied ascending
 // after the removals, which reconstructs the new order exactly because the
 // compiler never reorders surviving rules relative to each other
-// (MinDagMaintainer keeps an insertion-positioned total order) — diff()
-// verifies that invariant against both images and throws if it ever breaks.
+// (MinDagMaintainer keeps an insertion-positioned total order) — both delta
+// sources verify that invariant and throw if it ever breaks.
+//
+// Two sources produce the same delta. seal_recorded() is the live path: it
+// seals an epoch from the churn the compiler recorded on the policy root,
+// at O(churn) cost. diff() compares two full captures; it is the
+// differential oracle (tests, bench/warm_boot, audited fleet switches).
 //
 // Deltas intentionally do not carry TCAM layout: a delta updates the
 // *compiled* image (what snapshot() compares); the device layout evolves on
@@ -57,8 +62,33 @@ struct PolicyDelta {
 
 /// Structural diff from `from` to `to`. Throws when the images have
 /// different table counts or when the surviving-order invariant does not
-/// hold (it always does for images captured from the compiler).
+/// hold (it always does for images captured from the compiler). The
+/// differential oracle for seal_recorded().
 PolicyDelta diff(const PolicyImage& from, const PolicyImage& to);
+
+/// Starts churn recording on a single-table policy's composed root (see
+/// compiler::DeltaRecorder); the current state becomes the boundary the
+/// next seal_recorded() diffs from. Throws like capture_policy() when the
+/// root is not a composed node.
+void start_recording(compiler::RuleTrisCompiler& frontend);
+
+/// Seals the epoch the root recorded since start_recording() or the last
+/// seal into exactly the delta diff() computes between captures of the two
+/// boundaries — same canonical order, so encode_delta() is byte-identical —
+/// then starts the next epoch. Costs O(churn + visible ids); nothing is
+/// captured. Throws std::runtime_error when the root is not recording or,
+/// as diff() does, when the surviving visible order changed.
+PolicyDelta seal_recorded(compiler::RuleTrisCompiler& frontend,
+                          uint64_t from_epoch, uint64_t to_epoch);
+
+/// The visible-order edit from `from` to `to`, given the ids that left and
+/// joined the visible set (both ascending): (id, position in `to`) for each
+/// joined id, ascending by position. Throws std::runtime_error unless `to`
+/// without the joined ids equals `from` without the removed ids — the
+/// surviving-order invariant diff() checks.
+std::vector<std::pair<RuleId, uint64_t>> order_edit(
+    const std::vector<RuleId>& from, const std::vector<RuleId>& to,
+    const std::vector<RuleId>& removed, const std::vector<RuleId>& joined);
 
 /// Applies a delta in place. Epochs must chain (image.epoch ==
 /// delta.from_epoch); every removal must name present state. Keeps the

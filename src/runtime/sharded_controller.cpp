@@ -115,15 +115,22 @@ struct SwitchSlot {
   bool retain_blobs = false;
 
   // Compile side — guarded by the owning CompileShard's lock; ownership
-  // moves wholesale to the adopting shard on failover.
+  // moves wholesale to the adopting shard on failover. Deltas are sealed
+  // from the engine root's recorded churn; only audited switches capture
+  // the policy after epoch 1.
   std::unique_ptr<ChurnEngine> engine;
-  frozen::PolicyImage base_image;  // epoch-1 capture (replay-audit anchor)
-  frozen::PolicyImage prev_image;  // previous epoch's capture (diff source)
+  /// Epoch-1 capture, kept only where something reads it: the replay audit,
+  /// failover reconstruction and re-admission verification.
+  frozen::PolicyImage base_image;
+  /// Audited switches: the latest epoch's capture, the diff source of the
+  /// recorded ≡ diffed oracle and the replay audit's expected image.
+  frozen::PolicyImage audit_image;
   std::vector<std::shared_ptr<const frozen::Bytes>> audit_blobs;
   bool audited = false;
   bool audit_passed = true;
   uint64_t delta_chain = 0;  // hash chain over every sealed delta blob
   size_t rule_ops = 0;
+  size_t cover_overflows = 0;  // conservative-edge fallbacks, whole stream
   std::vector<Rule> expected;  // final composed table; written before close()
 
   // Failover outcome (written by the adopting shard under its lock).
@@ -241,7 +248,7 @@ bool replay_audit(const SwitchSlot& slot) {
   for (const auto& blob : slot.audit_blobs) {
     frozen::apply_delta(replay, frozen::decode_delta(*blob));
   }
-  return replay == slot.prev_image;
+  return replay == slot.audit_image;
 }
 
 /// Compiles and seals one epoch for the shard's next unfinished switch.
@@ -281,21 +288,32 @@ bool seal_next(CompileShard& shard, const FleetSpec& spec) {
   sealed.ops = step.ops;
   sealed.ready_vt_ms = shard.vt_ms;
 
-  frozen::PolicyImage image =
-      frozen::capture_policy(slot->engine->frontend(), epoch);
+  compiler::RuleTrisCompiler& frontend = slot->engine->frontend();
   if (epoch == 1) {
-    // No predecessor to diff against: the chain anchors on the base image.
+    // No predecessor: the chain anchors on the base image, and the root
+    // starts recording the churn every later epoch is sealed from.
+    frozen::PolicyImage image = frozen::capture_policy(frontend, epoch);
     sealed.delta_hash = hash_bytes(frozen::freeze(image));
-    slot->base_image = image;
+    frozen::start_recording(frontend);
+    if (slot->audited) slot->audit_image = image;
+    if (slot->audited || slot->retain_blobs) slot->base_image = std::move(image);
   } else {
     auto blob = std::make_shared<const frozen::Bytes>(
-        frozen::encode_delta(frozen::diff(slot->prev_image, image)));
+        frozen::encode_delta(frozen::seal_recorded(frontend, epoch - 1, epoch)));
     sealed.delta_hash = hash_bytes(*blob);
-    if (slot->audited || slot->retain_blobs) sealed.delta = blob;
-    if (slot->audited) slot->audit_blobs.push_back(std::move(blob));
+    if (slot->audited) {
+      // Differential oracle: the recorded delta must encode byte-for-byte
+      // like a diff of consecutive captures.
+      frozen::PolicyImage image = frozen::capture_policy(frontend, epoch);
+      if (frozen::encode_delta(frozen::diff(slot->audit_image, image)) != *blob) {
+        slot->audit_passed = false;
+      }
+      slot->audit_image = std::move(image);
+      slot->audit_blobs.push_back(blob);
+    }
+    if (slot->audited || slot->retain_blobs) sealed.delta = std::move(blob);
   }
   slot->delta_chain = util::hash_pair(slot->delta_chain, sealed.delta_hash);
-  slot->prev_image = std::move(image);
 
   frozen::PublishRing<SealedEpoch>& ring =
       slot->cont_ring ? *slot->cont_ring : *slot->ring;
@@ -304,7 +322,10 @@ bool seal_next(CompileShard& shard, const FleetSpec& spec) {
     // Everything the session will read after observing closed() must be in
     // place before close()'s release store.
     slot->expected = slot->engine->current_rules();
-    if (slot->audited) slot->audit_passed = replay_audit(*slot);
+    slot->cover_overflows = frontend.root().cover_overflows();
+    if (slot->audited) {
+      slot->audit_passed = slot->audit_passed && replay_audit(*slot);
+    }
   }
   ring.publish(std::make_unique<SealedEpoch>(std::move(sealed)));
   if (last) {
@@ -393,12 +414,14 @@ void adopt_slot(CompileShard& shard, const Orphan& o, const FleetSpec& spec) {
   shard.vt_ms += replay_cost;
 
   // 3. The rebuilt state must equal the blob replay bit for bit — this is
-  // the adopted-stream-equals-never-failed-stream guarantee.
+  // the adopted-stream-equals-never-failed-stream guarantee. Recording
+  // resumes from the rebuilt state, the boundary of the next sealed epoch.
   if (published >= 1) {
     frozen::PolicyImage recompiled =
         frozen::capture_policy(slot.engine->frontend(), published);
     ok = ok && recompiled == replayed;
-    slot.prev_image = std::move(recompiled);
+    frozen::start_recording(slot.engine->frontend());
+    if (slot.audited) slot.audit_image = std::move(recompiled);
   }
   slot.failover_ok = ok;
   slot.adopted = true;
@@ -414,38 +437,43 @@ void adopt_slot(CompileShard& shard, const Orphan& o, const FleetSpec& spec) {
   ++shard.remaining;
 }
 
-/// Moves eligible orphans from the pending queue into the shard. An orphan
-/// integrates once its kill is the earliest unresolved-or-resolved event at
-/// or below this shard's clock: kills integrate in kill-time order, each at
-/// the first step boundary where the adopter's clock has reached it (or at
-/// the floor directly when the adopter is idle). `min_unresolved` is the
-/// caller's snapshot of the earliest unresolved kill time. Caller holds the
-/// shard lock. Returns true if anything was adopted.
+/// Moves eligible orphans from the pending queue into the shard, one at a
+/// time in (kill time, switch) order. An orphan integrates once its kill is
+/// the earliest unresolved-or-resolved event at or below this shard's
+/// clock: kills integrate in kill-time order, each at the first step
+/// boundary where the adopter's clock has reached it (or at the floor
+/// directly when the adopter is idle). Due-ness is re-checked after every
+/// adoption: an idle adopter that finds two kills' orphans pending is busy
+/// after the first, so the second waits for the clock to reach its kill
+/// time — as it would have had that kill resolved later. `min_unresolved`
+/// is the caller's snapshot of the earliest unresolved kill time. Caller
+/// holds the shard lock. Returns true if anything was adopted.
 bool adopt_ready_orphans(CompileShard& shard, double min_unresolved,
                          const FleetSpec& spec) {
-  std::vector<Orphan> take;
-  {
-    std::lock_guard<std::mutex> g(shard.adopt_mu);
-    for (auto it = shard.pending.begin(); it != shard.pending.end();) {
+  bool adopted = false;
+  for (;;) {
+    Orphan next;
+    {
+      std::lock_guard<std::mutex> g(shard.adopt_mu);
+      auto first = std::min_element(
+          shard.pending.begin(), shard.pending.end(),
+          [](const Orphan& a, const Orphan& b) {
+            if (a.kill_at != b.kill_at) return a.kill_at < b.kill_at;
+            return a.slot->index < b.slot->index;
+          });
+      if (first == shard.pending.end()) break;
       // Never integrate a later kill's orphans while an earlier kill is
       // still unresolved — processing order must be the kill-time order.
-      const bool in_order = it->kill_at < min_unresolved;
-      const bool due = shard.remaining == 0 || it->kill_at <= shard.vt_ms;
-      if (in_order && due) {
-        take.push_back(*it);
-        it = shard.pending.erase(it);
-      } else {
-        ++it;
-      }
+      const bool in_order = first->kill_at < min_unresolved;
+      const bool due = shard.remaining == 0 || first->kill_at <= shard.vt_ms;
+      if (!in_order || !due) break;
+      next = *first;
+      shard.pending.erase(first);
     }
+    adopt_slot(shard, next, spec);
+    adopted = true;
   }
-  if (take.empty()) return false;
-  std::sort(take.begin(), take.end(), [](const Orphan& a, const Orphan& b) {
-    if (a.kill_at != b.kill_at) return a.kill_at < b.kill_at;
-    return a.slot->index < b.slot->index;
-  });
-  for (const Orphan& o : take) adopt_slot(shard, o, spec);
-  return true;
+  return adopted;
 }
 
 /// Marks the shard done when nothing can ever land on it again. Caller
@@ -782,6 +810,7 @@ FleetReport ShardedController::run() {
   for (const auto& slot : fleet.slots) {
     stats.push_back(slot->stats);
     report.rule_ops += slot->rule_ops;
+    report.cover_overflows += slot->cover_overflows;
     if (slot->audited) {
       ++report.replay_audits;
       report.replay_ok = report.replay_ok && slot->audit_passed;

@@ -6,10 +6,11 @@
 // own, one ChurnEngine per switch stepped round-robin under a per-shard
 // virtual compile clock. Every sealed epoch is published lock-free through
 // a frozen::PublishRing — the RTDZ delta blob is the shard-handoff
-// currency: the shard captures the policy image after each step, diffs it
-// against the previous epoch, seals (wire image, ops, ready time, delta)
-// and bumps the ring's atomic epoch counter; switch sessions consume with
-// acquire loads and zero locks.
+// currency: the shard seals each step's delta straight from the churn the
+// engine's root recorded (frozen::seal_recorded; only the epoch-1 base is a
+// full capture), seals (wire image, ops, ready time, delta) and bumps the
+// ring's atomic epoch counter; switch sessions consume with acquire loads
+// and zero locks.
 //
 // Dispatch is work-stealing over a util::ThreadPool: every worker sweeps
 // every session (pump as far as the sealed horizon allows) and every shard
@@ -115,9 +116,11 @@ struct FleetSpec {
   double compile_base_ms = 0.05;
   double compile_per_op_ms = 0.02;
 
-  /// Every audit_stride-th switch keeps its RTDZ delta blobs and replays
-  /// them against the epoch-1 base image when its stream closes; a mismatch
-  /// fails the run. 0 disables the audit.
+  /// Every audit_stride-th switch runs the differential oracle: each sealed
+  /// (recorded) delta blob must byte-equal the diff of consecutive policy
+  /// captures, and the kept blobs must replay the epoch-1 base image to
+  /// the final capture when its stream closes. Any mismatch fails the run
+  /// (replay_ok). 0 disables the audit.
   size_t audit_stride = 16;
 
   /// Seeded fault schedule: shard kills on virtual compile clocks, agent
@@ -157,7 +160,12 @@ struct FleetReport {
   uint64_t delta_fingerprint = 0;
 
   size_t replay_audits = 0;  // switches whose delta chain was replayed
-  bool replay_ok = true;     // every audited replay reproduced the final image
+  /// Every audited switch: each recorded delta encoded like the diffed one,
+  /// and the replay reproduced the final image.
+  bool replay_ok = true;
+  /// Incremental cover tests that hit the fragment limit and kept a
+  /// conservative edge (compiler::PolicyNode::cover_overflows), fleet-wide.
+  size_t cover_overflows = 0;
 
   // Fault-tolerance outcome (all zero / true on a clean run).
   size_t shard_kills = 0;     // scheduled kills that actually fired

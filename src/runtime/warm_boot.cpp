@@ -5,21 +5,21 @@
 
 namespace ruletris::runtime {
 
-void EpochFreezer::observe(uint64_t epoch, const compiler::RuleTrisCompiler& frontend) {
-  frozen::PolicyImage image = frozen::capture_policy(frontend, epoch);
+void EpochFreezer::observe(uint64_t epoch, compiler::RuleTrisCompiler& frontend) {
   if (!has_base()) {
     base_epoch_ = epoch;
-    base_blob_ = frozen::freeze(image);
+    base_blob_ = frozen::freeze(frozen::capture_policy(frontend, epoch));
+    frozen::start_recording(frontend);
   } else {
-    const frozen::PolicyDelta delta = frozen::diff(latest_, image);
     proto::SnapshotPatch patch;
     patch.epoch = epoch;
-    patch.blob = frozen::encode_delta(delta);
+    patch.blob =
+        frozen::encode_delta(frozen::seal_recorded(frontend, last_epoch_, epoch));
     proto::MessageBatch batch;
     batch.push_back(std::move(patch));
     patch_frames_.push_back(proto::encode_batch(batch));
   }
-  latest_ = std::move(image);
+  last_epoch_ = epoch;
 }
 
 ThawedController::ThawedController(frozen::Bytes base_blob)

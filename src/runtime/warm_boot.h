@@ -6,10 +6,12 @@
 //
 //  * EpochFreezer runs next to the live compiler (hooked into
 //    ChurnSpec::observer). The first epoch it sees becomes the full frozen
-//    base snapshot; every later epoch is diffed against the previous image
-//    and shipped as a binary patch wrapped in a proto::SnapshotPatch
-//    message inside a CRC32-framed codec batch — the same framing every
-//    other control message uses, so patches ride the existing channel.
+//    base snapshot and starts the root's churn recording; every later
+//    epoch is sealed from what the compiler recorded (frozen::seal_recorded,
+//    the same delta source the sharded fleet uses) and shipped as a binary
+//    patch wrapped in a proto::SnapshotPatch message inside a CRC32-framed
+//    codec batch — the same framing every other control message uses, so
+//    patches ride the existing channel.
 //
 //  * ThawedController is the restarted side: it maps (or adopts) the base
 //    blob, restores a DagScheduler straight from the frozen sections —
@@ -36,8 +38,9 @@ namespace ruletris::runtime {
 class EpochFreezer {
  public:
   /// Observe the live front-end after `epoch` was compiled. Epochs must be
-  /// observed in increasing order. Matches ChurnSpec::observer's signature.
-  void observe(uint64_t epoch, const compiler::RuleTrisCompiler& frontend);
+  /// observed in increasing order, always on the same front-end. Matches
+  /// ChurnSpec::observer's signature.
+  void observe(uint64_t epoch, compiler::RuleTrisCompiler& frontend);
 
   bool has_base() const { return !base_blob_.empty(); }
   uint64_t base_epoch() const { return base_epoch_; }
@@ -46,14 +49,12 @@ class EpochFreezer {
   /// One CRC32-framed codec batch per epoch after the base, in order; each
   /// carries a single proto::SnapshotPatch.
   const std::vector<proto::Bytes>& patch_frames() const { return patch_frames_; }
-  /// Image of the most recently observed epoch.
-  const frozen::PolicyImage& latest() const { return latest_; }
 
  private:
   uint64_t base_epoch_ = 0;
+  uint64_t last_epoch_ = 0;
   frozen::Bytes base_blob_;
   std::vector<proto::Bytes> patch_frames_;
-  frozen::PolicyImage latest_;
 };
 
 /// The restart side: thaws a base snapshot and replays patch frames.

@@ -70,9 +70,10 @@ struct ChurnSpec {
   /// Called after each epoch is pushed — after the initial compile (epoch 1)
   /// and after every incremental update — with the epoch number and the live
   /// front-end. The warm-boot freezer (runtime/warm_boot.h) hangs off this
-  /// to capture per-epoch frozen images without the workload layer knowing
-  /// about serialization.
-  std::function<void(size_t epoch, const compiler::RuleTrisCompiler&)> observer;
+  /// to seal per-epoch frozen deltas without the workload layer knowing
+  /// about serialization; the front-end is mutable so an observer can start
+  /// the root's churn recording.
+  std::function<void(size_t epoch, compiler::RuleTrisCompiler&)> observer;
 };
 
 /// Stepwise churn compiler: produces exactly the epoch stream
@@ -103,8 +104,9 @@ class ChurnEngine {
   /// Compiles and packages the next epoch. Must not be called when done().
   Step step();
 
-  /// Live front-end (for frozen capture after each step).
+  /// Live front-end (frozen capture, or churn recording, after each step).
   const compiler::RuleTrisCompiler& frontend() const { return *frontend_; }
+  compiler::RuleTrisCompiler& frontend() { return *frontend_; }
   /// Composed table after the steps so far.
   std::vector<flowspace::Rule> current_rules() const;
   size_t peak_visible() const { return peak_visible_; }

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "classbench/generator.h"
 #include "compiler/composed_node.h"
 #include "compiler/ruletris_compiler.h"
 #include "compiler/shard_plan.h"
@@ -310,7 +311,10 @@ TEST(ShardedFleetTest, BitIdenticalAcrossThreadCountsAndReplayClean) {
   spec.n_shards = 3;
   spec.updates_per_switch = 10;
   spec.seed = 12;
-  spec.audit_stride = 1;  // replay-audit every switch
+  // Every switch runs the differential oracle: each recorded delta blob
+  // must byte-equal the diff of consecutive captures, and the blobs must
+  // replay to the final capture (replay_ok), at every thread count.
+  spec.audit_stride = 1;
   spec.tcam_capacity = 1024;
 
   runtime::FleetReport serial;
@@ -363,6 +367,57 @@ TEST(ShardedFleetTest, SurvivesFaultyWiresDeterministically) {
   EXPECT_EQ(a.fleet_fingerprint, b.fleet_fingerprint);
   EXPECT_EQ(a.delta_fingerprint, b.delta_fingerprint);
   EXPECT_DOUBLE_EQ(a.makespan_ms, b.makespan_ms);
+}
+
+TEST(ShardedFleetTest, IdleAdopterIntegratesTwoKillsInKillTimeOrder) {
+  // Shard 0 (the only survivor) owns one short stream and goes idle long
+  // before either kill; shards 1 and 2 die mid-stream at nearby times. With
+  // both kills resolved before the idle adopter looks, it must still adopt
+  // the second kill's orphan only once its clock reaches that kill time,
+  // exactly as when the second kill resolves later: the report is then the
+  // same for every thread count.
+  runtime::FleetSpec spec;
+  spec.n_switches = 3;
+  spec.n_shards = 3;
+  spec.seed = 44;
+  spec.audit_stride = 1;
+  spec.tcam_capacity = 1024;
+  spec.failover_replay_factor = 0.0;  // adoption leaves the clock at the floor
+  spec.make_task = [](size_t sw) {
+    runtime::SwitchTask task;
+    Rng rng(900 + sw);
+    task.tables.emplace("mon", FlowTable{classbench::generate_monitor(24, rng)});
+    task.tables.emplace("rtr", FlowTable{classbench::generate_router(16, rng)});
+    task.spec = PolicySpec::parallel(PolicySpec::leaf("mon"), PolicySpec::leaf("rtr"));
+    task.churn.leaf = "mon";
+    task.churn.updates = sw == 0 ? 2 : 40;
+    task.churn.seed = 77 + sw;
+    task.churn.burst.enabled = true;
+    return task;
+  };
+  spec.chaos.shard_kills.push_back({1, 3.0});
+  spec.chaos.shard_kills.push_back({2, 3.6});
+
+  spec.n_threads = 1;
+  const runtime::FleetReport serial = runtime::ShardedController(spec).run();
+  EXPECT_EQ(serial.shard_kills, 2u);
+  EXPECT_EQ(serial.failovers, 2u);
+  EXPECT_TRUE(serial.failover_ok);
+  EXPECT_TRUE(serial.replay_ok);
+  EXPECT_TRUE(serial.runtime.all_converged);
+  for (const size_t threads : {2u, 5u}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      spec.n_threads = threads;
+      const runtime::FleetReport parallel = runtime::ShardedController(spec).run();
+      EXPECT_EQ(parallel.fleet_fingerprint, serial.fleet_fingerprint)
+          << threads << " threads";
+      EXPECT_EQ(parallel.delta_fingerprint, serial.delta_fingerprint)
+          << threads << " threads";
+      EXPECT_DOUBLE_EQ(parallel.makespan_ms, serial.makespan_ms);
+      EXPECT_DOUBLE_EQ(parallel.compile_vt_ms, serial.compile_vt_ms);
+      EXPECT_DOUBLE_EQ(parallel.failover_ms.max(), serial.failover_ms.max());
+    }
+  }
 }
 
 TEST(ScopedRuleIdTest, RedirectsAndRestores) {

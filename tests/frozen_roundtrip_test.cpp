@@ -261,7 +261,7 @@ TEST(FrozenRoundtrip, ObserverDrivenFreezerSurvivesChurnWorkload) {
   churn.leaf = "left";
   churn.updates = 30;
   churn.seed = 0x0b5;
-  churn.observer = [&](size_t epoch, const compiler::RuleTrisCompiler& fe) {
+  churn.observer = [&](size_t epoch, compiler::RuleTrisCompiler& fe) {
     freezer.observe(epoch, fe);
     final_snapshot =
         dynamic_cast<const compiler::ComposedNode&>(fe.root()).snapshot();

@@ -29,6 +29,25 @@ TEST(LeafNode, BulkLoadMatchesOracle) {
   }
 }
 
+TEST(LeafNode, CoverOverflowIsCountedThroughPolicyNode) {
+  // Same shape as the maintainer's overflow test, in priority order: the
+  // (10/8, wildcard) cover test needs one fragment more than a budget of 1.
+  flowspace::TernaryMatch wide, narrow;
+  wide.set_prefix(flowspace::FieldId::kDstIp, 0x0a000000u, 8);
+  narrow.set_prefix(flowspace::FieldId::kDstIp, 0x0a000000u, 9);
+  for (const size_t limit : {size_t{1}, flowspace::kDefaultFragmentLimit}) {
+    LeafNode leaf{FlowTable{}};
+    leaf.set_fragment_limit(limit);
+    const flowspace::ActionList fwd{flowspace::Action::forward(1)};
+    leaf.insert(Rule::make(wide, fwd, 30));
+    leaf.insert(Rule::make(narrow, fwd, 20));
+    leaf.insert(Rule::make(flowspace::TernaryMatch::wildcard(), fwd, 10));
+    const compiler::PolicyNode& node = leaf;
+    EXPECT_EQ(node.cover_overflows() > 0, limit == 1) << "limit " << limit;
+    EXPECT_EQ(leaf.visible_graph(), build_min_dag(leaf.table()));
+  }
+}
+
 TEST(LeafNode, InsertKeepsMinimumDag) {
   Rng rng(2);
   for (int trial = 0; trial < 15; ++trial) {

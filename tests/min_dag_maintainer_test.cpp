@@ -160,6 +160,27 @@ TEST(MinDagMaintainer, DuplicateInsertThrows) {
   EXPECT_THROW(dag.insert(7, TernaryMatch::wildcard()), std::invalid_argument);
 }
 
+TEST(MinDagMaintainer, CoverOverflowIsCounted) {
+  // 10/8, then 10.0/9, then a wildcard: the (10/8, wildcard) cover test
+  // must subtract 10.0/9, one fragment more than a budget of 1 allows.
+  for (const size_t limit : {size_t{1}, flowspace::kDefaultFragmentLimit}) {
+    MinDagMaintainer dag([](RuleId, RuleId) { return true; });
+    dag.set_fragment_limit(limit);
+    TernaryMatch wide, narrow;
+    wide.set_prefix(flowspace::FieldId::kDstIp, 0x0a000000u, 8);
+    narrow.set_prefix(flowspace::FieldId::kDstIp, 0x0a000000u, 9);
+    dag.insert(1, wide);
+    dag.insert(2, narrow);
+    dag.insert(3, TernaryMatch::wildcard());
+    EXPECT_TRUE(dag.graph().has_edge(3, 1));  // kept either way
+    if (limit == 1) {
+      EXPECT_GT(dag.cover_overflows(), 0u);
+    } else {
+      EXPECT_EQ(dag.cover_overflows(), 0u);
+    }
+  }
+}
+
 TEST(MinDagMaintainer, RemoveMissingIsNoop) {
   MinDagMaintainer dag([](RuleId, RuleId) { return true; });
   EXPECT_TRUE(dag.remove(42).empty());

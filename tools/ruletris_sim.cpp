@@ -464,6 +464,8 @@ int main(int argc, char** argv) {
                   report.runtime.all_converged ? "yes" : "NO",
                   report.replay_audits, report.replay_ok ? "ok" : "FAILED",
                   deterministic ? "ok" : "VIOLATED");
+      std::printf("  cover-test overflows %zu (conservative DAG edges kept)\n",
+                  report.cover_overflows);
       if (opt.chaos) {
         std::printf("  chaos: %zu shard kills (%zu escaped), %zu failovers "
                     "(%s), %zu quarantines, %zu re-admissions (%s)\n",
@@ -495,6 +497,7 @@ int main(int argc, char** argv) {
                                              report.layout_fingerprint)));
         j->field("converged", report.runtime.all_converged ? 1.0 : 0.0);
         j->field("replay_ok", report.replay_ok ? 1.0 : 0.0);
+        j->field("cover_overflows", static_cast<double>(report.cover_overflows));
         j->field("deterministic", deterministic ? 1.0 : 0.0);
         j->field("shard_kills", static_cast<double>(report.shard_kills));
         j->field("failovers", static_cast<double>(report.failovers));
