@@ -9,8 +9,13 @@ namespace ruletris::compiler {
 using flowspace::FlowTable;
 
 LeafNode::LeafNode(FlowTable table) : table_(std::move(table)) {
-  // Bulk extraction honours the process-wide thread knob (serial when 0/1).
-  graph_ = dag::build_min_dag_parallel(table_, dag::default_build_threads());
+  // Bulk extraction honours the process-wide thread knob (serial when 0/1);
+  // its overflow fallbacks count with the incremental ones.
+  dag::MinDagBuildOptions opts;
+  opts.n_threads = dag::default_build_threads();
+  dag::MinDagBuildStats stats;
+  graph_ = dag::build_min_dag_parallel(table_, opts, &stats);
+  cover_overflows_ = stats.cover_overflows;
   for (const Rule& r : table_.rules()) index_.insert(r.id, r.match);
 }
 

@@ -48,9 +48,10 @@ class PolicyNode {
   /// Ids of visible rules whose match overlaps `m` (uses the node's index).
   virtual std::vector<RuleId> visible_overlapping(const TernaryMatch& m) const = 0;
 
-  /// Cover tests in this subtree's incremental min-DAG maintenance that hit
-  /// the fragment limit and kept a conservative edge instead (the visible
-  /// DAG may then carry an edge the minimum DAG would not).
+  /// Cover tests in this subtree's min-DAG construction (a leaf's bulk
+  /// build, then incremental maintenance) that hit the fragment limit and
+  /// kept a conservative edge instead (the visible DAG may then carry an
+  /// edge the minimum DAG would not).
   virtual size_t cover_overflows() const = 0;
 };
 

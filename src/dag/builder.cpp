@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <unordered_map>
 
 #include "flowspace/rule_index.h"
@@ -104,6 +105,7 @@ void row_direct_dependencies(const TernaryMatch& m,
             *overlap, {between.data(), between.size()}, scratch.cover_,
             opts.fragment_limit);
         if (r != CoverResult::kCovered) out.push_back(c2);  // overflow: keep edge
+        if (r == CoverResult::kOverflow) ++scratch.cover_overflows_;
         later.insert(static_cast<RuleId>(c2), *cands[c2]);
       }
       return;
@@ -145,7 +147,8 @@ void compute_row(const FlowTable& table, const RuleIndex& index, size_t i,
 /// the arena-backed try_cover kernel and the repository's uniform
 /// conservative overflow policy (keep the edge). No index, no residue walk —
 /// below kSmallTableDirectCutoff their setup costs more than they save.
-DependencyGraph build_direct(const FlowTable& table, const MinDagBuildOptions& opts) {
+DependencyGraph build_direct(const FlowTable& table, const MinDagBuildOptions& opts,
+                             MinDagBuildStats& stats) {
   DependencyGraph graph;
   const auto& rules = table.rules();
   for (const Rule& r : rules) graph.add_vertex(r.id);
@@ -165,15 +168,20 @@ DependencyGraph build_direct(const FlowTable& table, const MinDagBuildOptions& o
       if (r != CoverResult::kCovered) {  // overflow keeps a conservative edge
         graph.add_edge(rules[i].id, rules[j].id);
       }
+      if (r == CoverResult::kOverflow) ++stats.cover_overflows;
     }
   }
   return graph;
 }
 
-DependencyGraph build_indexed(const FlowTable& table, const MinDagBuildOptions& opts) {
+DependencyGraph build_indexed(const FlowTable& table, const MinDagBuildOptions& opts,
+                              MinDagBuildStats* stats) {
+  MinDagBuildStats local;
+  MinDagBuildStats& out = stats != nullptr ? *stats : local;
+  out = MinDagBuildStats{};
   const auto& rules = table.rules();  // descending priority == match order
   const size_t n = rules.size();
-  if (uses_direct_path(n, opts)) return build_direct(table, opts);
+  if (uses_direct_path(n, opts)) return build_direct(table, opts, out);
 
   DependencyGraph graph;
   for (const Rule& r : rules) graph.add_vertex(r.id);
@@ -184,8 +192,11 @@ DependencyGraph build_indexed(const FlowTable& table, const MinDagBuildOptions& 
 
   const bool parallel = opts.n_threads > 1 && n >= opts.parallel_cutoff;
   std::vector<std::vector<size_t>> row_targets(n);
+  // One context per worker (one in total when serial); each counts its
+  // rows' overflow fallbacks in its own scratch, summed after the join.
+  std::deque<RowContext> contexts;
   if (!parallel) {
-    RowContext ctx;
+    RowContext& ctx = contexts.emplace_back();
     for (size_t i = 1; i < n; ++i) {
       compute_row(table, index, i, opts, ctx, row_targets[i]);
     }
@@ -196,8 +207,7 @@ DependencyGraph build_indexed(const FlowTable& table, const MinDagBuildOptions& 
     util::ChunkCursor cursor(1, n, util::ChunkCursor::suggest_chunk(n, opts.n_threads));
     util::ThreadPool pool(opts.n_threads);
     util::run_on_workers(pool, [&] {
-      return [&] {
-        RowContext ctx;
+      return [&, &ctx = contexts.emplace_back()] {
         size_t begin, end;
         while (cursor.next(begin, end)) {
           for (size_t i = begin; i < end; ++i) {
@@ -211,6 +221,7 @@ DependencyGraph build_indexed(const FlowTable& table, const MinDagBuildOptions& 
   for (size_t i = 1; i < n; ++i) {
     for (size_t t : row_targets[i]) graph.add_edge(rules[i].id, rules[t].id);
   }
+  for (const RowContext& ctx : contexts) out.cover_overflows += ctx.scratch.cover_overflows();
   return graph;
 }
 
@@ -221,24 +232,26 @@ bool uses_direct_path(size_t table_size, const MinDagBuildOptions& opts) {
 }
 
 DependencyGraph build_min_dag(const FlowTable& table) {
-  return build_indexed(table, MinDagBuildOptions{});
+  return build_indexed(table, MinDagBuildOptions{}, nullptr);
 }
 
-DependencyGraph build_min_dag(const FlowTable& table, const MinDagBuildOptions& opts) {
+DependencyGraph build_min_dag(const FlowTable& table, const MinDagBuildOptions& opts,
+                              MinDagBuildStats* stats) {
   MinDagBuildOptions serial = opts;
   serial.n_threads = 1;
-  return build_indexed(table, serial);
+  return build_indexed(table, serial, stats);
 }
 
 DependencyGraph build_min_dag_parallel(const FlowTable& table, size_t n_threads) {
   MinDagBuildOptions opts;
   opts.n_threads = n_threads;
-  return build_indexed(table, opts);
+  return build_indexed(table, opts, nullptr);
 }
 
 DependencyGraph build_min_dag_parallel(const FlowTable& table,
-                                       const MinDagBuildOptions& opts) {
-  return build_indexed(table, opts);
+                                       const MinDagBuildOptions& opts,
+                                       MinDagBuildStats* stats) {
+  return build_indexed(table, opts, stats);
 }
 
 DependencyGraph build_min_dag_brute(const FlowTable& table) {

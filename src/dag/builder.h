@@ -26,7 +26,8 @@
 // test overflows its fragment budget, the builder keeps a conservative edge.
 // A spurious edge is a harmless extra ordering constraint; a missing edge
 // would be unsound. (The pre-arena builder threw instead; the policy is now
-// explicit and uniform with MinDagMaintainer.)
+// explicit and uniform with MinDagMaintainer.) Each such edge is counted in
+// MinDagBuildStats, identically for serial and parallel builds.
 #pragma once
 
 #include "dag/dependency_graph.h"
@@ -64,11 +65,22 @@ struct MinDagBuildOptions {
   size_t direct_cutoff = kSmallTableDirectCutoff;
 };
 
+/// Fallback accounting of one bulk build.
+struct MinDagBuildStats {
+  /// Cover tests that overflowed the fragment budget; each kept a
+  /// conservative edge.
+  size_t cover_overflows = 0;
+};
+
 /// Reusable per-row scratch: residue fragment arena, per-pair cover arena,
 /// and candidate storage. One instance per thread.
 class MinDagRowScratch {
  public:
   MinDagRowScratch() = default;
+
+  /// Cover-test overflows over every row this scratch has served. Workers
+  /// count into their own scratch; the build sums them after the join.
+  size_t cover_overflows() const { return cover_overflows_; }
 
  private:
   friend void row_direct_dependencies(const flowspace::TernaryMatch& m,
@@ -86,6 +98,7 @@ class MinDagRowScratch {
   // a bucket query instead of a scan over every remaining candidate (broad
   // rows otherwise cost O(candidates^2) overlap tests).
   flowspace::RuleIndex later_;
+  size_t cover_overflows_ = 0;
 };
 
 /// Per-row kernel: computes the direct dependencies of a rule with match `m`
@@ -102,9 +115,11 @@ void row_direct_dependencies(const flowspace::TernaryMatch& m,
                              std::vector<size_t>& out);
 
 /// Builds the minimum DAG of `table` with index pruning and arena reuse.
+/// A non-null `stats` receives the build's fallback counts.
 DependencyGraph build_min_dag(const flowspace::FlowTable& table);
 DependencyGraph build_min_dag(const flowspace::FlowTable& table,
-                              const MinDagBuildOptions& opts);
+                              const MinDagBuildOptions& opts,
+                              MinDagBuildStats* stats = nullptr);
 
 /// Parallel build: shards rows across `n_threads` workers (per-thread
 /// arenas), falling back to the serial path for small tables or n_threads
@@ -112,7 +127,8 @@ DependencyGraph build_min_dag(const flowspace::FlowTable& table,
 DependencyGraph build_min_dag_parallel(const flowspace::FlowTable& table,
                                        size_t n_threads);
 DependencyGraph build_min_dag_parallel(const flowspace::FlowTable& table,
-                                       const MinDagBuildOptions& opts);
+                                       const MinDagBuildOptions& opts,
+                                       MinDagBuildStats* stats = nullptr);
 
 /// The literal O(n^2)-pairs brute force with full between-set scans: the
 /// correctness oracle and the bench baseline the optimized builders are

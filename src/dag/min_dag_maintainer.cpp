@@ -199,6 +199,7 @@ void MinDagMaintainer::bulk_load(
     row_direct_dependencies(*ordered_matches[i], cands, opts, scratch, edges);
     for (size_t e : edges) graph_.add_edge(order_[i], order_[cand_pos[e]]);
   }
+  cover_overflows_ += scratch.cover_overflows();
 }
 
 }  // namespace ruletris::dag

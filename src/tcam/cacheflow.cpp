@@ -33,7 +33,7 @@ CacheFlowManager::CacheFlowManager(std::vector<Rule> rules,
   position_.reserve(rules_.size());
   for (size_t i = 0; i < rules_.size(); ++i) {
     rule_order_.push_back(rules_[i].id);
-    position_.emplace(rules_[i].id, static_cast<uint32_t>(i));
+    position_.insert(rules_[i].id, static_cast<uint32_t>(i));
   }
   // A dependency must be in the table (its cover stands in for it); a
   // dependent outside the table can never be cached and is dropped.
@@ -61,8 +61,8 @@ CacheFlowManager::CacheFlowManager(std::vector<Rule> rules,
 }
 
 size_t CacheFlowManager::position_of(RuleId id) const {
-  auto it = position_.find(id);
-  return it == position_.end() ? kNoPosition : it->second;
+  const uint32_t* pos = position_.find(id);
+  return pos == nullptr ? kNoPosition : *pos;
 }
 
 size_t CacheFlowManager::require_position(RuleId id) const {

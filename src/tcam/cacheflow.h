@@ -32,6 +32,7 @@
 #include "flowspace/rule.h"
 #include "tcam/dag_scheduler.h"
 #include "tcam/priority_firmware.h"
+#include "tcam/rule_id_map.h"
 #include "tcam/soft_table.h"
 #include "tcam/tcam.h"
 
@@ -182,7 +183,7 @@ class CacheFlowManager {
 
   std::vector<Rule> rules_;                    // the full table, by position
   std::vector<flowspace::RuleId> rule_order_;  // matched-first order
-  std::unordered_map<flowspace::RuleId, uint32_t> position_;  // id -> position
+  RuleIdMap<uint32_t> position_;               // id -> position
   // The full table's minimum DAG as position adjacency (CSR): rule `pos`
   // depends on succ_[succ_begin_[pos] .. succ_begin_[pos + 1]), in the
   // graph's own iteration order; pred_ likewise holds its dependents.

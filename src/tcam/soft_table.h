@@ -9,19 +9,31 @@
 // Real OpenFlow-ish tables have tens of distinct tuples for 10^5+ rules, and
 // the probe order is chained by per-tuple max priority with early exit —
 // once the best hit so far outranks every remaining tuple, the lookup stops.
+//
+// Storage is built for the probe. A tuple is its packed mask (two u64 words,
+// tcam/packed_key.h, the same packing TCAM rows use) over one power-of-two
+// open-addressing slot array (linear probing, backward-shift delete). A slot
+// holds the masked key words plus the best (priority, seq, entry) of the
+// rules with that match, so one probe is two ANDs, one hash and a two-word
+// compare, usually within one cache line. The rules themselves, and any
+// same-match duplicates (chained best-first), sit in an entry pool that a
+// lookup reads only to return the final winner.
+//
 // Lookup is strictly const (no lazy caches), so concurrent reader shards in
 // the traffic engine need no synchronization.
 //
 // Semantics match FlowTable exactly: highest priority wins, ties broken by
-// insertion order (earlier insert wins).
+// insertion order (earlier insert wins); insert rejects kInvalidRuleId and
+// duplicate ids.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "flowspace/rule.h"
+#include "tcam/packed_key.h"
+#include "tcam/rule_id_map.h"
 
 namespace ruletris::tcam {
 
@@ -34,16 +46,19 @@ class SoftTable {
   explicit SoftTable(const std::vector<flowspace::Rule>& rules);
 
   size_t size() const { return by_id_.size(); }
-  bool empty() const { return by_id_.empty(); }
+  bool empty() const { return by_id_.size() == 0; }
   /// Distinct mask tuples — the per-lookup probe bound.
   size_t tuple_count() const { return tuples_.size(); }
-  bool contains(flowspace::RuleId id) const { return by_id_.count(id) != 0; }
+  bool contains(flowspace::RuleId id) const { return by_id_.find(id) != nullptr; }
 
+  /// Throws std::invalid_argument for kInvalidRuleId or an id already in
+  /// the table, as FlowTable::insert does.
   void insert(const flowspace::Rule& rule);
   /// Removes by id; false when absent.
   bool erase(flowspace::RuleId id);
 
-  /// Highest-priority match (FlowTable-equivalent), nullptr on miss.
+  /// Highest-priority match (FlowTable-equivalent), nullptr on miss. The
+  /// pointer stays valid until the next insert or erase.
   const flowspace::Rule* lookup(const flowspace::Packet& p) const;
 
   struct Stats {
@@ -62,27 +77,46 @@ class SoftTable {
   const flowspace::Rule* lookup_counted(const flowspace::Packet& p);
 
  private:
-  using MaskKey = std::array<uint32_t, flowspace::kNumFields>;
+  static constexpr uint32_t kNone = ~uint32_t{0};
 
-  struct ArrayHash {
-    size_t operator()(const MaskKey& k) const;
+  /// One distinct match of a tuple: its masked key words and the best rule
+  /// carrying that match. 32 bytes, so two share a cache line.
+  struct alignas(32) Slot {
+    PackedKey key{};
+    int32_t priority = 0;
+    uint32_t entry = kNone;  // best entry's pool index; kNone == free slot
+    uint64_t seq = 0;        // best entry's insertion order
   };
 
   struct Entry {
     flowspace::Rule rule;
-    uint64_t seq = 0;  // insertion order; lower wins priority ties
+    uint64_t seq = 0;        // insertion order; lower wins priority ties
+    uint32_t tuple = 0;      // owning tuple
+    uint32_t next = kNone;   // next-best entry with the same match
   };
 
   struct Tuple {
-    MaskKey masks{};
-    // Masked header values -> rules with exactly those values. Nearly always
-    // a single entry; duplicates (identical matches at different priorities)
-    // share a bucket.
-    std::unordered_map<MaskKey, std::vector<Entry>, ArrayHash> buckets;
+    PackedKey mask{};
     int32_t max_priority = 0;
     size_t entries = 0;
+    size_t used = 0;          // occupied slots (distinct matches)
+    std::vector<Slot> slots;  // power-of-two size, at most half full
   };
 
+  struct KeyHash {
+    size_t operator()(const PackedKey& k) const;
+  };
+
+  static size_t home(const PackedKey& key, size_t slot_mask);
+  /// Slot holding `key` in `t`, or nullptr.
+  static const Slot* find_slot(const Tuple& t, const PackedKey& key);
+  static Slot* find_slot(Tuple& t, const PackedKey& key);
+  static void grow(Tuple& t);
+  static void erase_slot(Tuple& t, Slot* slot);
+  /// Points `slot` at pool entry `idx` as its bucket's best.
+  void set_best(Slot& slot, uint32_t idx) const;
+
+  uint32_t alloc_entry(const flowspace::Rule& rule, uint32_t tuple);
   void refresh_order();
   void recompute_max(Tuple& t);
   /// The one lookup core; `count_probe()` runs once per hash probe issued.
@@ -90,15 +124,13 @@ class SoftTable {
   const flowspace::Rule* find(const flowspace::Packet& p, CountProbe count_probe) const;
 
   std::vector<Tuple> tuples_;
-  std::unordered_map<MaskKey, size_t, ArrayHash> tuple_index_;  // masks -> idx
+  std::unordered_map<PackedKey, uint32_t, KeyHash> tuple_index_;  // mask -> idx
   // Tuple indexes sorted by descending max_priority: the probe chain.
   // Maintained eagerly on every mutation so lookup stays const.
-  std::vector<size_t> order_;
-  struct Locator {
-    size_t tuple = 0;
-    MaskKey key{};
-  };
-  std::unordered_map<flowspace::RuleId, Locator> by_id_;
+  std::vector<uint32_t> order_;
+  std::vector<Entry> pool_;
+  std::vector<uint32_t> free_;  // recycled pool indexes
+  RuleIdMap<uint32_t> by_id_;   // id -> pool index
   uint64_t next_seq_ = 0;
   Stats stats_;
 };

@@ -6,37 +6,6 @@
 
 namespace ruletris::tcam {
 
-namespace {
-
-using flowspace::FieldId;
-using flowspace::field_full_mask;
-using flowspace::field_index;
-
-/// The 128-bit key layout shared by packets and rows: each field's bits at
-/// a fixed offset of one of the two words. Masking every field to its width
-/// makes a packet's junk bits above a width invisible, as in
-/// TernaryMatch::matches.
-std::array<uint64_t, 2> pack_fields(const std::array<uint32_t, flowspace::kNumFields>& f) {
-  auto w = [&f](FieldId id) -> uint64_t {
-    return f[field_index(id)] & field_full_mask(id);
-  };
-  return {(w(FieldId::kSrcIp) << 32) | w(FieldId::kDstIp),
-          (w(FieldId::kInPort) << 56) | (w(FieldId::kEthType) << 40) |
-              (w(FieldId::kIpProto) << 32) | (w(FieldId::kSrcPort) << 16) |
-              w(FieldId::kDstPort)};
-}
-
-}  // namespace
-
-Tcam::Row Tcam::row_of(const flowspace::TernaryMatch& m) {
-  std::array<uint32_t, flowspace::kNumFields> values{}, masks{};
-  for (FieldId f : flowspace::kAllFields) {
-    values[field_index(f)] = m.field(f).value;
-    masks[field_index(f)] = m.field(f).mask;
-  }
-  return Row{pack_fields(values), pack_fields(masks)};
-}
-
 Tcam::Tcam(size_t capacity) : slots_(capacity), rows_(capacity, kFreeRow) {
   if (capacity == 0) throw std::invalid_argument("Tcam: zero capacity");
   // The id index will eventually hold up to `capacity` entries; sizing the
@@ -75,7 +44,7 @@ void Tcam::write(size_t addr, Rule rule) {
   }
   if (by_id_.count(rule.id)) throw std::logic_error("Tcam::write: duplicate rule id");
   by_id_[rule.id] = addr;
-  rows_[addr] = row_of(rule.match);
+  rows_[addr] = pack_match(rule.match);
   slots_[addr] = std::move(rule);
   ++stats_.entry_writes;
   notify(Op::kWrite, addr);
@@ -119,8 +88,8 @@ void Tcam::modify_actions(RuleId id, flowspace::ActionList actions) {
 }
 
 const Rule* Tcam::lookup(const Packet& p) const {
-  const Key key = pack_fields(p.fields);
-  const Row* rows = rows_.data();
+  const PackedKey key = pack_fields(p.fields);
+  const PackedMatch* rows = rows_.data();
   auto differs = [&key, rows](size_t i) {
     return ((key[0] ^ rows[i].value[0]) & rows[i].mask[0]) |
            ((key[1] ^ rows[i].value[1]) & rows[i].mask[1]);

@@ -10,13 +10,12 @@
 //
 // Lookup compares the way a hardware TCAM row does. The 7 header fields are
 // exactly 128 bits wide, so every slot carries a packed 32-byte key row (two
-// value words, two mask words) next to its rule, kept current by every
-// write/move/erase. A lookup packs the packet once and scans the rows from
-// the highest address down for the first with ((packet ^ value) & mask) == 0
-// in both words.
+// value words, two mask words; tcam/packed_key.h) next to its rule, kept
+// current by every write/move/erase. A lookup packs the packet once and
+// scans the rows from the highest address down for the first with
+// ((packet ^ value) & mask) == 0 in both words.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "flowspace/rule.h"
+#include "tcam/packed_key.h"
 
 namespace ruletris::tcam {
 
@@ -107,17 +107,9 @@ class Tcam {
   std::string to_string() const;
 
  private:
-  /// A ternary key packed into 128 bits: word 0 holds src_ip:dst_ip, word 1
-  /// in_port:eth_type:ip_proto:src_port:dst_port.
-  using Key = std::array<uint64_t, 2>;
-  struct Row {
-    Key value{};
-    Key mask{};
-  };
-  static Row row_of(const flowspace::TernaryMatch& m);
   /// A free slot's row. It matches only the all-ones packet, so a hit on it
   /// is confirmed against the slot's occupancy before it counts.
-  static constexpr Row kFreeRow{{~uint64_t{0}, ~uint64_t{0}},
+  static constexpr PackedMatch kFreeRow{{~uint64_t{0}, ~uint64_t{0}},
                                 {~uint64_t{0}, ~uint64_t{0}}};
 
   bool occupied_at(size_t addr) const {
@@ -131,7 +123,7 @@ class Tcam {
   // index == physical address; a free slot holds a rule with
   // kInvalidRuleId, and rows_[addr] mirrors slots_[addr].match.
   std::vector<Rule> slots_;
-  std::vector<Row> rows_;
+  std::vector<PackedMatch> rows_;
   std::unordered_map<RuleId, size_t> by_id_;
   Stats stats_;
   OpObserver observer_;

@@ -141,6 +141,43 @@ TEST_P(MinDagBuilders, SerialAndParallelBitIdenticalUnderFragmentPressure) {
   }
 }
 
+TEST_P(MinDagBuilders, SerialAndParallelCountTheSameOverflows) {
+  // Every conservative edge kept on overflow is counted, and the count is a
+  // property of the table and the budget, not of how rows were sharded.
+  Rng rng(GetParam() ^ 0xf7a6);
+  const FlowTable table = random_table(rng, 80);
+  MinDagBuildOptions tight;
+  tight.fragment_limit = 4;
+  tight.residue_soft_limit = 2;
+  tight.direct_cutoff = 0;
+  dag::MinDagBuildStats serial;
+  build_min_dag(table, tight, &serial);
+  EXPECT_GT(serial.cover_overflows, 0u);
+
+  MinDagBuildOptions par = tight;
+  par.parallel_cutoff = 0;
+  for (const size_t threads : {2ul, 4ul}) {
+    par.n_threads = threads;
+    dag::MinDagBuildStats parallel;
+    build_min_dag_parallel(table, par, &parallel);
+    EXPECT_EQ(parallel.cover_overflows, serial.cover_overflows) << "threads=" << threads;
+  }
+
+  // The direct small-table path counts its fallbacks too.
+  MinDagBuildOptions direct = tight;
+  direct.direct_cutoff = dag::kSmallTableDirectCutoff;
+  dag::MinDagBuildStats direct_serial, direct_parallel;
+  build_min_dag(table, direct, &direct_serial);
+  EXPECT_GT(direct_serial.cover_overflows, 0u);
+  direct.n_threads = 4;
+  build_min_dag_parallel(table, direct, &direct_parallel);
+  EXPECT_EQ(direct_parallel.cover_overflows, direct_serial.cover_overflows);
+
+  // The default budget never overflows here; a reused stats object resets.
+  build_min_dag_parallel(table, MinDagBuildOptions{}, &serial);
+  EXPECT_EQ(serial.cover_overflows, 0u);
+}
+
 class CoverKernel : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CoverKernel, TryCoverAgreesWithLegacyIsCoveredBy) {

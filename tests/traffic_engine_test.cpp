@@ -1,13 +1,20 @@
 // Traffic plane: Zipf/flow generator determinism, tuple-space slow-path
-// equivalence with the linear full table, and flow-driven (FDRC) admission
-// behaviour of the CacheFlow manager under the engine.
+// equivalence with the linear full table and with the node-based reference
+// table it replaced (same winner, same probes per lookup), and flow-driven
+// (FDRC) admission behaviour of the CacheFlow manager under the engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <limits>
+#include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 #include "classbench/generator.h"
 #include "dag/builder.h"
 #include "switchsim/traffic_engine.h"
+#include "tcam/packed_key.h"
 #include "tcam/soft_table.h"
 #include "util/flow_stream.h"
 #include "util/zipf.h"
@@ -26,6 +33,7 @@ using switchsim::TrafficConfig;
 using switchsim::TrafficEngine;
 using switchsim::TrafficReport;
 using tcam::CacheFlowManager;
+using tcam::PackedKey;
 using tcam::SoftTable;
 using util::FlowStream;
 using util::Rng;
@@ -164,6 +172,382 @@ TEST(SoftTable, IdenticalMatchesSharedBucketTieBreak) {
   EXPECT_EQ(soft.lookup(p)->id, tie.id);
   ASSERT_TRUE(soft.erase(tie.id));
   EXPECT_EQ(soft.lookup(p)->id, low.id);
+}
+
+TEST(SoftTable, InsertRejectsInvalidAndDuplicateIds) {
+  // FlowTable-equivalent semantics include FlowTable's id contract: a
+  // duplicate id or kInvalidRuleId is a caller bug, not a silent no-op.
+  flowspace::TernaryMatch m;
+  m.set_prefix(flowspace::FieldId::kDstIp, 0x0a000000, 8);
+  const Rule first = Rule::make(m, {flowspace::Action::forward(1)}, 5);
+  SoftTable soft;
+  soft.insert(first);
+
+  Rule same_id = Rule::make(flowspace::TernaryMatch{}, {flowspace::Action::drop()}, 9);
+  same_id.id = first.id;
+  EXPECT_THROW(soft.insert(same_id), std::invalid_argument);
+  Rule no_id = same_id;
+  no_id.id = flowspace::kInvalidRuleId;
+  EXPECT_THROW(soft.insert(no_id), std::invalid_argument);
+  FlowTable table{std::vector<Rule>{first}};
+  EXPECT_THROW(table.insert(same_id), std::invalid_argument);
+
+  // Neither rejected rule left a trace.
+  EXPECT_EQ(soft.size(), 1u);
+  EXPECT_EQ(soft.tuple_count(), 1u);
+  const Packet outside = Packet{};  // dst 0.0.0.0: only the wildcard would hit
+  EXPECT_EQ(soft.lookup(outside), nullptr);
+  ASSERT_NE(soft.lookup(m.sample_packet()), nullptr);
+  EXPECT_EQ(soft.lookup(m.sample_packet())->id, first.id);
+}
+
+// --- differential: flat tuple tables vs the node-based reference ----------
+
+/// The node-based tuple-space table SoftTable replaced, kept verbatim in
+/// behaviour: one std::unordered_map of masked 7-word keys per tuple, each
+/// bucket a std::vector of (rule, seq), the same priority-ordered probe
+/// chain with the same strict-inequality early exit. It is the oracle for
+/// both the winner and the per-lookup probe count.
+class RefSoftTable {
+ public:
+  void insert(const Rule& rule) {
+    if (by_id_.count(rule.id)) return;
+    const Key masks = key_of(rule, &flowspace::FieldTernary::mask);
+    auto [it, created] = tuple_index_.try_emplace(masks, tuples_.size());
+    if (created) {
+      tuples_.emplace_back();
+      tuples_.back().masks = masks;
+      tuples_.back().max_priority = std::numeric_limits<int32_t>::min();
+    }
+    Tuple& t = tuples_[it->second];
+    const Key values = key_of(rule, &flowspace::FieldTernary::value);
+    t.buckets[values].push_back(Entry{rule, next_seq_++});
+    ++t.entries;
+    by_id_[rule.id] = Locator{it->second, values};
+    const bool order_stale = created || rule.priority > t.max_priority;
+    t.max_priority = std::max(t.max_priority, rule.priority);
+    if (order_stale) refresh_order();
+  }
+
+  bool erase(RuleId id) {
+    auto it = by_id_.find(id);
+    if (it == by_id_.end()) return false;
+    Tuple& t = tuples_[it->second.tuple];
+    auto bit = t.buckets.find(it->second.key);
+    auto& entries = bit->second;
+    int32_t erased_priority = std::numeric_limits<int32_t>::min();
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (entries[i].rule.id == id) {
+        erased_priority = entries[i].rule.priority;
+        entries.erase(entries.begin() + static_cast<ptrdiff_t>(i));
+        break;
+      }
+    }
+    if (entries.empty()) t.buckets.erase(bit);
+    --t.entries;
+    by_id_.erase(it);
+    if (erased_priority == t.max_priority) {
+      t.max_priority = std::numeric_limits<int32_t>::min();
+      for (const auto& [key, bucket] : t.buckets) {
+        for (const Entry& e : bucket) t.max_priority = std::max(t.max_priority, e.rule.priority);
+      }
+      refresh_order();
+    }
+    return true;
+  }
+
+  /// Highest-priority match; `probes` receives the hash probes issued.
+  const Rule* lookup(const Packet& p, uint64_t& probes) const {
+    probes = 0;
+    const Rule* best = nullptr;
+    uint64_t best_seq = 0;
+    int32_t best_priority = std::numeric_limits<int32_t>::min();
+    for (size_t idx : order_) {
+      const Tuple& t = tuples_[idx];
+      if (t.entries == 0) continue;
+      if (best != nullptr && best_priority > t.max_priority) break;
+      ++probes;
+      Key key{};
+      for (size_t f = 0; f < flowspace::kNumFields; ++f) key[f] = p.fields[f] & t.masks[f];
+      auto it = t.buckets.find(key);
+      if (it == t.buckets.end()) continue;
+      for (const Entry& e : it->second) {
+        if (best == nullptr || e.rule.priority > best_priority ||
+            (e.rule.priority == best_priority && e.seq < best_seq)) {
+          best = &e.rule;
+          best_priority = e.rule.priority;
+          best_seq = e.seq;
+        }
+      }
+    }
+    return best;
+  }
+
+ private:
+  using Key = std::array<uint32_t, flowspace::kNumFields>;
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      uint64_t h = 0x9e3779b97f4a7c15ULL;
+      for (uint32_t w : k) h = util::hash_pair(h, w);
+      return h;
+    }
+  };
+  struct Entry {
+    Rule rule;
+    uint64_t seq = 0;
+  };
+  struct Tuple {
+    Key masks{};
+    std::unordered_map<Key, std::vector<Entry>, KeyHash> buckets;
+    int32_t max_priority = 0;
+    size_t entries = 0;
+  };
+  struct Locator {
+    size_t tuple = 0;
+    Key key{};
+  };
+
+  static Key key_of(const Rule& r, uint32_t flowspace::FieldTernary::*part) {
+    Key k{};
+    for (flowspace::FieldId f : flowspace::kAllFields) {
+      k[flowspace::field_index(f)] = r.match.field(f).*part;
+    }
+    return k;
+  }
+
+  void refresh_order() {
+    order_.resize(tuples_.size());
+    for (size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+    std::sort(order_.begin(), order_.end(), [this](size_t a, size_t b) {
+      if (tuples_[a].max_priority != tuples_[b].max_priority) {
+        return tuples_[a].max_priority > tuples_[b].max_priority;
+      }
+      return a < b;
+    });
+  }
+
+  std::vector<Tuple> tuples_;
+  std::unordered_map<Key, size_t, KeyHash> tuple_index_;
+  std::vector<size_t> order_;
+  std::unordered_map<RuleId, Locator> by_id_;
+  uint64_t next_seq_ = 0;
+};
+
+/// SoftTable, the reference and the linear FlowTable scan kept in lockstep.
+struct Trio {
+  SoftTable soft;
+  RefSoftTable ref;
+  FlowTable table;
+
+  void insert(const Rule& r) {
+    soft.insert(r);
+    ref.insert(r);
+    table.insert(r);
+  }
+  void erase(RuleId id) {
+    ASSERT_TRUE(soft.erase(id));
+    ASSERT_TRUE(ref.erase(id));
+    ASSERT_TRUE(table.erase(id).has_value());
+  }
+
+  /// Same winner in all three, and the same tuple probes as the reference.
+  ::testing::AssertionResult agree(const Packet& p) {
+    const uint64_t before = soft.stats().tuples_probed;
+    const Rule* got = soft.lookup_counted(p);
+    const uint64_t probes = soft.stats().tuples_probed - before;
+    if (soft.lookup(p) != got) return ::testing::AssertionFailure() << "lookup != lookup_counted";
+    uint64_t ref_probes = 0;
+    const Rule* want = ref.lookup(p, ref_probes);
+    const Rule* lin = table.lookup(p);
+    const auto id = [](const Rule* r) { return r == nullptr ? flowspace::kInvalidRuleId : r->id; };
+    if (id(got) != id(want) || id(got) != id(lin)) {
+      return ::testing::AssertionFailure() << "winner " << id(got) << ", reference "
+                                           << id(want) << ", linear " << id(lin);
+    }
+    if (probes != ref_probes) {
+      return ::testing::AssertionFailure() << "probes " << probes << ", reference "
+                                           << ref_probes;
+    }
+    return ::testing::AssertionSuccess();
+  }
+};
+
+/// Packets aimed at `rules` (hits, near misses and overlap ambiguities),
+/// every fourth one with junk set above each field's width.
+std::vector<Packet> probe_packets(const std::vector<Rule>& rules, size_t n, uint64_t salt) {
+  std::vector<Packet> out;
+  for (size_t i = 0; i < n; ++i) {
+    Packet p = switchsim::synth_packet(rules, util::hash_pair(salt, i));
+    if (i % 4 == 3) {
+      for (flowspace::FieldId f : flowspace::kAllFields) {
+        p.fields[flowspace::field_index(f)] |= ~flowspace::field_full_mask(f) & 0xa5a5a5a5u;
+      }
+    }
+    out.push_back(p);
+  }
+  return out;
+}
+
+/// Heavy churn from a rule pool: the first half starts installed; each round
+/// erases a random quarter of the installed rules and inserts as many from
+/// the rest of the pool (erased rules return later under their old ids).
+void churn_against_reference(const std::vector<Rule>& pool, uint64_t seed) {
+  Rng rng(seed);
+  Trio trio;
+  std::vector<Rule> installed(pool.begin(), pool.begin() + pool.size() / 2);
+  std::vector<Rule> spare(pool.begin() + pool.size() / 2, pool.end());
+  for (const Rule& r : installed) trio.insert(r);
+  for (int round = 0; round < 6; ++round) {
+    for (const Packet& p : probe_packets(pool, 300, seed * 31 + round)) {
+      ASSERT_TRUE(trio.agree(p)) << "seed " << seed << " round " << round;
+    }
+    for (size_t k = installed.size() / 4; k-- > 0;) {
+      const size_t i = rng.next_below(installed.size());
+      ASSERT_NO_FATAL_FAILURE(trio.erase(installed[i].id));
+      spare.push_back(installed[i]);
+      installed[i] = installed.back();
+      installed.pop_back();
+    }
+    for (size_t k = spare.size() / 2; k-- > 0;) {
+      const size_t i = rng.next_below(spare.size());
+      trio.insert(spare[i]);
+      installed.push_back(spare[i]);
+      spare[i] = spare.back();
+      spare.pop_back();
+    }
+  }
+  ASSERT_EQ(trio.soft.size(), trio.table.size());
+}
+
+TEST(SoftTableDifferential, MonitorChurnMatchesReferenceAndLinearScan) {
+  // Wildcard-heavy matches in shared priority bands: many tuples, real
+  // priority ties, and duplicate matches from the generator.
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed * 101);
+    std::vector<Rule> pool = generate_monitor(400, rng);
+    for (int i = 0; i < 100; ++i) pool.push_back(classbench::random_monitor_rule(400, rng));
+    ASSERT_NO_FATAL_FAILURE(churn_against_reference(pool, seed));
+  }
+}
+
+TEST(SoftTableDifferential, RouterChurnMatchesReferenceAndLinearScan) {
+  for (const uint64_t seed : {4u, 5u}) {
+    Rng rng(seed * 101);
+    ASSERT_NO_FATAL_FAILURE(churn_against_reference(generate_router(1200, rng), seed));
+  }
+}
+
+/// A /32 destination rule: every one lands in the same tuple.
+Rule host_rule(uint32_t dst, int32_t priority) {
+  flowspace::TernaryMatch m;
+  m.set_exact(flowspace::FieldId::kDstIp, dst);
+  return Rule::make(m, {flowspace::Action::forward(dst & 0xff)}, priority);
+}
+
+Packet host_packet(uint32_t dst) {
+  Packet p;
+  p.set(flowspace::FieldId::kDstIp, dst);
+  return p;
+}
+
+TEST(SoftTableDifferential, ErasingCollidingClustersKeepsEveryProbeChainIntact) {
+  // 24 host routes in one tuple sit in a 64-slot array. Three groups of six
+  // share a home slot each, at adjacent homes, so their probe runs merge
+  // into one long cluster; erasing a group forces backward shifts through
+  // the others. A default route keeps misses answering.
+  constexpr size_t kSlots = 64;
+  const auto home = [](uint32_t dst) {
+    const PackedKey k = tcam::pack_match(host_rule(dst, 0).match).value;
+    return util::hash_pair(k[0], k[1]) & (kSlots - 1);
+  };
+  std::vector<std::vector<uint32_t>> groups(3);
+  std::vector<uint32_t> others;
+  const auto full = [](const std::vector<uint32_t>& v) { return v.size() == 6; };
+  for (uint32_t dst = 0x0a000001;
+       !(full(groups[0]) && full(groups[1]) && full(groups[2]) && full(others)); ++dst) {
+    const size_t h = home(dst);
+    if (h >= 20 && h < 23 && !full(groups[h - 20])) {
+      groups[h - 20].push_back(dst);
+    } else if ((h < 18 || h > 26) && !full(others)) {
+      others.push_back(dst);
+    }
+  }
+  Trio trio;
+  trio.insert(Rule::make(flowspace::TernaryMatch{}, {flowspace::Action::drop()}, 0));
+  std::vector<Rule> rules;
+  for (const auto* set : {&groups[0], &groups[1], &groups[2], &others}) {
+    for (uint32_t dst : *set) rules.push_back(host_rule(dst, 10));
+  }
+  // Interleave the groups so the cluster's slot order mixes them.
+  for (size_t i = 0; i < 6; ++i) {
+    for (size_t g = 0; g < 4; ++g) trio.insert(rules[g * 6 + i]);
+  }
+  auto check_all = [&](const char* when) {
+    for (const Rule& r : rules) {
+      const uint32_t dst = r.match.field(flowspace::FieldId::kDstIp).value;
+      ASSERT_TRUE(trio.agree(host_packet(dst))) << when;
+    }
+  };
+  check_all("after build");
+  // Erase the middle group, then the first (front to back, then back to
+  // front), then re-insert them and erase the last.
+  for (size_t i = 0; i < 6; ++i) ASSERT_NO_FATAL_FAILURE(trio.erase(rules[6 + i].id));
+  check_all("middle cluster erased");
+  for (size_t i = 6; i-- > 0;) ASSERT_NO_FATAL_FAILURE(trio.erase(rules[i].id));
+  check_all("first cluster erased");
+  for (size_t i = 0; i < 12; ++i) trio.insert(rules[i]);
+  check_all("clusters re-inserted");
+  for (size_t i = 0; i < 6; ++i) ASSERT_NO_FATAL_FAILURE(trio.erase(rules[12 + i].id));
+  check_all("last cluster erased");
+  EXPECT_EQ(trio.soft.size(), trio.table.size());
+}
+
+TEST(SoftTableDifferential, GrowthPastInitialCapacityKeepsEveryKey) {
+  // One tuple grows from its first slot array through many doublings, with
+  // erases in between so grown arrays rehash around holes.
+  Trio trio;
+  std::vector<Rule> rules;
+  for (uint32_t i = 0; i < 3000; ++i) {
+    rules.push_back(host_rule(0x0b000000 + i * 7919, static_cast<int32_t>(i % 5)));
+    trio.insert(rules.back());
+    if (i % 3 == 2) {
+      ASSERT_NO_FATAL_FAILURE(trio.erase(rules[i - 1].id));
+    }
+  }
+  EXPECT_EQ(trio.soft.tuple_count(), 1u);
+  for (const Rule& r : rules) {
+    ASSERT_TRUE(trio.agree(host_packet(r.match.field(flowspace::FieldId::kDstIp).value)));
+  }
+}
+
+TEST(SoftTableDifferential, IdenticalMatchesAtEqualAndDifferentPriorities) {
+  // One match carried by six rules: priorities 7, 9, 9, 3, 9, 7 in insert
+  // order. Erasing in every rotation walks the best-first chain from each
+  // position (head, middle, tail) and re-inserts to the back of ties.
+  flowspace::TernaryMatch m;
+  m.set_prefix(flowspace::FieldId::kSrcIp, 0xc0a80000, 16);
+  m.set_exact(flowspace::FieldId::kIpProto, 6);
+  std::vector<Rule> rules;
+  for (const int32_t prio : {7, 9, 9, 3, 9, 7}) {
+    rules.push_back(Rule::make(m, {flowspace::Action::forward(static_cast<uint32_t>(prio))}, prio));
+  }
+  const Packet p = m.sample_packet();
+  for (size_t rot = 0; rot < rules.size(); ++rot) {
+    Trio trio;
+    for (const Rule& r : rules) trio.insert(r);
+    ASSERT_TRUE(trio.agree(p));
+    for (size_t k = 0; k < rules.size(); ++k) {
+      const Rule& victim = rules[(rot + k) % rules.size()];
+      ASSERT_NO_FATAL_FAILURE(trio.erase(victim.id));
+      ASSERT_TRUE(trio.agree(p)) << "rotation " << rot << " after " << k + 1 << " erases";
+      if (k % 2 == 0) {  // bring it back: now the latest of its priority
+        trio.insert(victim);
+        ASSERT_TRUE(trio.agree(p)) << "rotation " << rot << " re-insert " << k;
+        ASSERT_NO_FATAL_FAILURE(trio.erase(victim.id));
+      }
+    }
+    EXPECT_EQ(trio.soft.lookup(p), nullptr);
+  }
 }
 
 // --- engine determinism and admission ------------------------------------

@@ -984,6 +984,8 @@ int main(int argc, char** argv) {
       (void)composed_size;
     };
 
+    // Conservative min-DAG edges (bulk build + incremental); ruletris only.
+    std::optional<size_t> cover_overflows;
     if (opt.compiler == "ruletris") {
       compiler::RuleTrisCompiler frontend(spec, tables_for());
       const size_t composed = frontend.root().visible_size();
@@ -1003,6 +1005,7 @@ int main(int argc, char** argv) {
                    channel_ms.add(m.channel_ms);
                  },
                  composed);
+      cover_overflows = frontend.root().cover_overflows();
       if (!opt.freeze_out.empty()) {
         // Final compiled state + the switch's converged TCAM layout, as a
         // warm-boot artifact for a later --thaw run.
@@ -1057,6 +1060,10 @@ int main(int argc, char** argv) {
                 channel_ms.summary("").c_str());
     std::printf("  total med: %.3f ms/update\n",
                 compile_ms.median() + firmware_ms.median() + tcam_ms.median());
+    if (cover_overflows) {
+      std::printf("  cover-test overflows %zu (conservative DAG edges kept)\n",
+                  *cover_overflows);
+    }
 
     if (auto* j = bench::json()) {
       j->meta("policy", compiler::policy_to_string(spec));
@@ -1079,6 +1086,9 @@ int main(int argc, char** argv) {
       j->field("channel_p90_ms", channel_ms.p90());
       j->field("total_med_ms",
                compile_ms.median() + firmware_ms.median() + tcam_ms.median());
+      if (cover_overflows) {
+        j->field("cover_overflows", static_cast<double>(*cover_overflows));
+      }
       bench::write_json();
     }
   } catch (const std::exception& e) {
