@@ -129,11 +129,10 @@ int main(int argc, char** argv) {
       ok = false;
     }
 
-    // Index-accelerated bulk load (maintainer bootstrap path).
+    // Maintainer bulk load (runs the builder's shared core).
     std::vector<std::pair<flowspace::RuleId, TernaryMatch>> ordered;
     for (const Rule& r : table.rules()) ordered.emplace_back(r.id, r.match);
-    dag::MinDagMaintainer maintainer(
-        [](flowspace::RuleId, flowspace::RuleId) { return true; });
+    dag::MinDagMaintainer maintainer;
     double bulk_ms;
     {
       util::Stopwatch watch;
@@ -150,7 +149,7 @@ int main(int argc, char** argv) {
         TernaryMatch m;
         m.set_prefix(flowspace::FieldId::kDstIp, rng.next_u32(), 24);
         const auto id = flowspace::next_rule_id();
-        maintainer.insert(id, m);
+        maintainer.insert(id, m, [](flowspace::RuleId) { return true; });
         maintainer.remove(id);
       }
       inc_us = watch.elapsed_us() / (2.0 * rounds);

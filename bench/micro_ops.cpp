@@ -62,7 +62,7 @@ void BM_MinDagBulkLoad(benchmark::State& state) {
   std::vector<std::pair<flowspace::RuleId, TernaryMatch>> ordered;
   for (const Rule& r : table.rules()) ordered.emplace_back(r.id, r.match);
   for (auto _ : state) {
-    dag::MinDagMaintainer dag([](flowspace::RuleId, flowspace::RuleId) { return true; });
+    dag::MinDagMaintainer dag;
     dag.bulk_load(ordered);
     benchmark::DoNotOptimize(dag.graph().edge_count());
   }
@@ -75,7 +75,7 @@ void BM_MinDagIncrementalInsert(benchmark::State& state) {
   const FlowTable table{rules};
   std::vector<std::pair<flowspace::RuleId, TernaryMatch>> ordered;
   for (const Rule& r : table.rules()) ordered.emplace_back(r.id, r.match);
-  dag::MinDagMaintainer dag([](flowspace::RuleId, flowspace::RuleId) { return true; });
+  dag::MinDagMaintainer dag;
   dag.bulk_load(ordered);
   util::Rng rng(7);
   for (auto _ : state) {
@@ -83,7 +83,7 @@ void BM_MinDagIncrementalInsert(benchmark::State& state) {
     TernaryMatch m;
     m.set_prefix(flowspace::FieldId::kDstIp, rng.next_u32(), 24);
     const auto id = flowspace::next_rule_id();
-    dag.insert(id, m);
+    dag.insert(id, m, [](flowspace::RuleId) { return true; });
     dag.remove(id);
   }
   state.SetComplexityN(state.range(0));

@@ -106,10 +106,7 @@ ComposedNode::ComposedNode(OpKind op, std::unique_ptr<PolicyNode> left,
     : op_(op),
       opts_(opts),
       left_(std::move(left)),
-      right_(std::move(right)),
-      visible_dag_([this](RuleId existing, RuleId incoming) {
-        return visible_before(existing, incoming);
-      }) {
+      right_(std::move(right)) {
   full_rebuild();
 }
 
@@ -165,7 +162,11 @@ void ComposedNode::forward_delta(const dag::DagDelta& delta, UpdateBuilder& out)
 void ComposedNode::make_visible(RuleId rep_id, UpdateBuilder& out) {
   const Entry& rep = entry(rep_id);
   if (!bulk_building_) {
-    forward_delta(visible_dag_.insert(rep_id, rep.match), out);
+    forward_delta(visible_dag_.insert(rep_id, rep.match,
+                                      [&](RuleId existing) {
+                                        return visible_before(existing, rep_id);
+                                      }),
+                  out);
   }
   out.add_rule(Rule{rep_id, rep.match, rep.actions, 0});
   if (recorder_) recorder_->visible_changed(rep_id, +1);

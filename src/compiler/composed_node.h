@@ -219,7 +219,6 @@ class ComposedNode final : public PolicyNode {
 
   /// Total member entries, including obscured ones (diagnostics).
   size_t member_size() const { return entries_.size(); }
-  const DependencyGraph& member_graph() const { return member_graph_; }
 
   // PolicyNode interface.
   std::vector<Rule> visible_rules_in_order() const override;

@@ -3,15 +3,18 @@
 //
 // Applications and guest controllers are not required to be dependency-aware
 // (Sec. III-B): they populate ordinary prioritized tables, and the leaf node
-// extracts and incrementally maintains the minimum DAG. The per-update
-// maintenance here is exact — it recomputes direct-dependency only for the
-// pairs whose "between" set changed, found via the overlap index — so the
-// leaf DAG always equals the brute-force minimum DAG (tested).
+// extracts and incrementally maintains the minimum DAG (Sec. IV-C). Both
+// jobs belong to one dag::MinDagMaintainer, which also holds every match;
+// the leaf adds only each rule's actions and priority, and the ordering
+// rule: priority descending, ties in insertion order — the order a
+// flowspace::FlowTable fed the same inserts and erases keeps (tested).
 #pragma once
+
+#include <unordered_map>
 
 #include "compiler/node.h"
 #include "compiler/update.h"
-#include "flowspace/rule_index.h"
+#include "dag/min_dag_maintainer.h"
 
 namespace ruletris::compiler {
 
@@ -20,59 +23,46 @@ class LeafNode final : public PolicyNode {
   LeafNode() = default;
 
   /// Bulk-loads an initial prioritized table and builds its DAG.
-  explicit LeafNode(flowspace::FlowTable table);
+  explicit LeafNode(const flowspace::FlowTable& table);
 
   /// Inserts a prioritized rule; returns the visible update (the rule plus
   /// the DAG delta: new direct dependencies and edges it now covers).
+  /// Throws std::invalid_argument, changing nothing, on a present or
+  /// invalid id.
   TableUpdate insert(Rule rule);
 
   /// Removes a rule by id; returns the visible update.
   TableUpdate remove(RuleId id);
 
-  const flowspace::FlowTable& table() const { return table_; }
-
-  // PolicyNode interface.
+  // PolicyNode interface. Rules come back with their original priorities.
   std::vector<Rule> visible_rules_in_order() const override;
-  const DependencyGraph& visible_graph() const override { return graph_; }
-  bool has_visible(RuleId id) const override { return table_.contains(id); }
+  const DependencyGraph& visible_graph() const override { return dag_.graph(); }
+  bool has_visible(RuleId id) const override { return dag_.contains(id); }
   const TernaryMatch& visible_match(RuleId id) const override {
-    return table_.rule(id).match;
+    return dag_.match(id);
   }
   const ActionList& visible_actions(RuleId id) const override {
-    return table_.rule(id).actions;
+    return meta_.at(id).actions;
   }
-  size_t visible_size() const override { return table_.size(); }
-  bool visible_before(RuleId a, RuleId b) const override {
-    // Dead ids (mid-deletion in a propagating update) get a stable
-    // arbitrary order; see ComposedNode::entry_before.
-    if (!table_.contains(a) || !table_.contains(b)) return a < b;
-    return table_.position(a) < table_.position(b);
-  }
+  size_t visible_size() const override { return dag_.size(); }
+  bool visible_before(RuleId a, RuleId b) const override { return dag_.before(a, b); }
   std::vector<RuleId> visible_overlapping(const TernaryMatch& m) const override {
-    return index_.find_overlapping(m);
+    return dag_.overlapping(m);
   }
-  size_t cover_overflows() const override { return cover_overflows_; }
+  size_t cover_overflows() const override { return dag_.cover_overflows(); }
 
   /// Fragment budget of the incremental cover tests (tests lower it to
   /// force the conservative-edge fallback).
-  void set_fragment_limit(size_t limit) { fragment_limit_ = limit; }
+  void set_fragment_limit(size_t limit) { dag_.set_fragment_limit(limit); }
 
  private:
-  /// True iff the pair (lo_pos, hi_pos) is a *direct* dependency: their
-  /// overlap is not entirely covered by the rules strictly between them
-  /// (prefiltered through the overlap index; fragment-budget overflow keeps
-  /// a conservative edge — see flowspace::kDefaultFragmentLimit).
-  bool is_direct(size_t hi_pos, size_t lo_pos) const;
+  struct Meta {
+    ActionList actions;
+    int32_t priority;
+  };
 
-  flowspace::FlowTable table_;
-  DependencyGraph graph_;
-  flowspace::RuleIndex index_;
-
-  // Reusable cover-test arenas for is_direct (hot on every update).
-  mutable std::vector<TernaryMatch> between_scratch_;
-  mutable flowspace::CoverScratch cover_scratch_;
-  size_t fragment_limit_ = flowspace::kDefaultFragmentLimit;
-  mutable size_t cover_overflows_ = 0;
+  dag::MinDagMaintainer dag_;
+  std::unordered_map<RuleId, Meta> meta_;
 };
 
 }  // namespace ruletris::compiler

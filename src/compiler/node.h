@@ -28,8 +28,8 @@ class PolicyNode {
   virtual ~PolicyNode() = default;
 
   /// Visible rules in the node's canonical match order (matched-first
-  /// first). Priorities in the returned rules are descending positions, so
-  /// the result is directly usable as a prioritized table.
+  /// first), usable directly as a prioritized table: a leaf returns its
+  /// rules' original priorities, a composed node descending positions.
   virtual std::vector<Rule> visible_rules_in_order() const = 0;
 
   /// The minimum DAG over the visible rules.

@@ -21,15 +21,34 @@ namespace {
 
 size_t g_default_build_threads = 0;
 
-}  // namespace
+/// Reusable per-row scratch: residue fragment arena, per-pair cover arena,
+/// and candidate storage. One instance per thread.
+struct RowScratch {
+  std::vector<TernaryMatch> residue;
+  std::vector<TernaryMatch> next;
+  std::vector<TernaryMatch> between;
+  std::vector<std::pair<RuleId, const TernaryMatch*>> between_keyed;
+  flowspace::CoverScratch cover;
+  // Fallback-path index over later candidates, so each pair's between-set is
+  // a bucket query instead of a scan over every remaining candidate (broad
+  // rows otherwise cost O(candidates^2) overlap tests).
+  RuleIndex later;
+  // Cover-test overflows over every row this scratch has served. Workers
+  // count into their own scratch; the build sums them after the join.
+  size_t cover_overflows = 0;
+};
 
-void set_default_build_threads(size_t n) { g_default_build_threads = n; }
-size_t default_build_threads() { return g_default_build_threads; }
-
+/// Per-row kernel: computes the direct dependencies of a rule with match `m`
+/// on the rules above it. `cands` holds the matches of the candidate rules
+/// in match order (ascending position) and must contain every rule above
+/// `m`'s row that overlaps `m` — with an overlap index that is exactly the
+/// pruned candidate list, since any rule covering part of an overlap with
+/// `m` itself overlaps `m`. Appends to `out` the indexes into `cands` that
+/// are direct dependencies, in descending candidate order.
 void row_direct_dependencies(const TernaryMatch& m,
                              const std::vector<const TernaryMatch*>& cands,
                              const MinDagBuildOptions& opts,
-                             MinDagRowScratch& scratch,
+                             RowScratch& scratch,
                              std::vector<size_t>& out) {
   out.clear();
   if (cands.empty()) return;
@@ -39,8 +58,8 @@ void row_direct_dependencies(const TernaryMatch& m,
   // (restricted to rules overlapping m — the others subtract nothing). The
   // direct-dependency test is then a plain overlap scan, and one subtraction
   // chain serves the entire row instead of one cover test per pair.
-  auto& residue = scratch.residue_;
-  auto& next = scratch.next_;
+  auto& residue = scratch.residue;
+  auto& next = scratch.next;
   residue.clear();
   residue.push_back(m);
   for (size_t c = cands.size(); c-- > 0;) {
@@ -72,7 +91,7 @@ void row_direct_dependencies(const TernaryMatch& m,
       // is pulled from an index over the later candidates — grown as the
       // walk descends — so a row with k candidates costs k bucket queries,
       // not k^2 pairwise overlap tests.
-      auto& later = scratch.later_;
+      auto& later = scratch.later;
       later.clear();
       for (size_t k = c; k < cands.size(); ++k) {
         later.insert(static_cast<RuleId>(k), *cands[k]);
@@ -80,7 +99,7 @@ void row_direct_dependencies(const TernaryMatch& m,
       for (size_t c2 = c; c2-- > 0;) {
         const auto overlap = m.intersect(*cands[c2]);
         if (!overlap) continue;  // candidates overlap m by contract
-        auto& keyed = scratch.between_keyed_;
+        auto& keyed = scratch.between_keyed;
         keyed.clear();
         later.for_each_overlapping(
             *overlap, [&](RuleId k, const TernaryMatch& match) {
@@ -98,14 +117,14 @@ void row_direct_dependencies(const TernaryMatch& m,
                     if (ba != bb) return ba < bb;
                     return a.first < b.first;
                   });
-        auto& between = scratch.between_;
+        auto& between = scratch.between;
         between.clear();
         for (const auto& [k, match] : keyed) between.push_back(*match);
         const CoverResult r = flowspace::try_cover(
-            *overlap, {between.data(), between.size()}, scratch.cover_,
+            *overlap, {between.data(), between.size()}, scratch.cover,
             opts.fragment_limit);
         if (r != CoverResult::kCovered) out.push_back(c2);  // overflow: keep edge
-        if (r == CoverResult::kOverflow) ++scratch.cover_overflows_;
+        if (r == CoverResult::kOverflow) ++scratch.cover_overflows;
         later.insert(static_cast<RuleId>(c2), *cands[c2]);
       }
       return;
@@ -113,32 +132,60 @@ void row_direct_dependencies(const TernaryMatch& m,
   }
 }
 
-namespace {
+/// Position-indexed view of an ordered build input: row i is rule ids[i]
+/// with match *matches[i], matched-first. Both public inputs (FlowTable and
+/// OrderedRules) adapt onto it without copying a match.
+struct Rows {
+  std::vector<RuleId> ids;
+  std::vector<const TernaryMatch*> matches;
+
+  size_t size() const { return ids.size(); }
+};
+
+Rows rows_of(const FlowTable& table) {
+  Rows rows;
+  rows.ids.reserve(table.size());
+  rows.matches.reserve(table.size());
+  for (const Rule& r : table.rules()) {  // descending priority == match order
+    rows.ids.push_back(r.id);
+    rows.matches.push_back(&r.match);
+  }
+  return rows;
+}
+
+Rows rows_of(const OrderedRules& rules) {
+  Rows rows;
+  rows.ids.reserve(rules.size());
+  rows.matches.reserve(rules.size());
+  for (const auto& [id, match] : rules) {
+    rows.ids.push_back(id);
+    rows.matches.push_back(&match);
+  }
+  return rows;
+}
 
 /// Per-thread working set for the indexed build.
 struct RowContext {
   std::vector<size_t> cand_pos;
   std::vector<const TernaryMatch*> cand_matches;
   std::vector<size_t> edges;
-  MinDagRowScratch scratch;
+  RowScratch scratch;
 };
 
 /// Direct-dependency target positions of row `i`, appended to `targets` in a
-/// deterministic order (identical for serial and parallel builds).
-void compute_row(const FlowTable& table, const RuleIndex& index, size_t i,
+/// deterministic order (identical for serial and parallel builds). `index`
+/// holds every row keyed by its position.
+void compute_row(const Rows& rows, const RuleIndex& index, size_t i,
                  const MinDagBuildOptions& opts, RowContext& ctx,
                  std::vector<size_t>& targets) {
-  const auto& rules = table.rules();
   ctx.cand_pos.clear();
-  index.for_each_overlapping(rules[i].match,
-                             [&](RuleId id, const TernaryMatch&) {
-                               const size_t p = table.position(id);
-                               if (p < i) ctx.cand_pos.push_back(p);
-                             });
+  index.for_each_overlapping(*rows.matches[i], [&](RuleId p, const TernaryMatch&) {
+    if (p < i) ctx.cand_pos.push_back(p);
+  });
   std::sort(ctx.cand_pos.begin(), ctx.cand_pos.end());
   ctx.cand_matches.clear();
-  for (size_t p : ctx.cand_pos) ctx.cand_matches.push_back(&rules[p].match);
-  row_direct_dependencies(rules[i].match, ctx.cand_matches, opts, ctx.scratch,
+  for (size_t p : ctx.cand_pos) ctx.cand_matches.push_back(rows.matches[p]);
+  row_direct_dependencies(*rows.matches[i], ctx.cand_matches, opts, ctx.scratch,
                           ctx.edges);
   for (size_t e : ctx.edges) targets.push_back(ctx.cand_pos[e]);
 }
@@ -147,26 +194,25 @@ void compute_row(const FlowTable& table, const RuleIndex& index, size_t i,
 /// the arena-backed try_cover kernel and the repository's uniform
 /// conservative overflow policy (keep the edge). No index, no residue walk —
 /// below kSmallTableDirectCutoff their setup costs more than they save.
-DependencyGraph build_direct(const FlowTable& table, const MinDagBuildOptions& opts,
+DependencyGraph build_direct(const Rows& rows, const MinDagBuildOptions& opts,
                              MinDagBuildStats& stats) {
   DependencyGraph graph;
-  const auto& rules = table.rules();
-  for (const Rule& r : rules) graph.add_vertex(r.id);
+  for (RuleId id : rows.ids) graph.add_vertex(id);
 
   flowspace::CoverScratch cover;
   std::vector<TernaryMatch> between;
-  for (size_t i = 0; i < rules.size(); ++i) {
+  for (size_t i = 0; i < rows.size(); ++i) {
     for (size_t j = 0; j + 1 <= i; ++j) {
-      auto overlap = rules[i].match.intersect(rules[j].match);
+      auto overlap = rows.matches[i]->intersect(*rows.matches[j]);
       if (!overlap) continue;
       between.clear();
       for (size_t k = j + 1; k < i; ++k) {
-        if (rules[k].match.overlaps(*overlap)) between.push_back(rules[k].match);
+        if (rows.matches[k]->overlaps(*overlap)) between.push_back(*rows.matches[k]);
       }
       const CoverResult r = flowspace::try_cover(
           *overlap, {between.data(), between.size()}, cover, opts.fragment_limit);
       if (r != CoverResult::kCovered) {  // overflow keeps a conservative edge
-        graph.add_edge(rules[i].id, rules[j].id);
+        graph.add_edge(rows.ids[i], rows.ids[j]);
       }
       if (r == CoverResult::kOverflow) ++stats.cover_overflows;
     }
@@ -174,21 +220,21 @@ DependencyGraph build_direct(const FlowTable& table, const MinDagBuildOptions& o
   return graph;
 }
 
-DependencyGraph build_indexed(const FlowTable& table, const MinDagBuildOptions& opts,
-                              MinDagBuildStats* stats) {
+/// The one row loop every optimized entry point shares.
+DependencyGraph build_rows(const Rows& rows, const MinDagBuildOptions& opts,
+                           MinDagBuildStats* stats) {
   MinDagBuildStats local;
   MinDagBuildStats& out = stats != nullptr ? *stats : local;
   out = MinDagBuildStats{};
-  const auto& rules = table.rules();  // descending priority == match order
-  const size_t n = rules.size();
-  if (uses_direct_path(n, opts)) return build_direct(table, opts, out);
+  const size_t n = rows.size();
+  if (uses_direct_path(n, opts)) return build_direct(rows, opts, out);
 
   DependencyGraph graph;
-  for (const Rule& r : rules) graph.add_vertex(r.id);
+  for (RuleId id : rows.ids) graph.add_vertex(id);
   if (n < 2) return graph;
 
   RuleIndex index;
-  for (const Rule& r : rules) index.insert(r.id, r.match);
+  for (size_t i = 0; i < n; ++i) index.insert(static_cast<RuleId>(i), *rows.matches[i]);
 
   const bool parallel = opts.n_threads > 1 && n >= opts.parallel_cutoff;
   std::vector<std::vector<size_t>> row_targets(n);
@@ -198,10 +244,10 @@ DependencyGraph build_indexed(const FlowTable& table, const MinDagBuildOptions& 
   if (!parallel) {
     RowContext& ctx = contexts.emplace_back();
     for (size_t i = 1; i < n; ++i) {
-      compute_row(table, index, i, opts, ctx, row_targets[i]);
+      compute_row(rows, index, i, opts, ctx, row_targets[i]);
     }
   } else {
-    // Rows are independent given the (read-only) table and index: workers
+    // Rows are independent given the (read-only) input and index: workers
     // claim chunks off an atomic cursor with per-thread arenas, and results
     // land in per-row slots so the merged edge set is order-independent.
     util::ChunkCursor cursor(1, n, util::ChunkCursor::suggest_chunk(n, opts.n_threads));
@@ -211,7 +257,7 @@ DependencyGraph build_indexed(const FlowTable& table, const MinDagBuildOptions& 
         size_t begin, end;
         while (cursor.next(begin, end)) {
           for (size_t i = begin; i < end; ++i) {
-            compute_row(table, index, i, opts, ctx, row_targets[i]);
+            compute_row(rows, index, i, opts, ctx, row_targets[i]);
           }
         }
       };
@@ -219,39 +265,48 @@ DependencyGraph build_indexed(const FlowTable& table, const MinDagBuildOptions& 
   }
 
   for (size_t i = 1; i < n; ++i) {
-    for (size_t t : row_targets[i]) graph.add_edge(rules[i].id, rules[t].id);
+    for (size_t t : row_targets[i]) graph.add_edge(rows.ids[i], rows.ids[t]);
   }
-  for (const RowContext& ctx : contexts) out.cover_overflows += ctx.scratch.cover_overflows();
+  for (const RowContext& ctx : contexts) out.cover_overflows += ctx.scratch.cover_overflows;
   return graph;
 }
 
 }  // namespace
 
+void set_default_build_threads(size_t n) { g_default_build_threads = n; }
+size_t default_build_threads() { return g_default_build_threads; }
+
 bool uses_direct_path(size_t table_size, const MinDagBuildOptions& opts) {
   return table_size < opts.direct_cutoff;
 }
 
+DependencyGraph build_min_dag_ordered(const OrderedRules& rules,
+                                      const MinDagBuildOptions& opts,
+                                      MinDagBuildStats* stats) {
+  return build_rows(rows_of(rules), opts, stats);
+}
+
 DependencyGraph build_min_dag(const FlowTable& table) {
-  return build_indexed(table, MinDagBuildOptions{}, nullptr);
+  return build_rows(rows_of(table), MinDagBuildOptions{}, nullptr);
 }
 
 DependencyGraph build_min_dag(const FlowTable& table, const MinDagBuildOptions& opts,
                               MinDagBuildStats* stats) {
   MinDagBuildOptions serial = opts;
   serial.n_threads = 1;
-  return build_indexed(table, serial, stats);
+  return build_rows(rows_of(table), serial, stats);
 }
 
 DependencyGraph build_min_dag_parallel(const FlowTable& table, size_t n_threads) {
   MinDagBuildOptions opts;
   opts.n_threads = n_threads;
-  return build_indexed(table, opts, nullptr);
+  return build_rows(rows_of(table), opts, nullptr);
 }
 
 DependencyGraph build_min_dag_parallel(const FlowTable& table,
                                        const MinDagBuildOptions& opts,
                                        MinDagBuildStats* stats) {
-  return build_indexed(table, opts, stats);
+  return build_rows(rows_of(table), opts, stats);
 }
 
 DependencyGraph build_min_dag_brute(const FlowTable& table) {

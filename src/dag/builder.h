@@ -2,9 +2,10 @@
 //
 // This is the operation the paper calls "prohibitively time consuming" for
 // the update path (Sec. IV). RuleTris still needs it in two places:
-//  * bootstrapping DAGs for leaf tables populated by dependency-unaware
-//    applications (Sec. III-B: "RuleTris can extract the DAGs from the
-//    prioritized flow tables"), and
+//  * bulk-loading a MinDagMaintainer: a leaf table populated by a
+//    dependency-unaware application (Sec. III-B: "RuleTris can extract the
+//    DAGs from the prioritized flow tables"), a composed node's visible
+//    level after a full rebuild, and tcam::eliminate_redundancy's survivors;
 //  * as the correctness oracle for the compositional construction.
 //
 // Definition of the minimum DAG (CacheFlow-style direct dependency, which
@@ -12,15 +13,17 @@
 // order, exists iff some packet matches both u and v and is not matched by
 // any rule strictly between them.
 //
-// Three implementations share one per-row kernel:
-//  * build_min_dag_brute — the literal O(n^3) all-pairs definition, kept as
-//    the oracle and as the bench baseline;
-//  * build_min_dag — indexed: each rule only tests the rules it can actually
-//    overlap (RuleIndex candidate pruning) and the per-row residue walk
-//    reuses arena buffers, so the hot loop is allocation-free;
-//  * build_min_dag_parallel — rows are independent given the table, so they
-//    are sharded across a thread pool with per-thread arenas. The edge set
-//    is merged in row order and is bit-identical to the serial build.
+// Every optimized entry point adapts onto one core over an ordered
+// (RuleId, TernaryMatch) sequence, build_min_dag_ordered:
+//  * indexed: each rule only tests the rules it can actually overlap (a
+//    RuleIndex keyed by position, so no id -> position map) and the per-row
+//    residue walk reuses arena buffers, so the hot loop is allocation-free;
+//  * parallel: rows are independent given the input, so they are sharded
+//    across a thread pool with per-thread arenas. The edge set is merged in
+//    row order and is bit-identical to the serial build.
+// build_min_dag / build_min_dag_parallel are its FlowTable adapters;
+// build_min_dag_brute — the literal O(n^3) all-pairs definition — stays
+// apart as the oracle and the bench baseline.
 //
 // Fragment-limit policy (see flowspace::kDefaultFragmentLimit): when a cover
 // test overflows its fragment budget, the builder keeps a conservative edge.
@@ -32,7 +35,6 @@
 
 #include "dag/dependency_graph.h"
 #include "flowspace/rule.h"
-#include "flowspace/rule_index.h"
 #include "flowspace/ternary.h"
 
 namespace ruletris::dag {
@@ -72,47 +74,17 @@ struct MinDagBuildStats {
   size_t cover_overflows = 0;
 };
 
-/// Reusable per-row scratch: residue fragment arena, per-pair cover arena,
-/// and candidate storage. One instance per thread.
-class MinDagRowScratch {
- public:
-  MinDagRowScratch() = default;
+/// Build input: one (id, match) per rule, in matched-first order.
+using OrderedRules =
+    std::vector<std::pair<flowspace::RuleId, flowspace::TernaryMatch>>;
 
-  /// Cover-test overflows over every row this scratch has served. Workers
-  /// count into their own scratch; the build sums them after the join.
-  size_t cover_overflows() const { return cover_overflows_; }
-
- private:
-  friend void row_direct_dependencies(const flowspace::TernaryMatch& m,
-                                      const std::vector<const flowspace::TernaryMatch*>& cands,
+/// The build core: the minimum DAG of `rules` (matched-first order). Shards
+/// rows across opts.n_threads workers unless the input is under the
+/// parallel or direct cutoff; the edge set does not depend on the thread
+/// count. A non-null `stats` receives the build's fallback counts.
+DependencyGraph build_min_dag_ordered(const OrderedRules& rules,
                                       const MinDagBuildOptions& opts,
-                                      MinDagRowScratch& scratch,
-                                      std::vector<size_t>& out);
-  std::vector<flowspace::TernaryMatch> residue_;
-  std::vector<flowspace::TernaryMatch> next_;
-  std::vector<flowspace::TernaryMatch> between_;
-  std::vector<std::pair<flowspace::RuleId, const flowspace::TernaryMatch*>>
-      between_keyed_;
-  flowspace::CoverScratch cover_;
-  // Fallback-path index over later candidates, so each pair's between-set is
-  // a bucket query instead of a scan over every remaining candidate (broad
-  // rows otherwise cost O(candidates^2) overlap tests).
-  flowspace::RuleIndex later_;
-  size_t cover_overflows_ = 0;
-};
-
-/// Per-row kernel: computes the direct dependencies of a rule with match `m`
-/// on the rules above it. `cands` holds the matches of the candidate rules
-/// in match order (ascending position) and must contain every table rule
-/// above `m`'s row that overlaps `m` — with an overlap index that is exactly
-/// the pruned candidate list, since any rule covering part of an overlap
-/// with `m` itself overlaps `m`. Appends to `out` the indexes into `cands`
-/// that are direct dependencies, in descending candidate order.
-void row_direct_dependencies(const flowspace::TernaryMatch& m,
-                             const std::vector<const flowspace::TernaryMatch*>& cands,
-                             const MinDagBuildOptions& opts,
-                             MinDagRowScratch& scratch,
-                             std::vector<size_t>& out);
+                                      MinDagBuildStats* stats = nullptr);
 
 /// Builds the minimum DAG of `table` with index pruning and arena reuse.
 /// A non-null `stats` receives the build's fallback counts.
@@ -140,7 +112,8 @@ DependencyGraph build_min_dag_brute(const flowspace::FlowTable& table);
 bool uses_direct_path(size_t table_size, const MinDagBuildOptions& opts);
 
 /// Process-wide default thread count for bulk DAG extraction entry points
-/// that take no explicit count (LeafNode bootstrap). 0 or 1 means serial.
+/// that take no explicit count (a LeafNode built from a FlowTable). 0 or 1
+/// means serial.
 /// Set from tools/bench flags (--dag-threads); not read concurrently with
 /// writes.
 void set_default_build_threads(size_t n);

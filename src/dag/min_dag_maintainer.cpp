@@ -1,16 +1,11 @@
 #include "dag/min_dag_maintainer.h"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "dag/builder.h"
 
 namespace ruletris::dag {
 
-MinDagMaintainer::MinDagMaintainer(BeforeFn before) : before_(std::move(before)) {}
-
 bool MinDagMaintainer::is_direct(RuleId hi, RuleId lo) const {
-  auto overlap = matches_.at(hi).intersect(matches_.at(lo));
+  auto overlap = match(hi).intersect(match(lo));
   if (!overlap) return false;
   const uint64_t hi_rank = rank(hi);
   const uint64_t lo_rank = rank(lo);
@@ -43,40 +38,26 @@ bool MinDagMaintainer::is_direct(RuleId hi, RuleId lo) const {
 
 void MinDagMaintainer::renumber() {
   for (size_t i = 0; i < order_.size(); ++i) {
-    ranks_[order_[i]] = (static_cast<uint64_t>(i) + 1) * kRankGap;
+    slots_.at(order_[i]).rank = (static_cast<uint64_t>(i) + 1) * kRankGap;
   }
 }
 
-DagDelta MinDagMaintainer::insert(RuleId id, TernaryMatch match) {
+DagDelta MinDagMaintainer::insert_at(size_t idx, RuleId id, TernaryMatch match) {
+  if (id == flowspace::kInvalidRuleId) {
+    throw std::invalid_argument("MinDagMaintainer: invalid id");
+  }
   if (contains(id)) throw std::invalid_argument("MinDagMaintainer: duplicate id");
   DagDelta delta;
 
-  // Position: after every existing rule the comparator places before `id`.
-  const auto it = std::partition_point(
-      order_.begin(), order_.end(),
-      [this, id](RuleId existing) { return before_(existing, id); });
-  const size_t idx = static_cast<size_t>(it - order_.begin());
-
-  // Sparse rank between the neighbours; renumber when the gap is exhausted.
+  // Sparse rank between the neighbours (one gap past the last rule);
+  // renumber when the gap is exhausted.
   const uint64_t lo_rank = idx > 0 ? rank(order_[idx - 1]) : 0;
-  uint64_t new_rank;
-  if (idx == order_.size()) {
-    new_rank = lo_rank + kRankGap;
-  } else {
-    const uint64_t hi_rank = rank(order_[idx]);
-    new_rank = lo_rank + (hi_rank - lo_rank) / 2;
-    if (new_rank == lo_rank) {
-      order_.insert(order_.begin() + static_cast<ptrdiff_t>(idx), id);
-      ranks_[id] = 0;
-      renumber();
-      new_rank = rank(id);
-    }
-  }
-  if (!contains(id)) {
-    order_.insert(order_.begin() + static_cast<ptrdiff_t>(idx), id);
-    ranks_[id] = new_rank;
-  }
-  matches_.emplace(id, match);
+  const uint64_t hi_rank =
+      idx < order_.size() ? rank(order_[idx]) : lo_rank + 2 * kRankGap;
+  const uint64_t new_rank = lo_rank + (hi_rank - lo_rank) / 2;
+  order_.insert(order_.begin() + static_cast<ptrdiff_t>(idx), id);
+  slots_.emplace(id, Slot{match, new_rank});
+  if (new_rank == lo_rank) renumber();
   index_.insert(id, match);
   graph_.add_vertex(id);
   delta.added_vertices.push_back(id);
@@ -107,7 +88,7 @@ DagDelta MinDagMaintainer::insert(RuleId id, TernaryMatch match) {
     std::vector<RuleId> succs(graph_.successors(u).begin(), graph_.successors(u).end());
     for (RuleId s : succs) {
       if (s == id || rank(s) > my_rank) continue;
-      if (!match.overlaps(matches_.at(s))) continue;
+      if (!match.overlaps(slots_.at(s).match)) continue;
       if (!is_direct(s, u)) {
         graph_.remove_edge(u, s);
         delta.removed_edges.emplace_back(u, s);
@@ -119,12 +100,11 @@ DagDelta MinDagMaintainer::insert(RuleId id, TernaryMatch match) {
 
 DagDelta MinDagMaintainer::remove(RuleId id) {
   DagDelta delta;
-  auto mit = matches_.find(id);
-  if (mit == matches_.end()) return delta;
-  const TernaryMatch match = mit->second;
+  auto sit = slots_.find(id);
+  if (sit == slots_.end()) return delta;
 
   std::vector<RuleId> above, below;
-  for (RuleId c : index_.find_overlapping(match)) {
+  for (RuleId c : index_.find_overlapping(sit->second.match)) {
     if (c == id) continue;
     (rank(c) < rank(id) ? above : below).push_back(c);
   }
@@ -135,15 +115,14 @@ DagDelta MinDagMaintainer::remove(RuleId id) {
   delta.removed_vertices.push_back(id);
 
   order_.erase(std::find(order_.begin(), order_.end(), id));
-  ranks_.erase(id);
-  matches_.erase(mit);
+  slots_.erase(sit);
   index_.erase(id);
 
   // Pairs the removed rule used to cover may become direct.
   for (RuleId u : below) {
     for (RuleId s : above) {
       if (graph_.has_edge(u, s)) continue;
-      if (!matches_.at(u).overlaps(matches_.at(s))) continue;
+      if (!match(u).overlaps(match(s))) continue;
       if (is_direct(s, u)) {
         graph_.add_edge(u, s);
         delta.added_edges.emplace_back(u, s);
@@ -153,53 +132,24 @@ DagDelta MinDagMaintainer::remove(RuleId id) {
   return delta;
 }
 
-void MinDagMaintainer::bulk_load(
-    const std::vector<std::pair<RuleId, TernaryMatch>>& rules) {
+void MinDagMaintainer::bulk_load(const OrderedRules& rules, size_t n_threads) {
   order_.clear();
-  ranks_.clear();
-  matches_.clear();
+  slots_.clear();
   index_.clear();
-  graph_ = DependencyGraph();
 
   order_.reserve(rules.size());
   for (const auto& [id, match] : rules) {
     order_.push_back(id);
-    matches_.emplace(id, match);
+    slots_.emplace(id, Slot{match, 0});
     index_.insert(id, match);
-    graph_.add_vertex(id);
   }
   renumber();
 
-  // Per-row residue walk through the shared builder kernel: one subtraction
-  // chain per rule (index-pruned candidates) instead of one cover test per
-  // overlapping pair.
-  std::unordered_map<RuleId, size_t> pos;
-  pos.reserve(order_.size());
-  std::vector<const TernaryMatch*> ordered_matches;
-  ordered_matches.reserve(order_.size());
-  for (size_t i = 0; i < order_.size(); ++i) {
-    pos[order_[i]] = i;
-    ordered_matches.push_back(&matches_.at(order_[i]));
-  }
-  const MinDagBuildOptions opts;
-  MinDagRowScratch scratch;
-  std::vector<size_t> cand_pos;
-  std::vector<const TernaryMatch*> cands;
-  std::vector<size_t> edges;
-  for (size_t i = 1; i < order_.size(); ++i) {
-    cand_pos.clear();
-    index_.for_each_overlapping(*ordered_matches[i],
-                                [&](RuleId id, const TernaryMatch&) {
-                                  const size_t p = pos.at(id);
-                                  if (p < i) cand_pos.push_back(p);
-                                });
-    std::sort(cand_pos.begin(), cand_pos.end());
-    cands.clear();
-    for (size_t p : cand_pos) cands.push_back(ordered_matches[p]);
-    row_direct_dependencies(*ordered_matches[i], cands, opts, scratch, edges);
-    for (size_t e : edges) graph_.add_edge(order_[i], order_[cand_pos[e]]);
-  }
-  cover_overflows_ += scratch.cover_overflows();
+  MinDagBuildOptions opts;
+  opts.n_threads = n_threads;
+  MinDagBuildStats stats;
+  graph_ = build_min_dag_ordered(rules, opts, &stats);
+  cover_overflows_ += stats.cover_overflows;
 }
 
 }  // namespace ruletris::dag

@@ -7,21 +7,25 @@
 // "between" set changed, found through an overlap index, so the graph equals
 // the brute-force minimum DAG after every operation at incremental cost.
 //
-// This powers two places:
-//  * leaf tables (extracting DAGs from dependency-unaware applications,
-//    Sec. III-B), and
+// It is the one incremental min-DAG in the repository and serves three
+// places:
+//  * leaf tables (compiler::LeafNode: extracting and maintaining DAGs for
+//    dependency-unaware applications, Sec. III-B and IV-C);
 //  * the visible level of composed tables. The paper derives the visible
 //    DAG by projecting member-level (cross-product / mega-resolution) edges
 //    onto key-vertex representatives; we found that projection unsound when
 //    ordering chains pass through *obscured* equal-match members (the
 //    nested key vertices of Sec. IV-B1), so the visible DAG is instead
-//    maintained exactly here. See DESIGN.md "Deviations".
+//    maintained exactly here. See DESIGN.md "Deviations";
+//  * the surviving rules of tcam::eliminate_redundancy.
+// Bulk loads go through the builder's row loop (dag/builder.h).
 #pragma once
 
-#include <functional>
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
+#include "dag/builder.h"
 #include "dag/dependency_graph.h"
 #include "flowspace/rule_index.h"
 #include "flowspace/ternary.h"
@@ -33,18 +37,10 @@ using flowspace::TernaryMatch;
 
 class MinDagMaintainer {
  public:
-  /// `before(existing, incoming)`: true iff the already-present rule
-  /// `existing` is matched before the rule being inserted. Only ever called
-  /// with the incoming id as second argument, so tie-breaking "existing
-  /// first" is expressible for priority-ordered leaves.
-  using BeforeFn = std::function<bool(RuleId existing, RuleId incoming)>;
-
-  explicit MinDagMaintainer(BeforeFn before);
-
   size_t size() const { return order_.size(); }
-  bool contains(RuleId id) const { return ranks_.count(id) != 0; }
+  bool contains(RuleId id) const { return slots_.count(id) != 0; }
   const DependencyGraph& graph() const { return graph_; }
-  const TernaryMatch& match(RuleId id) const { return matches_.at(id); }
+  const TernaryMatch& match(RuleId id) const { return slots_.at(id).match; }
 
   /// Rules overlapping `m`, in no particular order.
   std::vector<RuleId> overlapping(const TernaryMatch& m) const {
@@ -54,9 +50,26 @@ class MinDagMaintainer {
   /// Rule ids in matched-first order.
   const std::vector<RuleId>& order() const { return order_; }
 
-  /// Inserts at the position determined by the comparator; returns the
-  /// exact delta (one added vertex plus edge additions/removals).
-  DagDelta insert(RuleId id, TernaryMatch match);
+  /// True iff `a` is matched before `b` (a rank compare). Ids not present
+  /// (e.g. mid-deletion in a propagating update) get the stable arbitrary
+  /// order a < b.
+  bool before(RuleId a, RuleId b) const {
+    const auto ia = slots_.find(a);
+    const auto ib = slots_.find(b);
+    if (ia == slots_.end() || ib == slots_.end()) return a < b;
+    return ia->second.rank < ib->second.rank;
+  }
+
+  /// Inserts after every present rule `before(existing)` holds for — a
+  /// predicate partitioning order() (true on a prefix) that says whether
+  /// `existing` is matched before the incoming rule. Returns the exact delta
+  /// (one added vertex plus edge additions/removals). Throws
+  /// std::invalid_argument, changing nothing, on a present or invalid id.
+  template <typename Before>
+  DagDelta insert(RuleId id, TernaryMatch match, Before&& before) {
+    const auto it = std::partition_point(order_.begin(), order_.end(), before);
+    return insert_at(static_cast<size_t>(it - order_.begin()), id, std::move(match));
+  }
 
   /// Removes; the delta contains the removed vertex, its (implied) removed
   /// edges, and the verified patch edges between former neighbours.
@@ -69,23 +82,29 @@ class MinDagMaintainer {
   void set_fragment_limit(size_t limit) { fragment_limit_ = limit; }
 
   /// Replaces all content with `rules` already in matched-first order and
-  /// builds the DAG pairwise (cheaper than n incremental inserts).
-  void bulk_load(const std::vector<std::pair<RuleId, TernaryMatch>>& rules);
+  /// builds the DAG with the builder's row loop on `n_threads` workers
+  /// (cheaper than n incremental inserts).
+  void bulk_load(const OrderedRules& rules, size_t n_threads = 1);
 
  private:
+  DagDelta insert_at(size_t idx, RuleId id, TernaryMatch match);
+
   /// Direct-dependency test for (earlier `hi`, later `lo`): overlap not
   /// covered by in-between rules (prefiltered through the overlap index).
   bool is_direct(RuleId hi, RuleId lo) const;
 
-  uint64_t rank(RuleId id) const { return ranks_.at(id); }
+  uint64_t rank(RuleId id) const { return slots_.at(id).rank; }
   void renumber();
 
   static constexpr uint64_t kRankGap = uint64_t{1} << 20;
 
-  BeforeFn before_;
-  std::vector<RuleId> order_;                    // matched-first
-  std::unordered_map<RuleId, uint64_t> ranks_;   // sparse, order-consistent
-  std::unordered_map<RuleId, TernaryMatch> matches_;
+  struct Slot {
+    TernaryMatch match;
+    uint64_t rank;  // sparse, order-consistent
+  };
+
+  std::vector<RuleId> order_;  // matched-first
+  std::unordered_map<RuleId, Slot> slots_;
   flowspace::RuleIndex index_;
   DependencyGraph graph_;
 

@@ -120,18 +120,6 @@ NetworkPolicy policy_from_rules(const Topology& topo,
   return policy;
 }
 
-NetworkPolicy policy_from_snapshot(const Topology& topo,
-                                   const compiler::CompileSnapshot& snapshot,
-                                   uint64_t seed) {
-  NetworkPolicy policy;
-  policy.flows.reserve(snapshot.entries.size());
-  uint32_t id = 0;
-  for (const auto& entry : snapshot.entries) {
-    policy.flows.push_back(make_flow(topo, id++, std::get<2>(entry), seed));
-  }
-  return policy;
-}
-
 NetworkPolicy mutate_policy(const Topology& topo, const NetworkPolicy& policy,
                             const MutationSpec& spec) {
   util::Rng rng(util::mix64(spec.seed ^ 0x6e657470ull));

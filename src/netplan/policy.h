@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "compiler/composed_node.h"
 #include "flowspace/rule.h"
 #include "netplan/topology.h"
 
@@ -103,12 +102,6 @@ SwitchTables project(const Topology& topo, const NetworkPolicy& policy,
 NetworkPolicy policy_from_rules(const Topology& topo,
                                 const std::vector<flowspace::Rule>& rules,
                                 uint64_t seed);
-
-/// Same, over the visible entries of a compiled snapshot (the composed
-/// policy the front-end produced).
-NetworkPolicy policy_from_snapshot(const Topology& topo,
-                                   const compiler::CompileSnapshot& snapshot,
-                                   uint64_t seed);
 
 /// Mutation recipe for producing the "new" policy of an update.
 struct MutationSpec {

@@ -7,7 +7,6 @@ namespace ruletris::runtime {
 
 void EpochFreezer::observe(uint64_t epoch, compiler::RuleTrisCompiler& frontend) {
   if (!has_base()) {
-    base_epoch_ = epoch;
     base_blob_ = frozen::freeze(frozen::capture_policy(frontend, epoch));
     frozen::start_recording(frontend);
   } else {

@@ -43,7 +43,6 @@ class EpochFreezer {
   void observe(uint64_t epoch, compiler::RuleTrisCompiler& frontend);
 
   bool has_base() const { return !base_blob_.empty(); }
-  uint64_t base_epoch() const { return base_epoch_; }
   /// Full frozen snapshot of the first observed epoch.
   const frozen::Bytes& base_blob() const { return base_blob_; }
   /// One CRC32-framed codec batch per epoch after the base, in order; each
@@ -51,7 +50,6 @@ class EpochFreezer {
   const std::vector<proto::Bytes>& patch_frames() const { return patch_frames_; }
 
  private:
-  uint64_t base_epoch_ = 0;
   uint64_t last_epoch_ = 0;
   frozen::Bytes base_blob_;
   std::vector<proto::Bytes> patch_frames_;

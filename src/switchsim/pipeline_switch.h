@@ -32,7 +32,6 @@ class MultiTableSwitch {
   explicit MultiTableSwitch(std::vector<size_t> stage_capacities,
                             proto::ChannelModel channel = {});
 
-  size_t stage_count() const { return stages_.size(); }
   tcam::Tcam& tcam(size_t stage) { return *stages_.at(stage).tcam; }
   const tcam::Tcam& tcam(size_t stage) const { return *stages_.at(stage).tcam; }
   tcam::DagScheduler& firmware(size_t stage) { return *stages_.at(stage).scheduler; }

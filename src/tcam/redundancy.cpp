@@ -61,7 +61,7 @@ EliminationResult eliminate_redundancy(const std::vector<Rule>& rules,
   // The surviving DAG is maintained exactly: every removal's patch edges are
   // recomputed with the cover test, so the result graph is the minimum DAG
   // of the kept rules (not just an overlap-verified approximation).
-  MinDagMaintainer survivors([](RuleId, RuleId) { return true; });
+  MinDagMaintainer survivors;
   {
     std::vector<std::pair<RuleId, TernaryMatch>> ordered;
     ordered.reserve(scan.size());

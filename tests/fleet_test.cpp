@@ -284,9 +284,9 @@ TEST(BurstyWorkloadTest, InsertBurstsShareTheLocalityBlock) {
   runtime::ChurnEngine engine(spec, tables, churn);
   (void)engine.step();  // initial install
   while (!engine.done()) {
-    const size_t before = engine.frontend().leaf("mon").table().size();
+    const size_t before = engine.frontend().leaf("mon").visible_size();
     const runtime::ChurnEngine::Step step = engine.step();
-    const auto& rules = engine.frontend().leaf("mon").table().rules();
+    const std::vector<Rule> rules = engine.frontend().leaf("mon").visible_rules_in_order();
     ASSERT_EQ(rules.size(), before + step.ops);
     // The freshest step.ops rules (highest ids) form the burst.
     std::vector<Rule> burst;

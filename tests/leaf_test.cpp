@@ -1,5 +1,6 @@
 // LeafNode: incremental minimum-DAG maintenance must exactly match the
-// brute-force oracle after every update.
+// brute-force oracle after every update, and the leaf order must stay the
+// order a FlowTable fed the same churn keeps.
 #include <gtest/gtest.h>
 
 #include "compiler/leaf.h"
@@ -25,7 +26,7 @@ TEST(LeafNode, BulkLoadMatchesOracle) {
     const int n = 5 + static_cast<int>(rng.next_below(15));
     for (int i = 0; i < n; ++i) rules.push_back(random_rule(rng, n - i));
     LeafNode leaf{FlowTable{rules}};
-    EXPECT_EQ(leaf.visible_graph(), build_min_dag(leaf.table()));
+    EXPECT_EQ(leaf.visible_graph(), build_min_dag(FlowTable{leaf.visible_rules_in_order()}));
   }
 }
 
@@ -44,7 +45,7 @@ TEST(LeafNode, CoverOverflowIsCountedThroughPolicyNode) {
     leaf.insert(Rule::make(flowspace::TernaryMatch::wildcard(), fwd, 10));
     const compiler::PolicyNode& node = leaf;
     EXPECT_EQ(node.cover_overflows() > 0, limit == 1) << "limit " << limit;
-    EXPECT_EQ(leaf.visible_graph(), build_min_dag(leaf.table()));
+    EXPECT_EQ(leaf.visible_graph(), build_min_dag(FlowTable{leaf.visible_rules_in_order()}));
   }
 }
 
@@ -54,7 +55,7 @@ TEST(LeafNode, InsertKeepsMinimumDag) {
     LeafNode leaf{FlowTable{}};
     for (int i = 0; i < 25; ++i) {
       leaf.insert(random_rule(rng, 1 + static_cast<int>(rng.next_below(30))));
-      ASSERT_EQ(leaf.visible_graph(), build_min_dag(leaf.table()))
+      ASSERT_EQ(leaf.visible_graph(), build_min_dag(FlowTable{leaf.visible_rules_in_order()}))
           << "after insert " << i << " in trial " << trial;
     }
   }
@@ -75,7 +76,7 @@ TEST(LeafNode, MixedInsertDeleteKeepsMinimumDag) {
         live.push_back(r.id);
         leaf.insert(std::move(r));
       }
-      ASSERT_EQ(leaf.visible_graph(), build_min_dag(leaf.table()))
+      ASSERT_EQ(leaf.visible_graph(), build_min_dag(FlowTable{leaf.visible_rules_in_order()}))
           << "after step " << step << " in trial " << trial;
     }
   }
@@ -102,6 +103,76 @@ TEST(LeafNode, UpdateDeltasReplayToSameGraph) {
     shadow.apply(update.dag);
     ASSERT_EQ(shadow, leaf.visible_graph()) << "delta replay diverged at step " << step;
   }
+}
+
+std::vector<RuleId> ids_of(const std::vector<Rule>& rules) {
+  std::vector<RuleId> ids;
+  ids.reserve(rules.size());
+  for (const Rule& r : rules) ids.push_back(r.id);
+  return ids;
+}
+
+/// Insert/erase churn over few distinct priorities (so most inserts tie),
+/// applied to the leaf and to a shadow FlowTable; after every step the
+/// leaf's order must be the table's order.
+void churn_against_flow_table(LeafNode& leaf, FlowTable& shadow, Rng& rng,
+                              int steps) {
+  for (int step = 0; step < steps; ++step) {
+    const auto& rules = shadow.rules();
+    if (!rules.empty() && rng.next_bool(0.35)) {
+      const RuleId id = rules[rng.next_below(rules.size())].id;
+      leaf.remove(id);
+      shadow.erase(id);
+    } else {
+      Rule r = random_rule(rng, static_cast<int32_t>(rng.next_below(4)));
+      shadow.insert(r);
+      leaf.insert(std::move(r));
+    }
+    ASSERT_EQ(ids_of(leaf.visible_rules_in_order()), ids_of(shadow.rules()))
+        << "leaf order diverged from FlowTable at step " << step;
+  }
+}
+
+TEST(LeafNode, OrderMatchesFlowTableUnderTiedChurn) {
+  Rng rng(6);
+  std::vector<Rule> initial;
+  for (int i = 0; i < 30; ++i) {
+    initial.push_back(random_rule(rng, static_cast<int32_t>(rng.next_below(4))));
+  }
+  FlowTable shadow{initial};
+  LeafNode leaf{shadow};
+  ASSERT_EQ(ids_of(leaf.visible_rules_in_order()), ids_of(shadow.rules()));
+  churn_against_flow_table(leaf, shadow, rng, 200);
+  ASSERT_EQ(leaf.visible_graph(), build_min_dag(shadow));
+
+  // The leaf keeps no pointer to itself: it survives being moved into a
+  // vector that then reallocates, and keeps ordering by the same rule.
+  std::vector<LeafNode> leaves;
+  leaves.push_back(std::move(leaf));
+  for (int i = 0; i < 8; ++i) leaves.emplace_back(FlowTable{});
+  churn_against_flow_table(leaves.front(), shadow, rng, 200);
+  EXPECT_EQ(leaves.front().visible_graph(), build_min_dag(shadow));
+}
+
+TEST(LeafNode, RejectedInsertChangesNothing) {
+  Rng rng(7);
+  LeafNode leaf{FlowTable{}};
+  Rule first = random_rule(rng, 5);
+  leaf.insert(first);
+  leaf.insert(random_rule(rng, 3));
+  const size_t size = leaf.visible_size();
+  const dag::DependencyGraph graph = leaf.visible_graph();
+
+  Rule duplicate = random_rule(rng, 4);
+  duplicate.id = first.id;
+  EXPECT_THROW(leaf.insert(duplicate), std::invalid_argument);
+  Rule invalid = random_rule(rng, 4);
+  invalid.id = flowspace::kInvalidRuleId;
+  EXPECT_THROW(leaf.insert(invalid), std::invalid_argument);
+
+  EXPECT_EQ(leaf.visible_size(), size);
+  EXPECT_EQ(leaf.visible_graph(), graph);
+  EXPECT_EQ(leaf.visible_actions(first.id), first.actions);
 }
 
 TEST(LeafNode, RemoveMissingIsNoop) {

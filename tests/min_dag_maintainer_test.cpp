@@ -31,19 +31,29 @@ struct Shadow {
     }
     throw std::out_of_range("shadow: unknown id");
   }
+
+  /// Insert predicate for `incoming`: present rules of equal or higher
+  /// priority stay before it.
+  auto before(const Rule& incoming) const {
+    return [this, p = incoming.priority](RuleId existing) {
+      return priority_of(existing) >= p;
+    };
+  }
 };
+
+/// Insert predicates for orders that ignore priorities.
+bool always_back(RuleId) { return true; }
+bool always_front(RuleId) { return false; }
 
 TEST(MinDagMaintainer, InsertStreamMatchesOracle) {
   Rng rng(31);
   for (int trial = 0; trial < 12; ++trial) {
     Shadow shadow;
-    MinDagMaintainer dag([&shadow](RuleId existing, RuleId incoming) {
-      return shadow.priority_of(existing) >= shadow.priority_of(incoming);
-    });
+    MinDagMaintainer dag;
     for (int step = 0; step < 30; ++step) {
       Rule r = testutil::random_rule(rng, 1 + static_cast<int>(rng.next_below(20)));
       shadow.rules.push_back(r);
-      dag.insert(r.id, r.match);
+      dag.insert(r.id, r.match, shadow.before(r));
       ASSERT_EQ(dag.graph(), build_min_dag(shadow.table()))
           << "trial " << trial << " step " << step;
     }
@@ -54,9 +64,7 @@ TEST(MinDagMaintainer, MixedStreamMatchesOracle) {
   Rng rng(32);
   for (int trial = 0; trial < 8; ++trial) {
     Shadow shadow;
-    MinDagMaintainer dag([&shadow](RuleId existing, RuleId incoming) {
-      return shadow.priority_of(existing) >= shadow.priority_of(incoming);
-    });
+    MinDagMaintainer dag;
     for (int step = 0; step < 50; ++step) {
       if (!shadow.rules.empty() && rng.next_bool(0.4)) {
         const size_t pick = rng.next_below(shadow.rules.size());
@@ -66,7 +74,7 @@ TEST(MinDagMaintainer, MixedStreamMatchesOracle) {
       } else {
         Rule r = testutil::random_rule(rng, 1 + static_cast<int>(rng.next_below(20)));
         shadow.rules.push_back(r);
-        dag.insert(r.id, r.match);
+        dag.insert(r.id, r.match, shadow.before(r));
       }
       ASSERT_EQ(dag.graph(), build_min_dag(shadow.table()))
           << "trial " << trial << " step " << step;
@@ -77,9 +85,7 @@ TEST(MinDagMaintainer, MixedStreamMatchesOracle) {
 TEST(MinDagMaintainer, DeltasReplayConsistently) {
   Rng rng(33);
   Shadow shadow;
-  MinDagMaintainer dag([&shadow](RuleId existing, RuleId incoming) {
-    return shadow.priority_of(existing) >= shadow.priority_of(incoming);
-  });
+  MinDagMaintainer dag;
   dag::DependencyGraph replay;
   for (int step = 0; step < 60; ++step) {
     dag::DagDelta delta;
@@ -90,7 +96,7 @@ TEST(MinDagMaintainer, DeltasReplayConsistently) {
     } else {
       Rule r = testutil::random_rule(rng, 1 + static_cast<int>(rng.next_below(20)));
       shadow.rules.push_back(r);
-      delta = dag.insert(r.id, r.match);
+      delta = dag.insert(r.id, r.match, shadow.before(r));
     }
     replay.apply(delta);
     ASSERT_EQ(replay, dag.graph()) << "delta replay diverged at step " << step;
@@ -107,7 +113,7 @@ TEST(MinDagMaintainer, BulkLoadEqualsIncremental) {
     }
     const FlowTable table = shadow.table();
 
-    MinDagMaintainer bulk([](RuleId, RuleId) { return true; });
+    MinDagMaintainer bulk;
     std::vector<std::pair<RuleId, TernaryMatch>> ordered;
     for (const Rule& r : table.rules()) ordered.emplace_back(r.id, r.match);
     bulk.bulk_load(ordered);
@@ -119,14 +125,12 @@ TEST(MinDagMaintainer, BulkLoadEqualsIncremental) {
 
 TEST(MinDagMaintainer, OrderIsMaintained) {
   Shadow shadow;
-  MinDagMaintainer dag([&shadow](RuleId existing, RuleId incoming) {
-    return shadow.priority_of(existing) >= shadow.priority_of(incoming);
-  });
+  MinDagMaintainer dag;
   Rng rng(35);
   for (int i = 0; i < 40; ++i) {
     Rule r = testutil::random_rule(rng, 1 + static_cast<int>(rng.next_below(10)));
     shadow.rules.push_back(r);
-    dag.insert(r.id, r.match);
+    dag.insert(r.id, r.match, shadow.before(r));
   }
   const auto& order = dag.order();
   for (size_t i = 1; i < order.size(); ++i) {
@@ -138,12 +142,12 @@ TEST(MinDagMaintainer, RenumberUnderAdversarialInsertions) {
   // Repeatedly insert at the very front to exhaust rank gaps and force the
   // renumber path.
   std::vector<RuleId> ids;
-  MinDagMaintainer dag([&ids](RuleId, RuleId) { return false; });  // always front
+  MinDagMaintainer dag;
   TernaryMatch m;  // all rules overlap (wildcard) -> chain DAG
   for (int i = 0; i < 64; ++i) {
     const RuleId id = flowspace::next_rule_id();
     ids.push_back(id);
-    dag.insert(id, m);
+    dag.insert(id, m, always_front);
   }
   // Every later-inserted rule sits earlier; the DAG must be the chain
   // last-inserted <- ... <- first-inserted.
@@ -155,23 +159,41 @@ TEST(MinDagMaintainer, RenumberUnderAdversarialInsertions) {
 }
 
 TEST(MinDagMaintainer, DuplicateInsertThrows) {
-  MinDagMaintainer dag([](RuleId, RuleId) { return true; });
-  dag.insert(7, TernaryMatch::wildcard());
-  EXPECT_THROW(dag.insert(7, TernaryMatch::wildcard()), std::invalid_argument);
+  MinDagMaintainer dag;
+  dag.insert(7, TernaryMatch::wildcard(), always_back);
+  EXPECT_THROW(dag.insert(7, TernaryMatch::wildcard(), always_back),
+               std::invalid_argument);
+  EXPECT_THROW(dag.insert(flowspace::kInvalidRuleId, TernaryMatch::wildcard(), always_back),
+               std::invalid_argument);
+  EXPECT_EQ(dag.size(), 1u);
+  EXPECT_EQ(dag.graph().vertex_count(), 1u);
+}
+
+TEST(MinDagMaintainer, BeforeIsARankCompare) {
+  MinDagMaintainer dag;
+  dag.insert(5, TernaryMatch::wildcard(), always_back);
+  dag.insert(9, TernaryMatch::wildcard(), always_front);
+  dag.insert(2, TernaryMatch::wildcard(), always_back);  // order: 9 5 2
+  EXPECT_TRUE(dag.before(9, 5));
+  EXPECT_TRUE(dag.before(5, 2));
+  EXPECT_FALSE(dag.before(2, 9));
+  // Dead ids fall back to the stable arbitrary order a < b.
+  EXPECT_TRUE(dag.before(2, 100));
+  EXPECT_FALSE(dag.before(100, 2));
 }
 
 TEST(MinDagMaintainer, CoverOverflowIsCounted) {
   // 10/8, then 10.0/9, then a wildcard: the (10/8, wildcard) cover test
   // must subtract 10.0/9, one fragment more than a budget of 1 allows.
   for (const size_t limit : {size_t{1}, flowspace::kDefaultFragmentLimit}) {
-    MinDagMaintainer dag([](RuleId, RuleId) { return true; });
+    MinDagMaintainer dag;
     dag.set_fragment_limit(limit);
     TernaryMatch wide, narrow;
     wide.set_prefix(flowspace::FieldId::kDstIp, 0x0a000000u, 8);
     narrow.set_prefix(flowspace::FieldId::kDstIp, 0x0a000000u, 9);
-    dag.insert(1, wide);
-    dag.insert(2, narrow);
-    dag.insert(3, TernaryMatch::wildcard());
+    dag.insert(1, wide, always_back);
+    dag.insert(2, narrow, always_back);
+    dag.insert(3, TernaryMatch::wildcard(), always_back);
     EXPECT_TRUE(dag.graph().has_edge(3, 1));  // kept either way
     if (limit == 1) {
       EXPECT_GT(dag.cover_overflows(), 0u);
@@ -182,7 +204,7 @@ TEST(MinDagMaintainer, CoverOverflowIsCounted) {
 }
 
 TEST(MinDagMaintainer, RemoveMissingIsNoop) {
-  MinDagMaintainer dag([](RuleId, RuleId) { return true; });
+  MinDagMaintainer dag;
   EXPECT_TRUE(dag.remove(42).empty());
 }
 
