@@ -159,8 +159,9 @@ int main(int argc, char** argv) {
                 "%-7zu %-9.1f | %s%s\n",
                 cell.mode, cell.threads, report.updates_per_s(),
                 report.makespan_ms, report.shard_kills, report.failovers,
-                report.quarantines, report.readmissions,
-                report.runtime.retransmits, p_or0(report.rejoin_ms, 99.0),
+                report.runtime.quarantines, report.runtime.readmissions,
+                report.runtime.retransmits,
+                p_or0(report.runtime.rejoin_ms, 99.0),
                 ok ? "yes" : "NO",
                 deterministic ? "" : " [fingerprint mismatch]");
     std::fflush(stdout);
@@ -178,15 +179,17 @@ int main(int argc, char** argv) {
       j->field("shard_kills", static_cast<double>(report.shard_kills));
       j->field("failovers", static_cast<double>(report.failovers));
       j->field("failover_epochs", static_cast<double>(report.failover_epochs));
-      j->field("quarantines", static_cast<double>(report.quarantines));
-      j->field("readmissions", static_cast<double>(report.readmissions));
+      j->field("quarantines",
+               static_cast<double>(report.runtime.quarantines));
+      j->field("readmissions",
+               static_cast<double>(report.runtime.readmissions));
       j->field("retransmits", static_cast<double>(report.runtime.retransmits));
       j->field("probe_sends", static_cast<double>(report.runtime.probe_sends));
       j->field("blackout_drops",
                static_cast<double>(report.runtime.blackout_drops));
       j->field("failover_p50_ms", p_or0(report.failover_ms, 50.0));
-      j->field("rejoin_p50_ms", p_or0(report.rejoin_ms, 50.0));
-      j->field("rejoin_p99_ms", p_or0(report.rejoin_ms, 99.0));
+      j->field("rejoin_p50_ms", p_or0(report.runtime.rejoin_ms, 50.0));
+      j->field("rejoin_p99_ms", p_or0(report.runtime.rejoin_ms, 99.0));
       j->field("fleet_fingerprint",
                util::strfmt("%016llx", static_cast<unsigned long long>(
                                            report.fleet_fingerprint)));
@@ -207,12 +210,12 @@ int main(int argc, char** argv) {
 
   const runtime::FleetReport& clean = first.at("clean");
   const runtime::FleetReport& chaos = first.at("chaos");
-  check(clean.shard_kills == 0 && clean.quarantines == 0,
+  check(clean.shard_kills == 0 && clean.runtime.quarantines == 0,
         "clean cell saw fault-layer activity");
   check(chaos.shard_kills > 0, "no shard kill fired");
   check(chaos.failovers > 0, "no switch was adopted");
-  check(chaos.quarantines > 0, "no session quarantined");
-  check(chaos.readmissions == chaos.quarantines,
+  check(chaos.runtime.quarantines > 0, "no session quarantined");
+  check(chaos.runtime.readmissions == chaos.runtime.quarantines,
         "a quarantined switch never rejoined");
   // The recovery guarantee: chaos final layouts and delta chains must be
   // bit-identical to the never-failed run's.

@@ -24,12 +24,12 @@
 #include "bench/bench_util.h"
 #include "flowspace/rule.h"
 #include "netplan/auditor.h"
-#include "netplan/fleet.h"
 #include "netplan/materialize.h"
 #include "netplan/planner.h"
 #include "netplan/policy.h"
 #include "netplan/topology.h"
 #include "runtime/config.h"
+#include "runtime/controller.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -165,28 +165,27 @@ StrategyResult run_strategy(const Topology& topo, const NetworkPolicy& oldp,
   result.sim_violations =
       simulate_and_audit(topo, oldp, newp, result.plan, auditor);
 
-  const std::vector<netplan::SwitchScript> scripts =
-      netplan::materialize(topo, result.plan);
+  const std::vector<runtime::SwitchWorkload> fleet =
+      netplan::to_workloads(netplan::materialize(topo, result.plan));
   for (uint64_t fault_seed : opt.fault_seeds) {
-    netplan::FleetConfig fc;
-    fc.runtime.knobs.faults = FaultSpec::crashy();
-    fc.runtime.knobs.faults.crash_p = 0.02;
-    fc.runtime.fault_seed = fault_seed;
-    fc.runtime.n_threads = opt.threads;
-    fc.runtime.tcam_capacity = result.plan.peak_switch_rules + 32;
-    netplan::FleetController fleet(scripts, fc);
-    const LookupFn live = fleet.lookup();
-    const netplan::FleetReport report = fleet.run([&](size_t, double) {
-      result.runtime_violations += auditor.audit(live).mixed;
-      ++result.audits;
-    });
-    result.all_completed = result.all_completed && report.completed;
-    result.all_converged =
-        result.all_converged && report.merged.all_converged;
-    result.crashes += report.merged.crashes;
-    result.restarts += report.merged.restarts;
-    result.entry_writes += report.merged.entry_writes;
-    result.makespan_ms.add(report.makespan_ms());
+    runtime::RuntimeConfig rc;
+    rc.knobs.faults = FaultSpec::crashy();
+    rc.knobs.faults.crash_p = 0.02;
+    rc.fault_seed = fault_seed;
+    rc.n_threads = opt.threads;
+    rc.tcam_capacity = result.plan.peak_switch_rules + 32;
+    const runtime::RuntimeReport report = runtime::Controller(rc).run_rounds(
+        fleet, [&](size_t, double, auto agents) {
+          result.runtime_violations +=
+              auditor.audit(netplan::live_lookup(agents)).mixed;
+          ++result.audits;
+        });
+    result.all_completed = result.all_completed && report.all_completed;
+    result.all_converged = result.all_converged && report.all_converged;
+    result.crashes += report.crashes;
+    result.restarts += report.restarts;
+    result.entry_writes += report.entry_writes;
+    result.makespan_ms.add(report.makespan_ms);
   }
   return result;
 }

@@ -24,6 +24,13 @@ LookupFn tables_lookup(const std::vector<flowspace::FlowTable>& tables) {
   };
 }
 
+LookupFn live_lookup(std::span<const runtime::SwitchAgent* const> agents) {
+  return [agents](SwitchId sw, const Packet& p) -> const Rule* {
+    if (sw >= agents.size()) return nullptr;
+    return agents[sw]->device().tcam().lookup(p);
+  };
+}
+
 const char* outcome_name(TraceOutcome o) {
   switch (o) {
     case TraceOutcome::kDelivered: return "delivered";

@@ -17,12 +17,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "flowspace/rule.h"
 #include "netplan/policy.h"
 #include "netplan/topology.h"
+#include "runtime/agent.h"
 
 namespace ruletris::netplan {
 
@@ -33,6 +35,11 @@ using LookupFn = std::function<const flowspace::Rule*(SwitchId sw,
 
 /// Builds a LookupFn over simulated per-switch FlowTables.
 LookupFn tables_lookup(const std::vector<flowspace::FlowTable>& tables);
+
+/// Builds a LookupFn over runtime agents' live TCAMs (hardware
+/// highest-address-wins semantics): the auditor's mid-update observation
+/// point inside a runtime::RoundObserver. `agents` must outlive the LookupFn.
+LookupFn live_lookup(std::span<const runtime::SwitchAgent* const> agents);
 
 enum class TraceOutcome : uint8_t {
   kDelivered,  // forwarded out of kHostPort at some switch

@@ -94,4 +94,14 @@ std::vector<SwitchScript> materialize(const Topology& topo,
   return scripts;
 }
 
+std::vector<runtime::SwitchWorkload> to_workloads(
+    const std::vector<SwitchScript>& scripts) {
+  std::vector<runtime::SwitchWorkload> fleet;
+  fleet.reserve(scripts.size());
+  for (const SwitchScript& script : scripts) {
+    fleet.push_back({runtime::encode_log(script.epochs), script.expected});
+  }
+  return fleet;
+}
+
 }  // namespace ruletris::netplan

@@ -14,6 +14,7 @@
 #include "flowspace/rule.h"
 #include "netplan/planner.h"
 #include "proto/messages.h"
+#include "runtime/controller.h"
 
 namespace ruletris::netplan {
 
@@ -24,5 +25,10 @@ struct SwitchScript {
 
 std::vector<SwitchScript> materialize(const Topology& topo,
                                       const UpdatePlan& plan);
+
+/// Encodes each script's epochs once: the fleet input of
+/// runtime::Controller::run_rounds.
+std::vector<runtime::SwitchWorkload> to_workloads(
+    const std::vector<SwitchScript>& scripts);
 
 }  // namespace ruletris::netplan

@@ -1,7 +1,10 @@
 #include "runtime/controller.h"
 
 #include <algorithm>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -28,40 +31,71 @@ RuntimeReport merge_session_stats(std::vector<SessionStats> results) {
   RuntimeReport report;
   report.sessions = std::move(results);
   for (const SessionStats& s : report.sessions) {
+    report += s;
     report.epochs = std::max(report.epochs, s.epochs);
-    report.data_frames_sent += s.data_frames_sent;
-    report.retransmits += s.retransmits;
-    report.resync_replays += s.resync_replays;
-    report.resyncs += s.resyncs;
-    report.stale_resyncs += s.stale_resyncs;
-    report.restarts += s.restarts;
-    report.timeouts += s.timeouts;
-    report.duplicates += s.duplicates;
-    report.nacks += s.nacks;
-    report.nack_retransmits += s.nack_retransmits;
-    report.crashes += s.crashes;
-    report.roll_forwards += s.roll_forwards;
-    report.recovered_writes += s.recovered_writes;
-    report.apply_failures += s.apply_failures;
-    report.table_full += s.table_full;
-    report.rolled_back += s.rolled_back;
-    report.entry_writes += s.entry_writes;
-    report.moves += s.moves;
-    report.quarantines += s.quarantines;
-    report.readmissions += s.readmissions;
-    report.probe_sends += s.probe_sends;
-    report.blackout_drops += s.blackout_drops;
-    report.readmit_failures += s.readmit_failures;
-    report.rejoin_audit_violations += s.rejoin_audit_violations;
     report.makespan_ms = std::max(report.makespan_ms, s.makespan_ms);
     report.all_converged = report.all_converged && s.converged;
-    report.ack_ms.merge(s.ack_ms);
-    report.channel_ms.merge(s.channel_ms);
-    report.firmware_ms.merge(s.firmware_ms);
-    report.tcam_ms.merge(s.tcam_ms);
-    report.rejoin_ms.merge(s.rejoin_ms);
+    report.all_completed = report.all_completed && s.completed;
   }
   return report;
+}
+
+namespace {
+
+/// Runs one job per switch, on a thread pool when more than one thread is
+/// configured. Pool jobs must not throw, so every job's exception is caught;
+/// once all jobs have finished, the lowest-indexed failure is rethrown (a
+/// std::exception as a std::runtime_error naming its switch).
+class SwitchFanOut {
+ public:
+  SwitchFanOut(size_t threads, size_t n) : n_(n) {
+    if (threads > 1 && n > 1) pool_.emplace(std::min(threads, n));
+  }
+
+  void each(const std::function<void(size_t)>& job) {
+    std::vector<std::exception_ptr> errors(n_);
+    auto guarded = [&](size_t i) {
+      try {
+        job(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    };
+    if (pool_) {
+      for (size_t i = 0; i < n_; ++i) pool_->run([&guarded, i] { guarded(i); });
+      pool_->wait_idle();
+    } else {
+      for (size_t i = 0; i < n_; ++i) guarded(i);
+    }
+    for (size_t i = 0; i < n_; ++i) {
+      if (!errors[i]) continue;
+      try {
+        std::rethrow_exception(errors[i]);
+      } catch (const std::exception& e) {
+        throw std::runtime_error("runtime session " + std::to_string(i) +
+                                 ": " + e.what());
+      }
+    }
+  }
+
+ private:
+  size_t n_;
+  std::optional<util::ThreadPool> pool_;
+};
+
+}  // namespace
+
+std::unique_ptr<SwitchSession> Controller::make_session(const SwitchWorkload& w,
+                                                        size_t index) const {
+  SessionConfig sc;
+  sc.knobs = cfg_.knobs;
+  // Independent per-session stream: the fault behaviour of switch i never
+  // depends on how many switches run or on scheduling.
+  sc.seed = util::hash_pair(cfg_.fault_seed, index + 1);
+  const size_t expected_n = w.expected.size();
+  sc.tcam_capacity = cfg_.tcam_capacity != 0 ? cfg_.tcam_capacity
+                                             : expected_n + expected_n / 8 + 128;
+  return std::make_unique<SwitchSession>(sc, *w.log);
 }
 
 RuntimeReport Controller::run(const std::vector<proto::MessageBatch>& epoch_batches,
@@ -80,45 +114,60 @@ RuntimeReport Controller::run(const std::vector<proto::MessageBatch>& epoch_batc
 
 RuntimeReport Controller::run_fleet(const std::vector<SwitchWorkload>& fleet) {
   const size_t n = fleet.size();
-  if (n == 0) return RuntimeReport{};
+  std::vector<SessionStats> results(n);
+  SwitchFanOut(cfg_.n_threads, n).each([&](size_t i) {
+    results[i] = make_session(fleet[i], i)->run(fleet[i].expected);
+  });
+  return merge_session_stats(std::move(results));
+}
 
-  auto session_config = [&](size_t i) {
-    SessionConfig sc;
-    sc.knobs = cfg_.knobs;
-    // Independent per-session stream: the fault behaviour of switch i never
-    // depends on how many switches run or on scheduling.
-    sc.seed = util::hash_pair(cfg_.fault_seed, i + 1);
-    const size_t expected_n = fleet[i].expected.size();
-    sc.tcam_capacity = cfg_.tcam_capacity != 0
-                           ? cfg_.tcam_capacity
-                           : expected_n + expected_n / 8 + 128;
-    return sc;
-  };
+RuntimeReport Controller::run_rounds(const std::vector<SwitchWorkload>& fleet,
+                                     const RoundObserver& between_rounds) {
+  const size_t n = fleet.size();
+  const size_t epochs = n > 0 ? fleet.front().log->size() : 0;
+  for (const SwitchWorkload& w : fleet) {
+    if (w.log->size() != epochs) {
+      // Round r must be the same epoch number on every switch, or the gate
+      // would align different rounds behind one barrier.
+      throw std::invalid_argument("fleet: switch scripts differ in length");
+    }
+  }
+
+  SwitchFanOut fan_out(cfg_.n_threads, n);
+  std::vector<std::unique_ptr<SwitchSession>> sessions(n);
+  fan_out.each([&](size_t i) {
+    sessions[i] = make_session(fleet[i], i);
+    sessions[i]->set_send_limit(0);  // nothing leaves before the first gate
+    sessions[i]->start();
+  });
+  std::vector<const SwitchAgent*> agents(n);
+  for (size_t i = 0; i < n; ++i) agents[i] = &sessions[i]->agent();
+
+  std::vector<char> committed(n, 1);
+  bool all_committed = true;
+  for (size_t epoch = 1; epoch <= epochs && all_committed; ++epoch) {
+    fan_out.each([&](size_t i) {
+      sessions[i]->set_send_limit(epoch);
+      committed[i] = sessions[i]->run_until_committed(epoch) ? 1 : 0;
+    });
+
+    // Fleet barrier: the round ends when the slowest switch commits; every
+    // clock parks there so the next round's sends share a common origin.
+    double barrier = 0.0;
+    for (const auto& session : sessions) {
+      barrier = std::max(barrier, session->now_ms());
+    }
+    for (auto& session : sessions) session->advance_clock(barrier);
+
+    all_committed = std::all_of(committed.begin(), committed.end(),
+                                [](char c) { return c != 0; });
+    if (all_committed && between_rounds) between_rounds(epoch, barrier, agents);
+  }
 
   std::vector<SessionStats> results(n);
-  std::vector<std::string> errors(n);
-  auto run_session = [&](size_t i) {
-    try {
-      SwitchSession session(session_config(i), *fleet[i].log);
-      results[i] = session.run(fleet[i].expected);
-    } catch (const std::exception& e) {  // pool jobs must not throw
-      errors[i] = e.what();
-    }
-  };
-
-  if (cfg_.n_threads > 1 && n > 1) {
-    util::ThreadPool pool(std::min(cfg_.n_threads, n));
-    for (size_t i = 0; i < n; ++i) {
-      pool.run([&run_session, i] { run_session(i); });
-    }
-    pool.wait_idle();
-  } else {
-    for (size_t i = 0; i < n; ++i) run_session(i);
-  }
-  for (const std::string& error : errors) {
-    if (!error.empty()) throw std::runtime_error("runtime session: " + error);
-  }
-
+  fan_out.each([&](size_t i) {
+    results[i] = sessions[i]->finalize(fleet[i].expected);
+  });
   return merge_session_stats(std::move(results));
 }
 

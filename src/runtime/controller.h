@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "flowspace/rule.h"
@@ -34,45 +36,16 @@ struct SwitchWorkload {
   std::vector<flowspace::Rule> expected;
 };
 
-/// Fleet-level report: per-session stats plus merged aggregates. Histograms
-/// are merged here, at report time — the sessions filled them without any
+/// Fleet-level report: per-session stats plus their merged totals (the
+/// SessionTotals base: summed counters, merged histograms). Histograms are
+/// merged here, at report time — the sessions filled them without any
 /// synchronization.
-struct RuntimeReport {
+struct RuntimeReport : SessionTotals {
   std::vector<SessionStats> sessions;
   size_t epochs = 0;
-
-  // Aggregates over every session.
-  size_t data_frames_sent = 0;
-  size_t retransmits = 0;
-  size_t resync_replays = 0;
-  size_t resyncs = 0;
-  size_t stale_resyncs = 0;
-  size_t restarts = 0;
-  size_t timeouts = 0;
-  size_t duplicates = 0;
-  size_t nacks = 0;             // corrupted data frames NACKed fleet-wide
-  size_t nack_retransmits = 0;
-  size_t crashes = 0;           // firmware crashes mid-transaction
-  size_t roll_forwards = 0;     // recoveries that committed a sealed txn
-  size_t recovered_writes = 0;  // TCAM writes spent undoing torn chains
-  size_t apply_failures = 0;
-  size_t table_full = 0;        // updates rejected with ApplyStatus::kTableFull
-  size_t rolled_back = 0;       // updates undone with ApplyStatus::kRolledBack
-  size_t entry_writes = 0;   // fleet-wide TCAM writes actually performed
-  size_t moves = 0;          // relocation subset (the DAG-schedule cost)
-  size_t quarantines = 0;       // sessions benched after silent escalation
-  size_t readmissions = 0;      // quarantined sessions brought back
-  size_t probe_sends = 0;       // liveness probes sent while quarantined
-  size_t blackout_drops = 0;    // frames lost to agent blackout windows
-  size_t readmit_failures = 0;  // failed warm-boot catch-up verifications
-  size_t rejoin_audit_violations = 0;  // structural audits failed on rejoin
   double makespan_ms = 0.0;  // max session makespan (virtual)
   bool all_converged = true;
-  util::Histogram ack_ms;
-  util::Histogram channel_ms;
-  util::Histogram firmware_ms;
-  util::Histogram tcam_ms;
-  util::Histogram rejoin_ms;  // quarantine entry -> re-admission (virtual)
+  bool all_completed = true;  // every session committed its whole log
 
   /// Sum of per-session log lengths (== sessions * epochs when every switch
   /// replays the same log; per-switch logs may differ in length).
@@ -99,10 +72,18 @@ struct RuntimeReport {
   }
 };
 
-/// Folds per-session stats into the merged fleet report (aggregate counters,
-/// max makespan, histogram merges). Shared by Controller and by the netplan
-/// FleetController, which produces its SessionStats via gated stepping.
+/// Folds per-session stats into the merged fleet report (summed totals, max
+/// epochs and makespan, AND of converged and completed). Shared by
+/// Controller and ShardedController.
 RuntimeReport merge_session_stats(std::vector<SessionStats> results);
+
+/// Called by Controller::run_rounds after each fleet barrier: `epoch` is the
+/// epoch every switch just committed, `barrier_ms` the fleet time, and
+/// `agents[i]` switch i's agent, whose live TCAM the observer may inspect
+/// (valid only during the call).
+using RoundObserver =
+    std::function<void(size_t epoch, double barrier_ms,
+                       std::span<const SwitchAgent* const> agents)>;
 
 /// Runs the fan-out half of the runtime. The controller encodes each epoch
 /// batch exactly once (the encoded bytes are the unit both the channel
@@ -127,7 +108,21 @@ class Controller {
   /// cfg.tcam_capacity == 0 sizes each switch from its own expected set.
   RuntimeReport run_fleet(const std::vector<SwitchWorkload>& fleet);
 
+  /// Per-switch logs driven through barrier-fenced rounds: epoch e may not
+  /// leave the controller until every switch has committed epoch e - 1.
+  /// After each round every session clock parks at the slowest session's
+  /// commit time (the barrier) and `between_rounds` runs. A round that some
+  /// switch cannot commit (stall or deadline) ends the run; the report then
+  /// has all_completed == false. Every log must have the same length, or
+  /// std::invalid_argument is thrown. Bit-identical across thread counts,
+  /// like run_fleet.
+  RuntimeReport run_rounds(const std::vector<SwitchWorkload>& fleet,
+                           const RoundObserver& between_rounds = {});
+
  private:
+  std::unique_ptr<SwitchSession> make_session(const SwitchWorkload& w,
+                                              size_t index) const;
+
   RuntimeConfig cfg_;
 };
 

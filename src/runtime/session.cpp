@@ -8,6 +8,26 @@
 
 namespace ruletris::runtime {
 
+SessionTotals& SessionTotals::operator+=(const SessionTotals& other) {
+#define RULETRIS_ADD_COUNTER(name) name += other.name;
+  RULETRIS_SESSION_COUNTERS(RULETRIS_ADD_COUNTER)
+#undef RULETRIS_ADD_COUNTER
+  ack_ms.merge(other.ack_ms);
+  channel_ms.merge(other.channel_ms);
+  firmware_ms.merge(other.firmware_ms);
+  tcam_ms.merge(other.tcam_ms);
+  rejoin_ms.merge(other.rejoin_ms);
+  return *this;
+}
+
+bool SessionTotals::same_virtual(const SessionTotals& other) const {
+#define RULETRIS_SAME_COUNTER(name) name == other.name &&
+  return RULETRIS_SESSION_COUNTERS(RULETRIS_SAME_COUNTER)
+         ack_ms == other.ack_ms && channel_ms == other.channel_ms &&
+         tcam_ms == other.tcam_ms && rejoin_ms == other.rejoin_ms;
+#undef RULETRIS_SAME_COUNTER
+}
+
 SwitchSession::SwitchSession(const SessionConfig& config,
                              const std::vector<EncodedEpoch>& epochs)
     : cfg_(config),
@@ -73,7 +93,8 @@ void SwitchSession::set_send_limit(uint64_t max_epoch) {
 bool SwitchSession::run_until_committed(uint64_t epoch) {
   while (!done_ && base_ <= epoch) {
     if (!events_.run_next()) return false;        // stalled: nothing queued
-    if (events_.now() > cfg_.knobs.deadline_ms) return false;
+    // Past the deadline, but the event just run may have committed `epoch`.
+    if (events_.now() > cfg_.knobs.deadline_ms) break;
   }
   return done_ || base_ > epoch;
 }

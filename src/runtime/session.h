@@ -97,46 +97,65 @@ class VectorEpochSource final : public EpochSource {
   const std::vector<EncodedEpoch>& epochs_;
 };
 
-struct SessionStats {
-  size_t epochs = 0;
-  size_t data_frames_sent = 0;  // first sends + retransmits + resync replays
-  size_t retransmits = 0;       // timeout-driven re-sends
-  size_t resync_replays = 0;    // frames re-sent on the resync path
-  size_t resyncs = 0;           // resync requests received
-  size_t stale_resyncs = 0;     // resyncs anchored below base_ (racing restarts)
-  size_t restarts = 0;          // agent restarts
-  size_t timeouts = 0;          // retry timer firings that found unacked epochs
-  size_t duplicates = 0;        // frames the agent discarded as already applied
-  size_t acks = 0;              // ack frames received
-  size_t nacks = 0;             // corrupted data frames the agent NACKed
-  size_t nack_retransmits = 0;  // re-sends triggered by NACKs
-  size_t crashes = 0;           // firmware crashes mid-transaction
-  size_t roll_forwards = 0;     // recoveries that committed a sealed txn
-  size_t recovered_writes = 0;  // TCAM writes spent undoing torn chains
-  size_t apply_failures = 0;    // firmware rejections (should be 0)
-  size_t table_full = 0;        // updates rejected with ApplyStatus::kTableFull
-  size_t rolled_back = 0;       // updates undone with ApplyStatus::kRolledBack
-  size_t entry_writes = 0;      // total TCAM entry writes across applied epochs
-  size_t moves = 0;             // relocation subset: what the DAG schedule costs
-  size_t quarantines = 0;       // silent-round escalations that benched the switch
-  size_t readmissions = 0;      // quarantined sessions brought back via resync
-  size_t probe_sends = 0;       // liveness probes sent while quarantined
-  size_t blackout_drops = 0;    // frames that arrived while the agent was dark
-  size_t readmit_failures = 0;  // warm-boot catch-up verifications that failed
-  size_t rejoin_audit_violations = 0;  // structural audits failed on rejoin
-  FaultyWire::Counters wire;    // raw wire-level fault counters
-  double makespan_ms = 0.0;     // virtual time until every epoch was committed
-  bool completed = false;       // log drained before the virtual deadline
-  bool converged = false;       // final TCAM == expected rules, layout valid
-  bool quarantined_end = false;  // still quarantined when the run ended
+/// Every counter a session accumulates, declared once. Each entry is
+/// X(name); SessionTotals expands the list into its fields, its sum and its
+/// equality, so a new counter is a one-line change here.
+#define RULETRIS_SESSION_COUNTERS(X)                                              \
+  X(data_frames_sent)        /* first sends + retransmits + resync replays */     \
+  X(retransmits)             /* timeout-driven re-sends */                        \
+  X(resync_replays)          /* frames re-sent on the resync path */              \
+  X(resyncs)                 /* resync requests received */                       \
+  X(stale_resyncs)           /* resyncs anchored below base_ (racing restarts) */ \
+  X(restarts)                /* agent restarts */                                 \
+  X(timeouts)                /* retry timer firings that found unacked epochs */  \
+  X(duplicates)              /* frames the agent discarded as already applied */  \
+  X(acks)                    /* ack frames received */                            \
+  X(nacks)                   /* corrupted data frames the agent NACKed */         \
+  X(nack_retransmits)        /* re-sends triggered by NACKs */                    \
+  X(crashes)                 /* firmware crashes mid-transaction */               \
+  X(roll_forwards)           /* recoveries that committed a sealed txn */         \
+  X(recovered_writes)        /* TCAM writes spent undoing torn chains */          \
+  X(apply_failures)          /* firmware rejections (should be 0) */              \
+  X(table_full)              /* updates rejected with ApplyStatus::kTableFull */  \
+  X(rolled_back)             /* updates undone with ApplyStatus::kRolledBack */   \
+  X(entry_writes)            /* TCAM entry writes across applied epochs */        \
+  X(moves)                   /* relocation subset: what the DAG schedule costs */ \
+  X(quarantines)             /* silent-round escalations that benched the switch */\
+  X(readmissions)            /* quarantined sessions brought back via resync */   \
+  X(probe_sends)             /* liveness probes sent while quarantined */         \
+  X(blackout_drops)          /* frames that arrived while the agent was dark */   \
+  X(readmit_failures)        /* warm-boot catch-up verifications that failed */   \
+  X(rejoin_audit_violations) /* structural audits failed on rejoin */
 
-  // Latency decomposition, one Histogram per session: lock-free on the hot
-  // path, merged by the controller at report time.
+/// The summable part of a session's outcome: the counters above plus the
+/// latency decomposition, one Histogram each. Sessions fill them without
+/// synchronization; the controller sums them at report time.
+struct SessionTotals {
+#define RULETRIS_DECLARE_COUNTER(name) size_t name = 0;
+  RULETRIS_SESSION_COUNTERS(RULETRIS_DECLARE_COUNTER)
+#undef RULETRIS_DECLARE_COUNTER
+
   util::Histogram ack_ms;       // first send of an epoch -> ack committing it
   util::Histogram channel_ms;   // per delivered data frame: send -> arrival
   util::Histogram firmware_ms;  // wall clock (diagnostic, not deterministic)
   util::Histogram tcam_ms;      // modelled entry writes x 0.6 ms
   util::Histogram rejoin_ms;    // quarantine entry -> re-admission (virtual)
+
+  /// Sums every counter and merges every histogram.
+  SessionTotals& operator+=(const SessionTotals& other);
+
+  /// Every counter and every virtual-time histogram equal: all but the
+  /// wall-clock firmware_ms, so this is what must hold across thread counts.
+  bool same_virtual(const SessionTotals& other) const;
+};
+
+struct SessionStats : SessionTotals {
+  size_t epochs = 0;
+  FaultyWire::Counters wire;     // raw wire-level fault counters
+  double makespan_ms = 0.0;      // virtual time until every epoch was committed
+  bool completed = false;        // log drained before the virtual deadline
+  bool converged = false;        // final TCAM == expected rules, layout valid
+  bool quarantined_end = false;  // still quarantined when the run ended
 };
 
 class SwitchSession {
@@ -157,9 +176,9 @@ class SwitchSession {
   SessionStats run(const std::vector<flowspace::Rule>& expected);
 
   // ---- Stepped (fleet-gated) driving -----------------------------------
-  // The netplan FleetController paces N sessions through barrier-fenced
-  // rounds: raise the send gate to round e, pump each session until e is
-  // committed, then park every clock at the slowest peer's commit time.
+  // Controller::run_rounds paces N sessions through barrier-fenced rounds:
+  // raise the send gate to round e, pump each session until e is committed,
+  // then park every clock at the slowest peer's commit time.
   // run() above is exactly start() + pump-everything + finalize().
 
   /// Arms timers/restarts and opens the initial window (bounded by the send
@@ -171,8 +190,8 @@ class SwitchSession {
   void set_send_limit(uint64_t max_epoch);
 
   /// Pumps the event loop until epoch `epoch` is committed (cumulatively
-  /// acked). Returns false if the session stalled or hit its deadline
-  /// first. Epochs beyond the send gate never commit — gate first.
+  /// acked). Returns whether it is: false if the session stalled or hit its
+  /// deadline first. Epochs beyond the send gate never commit — gate first.
   bool run_until_committed(uint64_t epoch);
 
   /// Parks the session's virtual clock at `t` (a fleet round barrier).

@@ -858,9 +858,6 @@ FleetReport ShardedController::run() {
   report.shard_kills = fleet.shard_kills.load(std::memory_order_relaxed);
   report.kills_escaped = fleet.kills_escaped.load(std::memory_order_relaxed);
   report.runtime = merge_session_stats(std::move(stats));
-  report.quarantines = report.runtime.quarantines;
-  report.readmissions = report.runtime.readmissions;
-  report.rejoin_ms = report.runtime.rejoin_ms;
   // Quarantined switches are excluded from the fleet makespan (their rejoin
   // latencies are reported on their own); with every switch quarantined the
   // full merged makespan is all that is left.

@@ -174,12 +174,9 @@ struct FleetReport {
   bool failover_ok = true;    // every adoption: blob chain verified and the
                               // rebuilt engine matched the replayed image
   size_t failover_epochs = 0; // epochs re-stepped during adoptions
-  size_t quarantines = 0;     // sessions benched after silent escalation
-  size_t readmissions = 0;    // quarantined switches brought back
   size_t active_switches = 0; // never-quarantined sessions (makespan basis)
   size_t active_rule_ops = 0; // their compiled rule ops (throughput basis)
   util::Histogram failover_ms;  // shard kill -> adoption complete (virtual)
-  util::Histogram rejoin_ms;    // quarantine entry -> re-admission (virtual)
 
   /// Order-independent digest of every switch's final TCAM layout alone
   /// (no counters): the value chaos runs compare against clean runs — the
@@ -191,7 +188,7 @@ struct FleetReport {
   /// switch's commit time (on a clean run that is every switch).
   double updates_per_s() const {
     if (makespan_ms <= 0.0) return 0.0;
-    const size_t ops = quarantines > 0 ? active_rule_ops : rule_ops;
+    const size_t ops = runtime.quarantines > 0 ? active_rule_ops : rule_ops;
     return static_cast<double>(ops) / (makespan_ms / 1000.0);
   }
 };

@@ -57,7 +57,7 @@ TEST(ChaosSoakTest, RecoversBitIdenticalToCleanRunAcrossThreadCounts) {
   ASSERT_TRUE(clean.runtime.all_converged);
   ASSERT_TRUE(clean.replay_ok);
   EXPECT_EQ(clean.shard_kills, 0u);
-  EXPECT_EQ(clean.quarantines, 0u);
+  EXPECT_EQ(clean.runtime.quarantines, 0u);
   EXPECT_EQ(clean.active_switches, 6u);
 
   spec.chaos = chaos_schedule();
@@ -70,7 +70,7 @@ TEST(ChaosSoakTest, RecoversBitIdenticalToCleanRunAcrossThreadCounts) {
   EXPECT_GT(chaos.shard_kills, 0u) << "kill times after the compile finished";
   EXPECT_GT(chaos.failovers, 0u);
   EXPECT_GT(chaos.failover_epochs, 0u);
-  EXPECT_GT(chaos.quarantines, 0u) << "no session ever quarantined";
+  EXPECT_GT(chaos.runtime.quarantines, 0u) << "no session ever quarantined";
   EXPECT_GT(chaos.runtime.blackout_drops, 0u);
   EXPECT_GT(chaos.runtime.probe_sends, 0u);
   EXPECT_GT(chaos.runtime.crashes, 0u);
@@ -81,9 +81,9 @@ TEST(ChaosSoakTest, RecoversBitIdenticalToCleanRunAcrossThreadCounts) {
   EXPECT_TRUE(chaos.replay_ok);
   EXPECT_EQ(chaos.runtime.readmit_failures, 0u);
   EXPECT_EQ(chaos.runtime.rejoin_audit_violations, 0u);
-  EXPECT_EQ(chaos.readmissions, chaos.quarantines)
+  EXPECT_EQ(chaos.runtime.readmissions, chaos.runtime.quarantines)
       << "a quarantined switch never made it back";
-  EXPECT_GT(chaos.rejoin_ms.count(), 0u);
+  EXPECT_GT(chaos.runtime.rejoin_ms.count(), 0u);
 
   // The recovery guarantee: final TCAM layouts and the full delta-hash
   // chains are bit-identical to the never-failed run's.
@@ -109,8 +109,8 @@ TEST(ChaosSoakTest, RecoversBitIdenticalToCleanRunAcrossThreadCounts) {
     EXPECT_EQ(rep.shard_kills, chaos.shard_kills);
     EXPECT_EQ(rep.failovers, chaos.failovers);
     EXPECT_EQ(rep.failover_epochs, chaos.failover_epochs);
-    EXPECT_EQ(rep.quarantines, chaos.quarantines);
-    EXPECT_EQ(rep.readmissions, chaos.readmissions);
+    EXPECT_EQ(rep.runtime.quarantines, chaos.runtime.quarantines);
+    EXPECT_EQ(rep.runtime.readmissions, chaos.runtime.readmissions);
     EXPECT_DOUBLE_EQ(rep.makespan_ms, chaos.makespan_ms);
     EXPECT_DOUBLE_EQ(rep.compile_vt_ms, chaos.compile_vt_ms);
     EXPECT_TRUE(rep.runtime.all_converged);
@@ -226,7 +226,7 @@ TEST(DeadlineMissTest, UnreachableSwitchFinalizesIncompleteInsteadOfHanging) {
   EXPECT_TRUE(rep.runtime.sessions[0].completed);
   EXPECT_TRUE(rep.runtime.sessions[2].completed);
   EXPECT_GT(rep.runtime.sessions[1].blackout_drops, 0u);
-  EXPECT_EQ(rep.quarantines, 0u);
+  EXPECT_EQ(rep.runtime.quarantines, 0u);
   // No quarantine -> the dead switch stays in the makespan basis, pinned
   // at its deadline.
   EXPECT_GE(rep.runtime.makespan_ms, spec.knobs.deadline_ms);

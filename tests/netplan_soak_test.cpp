@@ -11,12 +11,12 @@
 
 #include "flowspace/rule.h"
 #include "netplan/auditor.h"
-#include "netplan/fleet.h"
 #include "netplan/materialize.h"
 #include "netplan/planner.h"
 #include "netplan/policy.h"
 #include "netplan/topology.h"
 #include "runtime/config.h"
+#include "runtime/controller.h"
 #include "util/rng.h"
 
 namespace ruletris {
@@ -30,7 +30,6 @@ using flowspace::Rule;
 using flowspace::TernaryMatch;
 using netplan::AuditConfig;
 using netplan::ConsistencyAuditor;
-using netplan::LookupFn;
 using netplan::MutationSpec;
 using netplan::NetworkPolicy;
 using netplan::Strategy;
@@ -86,41 +85,41 @@ void soak_one(uint64_t seed, Strategy strategy, SoakTotals& totals) {
       netplan::plan_update(topo, oldp, newp, {strategy, 0});
   ASSERT_GT(plan.rounds.size(), 0u);
 
-  netplan::FleetConfig fc;
-  fc.runtime.knobs.faults = FaultSpec::crashy();
+  runtime::RuntimeConfig rc;
+  rc.knobs.faults = FaultSpec::crashy();
   // The default crash rate is tuned for thousand-epoch logs; a short
   // planner schedule needs a harsher mix to actually crash mid-round.
-  fc.runtime.knobs.faults.crash_p = 0.05;
-  fc.runtime.knobs.faults.restart_every_ms = 60.0;
-  fc.runtime.fault_seed = seed;
-  fc.runtime.n_threads = 2;
-  fc.runtime.tcam_capacity = plan.peak_switch_rules + 16;
-  netplan::FleetController fleet(netplan::materialize(topo, plan), fc);
+  rc.knobs.faults.crash_p = 0.05;
+  rc.knobs.faults.restart_every_ms = 60.0;
+  rc.fault_seed = seed;
+  rc.n_threads = 2;
+  rc.tcam_capacity = plan.peak_switch_rules + 16;
 
   AuditConfig acfg;
   acfg.seed = seed ^ 0xa0d17;
   const ConsistencyAuditor auditor(
       topo, oldp, newp, netplan::tables_from(plan.initial),
       netplan::tables_from(plan.final_tables), acfg);
-  const LookupFn live = fleet.lookup();
 
   size_t mixed = 0;
-  const netplan::FleetReport report = fleet.run([&](size_t epoch, double) {
-    const auto audit = auditor.audit(live);
-    mixed += audit.mixed;
-    ++totals.audits;
-    if (audit.mixed > 0 && !audit.violations.empty()) {
-      ADD_FAILURE() << "epoch " << epoch << ": " << audit.violations.front();
-    }
-  });
+  const runtime::RuntimeReport report = runtime::Controller(rc).run_rounds(
+      netplan::to_workloads(netplan::materialize(topo, plan)),
+      [&](size_t epoch, double, auto agents) {
+        const auto audit = auditor.audit(netplan::live_lookup(agents));
+        mixed += audit.mixed;
+        ++totals.audits;
+        if (audit.mixed > 0 && !audit.violations.empty()) {
+          ADD_FAILURE() << "epoch " << epoch << ": " << audit.violations.front();
+        }
+      });
 
-  EXPECT_TRUE(report.completed);
-  EXPECT_TRUE(report.merged.all_converged);
-  EXPECT_EQ(report.merged.apply_failures, 0u);
+  EXPECT_TRUE(report.all_completed);
+  EXPECT_TRUE(report.all_converged);
+  EXPECT_EQ(report.apply_failures, 0u);
   EXPECT_EQ(mixed, 0u);
-  totals.crashes += report.merged.crashes;
-  totals.restarts += report.merged.restarts;
-  for (const auto& s : report.merged.sessions) {
+  totals.crashes += report.crashes;
+  totals.restarts += report.restarts;
+  for (const auto& s : report.sessions) {
     totals.dropped += s.wire.dropped;
     totals.corrupted += s.wire.corrupted;
   }

@@ -17,7 +17,6 @@
 #include "flowspace/action.h"
 #include "flowspace/rule.h"
 #include "netplan/auditor.h"
-#include "netplan/fleet.h"
 #include "netplan/materialize.h"
 #include "netplan/planner.h"
 #include "netplan/policy.h"
@@ -27,6 +26,8 @@
 #include "runtime/controller.h"
 #include "runtime/workload.h"
 #include "util/rng.h"
+
+#include "test_util.h"
 
 namespace ruletris {
 namespace {
@@ -66,6 +67,7 @@ using runtime::RuntimeConfig;
 using runtime::RuntimeReport;
 using runtime::SessionStats;
 using runtime::SwitchWorkload;
+using testutil::expect_reports_identical;
 
 // ---- Topology -----------------------------------------------------------
 
@@ -528,38 +530,39 @@ TEST(Fleet, RoundsRideTheFaultyRuntimeAndStayConsistent) {
       netplan::plan_update(topo, oldp, newp, {Strategy::kAuto, 0});
   ASSERT_GT(plan.rounds.size(), 0u);
 
-  netplan::FleetConfig fc;
-  fc.runtime.knobs.faults = FaultSpec::chaos();
-  fc.runtime.fault_seed = 11;
-  fc.runtime.n_threads = 1;
-  fc.runtime.tcam_capacity = plan.peak_switch_rules + 16;
-  netplan::FleetController fleet(netplan::materialize(topo, plan), fc);
-  EXPECT_EQ(fleet.epochs(), 1 + plan.rounds.size());
+  RuntimeConfig rc;
+  rc.knobs.faults = FaultSpec::chaos();
+  rc.fault_seed = 11;
+  rc.n_threads = 1;
+  rc.tcam_capacity = plan.peak_switch_rules + 16;
+  const std::vector<SwitchWorkload> fleet =
+      netplan::to_workloads(netplan::materialize(topo, plan));
+  EXPECT_EQ(fleet.front().log->size(), 1 + plan.rounds.size());
 
   AuditConfig acfg;
   acfg.seed = 17;
   const ConsistencyAuditor auditor(
       topo, oldp, newp, netplan::tables_from(plan.initial),
       netplan::tables_from(plan.final_tables), acfg);
-  const LookupFn live = fleet.lookup();
-  size_t mixed = 0, audits = 0;
-  const netplan::FleetReport report = fleet.run([&](size_t, double) {
-    mixed += auditor.audit(live).mixed;
-    ++audits;
-  });
+  size_t mixed = 0;
+  std::vector<double> barriers;
+  const RuntimeReport report = Controller(rc).run_rounds(
+      fleet, [&](size_t epoch, double barrier_ms, auto agents) {
+        EXPECT_EQ(epoch, barriers.size() + 1);
+        EXPECT_EQ(agents.size(), fleet.size());
+        mixed += auditor.audit(netplan::live_lookup(agents)).mixed;
+        barriers.push_back(barrier_ms);
+      });
 
-  EXPECT_TRUE(report.completed);
-  EXPECT_TRUE(report.merged.all_converged);
+  EXPECT_TRUE(report.all_completed);
+  EXPECT_TRUE(report.all_converged);
   EXPECT_EQ(mixed, 0u);
-  EXPECT_EQ(audits, 1 + plan.rounds.size());
-  EXPECT_EQ(report.rounds, plan.rounds.size());
-  ASSERT_EQ(report.round_end_ms.size(), fleet.epochs());
-  EXPECT_TRUE(std::is_sorted(report.round_end_ms.begin(),
-                             report.round_end_ms.end()));
-  EXPECT_GT(report.makespan_ms(), 0.0);
+  EXPECT_EQ(barriers.size(), 1 + plan.rounds.size());
+  EXPECT_TRUE(std::is_sorted(barriers.begin(), barriers.end()));
+  EXPECT_GT(report.makespan_ms, 0.0);
   // The chaotic wire actually fired.
   size_t dropped = 0;
-  for (const SessionStats& st : report.merged.sessions) dropped += st.wire.dropped;
+  for (const SessionStats& st : report.sessions) dropped += st.wire.dropped;
   EXPECT_GT(dropped, 0u);
 }
 
@@ -573,25 +576,60 @@ TEST(Fleet, ReportIsDeterministicAcrossThreadCounts) {
   const NetworkPolicy newp = netplan::mutate_policy(topo, oldp, mut);
   const UpdatePlan plan =
       netplan::plan_update(topo, oldp, newp, {Strategy::kTwoPhase, 0});
+  const std::vector<SwitchWorkload> fleet =
+      netplan::to_workloads(netplan::materialize(topo, plan));
 
-  auto run_with = [&](size_t threads) {
-    netplan::FleetConfig fc;
-    fc.runtime.knobs.faults = FaultSpec::chaos();
-    fc.runtime.fault_seed = 23;
-    fc.runtime.n_threads = threads;
-    fc.runtime.tcam_capacity = plan.peak_switch_rules + 16;
-    netplan::FleetController fleet(netplan::materialize(topo, plan), fc);
-    return fleet.run();
+  auto run_with = [&](size_t threads, std::vector<double>& barriers) {
+    RuntimeConfig rc;
+    rc.knobs.faults = FaultSpec::chaos();
+    rc.fault_seed = 23;
+    rc.n_threads = threads;
+    rc.tcam_capacity = plan.peak_switch_rules + 16;
+    return Controller(rc).run_rounds(
+        fleet, [&](size_t, double barrier_ms, auto) {
+          barriers.push_back(barrier_ms);
+        });
   };
-  const netplan::FleetReport serial = run_with(1);
-  const netplan::FleetReport threaded = run_with(4);
-  EXPECT_TRUE(serial.merged.all_converged);
-  EXPECT_EQ(serial.merged.makespan_ms, threaded.merged.makespan_ms);
-  EXPECT_EQ(serial.merged.data_frames_sent, threaded.merged.data_frames_sent);
-  EXPECT_EQ(serial.merged.retransmits, threaded.merged.retransmits);
-  EXPECT_EQ(serial.merged.entry_writes, threaded.merged.entry_writes);
-  EXPECT_EQ(serial.round_end_ms, threaded.round_end_ms);
-  EXPECT_TRUE(serial.merged.ack_ms == threaded.merged.ack_ms);
+  std::vector<double> serial_barriers, threaded_barriers;
+  const RuntimeReport serial = run_with(1, serial_barriers);
+  const RuntimeReport threaded = run_with(4, threaded_barriers);
+  EXPECT_TRUE(serial.all_converged);
+  EXPECT_EQ(serial_barriers.size(), 1 + plan.rounds.size());
+  EXPECT_EQ(serial_barriers, threaded_barriers);
+  expect_reports_identical(serial, threaded);
+}
+
+TEST(Fleet, DeadlineCutsTheRunShortAndReportsIncomplete) {
+  const Topology topo = Topology::chain(5);
+  const NetworkPolicy oldp =
+      netplan::policy_from_rules(topo, synthetic_rules(10, 6), 6);
+  MutationSpec mut;
+  mut.reroute_fraction = 0.5;
+  mut.seed = 6;
+  const NetworkPolicy newp = netplan::mutate_policy(topo, oldp, mut);
+  const UpdatePlan plan =
+      netplan::plan_update(topo, oldp, newp, {Strategy::kTwoPhase, 0});
+  const std::vector<SwitchWorkload> fleet =
+      netplan::to_workloads(netplan::materialize(topo, plan));
+  const size_t epochs = fleet.front().log->size();
+
+  for (size_t threads : {1ul, 4ul}) {
+    RuntimeConfig rc;
+    rc.knobs.faults = FaultSpec::chaos();
+    // The install and first round fit in 50 virtual ms; the rest of the
+    // plan does not.
+    rc.knobs.deadline_ms = 50.0;
+    rc.fault_seed = 23;
+    rc.n_threads = threads;
+    rc.tcam_capacity = plan.peak_switch_rules + 16;
+    size_t rounds_observed = 0;
+    const RuntimeReport report = Controller(rc).run_rounds(
+        fleet, [&](size_t, double, auto) { ++rounds_observed; });
+    EXPECT_FALSE(report.all_completed) << threads << " threads";
+    EXPECT_FALSE(report.all_converged) << threads << " threads";
+    EXPECT_GT(rounds_observed, 0u) << threads << " threads";
+    EXPECT_LT(rounds_observed, epochs) << threads << " threads";
+  }
 }
 
 // ---- Controller refactor regression -------------------------------------
@@ -608,57 +646,6 @@ CompiledWorkload small_workload(size_t updates, uint64_t seed) {
   churn.updates = updates;
   churn.seed = seed;
   return compile_churn_workload(spec, tables, churn);
-}
-
-/// Everything in a report that must be bit-identical between the legacy
-/// shared-log path and the per-switch-log fleet path when every switch
-/// replays the same log. firmware_ms is wall clock and excluded.
-void expect_reports_identical(const RuntimeReport& a, const RuntimeReport& b) {
-  ASSERT_EQ(a.sessions.size(), b.sessions.size());
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.epochs_applied(), b.epochs_applied());
-  EXPECT_EQ(a.data_frames_sent, b.data_frames_sent);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.resync_replays, b.resync_replays);
-  EXPECT_EQ(a.resyncs, b.resyncs);
-  EXPECT_EQ(a.stale_resyncs, b.stale_resyncs);
-  EXPECT_EQ(a.restarts, b.restarts);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.duplicates, b.duplicates);
-  EXPECT_EQ(a.nacks, b.nacks);
-  EXPECT_EQ(a.nack_retransmits, b.nack_retransmits);
-  EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.roll_forwards, b.roll_forwards);
-  EXPECT_EQ(a.recovered_writes, b.recovered_writes);
-  EXPECT_EQ(a.apply_failures, b.apply_failures);
-  EXPECT_EQ(a.table_full, b.table_full);
-  EXPECT_EQ(a.rolled_back, b.rolled_back);
-  EXPECT_EQ(a.entry_writes, b.entry_writes);
-  EXPECT_EQ(a.moves, b.moves);
-  EXPECT_EQ(a.makespan_ms, b.makespan_ms);  // exact: virtual time
-  EXPECT_EQ(a.all_converged, b.all_converged);
-  EXPECT_EQ(a.updates_per_s(), b.updates_per_s());
-  EXPECT_EQ(a.entry_writes_per_epoch(), b.entry_writes_per_epoch());
-  EXPECT_TRUE(a.ack_ms == b.ack_ms);
-  EXPECT_TRUE(a.channel_ms == b.channel_ms);
-  EXPECT_TRUE(a.tcam_ms == b.tcam_ms);
-  for (size_t i = 0; i < a.sessions.size(); ++i) {
-    const SessionStats& x = a.sessions[i];
-    const SessionStats& y = b.sessions[i];
-    EXPECT_EQ(x.epochs, y.epochs) << "session " << i;
-    EXPECT_EQ(x.data_frames_sent, y.data_frames_sent) << "session " << i;
-    EXPECT_EQ(x.retransmits, y.retransmits) << "session " << i;
-    EXPECT_EQ(x.resyncs, y.resyncs) << "session " << i;
-    EXPECT_EQ(x.restarts, y.restarts) << "session " << i;
-    EXPECT_EQ(x.acks, y.acks) << "session " << i;
-    EXPECT_TRUE(x.wire == y.wire) << "session " << i;
-    EXPECT_EQ(x.makespan_ms, y.makespan_ms) << "session " << i;
-    EXPECT_EQ(x.completed, y.completed) << "session " << i;
-    EXPECT_EQ(x.converged, y.converged) << "session " << i;
-    EXPECT_TRUE(x.ack_ms == y.ack_ms) << "session " << i;
-    EXPECT_TRUE(x.channel_ms == y.channel_ms) << "session " << i;
-    EXPECT_TRUE(x.tcam_ms == y.tcam_ms) << "session " << i;
-  }
 }
 
 TEST(Controller, FleetPathIsBitIdenticalToSharedLogPath) {
@@ -705,6 +692,16 @@ TEST(Controller, FleetWithHeterogeneousLogs) {
   EXPECT_EQ(report.sessions[0].epochs, w1.epochs.size());
   EXPECT_EQ(report.sessions[1].epochs, w2.epochs.size());
   EXPECT_EQ(report.epochs_applied(), w1.epochs.size() + w2.epochs.size());
+}
+
+TEST(Fleet, ScriptsOfDifferentLengthAreRejected) {
+  const CompiledWorkload w1 = small_workload(3, 1);
+  const CompiledWorkload w2 = small_workload(5, 2);
+  std::vector<SwitchWorkload> fleet;
+  fleet.push_back({runtime::encode_log(w1.epochs), w1.final_rules});
+  fleet.push_back({runtime::encode_log(w2.epochs), w2.final_rules});
+  EXPECT_THROW(Controller(RuntimeConfig{}).run_rounds(fleet),
+               std::invalid_argument);
 }
 
 }  // namespace

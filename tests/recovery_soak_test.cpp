@@ -44,6 +44,7 @@ using runtime::Controller;
 using runtime::FaultSpec;
 using runtime::RuntimeConfig;
 using runtime::RuntimeReport;
+using testutil::expect_reports_identical;
 using switchsim::FirmwareMode;
 using switchsim::SimulatedSwitch;
 using tcam::ApplyJournal;
@@ -158,33 +159,6 @@ RuntimeReport run_crashy(const CompiledWorkload& wl, uint64_t fault_seed,
   return controller.run(wl.epochs, wl.final_rules);
 }
 
-void expect_identical(const RuntimeReport& a, const RuntimeReport& b) {
-  ASSERT_EQ(a.sessions.size(), b.sessions.size());
-  EXPECT_EQ(a.data_frames_sent, b.data_frames_sent);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.resync_replays, b.resync_replays);
-  EXPECT_EQ(a.resyncs, b.resyncs);
-  EXPECT_EQ(a.stale_resyncs, b.stale_resyncs);
-  EXPECT_EQ(a.restarts, b.restarts);
-  EXPECT_EQ(a.nacks, b.nacks);
-  EXPECT_EQ(a.nack_retransmits, b.nack_retransmits);
-  EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.roll_forwards, b.roll_forwards);
-  EXPECT_EQ(a.recovered_writes, b.recovered_writes);
-  EXPECT_EQ(a.duplicates, b.duplicates);
-  EXPECT_EQ(a.makespan_ms, b.makespan_ms);
-  EXPECT_TRUE(a.ack_ms == b.ack_ms);
-  EXPECT_TRUE(a.channel_ms == b.channel_ms);
-  EXPECT_TRUE(a.tcam_ms == b.tcam_ms);
-  for (size_t i = 0; i < a.sessions.size(); ++i) {
-    EXPECT_TRUE(a.sessions[i].wire == b.sessions[i].wire) << "session " << i;
-    EXPECT_EQ(a.sessions[i].crashes, b.sessions[i].crashes) << "session " << i;
-    EXPECT_EQ(a.sessions[i].nacks, b.sessions[i].nacks) << "session " << i;
-    EXPECT_EQ(a.sessions[i].makespan_ms, b.sessions[i].makespan_ms)
-        << "session " << i;
-  }
-}
-
 TEST(RecoverySoak, CrashyFleetConvergesAndIsBitIdenticalAcrossThreads) {
   const CompiledWorkload wl = small_churn(31, 40);
   const RuntimeReport serial = run_crashy(wl, 11, 1);
@@ -199,9 +173,9 @@ TEST(RecoverySoak, CrashyFleetConvergesAndIsBitIdenticalAcrossThreads) {
   EXPECT_GT(serial.recovered_writes + serial.roll_forwards, 0u);
 
   for (size_t threads : {2ul, 6ul}) {
-    expect_identical(serial, run_crashy(wl, 11, threads));
+    expect_reports_identical(serial, run_crashy(wl, 11, threads));
   }
-  expect_identical(serial, run_crashy(wl, 11, 6));  // fresh run, same threads
+  expect_reports_identical(serial, run_crashy(wl, 11, 6));  // fresh run, same threads
 }
 
 }  // namespace

@@ -19,6 +19,8 @@
 #include "runtime/workload.h"
 #include "util/rng.h"
 
+#include "test_util.h"
+
 namespace ruletris {
 namespace {
 
@@ -32,6 +34,7 @@ using runtime::FaultSpec;
 using runtime::RuntimeConfig;
 using runtime::RuntimeReport;
 using runtime::SessionStats;
+using testutil::expect_reports_identical;
 
 CompiledWorkload soak_workload(uint64_t seed) {
   util::Rng rng(seed);
@@ -57,29 +60,6 @@ RuntimeReport run_soak(const CompiledWorkload& wl, uint64_t fault_seed,
   cfg.fault_seed = fault_seed;
   Controller controller(cfg);
   return controller.run(wl.epochs, wl.final_rules);
-}
-
-void expect_identical(const RuntimeReport& a, const RuntimeReport& b) {
-  ASSERT_EQ(a.sessions.size(), b.sessions.size());
-  EXPECT_EQ(a.data_frames_sent, b.data_frames_sent);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.resync_replays, b.resync_replays);
-  EXPECT_EQ(a.resyncs, b.resyncs);
-  EXPECT_EQ(a.restarts, b.restarts);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.duplicates, b.duplicates);
-  EXPECT_EQ(a.makespan_ms, b.makespan_ms);
-  EXPECT_TRUE(a.ack_ms == b.ack_ms);
-  EXPECT_TRUE(a.channel_ms == b.channel_ms);
-  EXPECT_TRUE(a.tcam_ms == b.tcam_ms);
-  // firmware_ms is wall clock — diagnostic only, explicitly not compared.
-  for (size_t i = 0; i < a.sessions.size(); ++i) {
-    EXPECT_TRUE(a.sessions[i].wire == b.sessions[i].wire) << "session " << i;
-    EXPECT_EQ(a.sessions[i].makespan_ms, b.sessions[i].makespan_ms)
-        << "session " << i;
-    EXPECT_TRUE(a.sessions[i].ack_ms == b.sessions[i].ack_ms)
-        << "session " << i;
-  }
 }
 
 TEST(RuntimeSoak, EightSwitchChaosConvergesAtFixedSeeds) {
@@ -111,10 +91,10 @@ TEST(RuntimeSoak, ReportBitIdenticalAcrossRunsAndThreadCounts) {
 
   for (size_t threads : {2ul, 8ul}) {
     const RuntimeReport threaded = run_soak(wl, 3, threads);
-    expect_identical(serial, threaded);
+    expect_reports_identical(serial, threaded);
   }
   // Same thread count, fresh run: still bit-identical.
-  expect_identical(serial, run_soak(wl, 3, 8));
+  expect_reports_identical(serial, run_soak(wl, 3, 8));
 }
 
 TEST(RuntimeSoak, AgentRestartsTriggerResyncAndStillConverge) {

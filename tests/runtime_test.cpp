@@ -24,6 +24,8 @@
 #include "util/logging.h"
 #include "util/rng.h"
 
+#include "test_util.h"
+
 namespace ruletris {
 namespace {
 
@@ -49,6 +51,8 @@ using runtime::SessionConfig;
 using runtime::SessionStats;
 using runtime::SwitchAgent;
 using runtime::SwitchSession;
+using runtime::SwitchWorkload;
+using testutil::expect_reports_identical;
 
 TEST(EventQueue, RunsEventsInDueThenFifoOrder) {
   EventQueue q;
@@ -275,48 +279,6 @@ TEST(SwitchSession, EmptyEpochLogFinishesImmediately) {
   EXPECT_EQ(stats.data_frames_sent, 0u);
 }
 
-/// Everything in a report that must be bit-identical across thread counts.
-/// firmware_ms is wall clock and explicitly excluded.
-void expect_reports_identical(const RuntimeReport& a, const RuntimeReport& b) {
-  ASSERT_EQ(a.sessions.size(), b.sessions.size());
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.data_frames_sent, b.data_frames_sent);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.resync_replays, b.resync_replays);
-  EXPECT_EQ(a.resyncs, b.resyncs);
-  EXPECT_EQ(a.restarts, b.restarts);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.duplicates, b.duplicates);
-  EXPECT_EQ(a.stale_resyncs, b.stale_resyncs);
-  EXPECT_EQ(a.nacks, b.nacks);
-  EXPECT_EQ(a.nack_retransmits, b.nack_retransmits);
-  EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.roll_forwards, b.roll_forwards);
-  EXPECT_EQ(a.recovered_writes, b.recovered_writes);
-  EXPECT_EQ(a.apply_failures, b.apply_failures);
-  EXPECT_EQ(a.table_full, b.table_full);
-  EXPECT_EQ(a.rolled_back, b.rolled_back);
-  EXPECT_EQ(a.makespan_ms, b.makespan_ms);  // exact: virtual time
-  EXPECT_EQ(a.all_converged, b.all_converged);
-  EXPECT_TRUE(a.ack_ms == b.ack_ms);
-  EXPECT_TRUE(a.channel_ms == b.channel_ms);
-  EXPECT_TRUE(a.tcam_ms == b.tcam_ms);
-  for (size_t i = 0; i < a.sessions.size(); ++i) {
-    const SessionStats& x = a.sessions[i];
-    const SessionStats& y = b.sessions[i];
-    EXPECT_EQ(x.data_frames_sent, y.data_frames_sent) << "session " << i;
-    EXPECT_EQ(x.retransmits, y.retransmits) << "session " << i;
-    EXPECT_EQ(x.resyncs, y.resyncs) << "session " << i;
-    EXPECT_EQ(x.restarts, y.restarts) << "session " << i;
-    EXPECT_EQ(x.acks, y.acks) << "session " << i;
-    EXPECT_TRUE(x.wire == y.wire) << "session " << i;
-    EXPECT_EQ(x.makespan_ms, y.makespan_ms) << "session " << i;
-    EXPECT_TRUE(x.ack_ms == y.ack_ms) << "session " << i;
-    EXPECT_TRUE(x.channel_ms == y.channel_ms) << "session " << i;
-    EXPECT_TRUE(x.tcam_ms == y.tcam_ms) << "session " << i;
-  }
-}
-
 TEST(Controller, FanOutConvergesAndIsDeterministicAcrossThreadCounts) {
   const CompiledWorkload wl = small_workload(30, 21);
 
@@ -342,6 +304,23 @@ TEST(Controller, FanOutConvergesAndIsDeterministicAcrossThreadCounts) {
 
   const RuntimeReport again = run_with_threads(4);
   expect_reports_identical(serial, again);
+}
+
+TEST(Controller, ThrowingSessionIsRethrownInBothModes) {
+  // Epoch 1 installs a rule with the invalid id 0, so the agent's TCAM
+  // write throws inside a session. Free and gated fleets, serial and on a
+  // pool, must surface it as one runtime_error — never terminate.
+  const proto::MessageBatch bad = {proto::FlowModAdd{Rule{}}, proto::Barrier{}};
+  std::vector<SwitchWorkload> fleet(2);
+  for (SwitchWorkload& w : fleet) w.log = runtime::encode_log({bad});
+  for (size_t threads : {1ul, 4ul}) {
+    RuntimeConfig cfg;
+    cfg.n_threads = threads;
+    EXPECT_THROW(Controller(cfg).run_fleet(fleet), std::runtime_error)
+        << threads << " threads";
+    EXPECT_THROW(Controller(cfg).run_rounds(fleet), std::runtime_error)
+        << threads << " threads";
+  }
 }
 
 TEST(SwitchAgent, CorruptFrameIsNackedNeverParsed) {

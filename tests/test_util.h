@@ -1,6 +1,9 @@
 // Shared helpers for the test suites: random flow-space objects, semantic
-// equivalence checks between rule lists, and DAG-respecting linearizations.
+// equivalence checks between rule lists, DAG-respecting linearizations, and
+// the runtime report-equality check.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <unordered_map>
@@ -9,6 +12,7 @@
 #include "dag/dependency_graph.h"
 #include "flowspace/action.h"
 #include "flowspace/rule.h"
+#include "runtime/controller.h"
 #include "util/rng.h"
 
 namespace ruletris::testutil {
@@ -138,6 +142,31 @@ inline std::vector<Rule> random_dag_linearization(const std::vector<Rule>& rules
     }
   }
   return out;  // size < rules.size() would indicate a cycle; callers assert
+}
+
+/// Everything in a runtime report that must be bit-identical across thread
+/// counts, fresh runs and equivalent drivers: every counter and virtual-time
+/// histogram, merged and per session (SessionTotals::same_virtual; the
+/// wall-clock firmware_ms is excluded), plus each session's wire counters,
+/// makespan and outcome.
+inline void expect_reports_identical(const runtime::RuntimeReport& a,
+                                     const runtime::RuntimeReport& b) {
+  ASSERT_EQ(a.sessions.size(), b.sessions.size());
+  EXPECT_TRUE(a.same_virtual(b));
+  EXPECT_EQ(a.epochs, b.epochs);
+  EXPECT_EQ(a.makespan_ms, b.makespan_ms);  // exact: virtual time
+  EXPECT_EQ(a.all_converged, b.all_converged);
+  EXPECT_EQ(a.all_completed, b.all_completed);
+  for (size_t i = 0; i < a.sessions.size(); ++i) {
+    const runtime::SessionStats& x = a.sessions[i];
+    const runtime::SessionStats& y = b.sessions[i];
+    EXPECT_TRUE(x.same_virtual(y)) << "session " << i;
+    EXPECT_EQ(x.epochs, y.epochs) << "session " << i;
+    EXPECT_TRUE(x.wire == y.wire) << "session " << i;
+    EXPECT_EQ(x.makespan_ms, y.makespan_ms) << "session " << i;
+    EXPECT_EQ(x.completed, y.completed) << "session " << i;
+    EXPECT_EQ(x.converged, y.converged) << "session " << i;
+  }
 }
 
 }  // namespace ruletris::testutil

@@ -35,7 +35,6 @@
 #include "compiler/ruletris_compiler.h"
 #include "frozen/frozen.h"
 #include "netplan/auditor.h"
-#include "netplan/fleet.h"
 #include "netplan/materialize.h"
 #include "netplan/planner.h"
 #include "netplan/policy.h"
@@ -449,7 +448,7 @@ int main(int argc, char** argv) {
       const bool recovery_clean =
           report.failover_ok && report.runtime.readmit_failures == 0 &&
           report.runtime.rejoin_audit_violations == 0 &&
-          report.readmissions == report.quarantines;
+          report.runtime.readmissions == report.runtime.quarantines;
 
       std::printf("  %.0f updates/s sustained (%zu rule ops, makespan "
                   "%.1f ms, compile %.1f ms)\n",
@@ -471,7 +470,7 @@ int main(int argc, char** argv) {
                     "(%s), %zu quarantines, %zu re-admissions (%s)\n",
                     report.shard_kills, report.kills_escaped,
                     report.failovers, report.failover_ok ? "ok" : "FAILED",
-                    report.quarantines, report.readmissions,
+                    report.runtime.quarantines, report.runtime.readmissions,
                     recovery_clean ? "clean" : "VIOLATED");
       }
       if (auto* j = bench::json()) {
@@ -502,8 +501,10 @@ int main(int argc, char** argv) {
         j->field("shard_kills", static_cast<double>(report.shard_kills));
         j->field("failovers", static_cast<double>(report.failovers));
         j->field("failover_ok", report.failover_ok ? 1.0 : 0.0);
-        j->field("quarantines", static_cast<double>(report.quarantines));
-        j->field("readmissions", static_cast<double>(report.readmissions));
+        j->field("quarantines",
+                 static_cast<double>(report.runtime.quarantines));
+        j->field("readmissions",
+                 static_cast<double>(report.runtime.readmissions));
         j->field("readmit_failures",
                  static_cast<double>(report.runtime.readmit_failures));
         j->field("rejoin_audit_violations",
@@ -690,41 +691,32 @@ int main(int argc, char** argv) {
 
       // Runtime: lower the plan to per-switch epoch logs and drive the
       // fleet-gated sessions, auditing the live TCAMs at every barrier.
-      const auto scripts = netplan::materialize(topo, plan);
-      netplan::FleetConfig fcfg;
-      fcfg.runtime.knobs.window = opt.window;
+      runtime::RuntimeConfig rcfg;
+      rcfg.knobs.window = opt.window;
       if (opt.fault_seed) {
-        fcfg.runtime.knobs.faults = runtime::FaultSpec::chaos();
-        fcfg.runtime.fault_seed = *opt.fault_seed;
+        rcfg.knobs.faults = runtime::FaultSpec::chaos();
+        rcfg.fault_seed = *opt.fault_seed;
       }
       if (opt.crash_p || opt.corrupt_p) {
-        if (!opt.fault_seed) fcfg.runtime.fault_seed = opt.seed;
-        if (opt.crash_p) fcfg.runtime.knobs.faults.crash_p = *opt.crash_p;
-        if (opt.corrupt_p) fcfg.runtime.knobs.faults.corrupt_p = *opt.corrupt_p;
+        if (!opt.fault_seed) rcfg.fault_seed = opt.seed;
+        if (opt.crash_p) rcfg.knobs.faults.crash_p = *opt.crash_p;
+        if (opt.corrupt_p) rcfg.knobs.faults.corrupt_p = *opt.corrupt_p;
       }
-      fcfg.runtime.n_threads = std::max<size_t>(1, opt.threads);
-      fcfg.runtime.tcam_capacity =
-          opt.capacity.value_or(plan.peak_switch_rules + 32);
+      rcfg.n_threads = std::max<size_t>(1, opt.threads);
+      rcfg.tcam_capacity = opt.capacity.value_or(plan.peak_switch_rules + 32);
 
-      netplan::FleetController fleet(scripts, fcfg);
       size_t live_audits = 0, live_mixed = 0;
-      const netplan::FleetReport freport =
-          fleet.run([&](size_t epoch, double barrier_ms) {
-            (void)epoch;
-            (void)barrier_ms;
-            const auto rep = auditor.audit(fleet.lookup());
-            ++live_audits;
-            live_mixed += rep.mixed;
-            for (const auto& v : rep.violations) {
-              util::log_info("fleet audit: " + v);
-            }
-          });
-
-      size_t crashes = 0, restarts = 0;
-      for (const auto& s : freport.merged.sessions) {
-        crashes += s.crashes;
-        restarts += s.restarts;
-      }
+      const runtime::RuntimeReport freport =
+          runtime::Controller(rcfg).run_rounds(
+              netplan::to_workloads(netplan::materialize(topo, plan)),
+              [&](size_t, double, auto agents) {
+                const auto rep = auditor.audit(netplan::live_lookup(agents));
+                ++live_audits;
+                live_mixed += rep.mixed;
+                for (const auto& v : rep.violations) {
+                  util::log_info("fleet audit: " + v);
+                }
+              });
 
       std::printf("\nnetplan: %s (%zu switches), planner %s\n",
                   opt.topology.c_str(), topo.switch_count(),
@@ -742,9 +734,9 @@ int main(int argc, char** argv) {
                   auditor.probe_count(), sim_audits, sim_mixed);
       std::printf("  fleet     : makespan %.2f ms, %zu crashes, %zu restarts, "
                   "completed %s, converged %s\n",
-                  freport.makespan_ms(), crashes, restarts,
-                  freport.completed ? "yes" : "NO",
-                  freport.merged.all_converged ? "yes" : "NO");
+                  freport.makespan_ms, freport.crashes, freport.restarts,
+                  freport.all_completed ? "yes" : "NO",
+                  freport.all_converged ? "yes" : "NO");
       std::printf("  live audit: %zu boundaries, %zu mixed\n", live_audits,
                   live_mixed);
       const bool consistent = sim_mixed == 0 && live_mixed == 0;
@@ -768,18 +760,18 @@ int main(int argc, char** argv) {
         j->field("final_rules", static_cast<double>(plan.final_rules));
         j->field("peak_rules", static_cast<double>(plan.peak_rules));
         j->field("overhead_pct", plan.overhead_pct());
-        j->field("makespan_ms", freport.makespan_ms());
+        j->field("makespan_ms", freport.makespan_ms);
         j->field("sim_audits", static_cast<double>(sim_audits));
         j->field("sim_violations", static_cast<double>(sim_mixed));
         j->field("live_audits", static_cast<double>(live_audits));
         j->field("live_violations", static_cast<double>(live_mixed));
-        j->field("crashes", static_cast<double>(crashes));
-        j->field("restarts", static_cast<double>(restarts));
-        j->field("completed", freport.completed ? 1.0 : 0.0);
-        j->field("converged", freport.merged.all_converged ? 1.0 : 0.0);
+        j->field("crashes", static_cast<double>(freport.crashes));
+        j->field("restarts", static_cast<double>(freport.restarts));
+        j->field("completed", freport.all_completed ? 1.0 : 0.0);
+        j->field("converged", freport.all_converged ? 1.0 : 0.0);
         bench::write_json();
       }
-      return (consistent && freport.completed && freport.merged.all_converged)
+      return (consistent && freport.all_completed && freport.all_converged)
                  ? 0
                  : 1;
     }
