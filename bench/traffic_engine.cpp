@@ -1,6 +1,6 @@
 // Data-plane traffic engine bench -> BENCH_traffic.json.
 //
-// Three sections, each with a built-in self-check (non-zero exit on
+// Four sections, each with a built-in self-check (non-zero exit on
 // violation, so the --smoke ctest entry gates regressions):
 //
 //   admission — a Zipf flow stream drives the two-level cache under flow
@@ -18,6 +18,12 @@
 //     same packet sample, over growing rule counts, with the mean tuple
 //     probes per lookup. Check: identical winners everywhere; >= 10x
 //     speedup at >= 100k rules (full mode).
+//
+//   tcam — the tuple-indexed Tcam::lookup vs a highest-address-first linear
+//     scan over entries_high_to_low(), on a CacheFlow TCAM (1,024 entries
+//     in front of a 100k-rule FIB; smoke: 128 in front of 2,000) warmed by
+//     the flow-driven engine. Reports tuples, probes per lookup and ns per
+//     lookup. Check: identical winners on every sampled packet.
 #include <cstring>
 #include <vector>
 
@@ -272,6 +278,72 @@ int main(int argc, char** argv) {
     } else if (n >= 100000 && speedup < 10.0) {
       return fail("tuple-space must beat the linear scan >= 10x at >= 100k rules");
     }
+  }
+
+  // --- tcam: tuple-indexed lookup vs linear scan --------------------------
+  {
+    const size_t n = args.smoke ? 2000 : 100000;
+    const size_t cap = args.smoke ? 128 : 1024;
+    std::printf("\n[tcam] indexed Tcam::lookup vs linear scan, %zu-entry TCAM "
+                "over a %zu-rule FIB\n", cap, n);
+    util::Rng rng(0x7ca3 ^ n);
+    const flowspace::FlowTable table{classbench::generate_router(n, rng)};
+    CacheFlowManager mgr(table.rules(), dag::build_min_dag(table),
+                         CacheFlowManager::Mode::kDagFirmware, cap);
+    TrafficConfig cfg = base;
+    cfg.policy = Policy::kFlowDriven;
+    cfg.n_threads = 1;
+    TrafficEngine engine(mgr, table.rules(), cfg);
+    engine.run();  // warm-up: FDRC admission and rebalances under traffic
+    tcam::Tcam& tc = mgr.tcam();
+
+    const size_t n_check = args.smoke ? 5000 : 20000;  // equivalence + linear timing
+    const size_t n_fast = args.smoke ? 20000 : 200000;  // index timing
+    std::vector<flowspace::Packet> pkts;
+    pkts.reserve(n_fast);
+    for (size_t i = 0; i < n_fast; ++i) {
+      pkts.push_back(engine.packet_for(engine.stream().at(cfg.epochs, i).flow_id));
+    }
+    const std::vector<flowspace::Rule> high_to_low = tc.entries_high_to_low();
+    const auto scan = [&high_to_low](const flowspace::Packet& p) -> const flowspace::Rule* {
+      for (const auto& r : high_to_low) {
+        if (r.match.matches(p)) return &r;
+      }
+      return nullptr;
+    };
+
+    size_t hits = 0;
+    util::Stopwatch lin_watch;
+    for (size_t i = 0; i < n_check; ++i) hits += scan(pkts[i]) != nullptr;
+    const double lin_ns = lin_watch.elapsed_ms() * 1e6 / static_cast<double>(n_check);
+    util::Stopwatch idx_watch;
+    for (const auto& p : pkts) hits += tc.lookup(p) != nullptr;
+    const double idx_ns = idx_watch.elapsed_ms() * 1e6 / static_cast<double>(n_fast);
+
+    for (size_t i = 0; i < n_check; ++i) {
+      const auto* lin = scan(pkts[i]);
+      const auto* idx = tc.lookup_counted(pkts[i]);
+      if ((lin == nullptr) != (idx == nullptr) || (lin != nullptr && lin->id != idx->id)) {
+        return fail("indexed Tcam::lookup diverged from the linear scan");
+      }
+    }
+    const double probes = tc.probe_stats().probes_per_lookup();
+    std::printf("  %zu/%zu occupied | %3zu tuples | %5.2f probes/pkt | linear %7.0f ns/pkt | "
+                "indexed %5.0f ns/pkt | %5.1fx\n",
+                tc.occupied(), cap, tc.tuple_count(), probes, lin_ns, idx_ns,
+                idx_ns > 0 ? lin_ns / idx_ns : 0.0);
+    if (auto* j = bench::json()) {
+      j->begin_row();
+      j->field("section", "tcam");
+      j->field("rules", static_cast<double>(n));
+      j->field("tcam_capacity", static_cast<double>(cap));
+      j->field("occupied", static_cast<double>(tc.occupied()));
+      j->field("tuples", static_cast<double>(tc.tuple_count()));
+      j->field("probes_per_lookup", probes);
+      j->field("linear_ns_per_pkt", lin_ns);
+      j->field("indexed_ns_per_pkt", idx_ns);
+    }
+    (void)hits;
   }
 
   bench::write_json();

@@ -1,12 +1,12 @@
-// The 128-bit packed header key shared by TCAM rows and the tuple-space slow
-// path.
+// The 128-bit packed header key of the tuple-space index (tcam/tuple_space),
+// which serves both the TCAM model's lookup and the software slow path.
 //
 // The 7 header fields are exactly 128 bits wide, so a packet or a ternary
 // match packs into two 64-bit words: word 0 holds src_ip:dst_ip, word 1
 // in_port:eth_type:ip_proto:src_port:dst_port. Masking every field to its
 // width while packing makes a packet's junk bits above a width invisible, as
-// in TernaryMatch::matches. A TCAM row is a packed (value, mask) pair; a
-// SoftTable tuple is a packed mask with packed masked values under it.
+// in TernaryMatch::matches. A match packs to a (value, mask) pair; a tuple
+// is a packed mask with packed masked values under it.
 #pragma once
 
 #include <array>

@@ -1,8 +1,9 @@
 // Flat open-addressing map from rule id to a small value.
 //
-// The data plane keeps two id-keyed indexes next to hot paths: CacheFlow's
-// id -> rule_order() position (every hit credit and plan step resolves one)
-// and SoftTable's id -> entry (every insert and erase). std::unordered_map
+// The data plane keeps three id-keyed indexes next to hot paths: CacheFlow's
+// id -> rule_order() position (every hit credit and plan step resolves one),
+// SoftTable's id -> entry (every insert and erase) and Tcam's id -> address
+// (every write, move and erase). std::unordered_map
 // pays a heap node and a pointer chase per element; this is the dag::IdSet
 // idiom with a value beside each id: one power-of-two slot array, fibonacci
 // hashing, linear probing, backward-shift deletion.
@@ -38,6 +39,7 @@ class RuleIdMap {
       if (slots_[i].id == kEmpty) return nullptr;
     }
   }
+  V* find(Id id) { return const_cast<V*>(static_cast<const RuleIdMap&>(*this).find(id)); }
 
   /// Adds (id, value); false, with the map unchanged, when `id` is present.
   bool insert(Id id, V value) {

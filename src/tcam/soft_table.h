@@ -3,21 +3,16 @@
 // CacheFlow punts TCAM misses to software, where the full rule table lives.
 // A linear scan is O(rules) per packet — hopeless at the table sizes the
 // traffic engine drives (10^5..10^6 rules). This is the TupleChain-style
-// alternative (PAPERS.md): rules are partitioned by their mask *tuple* (the
-// per-field mask vector), and within a tuple every rule is an exact match on
-// the masked header bits, so one hash probe per tuple finds all candidates.
-// Real OpenFlow-ish tables have tens of distinct tuples for 10^5+ rules, and
-// the probe order is chained by per-tuple max priority with early exit —
-// once the best hit so far outranks every remaining tuple, the lookup stops.
+// alternative (PAPERS.md): rules are partitioned by their mask tuple, one
+// hash probe per tuple finds all candidates, and the probe order is chained
+// by per-tuple max priority with early exit. Real OpenFlow-ish tables have
+// tens of distinct tuples for 10^5+ rules.
 //
-// Storage is built for the probe. A tuple is its packed mask (two u64 words,
-// tcam/packed_key.h, the same packing TCAM rows use) over one power-of-two
-// open-addressing slot array (linear probing, backward-shift delete). A slot
-// holds the masked key words plus the best (priority, seq, entry) of the
-// rules with that match, so one probe is two ANDs, one hash and a two-word
-// compare, usually within one cache line. The rules themselves, and any
-// same-match duplicates (chained best-first), sit in an entry pool that a
-// lookup reads only to return the final winner.
+// The tuples, slots and probe chain are tcam::TupleSpace, the same core the
+// TCAM model's lookup runs on. This class is its rule pool: the rules live
+// here, indexed by pool position, and a rule's rank is its priority with its
+// insertion order below it, so a lookup reads the pool once, for the final
+// winner.
 //
 // Lookup is strictly const (no lazy caches), so concurrent reader shards in
 // the traffic engine need no synchronization.
@@ -28,12 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "flowspace/rule.h"
-#include "tcam/packed_key.h"
 #include "tcam/rule_id_map.h"
+#include "tcam/tuple_space.h"
 
 namespace ruletris::tcam {
 
@@ -48,7 +42,7 @@ class SoftTable {
   size_t size() const { return by_id_.size(); }
   bool empty() const { return by_id_.size() == 0; }
   /// Distinct mask tuples — the per-lookup probe bound.
-  size_t tuple_count() const { return tuples_.size(); }
+  size_t tuple_count() const { return index_.tuple_count(); }
   bool contains(flowspace::RuleId id) const { return by_id_.find(id) != nullptr; }
 
   /// Throws std::invalid_argument for kInvalidRuleId or an id already in
@@ -61,78 +55,30 @@ class SoftTable {
   /// pointer stays valid until the next insert or erase.
   const flowspace::Rule* lookup(const flowspace::Packet& p) const;
 
-  struct Stats {
-    uint64_t lookups = 0;
-    uint64_t tuples_probed = 0;  // hash probes actually issued
-    double probes_per_lookup() const {
-      return lookups == 0 ? 0.0 : static_cast<double>(tuples_probed) /
-                                      static_cast<double>(lookups);
-    }
-  };
+  using Stats = TupleSpace::Stats;
   /// Cumulative probe accounting from `lookup_counted`.
-  const Stats& stats() const { return stats_; }
-  void reset_stats() { stats_ = Stats{}; }
+  const Stats& stats() const { return index_.stats(); }
+  void reset_stats() { index_.reset_stats(); }
 
   /// lookup() that also updates stats(); single-threaded callers only.
   const flowspace::Rule* lookup_counted(const flowspace::Packet& p);
 
  private:
-  static constexpr uint32_t kNone = ~uint32_t{0};
+  /// Low rank bits holding insertion order; the chain cuts on the rest.
+  static constexpr unsigned kSeqBits = 32;
+  static constexpr uint64_t kSeqLimit = uint64_t{1} << kSeqBits;
 
-  /// One distinct match of a tuple: its masked key words and the best rule
-  /// carrying that match. 32 bytes, so two share a cache line.
-  struct alignas(32) Slot {
-    PackedKey key{};
-    int32_t priority = 0;
-    uint32_t entry = kNone;  // best entry's pool index; kNone == free slot
-    uint64_t seq = 0;        // best entry's insertion order
-  };
+  /// Higher priority first, then earlier insert.
+  static TupleSpace::Rank rank_of(int32_t priority, uint64_t seq);
+  /// Rebuilds from the live rules, oldest first, once `next_seq_` runs out
+  /// of rank bits: seqs become dense again and every tie-break survives.
+  void resequence();
 
-  struct Entry {
-    flowspace::Rule rule;
-    uint64_t seq = 0;        // insertion order; lower wins priority ties
-    uint32_t tuple = 0;      // owning tuple
-    uint32_t next = kNone;   // next-best entry with the same match
-  };
-
-  struct Tuple {
-    PackedKey mask{};
-    int32_t max_priority = 0;
-    size_t entries = 0;
-    size_t used = 0;          // occupied slots (distinct matches)
-    std::vector<Slot> slots;  // power-of-two size, at most half full
-  };
-
-  struct KeyHash {
-    size_t operator()(const PackedKey& k) const;
-  };
-
-  static size_t home(const PackedKey& key, size_t slot_mask);
-  /// Slot holding `key` in `t`, or nullptr.
-  static const Slot* find_slot(const Tuple& t, const PackedKey& key);
-  static Slot* find_slot(Tuple& t, const PackedKey& key);
-  static void grow(Tuple& t);
-  static void erase_slot(Tuple& t, Slot* slot);
-  /// Points `slot` at pool entry `idx` as its bucket's best.
-  void set_best(Slot& slot, uint32_t idx) const;
-
-  uint32_t alloc_entry(const flowspace::Rule& rule, uint32_t tuple);
-  void refresh_order();
-  void recompute_max(Tuple& t);
-  /// The one lookup core; `count_probe()` runs once per hash probe issued.
-  template <typename CountProbe>
-  const flowspace::Rule* find(const flowspace::Packet& p, CountProbe count_probe) const;
-
-  std::vector<Tuple> tuples_;
-  std::unordered_map<PackedKey, uint32_t, KeyHash> tuple_index_;  // mask -> idx
-  // Tuple indexes sorted by descending max_priority: the probe chain.
-  // Maintained eagerly on every mutation so lookup stays const.
-  std::vector<uint32_t> order_;
-  std::vector<Entry> pool_;
-  std::vector<uint32_t> free_;  // recycled pool indexes
-  RuleIdMap<uint32_t> by_id_;   // id -> pool index
+  TupleSpace index_{kSeqBits};
+  std::vector<flowspace::Rule> pool_;  // by handle; a free entry has kInvalidRuleId
+  std::vector<uint32_t> free_;         // recycled pool indexes
+  RuleIdMap<uint32_t> by_id_;          // id -> pool index
   uint64_t next_seq_ = 0;
-  Stats stats_;
 };
 
 }  // namespace ruletris::tcam

@@ -6,11 +6,10 @@
 
 namespace ruletris::tcam {
 
-Tcam::Tcam(size_t capacity) : slots_(capacity), rows_(capacity, kFreeRow) {
+Tcam::Tcam(size_t capacity) : slots_(capacity) {
   if (capacity == 0) throw std::invalid_argument("Tcam: zero capacity");
-  // The id index will eventually hold up to `capacity` entries; sizing the
-  // bucket array once keeps bulk installs and warm-boot restores rehash-free.
-  by_id_.reserve(capacity);
+  if (capacity >= TupleSpace::kNone) throw std::length_error("Tcam: capacity too large");
+  index_.reserve_handles(capacity);
 }
 
 bool Tcam::is_free(size_t addr) const {
@@ -25,26 +24,21 @@ std::optional<RuleId> Tcam::at(size_t addr) const {
 }
 
 size_t Tcam::address_of(RuleId id) const {
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) throw std::out_of_range("Tcam: rule not installed");
-  return it->second;
+  const uint32_t* addr = by_id_.find(id);
+  if (addr == nullptr) throw std::out_of_range("Tcam: rule not installed");
+  return *addr;
 }
 
 const Rule& Tcam::rule(RuleId id) const { return slots_[address_of(id)]; }
-
-void Tcam::clear(size_t addr) {
-  slots_[addr] = Rule{};
-  rows_[addr] = kFreeRow;
-}
 
 void Tcam::write(size_t addr, Rule rule) {
   if (!is_free(addr)) throw std::logic_error("Tcam::write: slot occupied");
   if (rule.id == flowspace::kInvalidRuleId) {
     throw std::invalid_argument("Tcam::write: invalid rule id");
   }
-  if (by_id_.count(rule.id)) throw std::logic_error("Tcam::write: duplicate rule id");
-  by_id_[rule.id] = addr;
-  rows_[addr] = pack_match(rule.match);
+  const auto a = static_cast<uint32_t>(addr);
+  if (!by_id_.insert(rule.id, a)) throw std::logic_error("Tcam::write: duplicate rule id");
+  index_.insert(a, pack_match(rule.match), a);
   slots_[addr] = std::move(rule);
   ++stats_.entry_writes;
   notify(Op::kWrite, addr);
@@ -53,10 +47,14 @@ void Tcam::write(size_t addr, Rule rule) {
 void Tcam::move(size_t from, size_t to) {
   if (is_free(from)) throw std::logic_error("Tcam::move: source slot free");
   if (!is_free(to)) throw std::logic_error("Tcam::move: target slot occupied");
-  by_id_[slots_[from].id] = to;
+  const auto t = static_cast<uint32_t>(to);
+  *by_id_.find(slots_[from].id) = t;
+  const PackedMatch m = pack_match(slots_[from].match);
+  // Insert before erase: a move up then never rescans its tuple for a max.
+  index_.insert(t, m, t);
+  index_.erase(static_cast<uint32_t>(from), m);
   slots_[to] = std::move(slots_[from]);
-  rows_[to] = rows_[from];
-  clear(from);
+  slots_[from] = Rule{};
   ++stats_.entry_writes;
   ++stats_.moves;
   notify(Op::kMove, to);
@@ -64,17 +62,15 @@ void Tcam::move(size_t from, size_t to) {
 
 void Tcam::erase(size_t addr) {
   if (is_free(addr)) return;
-  by_id_.erase(slots_[addr].id);
-  clear(addr);
-  ++stats_.erases;
-  notify(Op::kErase, addr);
+  take(addr);
 }
 
 Rule Tcam::take(size_t addr) {
   if (is_free(addr)) throw std::logic_error("Tcam::take: slot free");
   Rule out = std::move(slots_[addr]);
+  slots_[addr] = Rule{};
   by_id_.erase(out.id);
-  clear(addr);
+  index_.erase(static_cast<uint32_t>(addr), pack_match(out.match));
   ++stats_.erases;
   notify(Op::kErase, addr);
   return out;
@@ -88,16 +84,13 @@ void Tcam::modify_actions(RuleId id, flowspace::ActionList actions) {
 }
 
 const Rule* Tcam::lookup(const Packet& p) const {
-  const PackedKey key = pack_fields(p.fields);
-  const PackedMatch* rows = rows_.data();
-  auto differs = [&key, rows](size_t i) {
-    return ((key[0] ^ rows[i].value[0]) & rows[i].mask[0]) |
-           ((key[1] ^ rows[i].value[1]) & rows[i].mask[1]);
-  };
-  for (size_t i = rows_.size(); i-- > 0;) {
-    if (differs(i) == 0 && occupied_at(i)) return &slots_[i];
-  }
-  return nullptr;
+  const uint32_t addr = index_.find(pack_fields(p.fields));
+  return addr == TupleSpace::kNone ? nullptr : &slots_[addr];
+}
+
+const Rule* Tcam::lookup_counted(const Packet& p) {
+  const uint32_t addr = index_.find_counted(pack_fields(p.fields));
+  return addr == TupleSpace::kNone ? nullptr : &slots_[addr];
 }
 
 std::vector<Rule> Tcam::entries_high_to_low() const {

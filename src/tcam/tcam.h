@@ -8,23 +8,24 @@
 // (#entry writes) x 0.6 ms, which this model reproduces. A delete is a mask
 // invalidation and is treated as free.
 //
-// Lookup compares the way a hardware TCAM row does. The 7 header fields are
-// exactly 128 bits wide, so every slot carries a packed 32-byte key row (two
-// value words, two mask words; tcam/packed_key.h) next to its rule, kept
-// current by every write/move/erase. A lookup packs the packet once and
-// scans the rows from the highest address down for the first with
-// ((packet ^ value) & mask) == 0 in both words.
+// Lookup returns what a hardware TCAM's parallel compare would, without
+// touching every row: the installed entries are indexed by mask tuple in a
+// tcam::TupleSpace (the same core as the software slow path), with each
+// entry's address as both its handle and its rank, so the highest address
+// wins. write/move/erase/take keep the index exact before the op observer
+// runs, and a lookup probes one hash table per distinct mask (a warmed
+// 1,024-entry CacheFlow TCAM holds ~18) instead of comparing every row.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "flowspace/rule.h"
-#include "tcam/packed_key.h"
+#include "tcam/rule_id_map.h"
+#include "tcam/tuple_space.h"
 
 namespace ruletris::tcam {
 
@@ -46,14 +47,14 @@ class Tcam {
   bool is_free(size_t addr) const;
   /// Rule id stored at `addr`, or nullopt for a free slot.
   std::optional<RuleId> at(size_t addr) const;
-  bool contains(RuleId id) const { return by_id_.count(id) != 0; }
+  bool contains(RuleId id) const { return by_id_.find(id) != nullptr; }
   size_t address_of(RuleId id) const;
   /// Address of `id`, or nullopt when not installed — one hash probe where
   /// a contains() + address_of() pair would pay two.
   std::optional<size_t> address_if(RuleId id) const {
-    auto it = by_id_.find(id);
-    if (it == by_id_.end()) return std::nullopt;
-    return it->second;
+    const uint32_t* addr = by_id_.find(id);
+    if (addr == nullptr) return std::nullopt;
+    return *addr;
   }
   const Rule& rule(RuleId id) const;
 
@@ -77,6 +78,13 @@ class Tcam {
 
   /// Highest-address match wins (hardware lookup semantics).
   const Rule* lookup(const Packet& p) const;
+
+  /// lookup() that also counts index probes into probe_stats();
+  /// single-threaded callers only.
+  const Rule* lookup_counted(const Packet& p);
+  const TupleSpace::Stats& probe_stats() const { return index_.stats(); }
+  /// Distinct masks among the installed entries — the per-lookup probe bound.
+  size_t tuple_count() const { return index_.tuple_count(); }
 
   /// Entries from highest address (matched first) to lowest.
   std::vector<Rule> entries_high_to_low() const;
@@ -107,24 +115,17 @@ class Tcam {
   std::string to_string() const;
 
  private:
-  /// A free slot's row. It matches only the all-ones packet, so a hit on it
-  /// is confirmed against the slot's occupancy before it counts.
-  static constexpr PackedMatch kFreeRow{{~uint64_t{0}, ~uint64_t{0}},
-                                {~uint64_t{0}, ~uint64_t{0}}};
-
   bool occupied_at(size_t addr) const {
     return slots_[addr].id != flowspace::kInvalidRuleId;
   }
-  void clear(size_t addr);
   void notify(Op op, size_t addr) {
     if (observer_) observer_(op, addr);
   }
 
-  // index == physical address; a free slot holds a rule with
-  // kInvalidRuleId, and rows_[addr] mirrors slots_[addr].match.
+  // index == physical address; a free slot holds a rule with kInvalidRuleId.
   std::vector<Rule> slots_;
-  std::vector<PackedMatch> rows_;
-  std::unordered_map<RuleId, size_t> by_id_;
+  TupleSpace index_;  // installed matches; handle == rank == address
+  RuleIdMap<uint32_t> by_id_;  // id -> address
   Stats stats_;
   OpObserver observer_;
 };

@@ -1,6 +1,10 @@
 // Tcam device model and the Fenwick occupancy index.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <utility>
+
 #include "tcam/occupancy.h"
 #include "tcam/tcam.h"
 #include "test_util.h"
@@ -114,7 +118,7 @@ TEST(Tcam, InvalidRuleIdIsRejected) {
   EXPECT_EQ(tcam.occupied(), 0u);
 }
 
-// --- packed lookup against a brute-force scan --------------------------------
+// --- indexed lookup against a brute-force scan ------------------------------
 
 /// Every field, with values drawn near 0 and near all-ones, so each field's
 /// position in the packed key is exercised and the edge packets hit rules.
@@ -130,6 +134,18 @@ TernaryMatch random_wide_match(Rng& rng) {
     m.set_ternary(f, value & mask, mask);
   }
   return m;
+}
+
+/// Three fixed wide matches reused, plus the match-all: almost every entry
+/// has same-match twins at other addresses.
+TernaryMatch duplicate_heavy_match(Rng& rng) {
+  static const std::vector<TernaryMatch> fixed = [] {
+    Rng gen(99);
+    return std::vector<TernaryMatch>{random_wide_match(gen), random_wide_match(gen),
+                                     random_wide_match(gen)};
+  }();
+  const size_t i = rng.next_below(fixed.size() + 1);
+  return i == fixed.size() ? TernaryMatch::wildcard() : fixed[i];
 }
 
 /// Highest-address match over the entry list, the reference semantics.
@@ -160,55 +176,119 @@ std::vector<Packet> edge_packets(Rng& rng) {
   return out;
 }
 
-TEST(TcamPackedLookup, AgreesWithBruteForceUnderRandomStreams) {
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    Rng rng(seed);
-    Tcam tcam(48);
-    size_t checks = 0;
-    for (int step = 0; step < 1500; ++step) {
-      const size_t addr = rng.next_below(tcam.capacity());
-      const size_t other = rng.next_below(tcam.capacity());
-      switch (rng.next_below(4)) {
-        case 0:
-        case 1:
-          if (tcam.is_free(addr)) {
-            tcam.write(addr, Rule::make(random_wide_match(rng),
-                                        ActionList{Action::forward(1)}, 0));
-          }
-          break;
-        case 2:
-          if (!tcam.is_free(addr) && tcam.is_free(other)) tcam.move(addr, other);
-          break;
-        default:
-          if (rng.next_bool(0.5)) {
-            tcam.erase(addr);
-          } else if (!tcam.is_free(addr)) {
-            tcam.take(addr);
-          }
-          break;
-      }
-      const std::vector<Rule> entries = tcam.entries_high_to_low();
-      std::vector<Packet> packets = edge_packets(rng);
-      for (const Rule& r : entries) {
-        if (rng.next_bool(0.2)) packets.push_back(r.match.sample_packet());
-      }
-      for (const Packet& p : packets) {
-        const Rule* want = brute_force(entries, p);
-        const Rule* got = tcam.lookup(p);
-        ASSERT_EQ(got == nullptr, want == nullptr) << "seed " << seed << " step " << step;
-        if (want != nullptr) {
-          ASSERT_EQ(got->id, want->id) << "seed " << seed << " step " << step;
+/// lookup() and lookup_counted() against brute force on the edge packets
+/// plus a sample packet of about a fifth of the entries; `checks` counts
+/// the packets compared.
+::testing::AssertionResult agrees_with_brute_force(Tcam& tcam, Rng& rng, size_t& checks) {
+  const std::vector<Rule> entries = tcam.entries_high_to_low();
+  std::vector<Packet> packets = edge_packets(rng);
+  for (const Rule& r : entries) {
+    if (rng.next_bool(0.2)) packets.push_back(r.match.sample_packet());
+  }
+  const auto id = [](const Rule* r) { return r == nullptr ? flowspace::kInvalidRuleId : r->id; };
+  for (const Packet& p : packets) {
+    const Rule* want = brute_force(entries, p);
+    const Rule* got = tcam.lookup(p);
+    if (id(got) != id(want)) {
+      return ::testing::AssertionFailure() << "lookup " << id(got) << ", brute force " << id(want);
+    }
+    const uint64_t before = tcam.probe_stats().tuples_probed;
+    if (tcam.lookup_counted(p) != got) return ::testing::AssertionFailure() << "counted lookup differs";
+    if (tcam.probe_stats().tuples_probed - before > tcam.tuple_count()) {
+      return ::testing::AssertionFailure() << "more probes than tuples";
+    }
+    ++checks;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The highest address holding the match at `addr` and the next lower
+/// address holding it too, when `addr` is occupied and the match has a twin.
+std::optional<std::pair<size_t, size_t>> top_copy_and_twin(const Tcam& tcam, size_t addr) {
+  const std::optional<flowspace::RuleId> id = tcam.at(addr);
+  if (!id) return std::nullopt;
+  const TernaryMatch& m = tcam.rule(*id).match;
+  std::optional<size_t> top;
+  for (size_t a = tcam.capacity(); a-- > 0;) {
+    const std::optional<flowspace::RuleId> other = tcam.at(a);
+    if (!other || !(tcam.rule(*other).match == m)) continue;
+    if (top) return std::make_pair(*top, a);
+    top = a;
+  }
+  return std::nullopt;
+}
+
+TEST(TcamIndexedLookup, AgreesWithBruteForceUnderRandomStreams) {
+  for (const auto draw : {&random_wide_match, &duplicate_heavy_match}) {
+    const bool duplicates = draw == &duplicate_heavy_match;
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng(seed);
+      Tcam tcam(48);
+      size_t checks = 0;
+      size_t twin_moves = 0;
+      // Lookups run inside the op observer too, so the index must be
+      // current before each primitive notifies.
+      ::testing::AssertionResult in_observer = ::testing::AssertionSuccess();
+      tcam.set_op_observer([&](Tcam::Op, size_t) {
+        if (in_observer) in_observer = agrees_with_brute_force(tcam, rng, checks);
+      });
+      for (int step = 0; step < 1500; ++step) {
+        const size_t addr = rng.next_below(tcam.capacity());
+        const size_t other = rng.next_below(tcam.capacity());
+        switch (rng.next_below(5)) {
+          case 0:
+          case 1:
+            if (tcam.is_free(addr)) {
+              tcam.write(addr, Rule::make(draw(rng), ActionList{Action::forward(1)}, 0));
+            }
+            break;
+          case 2:
+            if (!tcam.is_free(addr) && tcam.is_free(other)) tcam.move(addr, other);
+            break;
+          case 3:
+            if (rng.next_bool(0.5)) {
+              tcam.erase(addr);
+            } else if (!tcam.is_free(addr)) {
+              tcam.take(addr);
+            }
+            break;
+          default:
+            // The top copy of a duplicated match moves below its twin (the
+            // twin takes over), then leaves by erase or take.
+            if (const auto pair = top_copy_and_twin(tcam, addr)) {
+              size_t below = pair->second;
+              while (below-- > 0 && !tcam.is_free(below)) {
+              }
+              if (below < pair->second) {
+                tcam.move(pair->first, below);
+                ASSERT_TRUE(agrees_with_brute_force(tcam, rng, checks))
+                    << "seed " << seed << " step " << step << " twin move";
+                if (rng.next_bool(0.5)) {
+                  tcam.erase(below);
+                } else {
+                  tcam.take(below);
+                }
+                ++twin_moves;
+              }
+            }
+            break;
         }
-        ++checks;
+        ASSERT_TRUE(in_observer) << "seed " << seed << " step " << step << " in observer";
+        ASSERT_TRUE(agrees_with_brute_force(tcam, rng, checks))
+            << (duplicates ? "duplicates" : "wide") << " seed " << seed << " step " << step;
+      }
+      EXPECT_GT(checks, 1500u * 19u);
+      if (duplicates) {
+        EXPECT_GT(twin_moves, 50u) << "seed " << seed;
       }
     }
-    EXPECT_GT(checks, 1500u * 19u);
   }
 }
 
-TEST(TcamPackedLookup, FreeSlotsNeverMatch) {
-  // A free slot's row matches the all-ones packet; lookup must skip it and
-  // keep scanning down to the real entry.
+TEST(TcamIndexedLookup, FreeSlotsNeverMatch) {
+  // A free slot has no entry in the index, so even the all-ones packet
+  // (which every field's full mask admits) finds nothing until a real entry
+  // covers it, and an entry is found at any address.
   Tcam tcam(8);
   Packet ones;
   ones.fields.fill(~uint32_t{0});
@@ -217,11 +297,52 @@ TEST(TcamPackedLookup, FreeSlotsNeverMatch) {
   tcam.write(1, low);
   ASSERT_NE(tcam.lookup(ones), nullptr);
   EXPECT_EQ(tcam.lookup(ones)->id, low.id);
-  // Freed slots (erase, take, move source) go back to never matching.
+  // Freed slots (erase, take, move source) leave the index.
   tcam.move(1, 6);
   EXPECT_EQ(tcam.lookup(ones)->id, low.id);
   tcam.take(6);
   EXPECT_EQ(tcam.lookup(ones), nullptr);
+}
+
+TEST(TcamIndexedLookup, EmptiedTuplesLeaveTheChain) {
+  // 48 distinct masks (dst prefix lengths 0..32, then 15 more with the
+  // protocol exact too) churn in and out over several fill/drain rounds,
+  // so tuples die and their slots are reused by new masks. The index must
+  // hold exactly one tuple per mask some entry still carries.
+  constexpr size_t kMasks = 48;
+  const auto match_for = [](size_t mask, Rng& rng) {
+    TernaryMatch m;
+    m.set_prefix(FieldId::kDstIp, rng.next_u32(), static_cast<uint32_t>(mask % 33));
+    if (mask >= 33) m.set_exact(FieldId::kIpProto, rng.next_below(4));
+    return m;
+  };
+  Rng rng(5);
+  Tcam tcam(64);
+  size_t checks = 0;
+  for (int round = 0; round < 6; ++round) {
+    const size_t live_masks = round % 2 == 0 ? kMasks : 7;  // wide, then narrow
+    for (int step = 0; step < 400; ++step) {
+      const size_t addr = rng.next_below(tcam.capacity());
+      if (step < 300 && rng.next_bool(0.6)) {
+        if (tcam.is_free(addr)) {
+          tcam.write(addr, Rule::make(match_for(rng.next_below(live_masks), rng),
+                                      ActionList{Action::forward(2)}, 0));
+        }
+      } else {
+        tcam.erase(addr);
+      }
+      std::set<tcam::PackedKey> masks;
+      for (const Rule& r : tcam.entries_high_to_low()) {
+        masks.insert(tcam::pack_match(r.match).mask);
+      }
+      ASSERT_EQ(tcam.tuple_count(), masks.size()) << "round " << round << " step " << step;
+      ASSERT_TRUE(agrees_with_brute_force(tcam, rng, checks))
+          << "round " << round << " step " << step;
+    }
+    for (size_t a = 0; a < tcam.capacity(); ++a) tcam.erase(a);
+    ASSERT_EQ(tcam.tuple_count(), 0u) << "round " << round;
+  }
+  EXPECT_GT(tcam.probe_stats().lookups, 0u);
 }
 
 // --- occupancy index ---------------------------------------------------------

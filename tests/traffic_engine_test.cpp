@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -547,6 +548,41 @@ TEST(SoftTableDifferential, IdenticalMatchesAtEqualAndDifferentPriorities) {
       }
     }
     EXPECT_EQ(trio.soft.lookup(p), nullptr);
+  }
+}
+
+TEST(SoftTableDifferential, EmptiedTuplesLeaveTheChain) {
+  // Rules over 40 distinct masks (src prefix lengths 0..32, then 7 more
+  // with dst port 80 exact), then over 5, churn in and out, so whole masks
+  // die and come back. The table must hold one tuple per live mask, and
+  // winners and probe counts must still match the reference, which keeps
+  // dead tuples and skips them without a probe.
+  Rng rng(17);
+  Trio trio;
+  std::vector<Rule> installed;
+  for (int round = 0; round < 8; ++round) {
+    const size_t masks = round % 2 == 0 ? 40 : 5;
+    for (int i = 0; i < 60; ++i) {
+      const size_t k = rng.next_below(masks);
+      flowspace::TernaryMatch m;
+      m.set_prefix(flowspace::FieldId::kSrcIp, rng.next_u32(), static_cast<uint32_t>(k % 33));
+      if (k >= 33) m.set_exact(flowspace::FieldId::kDstPort, 80);
+      installed.push_back(Rule::make(m, {flowspace::Action::forward(1)},
+                                     static_cast<int32_t>(rng.next_below(8))));
+      trio.insert(installed.back());
+    }
+    for (size_t k = installed.size() * 2 / 3; k-- > 0;) {
+      const size_t i = rng.next_below(installed.size());
+      ASSERT_NO_FATAL_FAILURE(trio.erase(installed[i].id));
+      installed[i] = installed.back();
+      installed.pop_back();
+    }
+    std::set<PackedKey> live;
+    for (const Rule& r : installed) live.insert(tcam::pack_match(r.match).mask);
+    ASSERT_EQ(trio.soft.tuple_count(), live.size()) << "round " << round;
+    for (const Packet& p : probe_packets(installed, 200, round)) {
+      ASSERT_TRUE(trio.agree(p)) << "round " << round;
+    }
   }
 }
 

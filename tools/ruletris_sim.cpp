@@ -586,8 +586,9 @@ int main(int argc, char** argv) {
                   "(%zu cached, %zu covers)\n",
                   composed.size(), capacity, mgr.cached_count(),
                   mgr.cover_count());
-      std::printf("  cache hit rate : %.4f  (slow-path tuples: %zu)\n",
-                  report.hit_rate(), mgr.soft_table().tuple_count());
+      std::printf("  cache hit rate : %.4f  (tuples: TCAM %zu, slow path %zu)\n",
+                  report.hit_rate(), mgr.tcam().tuple_count(),
+                  mgr.soft_table().tuple_count());
       std::printf("  lookup rate    : %.0f pkts/s\n", report.pkts_per_s());
       std::printf("  cache update   : %zu swaps, %zu entry writes, "
                   "%.1f ms total TCAM time\n",
