@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
       spec.knobs.retry.adaptive = mode == "adaptive";
     }
 
-    const runtime::FleetReport report = runtime::ShardedController(spec).run();
+    const runtime::FleetReport report = runtime::Controller(spec).run_compiled(spec);
 
     bool deterministic = true;
     const auto prints = std::make_tuple(report.fleet_fingerprint,

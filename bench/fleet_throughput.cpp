@@ -1,7 +1,7 @@
 // Fleet throughput harness — the cbench analogue for the sharded pipeline.
 //
-// Sweeps switches × compile shards × dispatch threads over the
-// ShardedController: every switch runs its own bursty churn stream, every
+// Sweeps switches × compile shards × dispatch threads over the compiled
+// fleet (Controller::run_compiled): every switch runs its own bursty churn stream, every
 // shard compiles its switches' epochs incrementally under a modelled
 // per-epoch cost, and sessions consume sealed epochs through lock-free
 // publication rings while later epochs are still compiling. Reported
@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
     spec.fault_seed = 7;
     spec.knobs.window = 8;
 
-    runtime::ShardedController controller(spec);
-    const runtime::FleetReport report = controller.run();
+    const runtime::FleetReport report =
+        runtime::Controller(spec).run_compiled(spec);
 
     const auto key = std::make_pair(cell.switches, cell.shards);
     bool deterministic = true;

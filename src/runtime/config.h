@@ -121,9 +121,9 @@ struct BlackoutWindow {
   bool covers(double t) const { return t >= at_ms && t < at_ms + duration_ms; }
 };
 
-/// Session knobs shared verbatim by RuntimeConfig, FleetSpec and the
-/// per-session SessionConfig — one struct so parameters like the retry
-/// policy live in exactly one place instead of three hand-copied fields.
+/// Session knobs shared verbatim by RuntimeConfig (and so FleetSpec) and
+/// the per-session SessionConfig — one struct so parameters like the retry
+/// policy live in exactly one place instead of hand-copied fields.
 struct SessionKnobs {
   size_t window = 4;  // max unacked epochs in flight (>= 1)
   RetryPolicy retry;
@@ -160,7 +160,8 @@ struct ChaosSchedule {
   bool any() const { return !shard_kills.empty() || !blackouts.empty(); }
 };
 
-/// Per-switch session parameters (the Controller derives one per session).
+/// Per-switch session parameters (the Controller's session factory derives
+/// one per session).
 struct SessionConfig {
   SessionKnobs knobs;
   uint64_t seed = 1;  // fault/restart randomness for this session
@@ -169,7 +170,7 @@ struct SessionConfig {
   /// fleet ChaosSchedule; empty outside chaos runs).
   std::vector<BlackoutWindow> blackouts;
   /// Re-admission hook, run when a quarantined session's switch comes back
-  /// (anchor = the agent's last applied epoch). The sharded controller
+  /// (anchor = the agent's last applied epoch). The compiled fleet
   /// verifies the warm-boot catch-up material here: frozen base image plus
   /// the hash-chained delta blobs up to the anchor. Returning false marks
   /// the re-admission failed (counted, fails convergence).
@@ -178,9 +179,10 @@ struct SessionConfig {
 
 struct RuntimeConfig {
   size_t n_switches = 8;
-  /// Worker threads the session event loops are fanned across; <= 1 runs
-  /// them serially. Results are bit-identical either way: sessions share
-  /// nothing mutable, and each is deterministic given its own seed.
+  /// Dispatch workers the session event loops (and compile shards) are
+  /// fanned across; <= 1 runs them serially. Results are bit-identical
+  /// either way: sessions share nothing mutable, and each is deterministic
+  /// given its own seed.
   size_t n_threads = 0;
   SessionKnobs knobs;
   uint64_t fault_seed = 1;   // base seed; session i derives an independent stream

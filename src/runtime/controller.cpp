@@ -1,12 +1,12 @@
 #include "runtime/controller.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "proto/codec.h"
 #include "util/hash.h"
@@ -42,60 +42,108 @@ RuntimeReport merge_session_stats(std::vector<SessionStats> results) {
 
 namespace {
 
-/// Runs one job per switch, on a thread pool when more than one thread is
-/// configured. Pool jobs must not throw, so every job's exception is caught;
-/// once all jobs have finished, the lowest-indexed failure is rethrown (a
-/// std::exception as a std::runtime_error naming its switch).
-class SwitchFanOut {
- public:
-  SwitchFanOut(size_t threads, size_t n) : n_(n) {
-    if (threads > 1 && n > 1) pool_.emplace(std::min(threads, n));
-  }
-
-  void each(const std::function<void(size_t)>& job) {
-    std::vector<std::exception_ptr> errors(n_);
-    auto guarded = [&](size_t i) {
-      try {
-        job(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    };
-    if (pool_) {
-      for (size_t i = 0; i < n_; ++i) pool_->run([&guarded, i] { guarded(i); });
-      pool_->wait_idle();
-    } else {
-      for (size_t i = 0; i < n_; ++i) guarded(i);
-    }
-    for (size_t i = 0; i < n_; ++i) {
-      if (!errors[i]) continue;
-      try {
-        std::rethrow_exception(errors[i]);
-      } catch (const std::exception& e) {
-        throw std::runtime_error("runtime session " + std::to_string(i) +
-                                 ": " + e.what());
-      }
-    }
-  }
-
- private:
-  size_t n_;
-  std::optional<util::ThreadPool> pool_;
+/// One claimable unit of the sweep: at most one worker runs it at a time.
+struct Claim {
+  std::atomic<bool> busy{false};
+  std::atomic<bool> done{false};
+  std::exception_ptr error;  // written under the claim, read after the sweep
 };
 
 }  // namespace
 
-std::unique_ptr<SwitchSession> Controller::make_session(const SwitchWorkload& w,
-                                                        size_t index) const {
+size_t Controller::sweep(size_t n_sessions, const Job& session,
+                         size_t n_shards, const Job& shard) const {
+  std::vector<Claim> claims(n_sessions + n_shards);  // sessions, then shards
+  std::atomic<size_t> live{n_sessions};
+  std::atomic<bool> failed{false};
+  std::atomic<size_t> steals{0};
+  const size_t workers = std::min(std::max<size_t>(cfg_.n_threads, 1),
+                                  std::max<size_t>(claims.size(), 1));
+
+  // Claims unit u for worker w and runs one step of it; true on progress.
+  const auto visit = [&](size_t u, size_t w) {
+    Claim& c = claims[u];
+    bool free = false;
+    if (c.done.load(std::memory_order_acquire) ||
+        !c.busy.compare_exchange_strong(free, true, std::memory_order_acquire)) {
+      return false;
+    }
+    SweepStep step = SweepStep::kIdle;
+    if (!c.done.load(std::memory_order_relaxed)) {
+      const bool is_shard = u >= n_sessions;
+      const size_t i = is_shard ? u - n_sessions : u;
+      if (is_shard && i % workers != w) {
+        steals.fetch_add(1, std::memory_order_relaxed);
+      }
+      try {
+        step = (is_shard ? shard : session)(i);
+      } catch (...) {  // pool jobs must not throw
+        c.error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+        step = SweepStep::kDone;
+      }
+      if (step == SweepStep::kDone) {
+        c.done.store(true, std::memory_order_release);
+        if (!is_shard) live.fetch_sub(1, std::memory_order_acq_rel);
+      }
+    }
+    c.busy.store(false, std::memory_order_release);
+    return step != SweepStep::kIdle;
+  };
+  const auto worker = [&](size_t w) {
+    const size_t offset = (w * n_sessions) / workers;
+    while (live.load(std::memory_order_acquire) > 0 &&
+           !failed.load(std::memory_order_relaxed)) {
+      bool progress = false;
+      for (size_t k = 0; k < n_sessions; ++k) {
+        progress |= visit((offset + k) % n_sessions, w);
+      }
+      for (size_t k = 0; k < n_shards; ++k) {
+        progress |= visit(n_sessions + (w + k) % n_shards, w);
+      }
+      if (!progress) std::this_thread::yield();
+    }
+  };
+
+  if (workers == 1) {
+    worker(0);
+  } else {
+    util::ThreadPool pool(workers);
+    for (size_t w = 0; w < workers; ++w) pool.run([&worker, w] { worker(w); });
+    pool.wait_idle();
+  }
+  for (size_t u = 0; u < claims.size(); ++u) {
+    if (!claims[u].error) continue;
+    std::string what = "non-standard exception";
+    try {
+      std::rethrow_exception(claims[u].error);
+    } catch (const std::exception& e) {
+      what = e.what();
+    } catch (...) {
+    }
+    throw std::runtime_error(
+        u < n_sessions ? "fleet switch " + std::to_string(u) + ": " + what
+                       : "fleet shard " + std::to_string(u - n_sessions) +
+                             ": " + what);
+  }
+  return steals.load(std::memory_order_relaxed);
+}
+
+std::unique_ptr<SwitchSession> Controller::make_session(
+    size_t index, const EpochSource& source, size_t expected_rules,
+    std::span<const AgentBlackout> blackouts,
+    std::function<bool(uint64_t)> on_readmit) const {
   SessionConfig sc;
   sc.knobs = cfg_.knobs;
-  // Independent per-session stream: the fault behaviour of switch i never
-  // depends on how many switches run or on scheduling.
   sc.seed = util::hash_pair(cfg_.fault_seed, index + 1);
-  const size_t expected_n = w.expected.size();
-  sc.tcam_capacity = cfg_.tcam_capacity != 0 ? cfg_.tcam_capacity
-                                             : expected_n + expected_n / 8 + 128;
-  return std::make_unique<SwitchSession>(sc, *w.log);
+  sc.tcam_capacity = cfg_.tcam_capacity != 0
+                         ? cfg_.tcam_capacity
+                         : expected_rules + expected_rules / 8 + 128;
+  for (const AgentBlackout& b : blackouts) {
+    if (b.sw == index) sc.blackouts.push_back(b.window);
+  }
+  sc.on_readmit = std::move(on_readmit);
+  return std::make_unique<SwitchSession>(sc, source);
 }
 
 RuntimeReport Controller::run(const std::vector<proto::MessageBatch>& epoch_batches,
@@ -115,8 +163,11 @@ RuntimeReport Controller::run(const std::vector<proto::MessageBatch>& epoch_batc
 RuntimeReport Controller::run_fleet(const std::vector<SwitchWorkload>& fleet) {
   const size_t n = fleet.size();
   std::vector<SessionStats> results(n);
-  SwitchFanOut(cfg_.n_threads, n).each([&](size_t i) {
-    results[i] = make_session(fleet[i], i)->run(fleet[i].expected);
+  sweep(n, [&](size_t i) {
+    const VectorEpochSource source(*fleet[i].log);
+    results[i] = make_session(i, source, fleet[i].expected.size())
+                     ->run(fleet[i].expected);
+    return SweepStep::kDone;
   });
   return merge_session_stats(std::move(results));
 }
@@ -133,12 +184,15 @@ RuntimeReport Controller::run_rounds(const std::vector<SwitchWorkload>& fleet,
     }
   }
 
-  SwitchFanOut fan_out(cfg_.n_threads, n);
+  std::vector<VectorEpochSource> sources;
+  sources.reserve(n);
+  for (const SwitchWorkload& w : fleet) sources.emplace_back(*w.log);
   std::vector<std::unique_ptr<SwitchSession>> sessions(n);
-  fan_out.each([&](size_t i) {
-    sessions[i] = make_session(fleet[i], i);
+  sweep(n, [&](size_t i) {
+    sessions[i] = make_session(i, sources[i], fleet[i].expected.size());
     sessions[i]->set_send_limit(0);  // nothing leaves before the first gate
     sessions[i]->start();
+    return SweepStep::kDone;
   });
   std::vector<const SwitchAgent*> agents(n);
   for (size_t i = 0; i < n; ++i) agents[i] = &sessions[i]->agent();
@@ -146,9 +200,10 @@ RuntimeReport Controller::run_rounds(const std::vector<SwitchWorkload>& fleet,
   std::vector<char> committed(n, 1);
   bool all_committed = true;
   for (size_t epoch = 1; epoch <= epochs && all_committed; ++epoch) {
-    fan_out.each([&](size_t i) {
+    sweep(n, [&](size_t i) {
       sessions[i]->set_send_limit(epoch);
       committed[i] = sessions[i]->run_until_committed(epoch) ? 1 : 0;
+      return SweepStep::kDone;
     });
 
     // Fleet barrier: the round ends when the slowest switch commits; every
@@ -165,8 +220,9 @@ RuntimeReport Controller::run_rounds(const std::vector<SwitchWorkload>& fleet,
   }
 
   std::vector<SessionStats> results(n);
-  fan_out.each([&](size_t i) {
+  sweep(n, [&](size_t i) {
     results[i] = sessions[i]->finalize(fleet[i].expected);
+    return SweepStep::kDone;
   });
   return merge_session_stats(std::move(results));
 }

@@ -1,9 +1,10 @@
-// Controller of the asynchronous runtime: N switch sessions, each driven by
-// an epoch log. Historically every session replayed one shared log; the
-// netplan planner projects *different* rules onto different switches, so the
-// fleet entry point takes one (log, expected) workload per switch. The
-// shared-log run() is now a thin wrapper: encode once, hand every switch
-// the same immutable bytes.
+// Controller of the asynchronous runtime: the one fleet driver. N switch
+// sessions, each fed by an EpochSource, built by one session factory and
+// driven by one work-stealing dispatch. Three sources: one shared log
+// (run), one pre-compiled log per switch (run_fleet free, run_rounds
+// barrier-gated; the netplan planner projects different rules onto
+// different switches), or compile shards publishing while the sessions
+// ship (run_compiled, runtime/sharded_controller.h).
 #pragma once
 
 #include <cstdint>
@@ -19,6 +20,9 @@
 #include "util/stats.h"
 
 namespace ruletris::runtime {
+
+struct CompileSpec;  // runtime/sharded_controller.h
+struct FleetReport;  // runtime/sharded_controller.h
 
 /// A switch's encoded epoch log. Encoding happens once per distinct log;
 /// switches sharing a log share the bytes (retransmits and latency charges
@@ -73,8 +77,8 @@ struct RuntimeReport : SessionTotals {
 };
 
 /// Folds per-session stats into the merged fleet report (summed totals, max
-/// epochs and makespan, AND of converged and completed). Shared by
-/// Controller and ShardedController.
+/// epochs and makespan, AND of converged and completed). Every Controller
+/// entry point reports through it.
 RuntimeReport merge_session_stats(std::vector<SessionStats> results);
 
 /// Called by Controller::run_rounds after each fleet barrier: `epoch` is the
@@ -85,14 +89,18 @@ using RoundObserver =
     std::function<void(size_t epoch, double barrier_ms,
                        std::span<const SwitchAgent* const> agents)>;
 
-/// Runs the fan-out half of the runtime. The controller encodes each epoch
-/// batch exactly once (the encoded bytes are the unit both the channel
-/// charge and the wire faults operate on), replicates the log to every
-/// switch session — each session a private virtual-time event loop — and
-/// merges the per-session reports. Session loops execute on a ThreadPool
-/// when cfg.n_threads > 1; because sessions share nothing mutable and each
-/// derives its own fault stream from (fault_seed, session index), the
-/// report is bit-identical for every thread count.
+/// What one claimed step of a dispatch job achieved: nothing (the job is
+/// waiting on another), some progress, or the job is finished for good.
+enum class SweepStep { kIdle, kProgress, kDone };
+
+/// Runs the fan-out half of the runtime. Pre-compiled logs are encoded
+/// exactly once (the encoded bytes are the unit both the channel charge and
+/// the wire faults operate on) and shared by every session that replays
+/// them — each session a private virtual-time event loop — and the
+/// per-session reports are merged. Sessions (and compile shards) run on a
+/// ThreadPool when cfg.n_threads > 1; because sessions share nothing
+/// mutable and each derives its own fault stream from (fault_seed, session
+/// index), the report is bit-identical for every thread count.
 class Controller {
  public:
   explicit Controller(const RuntimeConfig& cfg) : cfg_(cfg) {}
@@ -119,9 +127,36 @@ class Controller {
   RuntimeReport run_rounds(const std::vector<SwitchWorkload>& fleet,
                            const RoundObserver& between_rounds = {});
 
+  /// Compile-in-the-loop fleet (runtime/sharded_controller.h):
+  /// cfg.n_switches sessions fed by compile shards that seal and publish
+  /// while the sessions ship. Throws std::invalid_argument on a malformed
+  /// spec; a failed replay audit or failover verification is reported
+  /// (replay_ok / failover_ok), not thrown.
+  FleetReport run_compiled(const CompileSpec& compile);
+
+  /// Spec sanity for run_compiled; throws std::invalid_argument.
+  void validate_compiled(const CompileSpec& compile) const;
+
  private:
-  std::unique_ptr<SwitchSession> make_session(const SwitchWorkload& w,
-                                              size_t index) const;
+  using Job = std::function<SweepStep(size_t)>;
+
+  /// The one session factory: seed hash_pair(fault_seed, index + 1), so a
+  /// switch's faults never depend on fleet size or scheduling;
+  /// cfg.tcam_capacity entries, or room for `expected_rules` when that is 0.
+  std::unique_ptr<SwitchSession> make_session(
+      size_t index, const EpochSource& source, size_t expected_rules,
+      std::span<const AgentBlackout> blackouts = {},
+      std::function<bool(uint64_t)> on_readmit = {}) const;
+
+  /// The one dispatch: up to cfg.n_threads symmetric workers sweep every
+  /// unfinished session job, then every unfinished shard job, claiming each
+  /// through an atomic try-lock, until every session job returned kDone. A
+  /// worker whose sessions starve thereby steals compile steps. Any throw,
+  /// std::exception or not, stops the sweep and is rethrown as a
+  /// std::runtime_error naming the lowest-indexed failed switch (then
+  /// shard). Returns the shard steps run off their home worker.
+  size_t sweep(size_t n_sessions, const Job& session, size_t n_shards = 0,
+               const Job& shard = {}) const;
 
   RuntimeConfig cfg_;
 };

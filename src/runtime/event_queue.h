@@ -29,7 +29,7 @@ class EventQueue {
   size_t size() const { return heap_.size(); }
 
   /// Due time of the earliest queued event; +inf when the queue is empty.
-  /// The sharded controller's pump uses this to order gated sends against
+  /// The compiled fleet's pump uses this to order gated sends against
   /// events without popping anything.
   double next_due() const {
     return heap_.empty() ? std::numeric_limits<double>::infinity()

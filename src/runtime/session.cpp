@@ -30,9 +30,18 @@ bool SessionTotals::same_virtual(const SessionTotals& other) const {
 
 SwitchSession::SwitchSession(const SessionConfig& config,
                              const std::vector<EncodedEpoch>& epochs)
+    : SwitchSession(config, std::make_unique<VectorEpochSource>(epochs),
+                    nullptr) {}
+
+SwitchSession::SwitchSession(const SessionConfig& config, const EpochSource& source)
+    : SwitchSession(config, nullptr, &source) {}
+
+SwitchSession::SwitchSession(const SessionConfig& config,
+                             std::unique_ptr<VectorEpochSource> owned,
+                             const EpochSource* source)
     : cfg_(config),
-      owned_source_(std::make_unique<VectorEpochSource>(epochs)),
-      source_(owned_source_.get()),
+      owned_source_(std::move(owned)),
+      source_(owned_source_ ? owned_source_.get() : source),
       wire_(config.knobs.channel, config.knobs.faults,
             util::mix64(config.seed ^ 0x71c3)),
       // A separate restart stream: restart times must not shift when the
@@ -51,24 +60,19 @@ SwitchSession::SwitchSession(const SessionConfig& config,
   stats_.epochs = source_->available();
 }
 
-SwitchSession::SwitchSession(const SessionConfig& config, const EpochSource& source)
-    : cfg_(config),
-      source_(&source),
-      wire_(config.knobs.channel, config.knobs.faults,
-            util::mix64(config.seed ^ 0x71c3)),
-      restart_rng_(util::mix64(config.seed ^ 0x7e57a27)),
-      backoff_rng_(util::mix64(config.seed ^ 0xbacc0ff5)),
-      agent_(config.tcam_capacity, config.knobs.channel,
-             config.knobs.faults.crash_p, util::mix64(config.seed ^ 0xc4a54)) {
-  if (cfg_.knobs.window == 0) cfg_.knobs.window = 1;
-  first_send_ms_.assign(source_->available() + 1, -1.0);
-  stats_.epochs = source_->available();
+/// The deadline is a safety net, not control: a session past it stops in
+/// whichever mode drives it, and the first check that finds it there counts
+/// the session's one deadline miss.
+bool SwitchSession::past_deadline() {
+  if (events_.now() <= cfg_.knobs.deadline_ms) return false;
+  stats_.deadline_misses = 1;
+  return true;
 }
 
 SessionStats SwitchSession::run(const std::vector<flowspace::Rule>& expected) {
   start();
   while (!done_ && events_.run_next()) {
-    if (events_.now() > cfg_.knobs.deadline_ms) break;  // safety net, not control
+    if (!done_ && past_deadline()) break;
   }
   return finalize(expected);
 }
@@ -93,8 +97,9 @@ void SwitchSession::set_send_limit(uint64_t max_epoch) {
 bool SwitchSession::run_until_committed(uint64_t epoch) {
   while (!done_ && base_ <= epoch) {
     if (!events_.run_next()) return false;        // stalled: nothing queued
-    // Past the deadline, but the event just run may have committed `epoch`.
-    if (events_.now() > cfg_.knobs.deadline_ms) break;
+    // The event just run may have committed `epoch`: only a session still
+    // short of it stops here.
+    if (!done_ && base_ <= epoch && past_deadline()) break;
   }
   return done_ || base_ > epoch;
 }
@@ -106,6 +111,11 @@ SessionStats SwitchSession::finalize(const std::vector<flowspace::Rule>& expecte
   stats_.restarts = agent_.restarts();
   stats_.duplicates = agent_.duplicates();
   stats_.quarantined_end = quarantined_;
+  const tcam::Tcam& device = agent_.device().tcam();
+  stats_.tcam_layout.clear();
+  for (size_t addr = 0; addr < device.capacity(); ++addr) {
+    if (auto id = device.at(addr)) stats_.tcam_layout.emplace_back(addr, *id);
+  }
   verify(expected);
   return stats_;
 }
@@ -468,7 +478,7 @@ bool SwitchSession::pump_published() {
   for (;;) {
     maybe_finish();
     if (done_) return progress;
-    if (events_.now() > cfg_.knobs.deadline_ms) return false;  // safety net
+    if (past_deadline()) return false;
     // Read complete() before available(): the source's contract makes a
     // count read after a true completion flag final, so a racing "publish
     // last epoch, then close" can never yield (complete, stale count) here.

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "flowspace/rule.h"
@@ -54,7 +55,7 @@ struct EncodedEpoch {
 };
 
 /// Where a session's epochs come from. Historically a session replayed a
-/// fixed pre-encoded vector; the sharded controller instead feeds sessions
+/// fixed pre-encoded vector; the compiled fleet instead feeds sessions
 /// from lock-free publication rings that grow while the session runs, so
 /// the log is an interface: a monotone count of sealed epochs, a completion
 /// flag, and a per-epoch *virtual ready time* — the compile shard's virtual
@@ -125,7 +126,8 @@ class VectorEpochSource final : public EpochSource {
   X(probe_sends)             /* liveness probes sent while quarantined */         \
   X(blackout_drops)          /* frames that arrived while the agent was dark */   \
   X(readmit_failures)        /* warm-boot catch-up verifications that failed */   \
-  X(rejoin_audit_violations) /* structural audits failed on rejoin */
+  X(rejoin_audit_violations) /* structural audits failed on rejoin */           \
+  X(deadline_misses)         /* sessions stopped by knobs.deadline_ms */
 
 /// The summable part of a session's outcome: the counters above plus the
 /// latency decomposition, one Histogram each. Sessions fill them without
@@ -156,6 +158,9 @@ struct SessionStats : SessionTotals {
   bool completed = false;        // log drained before the virtual deadline
   bool converged = false;        // final TCAM == expected rules, layout valid
   bool quarantined_end = false;  // still quarantined when the run ended
+  /// Final TCAM contents: (address, rule id) of every occupied entry, in
+  /// ascending address order.
+  std::vector<std::pair<size_t, flowspace::RuleId>> tcam_layout;
 };
 
 class SwitchSession {
@@ -164,8 +169,8 @@ class SwitchSession {
   /// session and is read-only here.
   SwitchSession(const SessionConfig& config, const std::vector<EncodedEpoch>& epochs);
 
-  /// Feeds the session from a growing source (the sharded-controller path).
-  /// `source` must outlive the session. Drive with start() +
+  /// Feeds the session from any source, e.g. the compile shards' growing
+  /// rings. `source` must outlive the session. Drive with start() +
   /// pump_published(); run() also works once the source is complete.
   SwitchSession(const SessionConfig& config, const EpochSource& source);
 
@@ -198,8 +203,8 @@ class SwitchSession {
   void advance_clock(double t) { events_.advance_to(t); }
 
   // ---- Pipelined (growing-source) driving ------------------------------
-  // The sharded controller's dispatch workers pump sessions whose logs are
-  // still being compiled. pump_published() runs events and gated first
+  // Controller::run_compiled's dispatch workers pump sessions whose logs
+  // are still being compiled. pump_published() runs events and gated first
   // sends in strict virtual-time order, but never past the source's sealed
   // horizon: with epochs still unsealed, their (strictly later) ready times
   // could demand a send below any event beyond the horizon, so the session
@@ -224,6 +229,10 @@ class SwitchSession {
   const SwitchAgent& agent() const { return agent_; }
 
  private:
+  SwitchSession(const SessionConfig& config,
+                std::unique_ptr<VectorEpochSource> owned,
+                const EpochSource* source);
+  bool past_deadline();
   void send_window();
   uint64_t highest_sendable() const;
   void maybe_finish();

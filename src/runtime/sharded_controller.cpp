@@ -6,8 +6,8 @@
 #include <chrono>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "classbench/generator.h"
@@ -15,9 +15,7 @@
 #include "frozen/delta.h"
 #include "frozen/publish.h"
 #include "proto/codec.h"
-#include "tcam/tcam.h"
 #include "util/hash.h"
-#include "util/thread_pool.h"
 
 namespace ruletris::runtime {
 
@@ -80,20 +78,6 @@ class RingEpochSource final : public EpochSource {
   std::atomic<uint64_t> primary_count_{0};
 };
 
-/// One-owner-at-a-time claim for the work-stealing sweep.
-class TryLock {
- public:
-  bool try_acquire() {
-    bool expected = false;
-    return locked_.compare_exchange_strong(expected, true,
-                                           std::memory_order_acquire);
-  }
-  void release() { locked_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> locked_{false};
-};
-
 struct SwitchSlot {
   size_t index = 0;
   /// Private rule-id namespace: every id this switch's tables, compiler and
@@ -109,7 +93,6 @@ struct SwitchSlot {
   // compile state with bit-identical rule ids.
   SwitchTask task_backup;
   RuleId id_rebuild_base = 0;
-  bool at_risk = false;
   /// Keep delta blobs in the sealed ring records (failover reconstruction
   /// or quarantine re-admission needs the bytes, not just the hashes).
   bool retain_blobs = false;
@@ -125,7 +108,6 @@ struct SwitchSlot {
   /// Audited switches: the latest epoch's capture, the diff source of the
   /// recorded ≡ diffed oracle and the replay audit's expected image.
   frozen::PolicyImage audit_image;
-  std::vector<std::shared_ptr<const frozen::Bytes>> audit_blobs;
   bool audited = false;
   bool audit_passed = true;
   uint64_t delta_chain = 0;  // hash chain over every sealed delta blob
@@ -146,14 +128,10 @@ struct SwitchSlot {
   std::unique_ptr<frozen::PublishRing<SealedEpoch>> cont_ring;
   std::unique_ptr<RingEpochSource> source;
 
-  // Session side — guarded by `lock`.
+  // Session side — touched only by the dispatch worker holding its claim.
   std::unique_ptr<SwitchSession> session;
-  TryLock lock;
-  bool started = false;
   size_t starved = 0;
   SessionStats stats;
-  std::string error;
-  std::atomic<bool> finished{false};
 };
 
 /// A switch orphaned by a shard kill, queued for adoption. kill_at gates
@@ -173,9 +151,6 @@ struct CompileShard {
   size_t remaining = 0;  // engines not yet complete
   double vt_ms = 0.0;    // the shard's virtual compile clock
   size_t steps = 0;
-  std::string error;
-  TryLock lock;
-  std::atomic<bool> done{false};
 
   // Chaos state.
   bool adoptable = false;     // never scheduled to die; may inherit orphans
@@ -188,9 +163,6 @@ struct CompileShard {
 struct Fleet {
   std::vector<std::unique_ptr<SwitchSlot>> slots;
   std::vector<std::unique_ptr<CompileShard>> shards;
-  std::atomic<size_t> live_sessions{0};
-  std::atomic<size_t> steals{0};
-  std::atomic<bool> failed{false};
 
   /// One entry per scheduled kill; resolved once the kill fired or the
   /// shard escaped by finishing first. The release store happens after the
@@ -226,7 +198,7 @@ struct Fleet {
   }
 };
 
-SwitchTask default_task(const FleetSpec& spec, size_t sw) {
+SwitchTask default_task(const CompileSpec& spec, size_t sw) {
   SwitchTask task;
   util::Rng rng(util::hash_pair(spec.seed, sw + 1));
   task.tables.emplace(
@@ -241,19 +213,42 @@ SwitchTask default_task(const FleetSpec& spec, size_t sw) {
   return task;
 }
 
-/// Replays the switch's retained RTDZ delta blobs over its epoch-1 base
-/// image; true iff the chain reproduces the final captured image exactly.
-bool replay_audit(const SwitchSlot& slot) {
-  frozen::PolicyImage replay = slot.base_image;
-  for (const auto& blob : slot.audit_blobs) {
-    frozen::apply_delta(replay, frozen::decode_delta(*blob));
+/// A replayed blob chain: the image it reproduces and the hash_pair fold
+/// over the sealed delta hashes it walked.
+struct ChainReplay {
+  frozen::PolicyImage image;
+  uint64_t chain = 0;
+};
+
+/// The one blob-chain replay: the switch's epoch-1 base image through its
+/// published delta blobs up to epoch `upto` (>= 1), read from the ring
+/// records through the switch's source, so it is lock-free and sees across
+/// a failover splice. Verifies epoch 1's hash against the frozen base image
+/// and every blob against its sealed hash; nullopt on a broken link.
+/// Decoding deltas bumps the active rule-id counter, so the replay always
+/// runs in a scratch namespace and never perturbs the switch's real stream.
+std::optional<ChainReplay> replay_chain(const SwitchSlot& slot, uint64_t upto) {
+  RuleId scratch = (static_cast<RuleId>(slot.index) + 1) << 48;
+  flowspace::ScopedRuleIdNamespace ns(&scratch);
+  const uint64_t base_hash = slot.source->rec(1).delta_hash;
+  if (hash_bytes(frozen::freeze(slot.base_image)) != base_hash) {
+    return std::nullopt;
   }
-  return replay == slot.audit_image;
+  ChainReplay out{slot.base_image, util::hash_pair(0, base_hash)};
+  for (uint64_t e = 2; e <= upto; ++e) {
+    const SealedEpoch& rec = slot.source->rec(e);
+    if (!rec.delta || hash_bytes(*rec.delta) != rec.delta_hash) {
+      return std::nullopt;
+    }
+    frozen::apply_delta(out.image, frozen::decode_delta(*rec.delta));
+    out.chain = util::hash_pair(out.chain, rec.delta_hash);
+  }
+  return out;
 }
 
 /// Compiles and seals one epoch for the shard's next unfinished switch.
 /// Caller holds the shard lock. Returns false when every engine is done.
-bool seal_next(CompileShard& shard, const FleetSpec& spec) {
+bool seal_next(CompileShard& shard, const CompileSpec& spec) {
   SwitchSlot* slot = nullptr;
   for (size_t probe = 0; probe < shard.owned.size(); ++probe) {
     SwitchSlot* cand = shard.owned[(shard.cursor + probe) % shard.owned.size()];
@@ -309,7 +304,6 @@ bool seal_next(CompileShard& shard, const FleetSpec& spec) {
         slot->audit_passed = false;
       }
       slot->audit_image = std::move(image);
-      slot->audit_blobs.push_back(blob);
     }
     if (slot->audited || slot->retain_blobs) sealed.delta = std::move(blob);
   }
@@ -318,17 +312,18 @@ bool seal_next(CompileShard& shard, const FleetSpec& spec) {
   frozen::PublishRing<SealedEpoch>& ring =
       slot->cont_ring ? *slot->cont_ring : *slot->ring;
   const bool last = slot->engine->done();
+  ring.publish(std::make_unique<SealedEpoch>(std::move(sealed)));
   if (last) {
     // Everything the session will read after observing closed() must be in
     // place before close()'s release store.
     slot->expected = slot->engine->current_rules();
     slot->cover_overflows = frontend.root().cover_overflows();
-    if (slot->audited) {
-      slot->audit_passed = slot->audit_passed && replay_audit(*slot);
+    if (slot->audited && slot->audit_passed) {
+      // The published blobs, this last one included, must replay the base
+      // image to the final capture.
+      const std::optional<ChainReplay> replay = replay_chain(*slot, epoch);
+      slot->audit_passed = replay && replay->image == slot->audit_image;
     }
-  }
-  ring.publish(std::make_unique<SealedEpoch>(std::move(sealed)));
-  if (last) {
     ring.close();
     --shard.remaining;
   }
@@ -357,7 +352,6 @@ void process_kill(CompileShard& dead, Fleet& fleet) {
     target.pending.push_back(o);
   }
   dead.remaining = 0;
-  dead.done.store(true, std::memory_order_release);
   fleet.resolve_kill(dead.index);  // release: after the orphans are queued
 }
 
@@ -365,13 +359,12 @@ void process_kill(CompileShard& dead, Fleet& fleet) {
 /// from the pristine task (ids replay identically), charge the replay to
 /// this shard's clock, splice a fresh continuation ring into the session's
 /// source. Caller holds the adopting shard's lock.
-void adopt_slot(CompileShard& shard, const Orphan& o, const FleetSpec& spec) {
+void adopt_slot(CompileShard& shard, const Orphan& o, const CompileSpec& spec) {
   SwitchSlot& slot = *o.slot;
   // Clamp to the dead shard's final clock: every epoch already published is
   // ready at or below the floor, so the continued ready times stay strictly
   // increasing on the spliced stream.
   shard.vt_ms = std::max(shard.vt_ms, o.floor);
-  flowspace::ScopedRuleIdNamespace ns(&slot.id_counter);
   const uint64_t published = slot.ring->sealed();
 
   // 1. Reconstruct the authoritative compile state from the hash-chained
@@ -379,20 +372,9 @@ void adopt_slot(CompileShard& shard, const Orphan& o, const FleetSpec& spec) {
   bool ok = true;
   frozen::PolicyImage replayed;
   if (published >= 1) {
-    replayed = slot.base_image;
-    ok = hash_bytes(frozen::freeze(slot.base_image)) ==
-         slot.ring->get(1).delta_hash;
-    uint64_t chain = util::hash_pair(0, slot.ring->get(1).delta_hash);
-    for (uint64_t e = 2; e <= published && ok; ++e) {
-      const SealedEpoch& rec = slot.ring->get(e);
-      if (!rec.delta || hash_bytes(*rec.delta) != rec.delta_hash) {
-        ok = false;
-        break;
-      }
-      frozen::apply_delta(replayed, frozen::decode_delta(*rec.delta));
-      chain = util::hash_pair(chain, rec.delta_hash);
-    }
-    ok = ok && chain == slot.delta_chain;
+    std::optional<ChainReplay> replay = replay_chain(slot, published);
+    ok = replay && replay->chain == slot.delta_chain;
+    if (replay) replayed = std::move(replay->image);
   }
 
   // 2. Rebuild the engine from the pristine task and re-step it to the
@@ -400,6 +382,7 @@ void adopt_slot(CompileShard& shard, const Orphan& o, const FleetSpec& spec) {
   // so inside the switch's namespace the replayed compile allocates exactly
   // the ids the dead shard allocated.
   slot.id_counter = slot.id_rebuild_base;
+  flowspace::ScopedRuleIdNamespace ns(&slot.id_counter);
   SwitchTask task = slot.task_backup;
   slot.engine = std::make_unique<ChurnEngine>(
       task.spec, std::move(task.tables), task.churn);
@@ -449,7 +432,7 @@ void adopt_slot(CompileShard& shard, const Orphan& o, const FleetSpec& spec) {
 /// is the caller's snapshot of the earliest unresolved kill time. Caller
 /// holds the shard lock. Returns true if anything was adopted.
 bool adopt_ready_orphans(CompileShard& shard, double min_unresolved,
-                         const FleetSpec& spec) {
+                         const CompileSpec& spec) {
   bool adopted = false;
   for (;;) {
     Orphan next;
@@ -476,25 +459,25 @@ bool adopt_ready_orphans(CompileShard& shard, double min_unresolved,
   return adopted;
 }
 
-/// Marks the shard done when nothing can ever land on it again. Caller
-/// holds the shard lock.
-void maybe_retire_shard(CompileShard& shard, Fleet& fleet) {
-  if (shard.killed || shard.remaining != 0) return;
-  if (shard.kill_at_ms >= 0.0) return;  // kill pending: stay claimable
+/// True when nothing can ever land on the shard again. Caller holds the
+/// shard's claim.
+bool shard_retired(CompileShard& shard, const Fleet& fleet) {
+  if (shard.killed || shard.remaining != 0) return false;
+  if (shard.kill_at_ms >= 0.0) return false;  // kill pending: stay claimable
   if (shard.adoptable) {
-    if (fleet.min_unresolved_kill() < kInf) return;  // may inherit orphans
+    if (fleet.min_unresolved_kill() < kInf) return false;  // may inherit orphans
     std::lock_guard<std::mutex> g(shard.adopt_mu);
-    if (!shard.pending.empty()) return;
+    if (!shard.pending.empty()) return false;
   }
-  shard.done.store(true, std::memory_order_release);
+  return true;
 }
 
 /// One claimed quantum of compile work: fire due kills, integrate due
 /// orphans, seal epochs — never stepping past an unresolved kill time (the
 /// compile-side horizon rule that keeps adoption points schedule-
-/// independent). Caller holds the shard lock.
-bool run_shard_quantum(CompileShard& shard, Fleet& fleet,
-                       const FleetSpec& spec) {
+/// independent). Caller holds the shard's claim.
+SweepStep run_shard_quantum(CompileShard& shard, Fleet& fleet,
+                            const CompileSpec& spec) {
   constexpr int kQuantum = 8;  // epochs sealed per shard claim
   bool progress = false;
   for (int q = 0; q < kQuantum; ++q) {
@@ -503,7 +486,7 @@ bool run_shard_quantum(CompileShard& shard, Fleet& fleet,
       // time — a pure function of the shard's own step sequence.
       if (shard.vt_ms >= shard.kill_at_ms) {
         process_kill(shard, fleet);
-        return true;
+        return SweepStep::kDone;
       }
       if (shard.remaining == 0) {
         // Every owned stream sealed before the kill time: the kill misses.
@@ -530,101 +513,54 @@ bool run_shard_quantum(CompileShard& shard, Fleet& fleet,
     if (!seal_next(shard, spec)) break;
     progress = true;
   }
-  maybe_retire_shard(shard, fleet);
-  return progress;
+  if (shard_retired(shard, fleet)) return SweepStep::kDone;
+  return progress ? SweepStep::kProgress : SweepStep::kIdle;
 }
 
 /// Pumps one session as far as its sealed horizon allows. Caller holds the
-/// slot lock. Returns true if the session made progress.
-bool pump_slot(SwitchSlot& slot, const FleetSpec& spec, Fleet& fleet) {
-  if (slot.finished.load(std::memory_order_relaxed)) return false;
-  try {
-    if (!slot.started) {
-      slot.session->start();
-      slot.started = true;
-    }
-    const bool progress = slot.session->pump_published();
-    if (slot.session->done()) {
-      // done ⇒ the session observed closed(), so slot.expected is visible
-      // and the shard will never write this slot again.
-      slot.stats = slot.session->finalize(slot.expected);
-    } else if (!progress) {
-      if (slot.session->now_ms() > spec.knobs.deadline_ms) {
-        // Deadline miss with the compile possibly still running: finalize
-        // against nothing (reports non-convergence) rather than racing the
-        // shard for slot.expected.
-        slot.stats = slot.session->finalize({});
-      } else {
-        ++slot.starved;  // sealed horizon reached; go compile instead
-        return false;
-      }
-    } else {
-      return true;
-    }
-  } catch (const std::exception& e) {  // workers must not throw
-    slot.error = e.what();
-    fleet.failed.store(true, std::memory_order_relaxed);
+/// slot's claim.
+SweepStep pump_slot(SwitchSlot& slot, double deadline_ms) {
+  const bool progress = slot.session->pump_published();
+  if (slot.session->done()) {
+    // done ⇒ the session observed closed(), so slot.expected is visible
+    // and the shard will never write this slot again.
+    slot.stats = slot.session->finalize(slot.expected);
+    return SweepStep::kDone;
   }
-  slot.finished.store(true, std::memory_order_relaxed);
-  fleet.live_sessions.fetch_sub(1, std::memory_order_acq_rel);
-  return true;
-}
-
-/// One dispatch worker: sweep sessions, then steal compile work. Workers
-/// are symmetric — "stealing" is just running a quantum for a shard whose
-/// home worker (index % n_threads) is someone else.
-void worker_loop(Fleet& fleet, const FleetSpec& spec, size_t worker,
-                 size_t n_threads) {
-  const size_t n_slots = fleet.slots.size();
-  const size_t n_shards = fleet.shards.size();
-  const size_t slot_offset = n_slots == 0 ? 0 : (worker * n_slots) / n_threads;
-  while (fleet.live_sessions.load(std::memory_order_acquire) > 0 &&
-         !fleet.failed.load(std::memory_order_relaxed)) {
-    bool progress = false;
-    for (size_t k = 0; k < n_slots; ++k) {
-      SwitchSlot& slot = *fleet.slots[(slot_offset + k) % n_slots];
-      if (slot.finished.load(std::memory_order_relaxed)) continue;
-      if (!slot.lock.try_acquire()) continue;
-      progress |= pump_slot(slot, spec, fleet);
-      slot.lock.release();
-    }
-    for (size_t k = 0; k < n_shards; ++k) {
-      CompileShard& shard = *fleet.shards[(worker + k) % n_shards];
-      if (shard.done.load(std::memory_order_acquire)) continue;
-      if (!shard.lock.try_acquire()) continue;
-      if (shard.index % n_threads != worker) {
-        fleet.steals.fetch_add(1, std::memory_order_relaxed);
-      }
-      try {
-        progress |= run_shard_quantum(shard, fleet, spec);
-      } catch (const std::exception& e) {
-        shard.error = e.what();
-        shard.done.store(true, std::memory_order_release);
-        fleet.failed.store(true, std::memory_order_relaxed);
-      }
-      shard.lock.release();
-    }
-    if (!progress) std::this_thread::yield();
+  if (progress) return SweepStep::kProgress;
+  if (slot.session->now_ms() <= deadline_ms) {
+    ++slot.starved;  // sealed horizon reached; go compile instead
+    return SweepStep::kIdle;
   }
+  // Deadline miss with the compile possibly still running: finalize
+  // against nothing (reports non-convergence) rather than racing the shard
+  // for slot.expected.
+  slot.stats = slot.session->finalize({});
+  return SweepStep::kDone;
 }
 
 }  // namespace
 
-void ShardedController::validate(const FleetSpec& spec) {
-  if (spec.n_switches == 0) {
+void Controller::validate_compiled(const CompileSpec& spec) const {
+  if (cfg_.n_switches == 0) {
     throw std::invalid_argument("FleetSpec: n_switches must be > 0");
   }
   if (spec.n_shards == 0) {
     throw std::invalid_argument("FleetSpec: n_shards must be > 0");
   }
-  if (spec.n_shards > spec.n_switches) {
+  if (spec.n_shards > cfg_.n_switches) {
     throw std::invalid_argument(
         "FleetSpec: n_shards must not exceed n_switches (" +
         std::to_string(spec.n_shards) + " > " +
-        std::to_string(spec.n_switches) + ")");
+        std::to_string(cfg_.n_switches) + ")");
   }
-  if (spec.n_threads == 0) {
+  if (cfg_.n_threads == 0) {
     throw std::invalid_argument("FleetSpec: n_threads must be > 0");
+  }
+  if (cfg_.tcam_capacity == 0) {
+    // Sessions start before anything is compiled: there is no expected
+    // rule set to size the TCAM from.
+    throw std::invalid_argument("FleetSpec: tcam_capacity must be > 0");
   }
   if (spec.compile_base_ms <= 0.0 || spec.compile_per_op_ms <= 0.0) {
     throw std::invalid_argument(
@@ -658,10 +594,10 @@ void ShardedController::validate(const FleetSpec& spec) {
         "FleetSpec: at least one shard must be spared to adopt orphans");
   }
   for (const AgentBlackout& b : spec.chaos.blackouts) {
-    if (b.sw >= spec.n_switches) {
+    if (b.sw >= cfg_.n_switches) {
       throw std::invalid_argument(
           "FleetSpec: chaos blackout targets switch " + std::to_string(b.sw) +
-          " of " + std::to_string(spec.n_switches));
+          " of " + std::to_string(cfg_.n_switches));
     }
     if (b.window.duration_ms <= 0.0 || b.window.at_ms < 0.0) {
       throw std::invalid_argument(
@@ -670,15 +606,14 @@ void ShardedController::validate(const FleetSpec& spec) {
   }
 }
 
-FleetReport ShardedController::run() {
-  validate(spec_);
+FleetReport Controller::run_compiled(const CompileSpec& spec) {
+  validate_compiled(spec);
   const auto wall_start = std::chrono::steady_clock::now();
-  const size_t n = spec_.n_switches;
-  const size_t n_shards = spec_.n_shards;
-  const size_t n_threads = std::max<size_t>(spec_.n_threads, 1);
+  const size_t n = cfg_.n_switches;
+  const size_t n_shards = spec.n_shards;
 
   std::vector<double> kill_at(n_shards, -1.0);
-  for (const ShardKill& k : spec_.chaos.shard_kills) {
+  for (const ShardKill& k : spec.chaos.shard_kills) {
     kill_at[k.shard] = k.at_vt_ms;
   }
 
@@ -690,67 +625,42 @@ FleetReport ShardedController::run() {
     slot->id_counter = static_cast<RuleId>(i + 1) << 32;
     {
       flowspace::ScopedRuleIdNamespace ns(&slot->id_counter);
-      slot->task = spec_.make_task ? spec_.make_task(i) : default_task(spec_, i);
+      slot->task = spec.make_task ? spec.make_task(i) : default_task(spec, i);
     }
-    slot->audited = spec_.audit_stride != 0 && i % spec_.audit_stride == 0;
-    slot->at_risk = kill_at[i % n_shards] >= 0.0;
-    if (slot->at_risk) {
+    slot->audited = spec.audit_stride != 0 && i % spec.audit_stride == 0;
+    slot->retain_blobs = kill_at[i % n_shards] >= 0.0;  // at risk
+    if (slot->retain_blobs) {
       // Failover provisions: the pristine task and the id checkpoint the
       // adopting shard rewinds to when it rebuilds the engine.
       slot->task_backup = slot->task;
       slot->id_rebuild_base = slot->id_counter;
     }
-    slot->retain_blobs = slot->at_risk;
     slot->ring = std::make_unique<frozen::PublishRing<SealedEpoch>>(
         slot->task.churn.updates + 1);
     slot->source = std::make_unique<RingEpochSource>(*slot->ring);
     fleet.slots.push_back(std::move(slot));
   }
-  for (const AgentBlackout& b : spec_.chaos.blackouts) {
+  for (const AgentBlackout& b : spec.chaos.blackouts) {
     // A blackout target may quarantine and re-admit: keep its blobs so the
     // warm-boot catch-up material is verifiable.
     fleet.slots[b.sw]->retain_blobs = true;
   }
   for (size_t i = 0; i < n; ++i) {
     SwitchSlot* raw = fleet.slots[i].get();
-    SessionConfig sc;
-    sc.knobs = spec_.knobs;
-    sc.seed = util::hash_pair(spec_.fault_seed, i + 1);
-    sc.tcam_capacity = spec_.tcam_capacity;
-    for (const AgentBlackout& b : spec_.chaos.blackouts) {
-      if (b.sw == i) sc.blackouts.push_back(b.window);
-    }
-    // Warm-boot catch-up verification at re-admission: replay the frozen
-    // base image through the published, hash-chained delta blobs up to the
-    // agent's anchor. Lock-free: only ring records (acquire-published) and
-    // base_image (ordered by the epoch-1 publish the anchor implies) are
-    // read. Without retained blobs (switch never scheduled for chaos) the
-    // check passes trivially.
-    sc.on_readmit = [raw](uint64_t anchor) {
-      if (!raw->retain_blobs) return true;
-      const uint64_t upto = std::min<uint64_t>(anchor, raw->source->available());
-      if (upto < 1) return true;
-      // Scratch namespace: decoding deltas bumps the active rule-id
-      // counter, and this replay must not perturb the switch's real stream.
-      RuleId scratch = (static_cast<RuleId>(raw->index) + 1) << 48;
-      flowspace::ScopedRuleIdNamespace ns(&scratch);
-      if (hash_bytes(frozen::freeze(raw->base_image)) !=
-          raw->source->rec(1).delta_hash) {
-        return false;
-      }
-      frozen::PolicyImage img = raw->base_image;
-      for (uint64_t e = 2; e <= upto; ++e) {
-        const SealedEpoch& rec = raw->source->rec(e);
-        if (!rec.delta || hash_bytes(*rec.delta) != rec.delta_hash) {
-          return false;
-        }
-        frozen::apply_delta(img, frozen::decode_delta(*rec.delta));
-      }
-      return true;
-    };
-    raw->session = std::make_unique<SwitchSession>(sc, *raw->source);
+    // Warm-boot catch-up verification at re-admission: the published blob
+    // chain up to the agent's anchor must replay. Lock-free: only ring
+    // records (acquire-published) and base_image (ordered by the epoch-1
+    // publish the anchor implies) are read. Without retained blobs (switch
+    // never scheduled for chaos) the check passes trivially.
+    raw->session = make_session(
+        i, *raw->source, 0, spec.chaos.blackouts, [raw](uint64_t anchor) {
+          if (!raw->retain_blobs) return true;
+          const uint64_t upto =
+              std::min<uint64_t>(anchor, raw->source->available());
+          return upto < 1 || replay_chain(*raw, upto).has_value();
+        });
+    raw->session->start();  // virtual time 0: nothing is sealed yet
   }
-  fleet.live_sessions.store(n, std::memory_order_relaxed);
 
   fleet.shards.reserve(n_shards);
   for (size_t k = 0; k < n_shards; ++k) {
@@ -762,48 +672,24 @@ FleetReport ShardedController::run() {
       shard->owned.push_back(fleet.slots[i].get());
     }
     shard->remaining = shard->owned.size();
-    if (shard->owned.empty() && shard->kill_at_ms < 0.0 &&
-        spec_.chaos.shard_kills.empty()) {
-      shard->done.store(true, std::memory_order_relaxed);
-    }
     fleet.shards.push_back(std::move(shard));
   }
-  for (const ShardKill& k : spec_.chaos.shard_kills) {
+  for (const ShardKill& k : spec.chaos.shard_kills) {
     auto ks = std::make_unique<Fleet::KillState>();
     ks->shard = k.shard;
     ks->at_ms = k.at_vt_ms;
     fleet.kills.push_back(std::move(ks));
   }
 
-  if (n_threads == 1) {
-    worker_loop(fleet, spec_, 0, 1);
-  } else {
-    util::ThreadPool pool(n_threads);
-    for (size_t t = 0; t < n_threads; ++t) {
-      pool.run([&fleet, this, t, n_threads] {
-        worker_loop(fleet, spec_, t, n_threads);
-      });
-    }
-    pool.wait_idle();
-  }
-
-  for (const auto& shard : fleet.shards) {
-    if (!shard->error.empty()) {
-      throw std::runtime_error("fleet shard " + std::to_string(shard->index) +
-                               ": " + shard->error);
-    }
-  }
-  for (const auto& slot : fleet.slots) {
-    if (!slot->error.empty()) {
-      throw std::runtime_error("fleet switch " + std::to_string(slot->index) +
-                               ": " + slot->error);
-    }
-  }
+  const size_t steals = sweep(
+      n, [&](size_t i) { return pump_slot(*fleet.slots[i], cfg_.knobs.deadline_ms); },
+      n_shards,
+      [&](size_t k) { return run_shard_quantum(*fleet.shards[k], fleet, spec); });
 
   FleetReport report;
   report.switches = n;
   report.shards = n_shards;
-  report.threads = n_threads;
+  report.threads = cfg_.n_threads;
   double active_makespan = 0.0;
   std::vector<SessionStats> stats;
   stats.reserve(n);
@@ -838,12 +724,9 @@ FleetReport ShardedController::run() {
     // Layout-only digest alongside: the chaos harness compares final TCAM
     // contents against a clean run's, where counters legitimately differ.
     uint64_t lh = util::hash_pair(slot->index + 1, 0x1a707u);
-    const tcam::Tcam& device = slot->session->agent().device().tcam();
-    for (size_t addr = 0; addr < device.capacity(); ++addr) {
-      if (auto id = device.at(addr)) {
-        h = util::hash_pair(h, util::hash_pair(addr, *id));
-        lh = util::hash_pair(lh, util::hash_pair(addr, *id));
-      }
+    for (const auto& [addr, id] : slot->stats.tcam_layout) {
+      h = util::hash_pair(h, util::hash_pair(addr, id));
+      lh = util::hash_pair(lh, util::hash_pair(addr, id));
     }
     report.fleet_fingerprint += h;
     report.layout_fingerprint += lh;
@@ -854,7 +737,7 @@ FleetReport ShardedController::run() {
     report.compile_vt_ms = std::max(report.compile_vt_ms, shard->vt_ms);
     report.shard_steps += shard->steps;
   }
-  report.steals = fleet.steals.load(std::memory_order_relaxed);
+  report.steals = steals;
   report.shard_kills = fleet.shard_kills.load(std::memory_order_relaxed);
   report.kills_escaped = fleet.kills_escaped.load(std::memory_order_relaxed);
   report.runtime = merge_session_stats(std::move(stats));

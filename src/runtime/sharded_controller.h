@@ -1,25 +1,25 @@
-// Sharded compile pipeline + switch fleet, the cbench-style scale-out path.
-//
-// The classic Controller replays a pre-compiled log; the ShardedController
-// removes the "compile first, replicate after" barrier. K compile shards
-// each run the full incremental min-DAG pipeline over the switches they
-// own, one ChurnEngine per switch stepped round-robin under a per-shard
-// virtual compile clock. Every sealed epoch is published lock-free through
-// a frozen::PublishRing — the RTDZ delta blob is the shard-handoff
-// currency: the shard seals each step's delta straight from the churn the
-// engine's root recorded (frozen::seal_recorded; only the epoch-1 base is a
-// full capture), seals (wire image, ops, ready time, delta) and bumps the
+// Compile-in-the-loop fleet: the compile pipeline behind
+// Controller::run_compiled. The driver is runtime::Controller — its session
+// factory, its work-stealing dispatch and its merge — so this file only
+// adds the compile side: K compile shards each run the full incremental
+// min-DAG pipeline over the switches they own, one ChurnEngine per switch
+// stepped round-robin under a per-shard virtual compile clock. That removes
+// the "compile first, replicate after" barrier of the pre-compiled paths.
+// Every sealed epoch is published lock-free through a
+// frozen::PublishRing — the RTDZ delta blob is the shard-handoff currency:
+// the shard seals each step's delta straight from the churn the engine's
+// root recorded (frozen::seal_recorded; only the epoch-1 base is a full
+// capture), seals (wire image, ops, ready time, delta) and bumps the
 // ring's atomic epoch counter; switch sessions consume with acquire loads
 // and zero locks.
 //
-// Dispatch is work-stealing over a util::ThreadPool: every worker sweeps
-// every session (pump as far as the sealed horizon allows) and every shard
-// (compile a quantum of epochs), claiming each via an atomic try-lock.
-// A worker that finds its sessions starved steals compile steps from any
-// shard; nothing is pinned, nothing blocks.
+// In the Controller's dispatch every worker sweeps every session (pump as
+// far as the sealed horizon allows) and every shard (compile a quantum of
+// epochs), claiming each via an atomic try-lock. A worker that finds its
+// sessions starved steals compile steps from any shard.
 //
 // Determinism: the whole report — per-switch TCAM layouts, wire bytes,
-// RTDZ delta chains, virtual makespans — is a pure function of FleetSpec,
+// RTDZ delta chains, virtual makespans — is a pure function of the spec,
 // bit-identical for every n_threads. Three mechanisms carry that property:
 //   * per-switch rule-id namespaces (flowspace::ScopedRuleIdNamespace), so
 //     id allocation never observes cross-switch interleaving;
@@ -29,8 +29,9 @@
 //   * the session-side horizon rule (SwitchSession::pump_published), so
 //     wall-clock publication timing decides only where a session blocks,
 //     never the virtual order of its events.
-// run() self-checks the sharding (cross-shard delta replay) and the bench
-// harness cross-checks whole-fleet fingerprints across thread counts.
+// run_compiled() self-checks the sharding (cross-shard delta replay) and
+// the bench harness cross-checks whole-fleet fingerprints across thread
+// counts.
 //
 // Fault tolerance (see DESIGN.md §15): a ChaosSchedule kills compile shards
 // at virtual times — surviving shards adopt the orphaned switches by
@@ -71,7 +72,7 @@ struct SealedEpoch {
   double ready_vt_ms = 0.0;  // shard virtual compile clock at seal
   uint64_t delta_hash = 0;   // mix of the epoch's RTDZ delta blob bytes
   /// The delta blob itself, retained for replay-audited switches (every
-  /// spec.audit_stride-th) and for switches that may need it for failover
+  /// audit_stride-th) and for switches that may need it for failover
   /// reconstruction or quarantine re-admission (chaos targets); empty
   /// elsewhere — the hash chain still covers every epoch of every switch.
   std::shared_ptr<const frozen::Bytes> delta;
@@ -84,10 +85,12 @@ struct SwitchTask {
   ChurnSpec churn;
 };
 
-struct FleetSpec {
-  size_t n_switches = 8;
-  size_t n_shards = 2;   // compile shards; switch i belongs to shard i % K
-  size_t n_threads = 1;  // dispatch workers (compile + session pumping)
+/// Compile side of a compiled fleet (Controller::run_compiled): shard
+/// geometry, the per-switch workload, the modelled compile cost, the replay
+/// audit and the chaos schedule. Fleet size, dispatch threads, session
+/// knobs, fault seed and TCAM size come from the Controller's RuntimeConfig.
+struct CompileSpec {
+  size_t n_shards = 2;  // compile shards; switch i belongs to shard i % K
 
   // Default workload (used when make_task is unset): per-switch
   // monitor ∥ router composition churned on the monitor leaf with bursty,
@@ -103,13 +106,6 @@ struct FleetSpec {
   /// the switch's private rule-id namespace.
   std::function<SwitchTask(size_t sw)> make_task;
 
-  /// Session / wire knobs shared with RuntimeConfig (window, retry policy,
-  /// channel, faults, deadline) — the one place backoff parameters live.
-  /// Default: clean wire, window 8 (throughput mode).
-  SessionKnobs knobs = [] { SessionKnobs k; k.window = 8; return k; }();
-  uint64_t fault_seed = 1;
-  size_t tcam_capacity = 2048;
-
   // Modelled compile cost, advancing the owning shard's virtual clock per
   // sealed epoch. Strictly positive so per-ring ready times strictly
   // increase (the horizon rule requires it).
@@ -118,9 +114,9 @@ struct FleetSpec {
 
   /// Every audit_stride-th switch runs the differential oracle: each sealed
   /// (recorded) delta blob must byte-equal the diff of consecutive policy
-  /// captures, and the kept blobs must replay the epoch-1 base image to
-  /// the final capture when its stream closes. Any mismatch fails the run
-  /// (replay_ok). 0 disables the audit.
+  /// captures, and the published blobs must replay the epoch-1 base image
+  /// to the final capture when its stream closes. Any mismatch fails the
+  /// run (replay_ok). 0 disables the audit.
   size_t audit_stride = 16;
 
   /// Seeded fault schedule: shard kills on virtual compile clocks, agent
@@ -131,6 +127,19 @@ struct FleetSpec {
   /// epoch to re-step an orphaned switch's engine to its published
   /// frontier (replaying known updates is cheaper than compiling fresh).
   double failover_replay_factor = 0.25;
+};
+
+/// A whole compiled fleet in one value: the RuntimeConfig the Controller
+/// runs with plus the CompileSpec it compiles, run as
+/// `Controller(spec).run_compiled(spec)`. Fleet defaults differ from
+/// RuntimeConfig's: clean wire with window 8 (throughput mode), 2048-entry
+/// TCAMs, one dispatch thread.
+struct FleetSpec : RuntimeConfig, CompileSpec {
+  FleetSpec() {
+    n_threads = 1;
+    knobs.window = 8;
+    tcam_capacity = 2048;
+  }
 };
 
 struct FleetReport {
@@ -193,22 +202,15 @@ struct FleetReport {
   }
 };
 
+/// The compiled fleet's former driver name, kept as a forwarder only
+/// because the standalone perfbench program still names it.
 class ShardedController {
  public:
   explicit ShardedController(FleetSpec spec) : spec_(std::move(spec)) {}
-
-  /// Compiles, ships and commits the whole fleet; throws
-  /// std::invalid_argument on a malformed spec (validate()) and
-  /// std::runtime_error on internal errors. A failed replay audit or
-  /// failover verification sets report.replay_ok / report.failover_ok
-  /// instead of throwing — the run completes and reports.
-  FleetReport run();
-
-  /// Spec sanity: n_switches/n_shards/n_threads > 0, n_shards <= n_switches,
-  /// strictly positive compile costs (ready times must strictly increase),
-  /// kills on valid shards (at most one each, at least one shard spared),
-  /// blackouts on valid switches. Throws std::invalid_argument.
-  static void validate(const FleetSpec& spec);
+  FleetReport run() { return Controller(spec_).run_compiled(spec_); }
+  static void validate(const FleetSpec& spec) {
+    Controller(spec).validate_compiled(spec);
+  }
 
  private:
   FleetSpec spec_;

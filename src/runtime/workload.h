@@ -78,11 +78,11 @@ struct ChurnSpec {
 
 /// Stepwise churn compiler: produces exactly the epoch stream
 /// compile_churn_workload packages, but one epoch per step() call. The
-/// sharded controller's compile shards hold one engine per switch and
-/// interleave steps from many switches under one shard clock — an epoch can
-/// be sealed, shipped and even committed on its switch while later epochs
-/// are still uncompiled. Deterministic in (spec, tables, churn.seed);
-/// compile_churn_workload below is just "step until done".
+/// compiled fleet's shards (Controller::run_compiled) hold one engine per
+/// switch and interleave steps from many switches under one shard clock —
+/// an epoch can be sealed, shipped and even committed on its switch while
+/// later epochs are still uncompiled. Deterministic in (spec, tables,
+/// churn.seed); compile_churn_workload below is just "step until done".
 class ChurnEngine {
  public:
   /// Compiles the initial tables (epoch 1 is not produced yet — the first

@@ -19,10 +19,19 @@
 #include <stdexcept>
 
 #include "runtime/config.h"
+#include "runtime/controller.h"
 #include "runtime/sharded_controller.h"
 
 namespace ruletris {
 namespace {
+
+runtime::FleetReport run(const runtime::FleetSpec& spec) {
+  return runtime::Controller(spec).run_compiled(spec);
+}
+
+void validate(const runtime::FleetSpec& spec) {
+  runtime::Controller(spec).validate_compiled(spec);
+}
 
 /// Small enough for the 1-core ASAN/TSAN trees, big enough that both kills
 /// fire mid-stream and the blackout spans several retry escalations.
@@ -53,7 +62,7 @@ runtime::ChaosSchedule chaos_schedule() {
 TEST(ChaosSoakTest, RecoversBitIdenticalToCleanRunAcrossThreadCounts) {
   runtime::FleetSpec spec = chaos_base_spec();
   spec.n_threads = 1;
-  const runtime::FleetReport clean = runtime::ShardedController(spec).run();
+  const runtime::FleetReport clean = run(spec);
   ASSERT_TRUE(clean.runtime.all_converged);
   ASSERT_TRUE(clean.replay_ok);
   EXPECT_EQ(clean.shard_kills, 0u);
@@ -63,7 +72,7 @@ TEST(ChaosSoakTest, RecoversBitIdenticalToCleanRunAcrossThreadCounts) {
   spec.chaos = chaos_schedule();
   spec.knobs.faults = runtime::FaultSpec::brownout();
   spec.knobs.retry.quarantine_after = 3;
-  const runtime::FleetReport chaos = runtime::ShardedController(spec).run();
+  const runtime::FleetReport chaos = run(spec);
 
   // Every fault class actually fired...
   EXPECT_EQ(chaos.shard_kills + chaos.kills_escaped, 2u);
@@ -99,7 +108,7 @@ TEST(ChaosSoakTest, RecoversBitIdenticalToCleanRunAcrossThreadCounts) {
   // Whole-run determinism across worker counts, chaos included.
   for (const size_t threads : {2u, 5u}) {
     spec.n_threads = threads;
-    const runtime::FleetReport rep = runtime::ShardedController(spec).run();
+    const runtime::FleetReport rep = run(spec);
     EXPECT_EQ(rep.fleet_fingerprint, chaos.fleet_fingerprint)
         << threads << " threads";
     EXPECT_EQ(rep.delta_fingerprint, chaos.delta_fingerprint)
@@ -130,9 +139,9 @@ TEST(ChaosSoakTest, AdaptiveBackoffBoundsRetransmitsUnderHeavyLoss) {
   spec.knobs.faults.brownout_duty = 0.5;
 
   spec.knobs.retry.adaptive = false;
-  const runtime::FleetReport fixed = runtime::ShardedController(spec).run();
+  const runtime::FleetReport fixed = run(spec);
   spec.knobs.retry.adaptive = true;
-  const runtime::FleetReport adaptive = runtime::ShardedController(spec).run();
+  const runtime::FleetReport adaptive = run(spec);
 
   ASSERT_TRUE(fixed.runtime.all_converged);
   ASSERT_TRUE(adaptive.runtime.all_converged);
@@ -146,10 +155,9 @@ TEST(ChaosSoakTest, AdaptiveBackoffBoundsRetransmitsUnderHeavyLoss) {
   spec.knobs.faults = runtime::FaultSpec();
   spec.knobs.faults.drop_p = 0.3;
   spec.knobs.retry.adaptive = false;
-  const runtime::FleetReport fixed_drop = runtime::ShardedController(spec).run();
+  const runtime::FleetReport fixed_drop = run(spec);
   spec.knobs.retry.adaptive = true;
-  const runtime::FleetReport adaptive_drop =
-      runtime::ShardedController(spec).run();
+  const runtime::FleetReport adaptive_drop = run(spec);
   ASSERT_TRUE(adaptive_drop.runtime.all_converged);
   EXPECT_EQ(adaptive_drop.layout_fingerprint, fixed_drop.layout_fingerprint);
   EXPECT_LT(adaptive_drop.runtime.retransmits, fixed_drop.runtime.retransmits);
@@ -157,54 +165,58 @@ TEST(ChaosSoakTest, AdaptiveBackoffBoundsRetransmitsUnderHeavyLoss) {
 
 TEST(FleetSpecValidationTest, RejectsMalformedSpecsWithDescriptiveErrors) {
   const runtime::FleetSpec good = chaos_base_spec();
-  EXPECT_NO_THROW(runtime::ShardedController::validate(good));
+  EXPECT_NO_THROW(validate(good));
 
   runtime::FleetSpec s = good;
   s.n_switches = 0;
-  EXPECT_THROW(runtime::ShardedController::validate(s), std::invalid_argument);
+  EXPECT_THROW(validate(s), std::invalid_argument);
 
   s = good;
   s.n_shards = 0;
-  EXPECT_THROW(runtime::ShardedController::validate(s), std::invalid_argument);
+  EXPECT_THROW(validate(s), std::invalid_argument);
 
   s = good;
   s.n_shards = s.n_switches + 1;
-  EXPECT_THROW(runtime::ShardedController::validate(s), std::invalid_argument);
+  EXPECT_THROW(validate(s), std::invalid_argument);
 
   s = good;
   s.n_threads = 0;
-  EXPECT_THROW(runtime::ShardedController::validate(s), std::invalid_argument);
+  EXPECT_THROW(validate(s), std::invalid_argument);
+
+  s = good;
+  s.tcam_capacity = 0;  // sessions start before anything could size it
+  EXPECT_THROW(validate(s), std::invalid_argument);
 
   s = good;
   s.compile_per_op_ms = 0.0;  // ready times would stop strictly increasing
-  EXPECT_THROW(runtime::ShardedController::validate(s), std::invalid_argument);
+  EXPECT_THROW(validate(s), std::invalid_argument);
 
   s = good;
   s.failover_replay_factor = -0.5;
-  EXPECT_THROW(runtime::ShardedController::validate(s), std::invalid_argument);
+  EXPECT_THROW(validate(s), std::invalid_argument);
 
   s = good;
   s.chaos.shard_kills.push_back({s.n_shards, 1.0});  // shard out of range
-  EXPECT_THROW(runtime::ShardedController::validate(s), std::invalid_argument);
+  EXPECT_THROW(validate(s), std::invalid_argument);
 
   s = good;
   s.chaos.shard_kills.push_back({0, 1.0});
   s.chaos.shard_kills.push_back({0, 2.0});  // two kills on one shard
-  EXPECT_THROW(runtime::ShardedController::validate(s), std::invalid_argument);
+  EXPECT_THROW(validate(s), std::invalid_argument);
 
   s = good;
   for (size_t k = 0; k < s.n_shards; ++k) {
     s.chaos.shard_kills.push_back({k, 1.0});  // nobody left to adopt
   }
-  EXPECT_THROW(runtime::ShardedController::validate(s), std::invalid_argument);
+  EXPECT_THROW(validate(s), std::invalid_argument);
 
   s = good;
   s.chaos.blackouts.push_back({s.n_switches, {10.0, 10.0}});  // bad switch
-  EXPECT_THROW(runtime::ShardedController::validate(s), std::invalid_argument);
+  EXPECT_THROW(validate(s), std::invalid_argument);
 
   s = good;
   s.chaos.blackouts.push_back({0, {10.0, 0.0}});  // empty window
-  EXPECT_THROW(runtime::ShardedController::validate(s), std::invalid_argument);
+  EXPECT_THROW(validate(s), std::invalid_argument);
 }
 
 TEST(DeadlineMissTest, UnreachableSwitchFinalizesIncompleteInsteadOfHanging) {
@@ -219,7 +231,7 @@ TEST(DeadlineMissTest, UnreachableSwitchFinalizesIncompleteInsteadOfHanging) {
   spec.knobs.retry.quarantine_after = 0;
   spec.chaos.blackouts.push_back({1, {0.0, 1e9}});
 
-  const runtime::FleetReport rep = runtime::ShardedController(spec).run();
+  const runtime::FleetReport rep = run(spec);
   EXPECT_FALSE(rep.runtime.all_converged);
   ASSERT_EQ(rep.runtime.sessions.size(), 3u);
   EXPECT_FALSE(rep.runtime.sessions[1].completed);
@@ -227,6 +239,11 @@ TEST(DeadlineMissTest, UnreachableSwitchFinalizesIncompleteInsteadOfHanging) {
   EXPECT_TRUE(rep.runtime.sessions[2].completed);
   EXPECT_GT(rep.runtime.sessions[1].blackout_drops, 0u);
   EXPECT_EQ(rep.runtime.quarantines, 0u);
+  // The fallback is a counted event, once per stopped session.
+  EXPECT_EQ(rep.runtime.sessions[0].deadline_misses, 0u);
+  EXPECT_EQ(rep.runtime.sessions[1].deadline_misses, 1u);
+  EXPECT_EQ(rep.runtime.sessions[2].deadline_misses, 0u);
+  EXPECT_EQ(rep.runtime.deadline_misses, 1u);
   // No quarantine -> the dead switch stays in the makespan basis, pinned
   // at its deadline.
   EXPECT_GE(rep.runtime.makespan_ms, spec.knobs.deadline_ms);

@@ -1,7 +1,8 @@
 // Sharded compile pipeline + fleet runtime tests: ShardPlan partition
 // soundness (sharded union == unsharded snapshot), lock-free publication,
 // the pipelined session path against the classic vector-log path, bursty
-// workload determinism, and whole-fleet bit-identity across thread counts.
+// workload determinism, whole-fleet bit-identity across thread counts, and
+// the compiled fleet against the same tasks replayed as pre-compiled logs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +32,10 @@ using flowspace::FlowTable;
 using flowspace::Rule;
 using flowspace::TernaryMatch;
 using testutil::Rng;
+
+runtime::FleetReport run_compiled(const runtime::FleetSpec& spec) {
+  return runtime::Controller(spec).run_compiled(spec);
+}
 
 /// Rules whose dst prefixes are at least as deep as the plan's bucket, so
 /// the prefix partition is closed (no cross-shard overlap is possible).
@@ -320,7 +325,7 @@ TEST(ShardedFleetTest, BitIdenticalAcrossThreadCountsAndReplayClean) {
   runtime::FleetReport serial;
   {
     spec.n_threads = 1;
-    serial = runtime::ShardedController(spec).run();
+    serial = run_compiled(spec);
   }
   EXPECT_TRUE(serial.runtime.all_converged);
   EXPECT_TRUE(serial.replay_ok);
@@ -332,7 +337,7 @@ TEST(ShardedFleetTest, BitIdenticalAcrossThreadCountsAndReplayClean) {
   // the determinism machinery must be immune to.
   for (const size_t threads : {2u, 5u}) {
     spec.n_threads = threads;
-    const runtime::FleetReport parallel = runtime::ShardedController(spec).run();
+    const runtime::FleetReport parallel = run_compiled(spec);
     EXPECT_EQ(parallel.fleet_fingerprint, serial.fleet_fingerprint)
         << threads << " threads";
     EXPECT_EQ(parallel.delta_fingerprint, serial.delta_fingerprint)
@@ -357,9 +362,9 @@ TEST(ShardedFleetTest, SurvivesFaultyWiresDeterministically) {
   spec.tcam_capacity = 1024;
 
   spec.n_threads = 1;
-  const runtime::FleetReport a = runtime::ShardedController(spec).run();
+  const runtime::FleetReport a = run_compiled(spec);
   spec.n_threads = 3;
-  const runtime::FleetReport b = runtime::ShardedController(spec).run();
+  const runtime::FleetReport b = run_compiled(spec);
 
   EXPECT_TRUE(a.runtime.all_converged);
   EXPECT_GT(a.runtime.retransmits + a.runtime.restarts, 0u)
@@ -399,7 +404,7 @@ TEST(ShardedFleetTest, IdleAdopterIntegratesTwoKillsInKillTimeOrder) {
   spec.chaos.shard_kills.push_back({2, 3.6});
 
   spec.n_threads = 1;
-  const runtime::FleetReport serial = runtime::ShardedController(spec).run();
+  const runtime::FleetReport serial = run_compiled(spec);
   EXPECT_EQ(serial.shard_kills, 2u);
   EXPECT_EQ(serial.failovers, 2u);
   EXPECT_TRUE(serial.failover_ok);
@@ -408,7 +413,7 @@ TEST(ShardedFleetTest, IdleAdopterIntegratesTwoKillsInKillTimeOrder) {
   for (const size_t threads : {2u, 5u}) {
     for (int rep = 0; rep < 3; ++rep) {
       spec.n_threads = threads;
-      const runtime::FleetReport parallel = runtime::ShardedController(spec).run();
+      const runtime::FleetReport parallel = run_compiled(spec);
       EXPECT_EQ(parallel.fleet_fingerprint, serial.fleet_fingerprint)
           << threads << " threads";
       EXPECT_EQ(parallel.delta_fingerprint, serial.delta_fingerprint)
@@ -416,6 +421,63 @@ TEST(ShardedFleetTest, IdleAdopterIntegratesTwoKillsInKillTimeOrder) {
       EXPECT_DOUBLE_EQ(parallel.makespan_ms, serial.makespan_ms);
       EXPECT_DOUBLE_EQ(parallel.compile_vt_ms, serial.compile_vt_ms);
       EXPECT_DOUBLE_EQ(parallel.failover_ms.max(), serial.failover_ms.max());
+    }
+  }
+}
+
+TEST(ShardedFleetTest, CompiledMatchesPrecompiledLogs) {
+  // The differential oracle for the one driver: the same SwitchTasks run
+  // compiled-in-the-loop (ring sources, ready-time gated) and as
+  // pre-compiled logs through run_fleet (vector sources), each log compiled
+  // inside the switch's own (i + 1) << 32 id namespace exactly as the
+  // shards compile it. With a clean wire the session factory and dispatch
+  // must treat both sources alike: per-switch final TCAM contents, entry
+  // writes and moves all equal.
+  runtime::FleetSpec spec;
+  spec.n_switches = 6;
+  spec.n_shards = 2;
+  spec.tcam_capacity = 512;
+  spec.make_task = [](size_t sw) {
+    runtime::SwitchTask task;
+    Rng rng(300 + sw);
+    task.tables.emplace("mon", FlowTable{classbench::generate_monitor(20, rng)});
+    task.tables.emplace("rtr", FlowTable{classbench::generate_router(14, rng)});
+    task.spec =
+        PolicySpec::parallel(PolicySpec::leaf("mon"), PolicySpec::leaf("rtr"));
+    task.churn.leaf = "mon";
+    task.churn.updates = 10 + sw;
+    task.churn.seed = 500 + sw;
+    task.churn.burst.enabled = sw % 2 == 0;
+    return task;
+  };
+
+  std::vector<runtime::SwitchWorkload> logs(spec.n_switches);
+  for (size_t sw = 0; sw < spec.n_switches; ++sw) {
+    flowspace::RuleId ids = static_cast<flowspace::RuleId>(sw + 1) << 32;
+    flowspace::ScopedRuleIdNamespace ns(&ids);
+    runtime::SwitchTask task = spec.make_task(sw);
+    const runtime::CompiledWorkload wl = runtime::compile_churn_workload(
+        task.spec, std::move(task.tables), task.churn);
+    logs[sw].log = runtime::encode_log(wl.epochs);
+    logs[sw].expected = wl.final_rules;
+  }
+
+  for (const size_t threads : {1u, 4u}) {
+    spec.n_threads = threads;
+    const runtime::FleetReport compiled = run_compiled(spec);
+    const runtime::RuntimeReport replayed =
+        runtime::Controller(spec).run_fleet(logs);
+    ASSERT_TRUE(compiled.runtime.all_converged) << threads << " threads";
+    ASSERT_TRUE(replayed.all_converged) << threads << " threads";
+    ASSERT_EQ(compiled.runtime.sessions.size(), replayed.sessions.size());
+    for (size_t sw = 0; sw < spec.n_switches; ++sw) {
+      const runtime::SessionStats& a = compiled.runtime.sessions[sw];
+      const runtime::SessionStats& b = replayed.sessions[sw];
+      EXPECT_FALSE(a.tcam_layout.empty()) << "switch " << sw;
+      EXPECT_EQ(a.tcam_layout, b.tcam_layout) << "switch " << sw;
+      EXPECT_EQ(a.entry_writes, b.entry_writes) << "switch " << sw;
+      EXPECT_EQ(a.moves, b.moves) << "switch " << sw;
+      EXPECT_EQ(a.epochs, b.epochs) << "switch " << sw;
     }
   }
 }

@@ -627,6 +627,7 @@ TEST(Fleet, DeadlineCutsTheRunShortAndReportsIncomplete) {
         fleet, [&](size_t, double, auto) { ++rounds_observed; });
     EXPECT_FALSE(report.all_completed) << threads << " threads";
     EXPECT_FALSE(report.all_converged) << threads << " threads";
+    EXPECT_GT(report.deadline_misses, 0u) << threads << " threads";
     EXPECT_GT(rounds_observed, 0u) << threads << " threads";
     EXPECT_LT(rounds_observed, epochs) << threads << " threads";
   }

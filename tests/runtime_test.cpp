@@ -3,8 +3,10 @@
 // semantics, session windowing, and controller fan-out.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "runtime/controller.h"
 #include "runtime/event_queue.h"
 #include "runtime/session.h"
+#include "runtime/sharded_controller.h"
 #include "runtime/wire.h"
 #include "runtime/workload.h"
 #include "switchsim/adapters.h"
@@ -308,17 +311,67 @@ TEST(Controller, FanOutConvergesAndIsDeterministicAcrossThreadCounts) {
 
 TEST(Controller, ThrowingSessionIsRethrownInBothModes) {
   // Epoch 1 installs a rule with the invalid id 0, so the agent's TCAM
-  // write throws inside a session. Free and gated fleets, serial and on a
-  // pool, must surface it as one runtime_error — never terminate.
+  // write throws inside a session. Free, gated and compiled fleets, serial
+  // and on a pool, must surface it as one runtime_error naming the failing
+  // switch (or shard) — never terminate.
   const proto::MessageBatch bad = {proto::FlowModAdd{Rule{}}, proto::Barrier{}};
   std::vector<SwitchWorkload> fleet(2);
   for (SwitchWorkload& w : fleet) w.log = runtime::encode_log({bad});
+  const auto message_of = [](const auto& run) {
+    try {
+      run();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
   for (size_t threads : {1ul, 4ul}) {
     RuntimeConfig cfg;
     cfg.n_threads = threads;
     EXPECT_THROW(Controller(cfg).run_fleet(fleet), std::runtime_error)
         << threads << " threads";
     EXPECT_THROW(Controller(cfg).run_rounds(fleet), std::runtime_error)
+        << threads << " threads";
+    EXPECT_EQ(message_of([&] { Controller(cfg).run_fleet(fleet); })
+                  .rfind("fleet switch ", 0),
+              0u)
+        << threads << " threads";
+
+    // Compiled: composed entries get fresh ids, so no task input reaches a
+    // TCAM with id 0; switch 2's churn generator throws on its compile
+    // shard instead, once as a std::exception and once as something that
+    // is none — both take the dispatch's one catch-all path.
+    runtime::FleetSpec spec;
+    spec.n_switches = 3;
+    spec.n_shards = 3;
+    spec.n_threads = threads;
+    const auto throwing_task = [](std::function<Rule(util::Rng&)> make_rule) {
+      return [make_rule](size_t sw) {
+        util::Rng rng(40 + sw);
+        runtime::SwitchTask t;
+        t.tables.emplace("mon",
+                         FlowTable{classbench::generate_monitor(12, rng)});
+        t.tables.emplace("rtr", FlowTable{classbench::generate_router(8, rng)});
+        t.spec = PolicySpec::parallel(PolicySpec::leaf("mon"),
+                                      PolicySpec::leaf("rtr"));
+        t.churn.leaf = "mon";
+        t.churn.updates = 4;
+        t.churn.seed = sw + 1;
+        if (sw == 2) {
+          t.churn.insert_p = 1.0;
+          t.churn.make_rule = make_rule;
+        }
+        return t;
+      };
+    };
+    spec.make_task = throwing_task(
+        [](util::Rng&) -> Rule { throw std::length_error("generator"); });
+    EXPECT_EQ(message_of([&] { Controller(spec).run_compiled(spec); }),
+              "fleet shard 2: generator")
+        << threads << " threads";
+    spec.make_task = throwing_task([](util::Rng&) -> Rule { throw 42; });
+    EXPECT_EQ(message_of([&] { Controller(spec).run_compiled(spec); }),
+              "fleet shard 2: non-standard exception")
         << threads << " threads";
   }
 }

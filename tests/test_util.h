@@ -166,6 +166,7 @@ inline void expect_reports_identical(const runtime::RuntimeReport& a,
     EXPECT_EQ(x.makespan_ms, y.makespan_ms) << "session " << i;
     EXPECT_EQ(x.completed, y.completed) << "session " << i;
     EXPECT_EQ(x.converged, y.converged) << "session " << i;
+    EXPECT_EQ(x.tcam_layout, y.tcam_layout) << "session " << i;
   }
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-command verification gate: configure + build the plain tree and the
-# three sanitizer trees, run the full test suite in each, and finish with
-# every --smoke bench (self-checking, non-zero exit on violation) from the
-# plain tree.
+# three sanitizer trees, run the full test suite in each, build and test
+# the standalone perfbench project, and finish with every --smoke bench
+# (self-checking, non-zero exit on violation) from the plain tree.
 #
 #   tools/check.sh              # everything (slow: four builds + suites)
 #   CHECK_TREES=plain tools/check.sh        # just the tier-1 gate
@@ -38,6 +38,18 @@ for tree in $CHECK_TREES; do
   echo "=== [$tree] ctest"
   (cd "$dir" && ctest --output-on-failure -j "$JOBS")
 done
+
+# The standalone perfbench project is never compiled by the trees above:
+# build it and run its own tests, so a rename of anything it names
+# (ShardedController, FleetSpec, FleetReport, SwitchTask) fails here.
+dir="$ROOT/build-check-perfbench"
+echo "=== [perfbench] configure + build -> $dir"
+cmake -S "$ROOT/perfbench" -B "$dir" > "$dir.configure.log" 2>&1 \
+  || { tail -20 "$dir.configure.log"; exit 1; }
+cmake --build "$dir" -j "$JOBS" > "$dir.build.log" 2>&1 \
+  || { tail -30 "$dir.build.log"; exit 1; }
+echo "=== [perfbench] ctest"
+(cd "$dir" && ctest --output-on-failure -j "$JOBS")
 
 first_tree="${CHECK_TREES%% *}"
 bench_dir="$ROOT/build-check-$first_tree/bench"

@@ -433,14 +433,14 @@ int main(int argc, char** argv) {
                   fspec.n_switches, fspec.n_shards, fspec.n_threads,
                   opt.updates, opt.chaos ? " [chaos]" : "");
       const runtime::FleetReport report =
-          runtime::ShardedController(fspec).run();
+          runtime::Controller(fspec).run_compiled(fspec);
 
       bool deterministic = true;
       if (fspec.n_threads > 1) {
         runtime::FleetSpec serial = fspec;
         serial.n_threads = 1;
         const runtime::FleetReport ref =
-            runtime::ShardedController(serial).run();
+            runtime::Controller(serial).run_compiled(serial);
         deterministic = ref.fleet_fingerprint == report.fleet_fingerprint &&
                         ref.delta_fingerprint == report.delta_fingerprint &&
                         ref.layout_fingerprint == report.layout_fingerprint;
