@@ -100,8 +100,10 @@ struct SwitchSlot {
   // Compile side — guarded by the owning CompileShard's lock; ownership
   // moves wholesale to the adopting shard on failover. Deltas are sealed
   // from the engine root's recorded churn; only audited switches capture
-  // the policy after epoch 1.
+  // the policy after epoch 1. The engine is built at the first seal and
+  // freed at the last, on the worker that sealed it.
   std::unique_ptr<ChurnEngine> engine;
+  bool sealed = false;  // every epoch published and the ring closed
   /// Epoch-1 capture, kept only where something reads it: the replay audit,
   /// failover reconstruction and re-admission verification.
   frozen::PolicyImage base_image;
@@ -128,7 +130,8 @@ struct SwitchSlot {
   std::unique_ptr<frozen::PublishRing<SealedEpoch>> cont_ring;
   std::unique_ptr<RingEpochSource> source;
 
-  // Session side — touched only by the dispatch worker holding its claim.
+  // Session side — touched only by the dispatch worker holding its claim;
+  // the session is freed by the worker that finalizes it.
   std::unique_ptr<SwitchSession> session;
   size_t starved = 0;
   SessionStats stats;
@@ -247,12 +250,12 @@ std::optional<ChainReplay> replay_chain(const SwitchSlot& slot, uint64_t upto) {
 }
 
 /// Compiles and seals one epoch for the shard's next unfinished switch.
-/// Caller holds the shard lock. Returns false when every engine is done.
+/// Caller holds the shard lock. Returns false when every stream is sealed.
 bool seal_next(CompileShard& shard, const CompileSpec& spec) {
   SwitchSlot* slot = nullptr;
   for (size_t probe = 0; probe < shard.owned.size(); ++probe) {
     SwitchSlot* cand = shard.owned[(shard.cursor + probe) % shard.owned.size()];
-    if (!cand->engine || !cand->engine->done()) {
+    if (!cand->sealed) {
       slot = cand;
       shard.cursor = (shard.cursor + probe + 1) % shard.owned.size();
       break;
@@ -325,6 +328,12 @@ bool seal_next(CompileShard& shard, const CompileSpec& spec) {
       slot->audit_passed = replay && replay->image == slot->audit_image;
     }
     ring.close();
+    // The stream is complete: the worker that finished it frees the
+    // compile state, so no serial teardown follows the sweep. The ring,
+    // the source and the images stay for the session, the re-admission
+    // replay and the report.
+    slot->engine.reset();
+    slot->sealed = true;
     --shard.remaining;
   }
   return true;
@@ -342,7 +351,7 @@ void process_kill(CompileShard& dead, Fleet& fleet) {
   }
   size_t rr = 0;
   for (SwitchSlot* slot : dead.owned) {
-    if (slot->engine && slot->engine->done()) continue;  // already finished
+    if (slot->sealed) continue;  // already finished
     // The engine dies with its shard; only the published ring, the pristine
     // task copy and the id checkpoint survive.
     slot->engine.reset();
@@ -472,15 +481,15 @@ bool shard_retired(CompileShard& shard, const Fleet& fleet) {
   return true;
 }
 
-/// One claimed quantum of compile work: fire due kills, integrate due
-/// orphans, seal epochs — never stepping past an unresolved kill time (the
-/// compile-side horizon rule that keeps adoption points schedule-
-/// independent). Caller holds the shard's claim.
-SweepStep run_shard_quantum(CompileShard& shard, Fleet& fleet,
-                            const CompileSpec& spec) {
-  constexpr int kQuantum = 8;  // epochs sealed per shard claim
+/// One shard claim: fire due kills, integrate due orphans and seal epochs
+/// until every owned stream is sealed, the kill fires, or the compile-side
+/// horizon blocks — never stepping past an unresolved kill time (the rule
+/// that keeps adoption points schedule-independent). Running the shard's
+/// switches to the end in one claim keeps their compile state in cache;
+/// sessions are pumped between claims. Caller holds the shard's claim.
+SweepStep run_shard(CompileShard& shard, Fleet& fleet, const CompileSpec& spec) {
   bool progress = false;
-  for (int q = 0; q < kQuantum; ++q) {
+  for (;;) {
     if (!shard.killed && shard.kill_at_ms >= 0.0) {
       // A kill fires at the first step boundary at or past its virtual
       // time — a pure function of the shard's own step sequence.
@@ -525,6 +534,7 @@ SweepStep pump_slot(SwitchSlot& slot, double deadline_ms) {
     // done ⇒ the session observed closed(), so slot.expected is visible
     // and the shard will never write this slot again.
     slot.stats = slot.session->finalize(slot.expected);
+    slot.session.reset();  // by the finishing worker: no serial teardown
     return SweepStep::kDone;
   }
   if (progress) return SweepStep::kProgress;
@@ -536,6 +546,7 @@ SweepStep pump_slot(SwitchSlot& slot, double deadline_ms) {
   // against nothing (reports non-convergence) rather than racing the shard
   // for slot.expected.
   slot.stats = slot.session->finalize({});
+  slot.session.reset();
   return SweepStep::kDone;
 }
 
@@ -684,7 +695,7 @@ FleetReport Controller::run_compiled(const CompileSpec& spec) {
   const size_t steals = sweep(
       n, [&](size_t i) { return pump_slot(*fleet.slots[i], cfg_.knobs.deadline_ms); },
       n_shards,
-      [&](size_t k) { return run_shard_quantum(*fleet.shards[k], fleet, spec); });
+      [&](size_t k) { return run_shard(*fleet.shards[k], fleet, spec); });
 
   FleetReport report;
   report.switches = n;
@@ -694,7 +705,6 @@ FleetReport Controller::run_compiled(const CompileSpec& spec) {
   std::vector<SessionStats> stats;
   stats.reserve(n);
   for (const auto& slot : fleet.slots) {
-    stats.push_back(slot->stats);
     report.rule_ops += slot->rule_ops;
     report.cover_overflows += slot->cover_overflows;
     if (slot->audited) {
@@ -732,6 +742,7 @@ FleetReport Controller::run_compiled(const CompileSpec& spec) {
     report.layout_fingerprint += lh;
     report.delta_fingerprint +=
         util::hash_pair(slot->index + 1, slot->delta_chain);
+    stats.push_back(std::move(slot->stats));
   }
   for (const auto& shard : fleet.shards) {
     report.compile_vt_ms = std::max(report.compile_vt_ms, shard->vt_ms);
@@ -746,6 +757,10 @@ FleetReport Controller::run_compiled(const CompileSpec& spec) {
   // full merged makespan is all that is left.
   report.makespan_ms = report.active_switches > 0 ? active_makespan
                                                   : report.runtime.makespan_ms;
+  // What is left of the per-switch state (rings, sources, images) is freed
+  // before the clock stops, so wall_ms is the whole call.
+  fleet.slots.clear();
+  fleet.shards.clear();
   report.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - wall_start)
                        .count();

@@ -14,9 +14,13 @@
 // and zero locks.
 //
 // In the Controller's dispatch every worker sweeps every session (pump as
-// far as the sealed horizon allows) and every shard (compile a quantum of
-// epochs), claiming each via an atomic try-lock. A worker that finds its
-// sessions starved steals compile steps from any shard.
+// far as the sealed horizon allows) and every shard, claiming each via an
+// atomic try-lock. A shard claim compiles until every owned stream is
+// sealed, the shard's kill fires or the compile-side horizon blocks it, so
+// its engines stay cache-warm. A worker that finds its sessions starved
+// steals compile steps from any shard. Per-switch state is freed on the
+// worker that finishes it: the engine at its last seal, the session at
+// finalize.
 //
 // Determinism: the whole report — per-switch TCAM layouts, wire bytes,
 // RTDZ delta chains, virtual makespans — is a pure function of the spec,
@@ -154,7 +158,7 @@ struct FleetReport {
   /// their own rejoin latencies are reported separately.
   double makespan_ms = 0.0;
   double compile_vt_ms = 0.0; // slowest shard's final virtual compile clock
-  double wall_ms = 0.0;       // real time the run took (diagnostic)
+  double wall_ms = 0.0;       // real time the whole call took (diagnostic)
 
   size_t shard_steps = 0;   // epochs sealed across all shards
   size_t steals = 0;        // shard steps run by a non-home worker
@@ -199,6 +203,13 @@ struct FleetReport {
     if (makespan_ms <= 0.0) return 0.0;
     const size_t ops = runtime.quarantines > 0 ? active_rule_ops : rule_ops;
     return static_cast<double>(ops) / (makespan_ms / 1000.0);
+  }
+
+  /// The measured rate beside the modelled one: every compiled rule-level
+  /// operation over the real time run_compiled took (host-dependent).
+  double wall_rule_ops_per_s() const {
+    if (wall_ms <= 0.0) return 0.0;
+    return static_cast<double>(rule_ops) / (wall_ms / 1000.0);
   }
 };
 

@@ -425,6 +425,84 @@ TEST(ShardedFleetTest, IdleAdopterIntegratesTwoKillsInKillTimeOrder) {
   }
 }
 
+TEST(ShardedFleetTest, KillAfterAShortStreamFinishedAdoptsOnlyTheOpenStream) {
+  // Shard 0 owns a 2-update stream (switch 0) and a 40-update stream
+  // (switch 2). Its kill falls after the short stream's last seal, when
+  // that switch's engine is already released, and long before the long
+  // stream's: the kill must orphan the long stream alone, and the adopted
+  // run must equal the clean one at every thread count.
+  runtime::FleetSpec spec;
+  spec.n_switches = 4;
+  spec.n_shards = 2;
+  spec.seed = 45;
+  spec.audit_stride = 1;
+  spec.tcam_capacity = 1024;
+  spec.make_task = [](size_t sw) {
+    runtime::SwitchTask task;
+    Rng rng(700 + sw);
+    task.tables.emplace("mon", FlowTable{classbench::generate_monitor(24, rng)});
+    task.tables.emplace("rtr", FlowTable{classbench::generate_router(16, rng)});
+    task.spec = PolicySpec::parallel(PolicySpec::leaf("mon"), PolicySpec::leaf("rtr"));
+    task.churn.leaf = "mon";
+    task.churn.updates = sw == 0 ? 2 : sw == 2 ? 40 : 12;
+    task.churn.seed = 33 + sw;
+    task.churn.burst.enabled = true;
+    return task;
+  };
+
+  // The kill time, from a clean compile of shard 0's two streams: the shard
+  // seals them round-robin (0, 2, 0, 2, 0, ...), so switch 0's third and
+  // last epoch is the shard's fifth step. A kill halfway through that
+  // step's modelled cost fires at the boundary right after it.
+  const auto epoch_costs = [&spec](size_t sw) {
+    flowspace::RuleId ids = static_cast<flowspace::RuleId>(sw + 1) << 32;
+    flowspace::ScopedRuleIdNamespace ns(&ids);
+    runtime::SwitchTask task = spec.make_task(sw);
+    const runtime::CompiledWorkload wl = runtime::compile_churn_workload(
+        task.spec, std::move(task.tables), task.churn);
+    std::vector<double> cost;
+    for (const size_t ops : wl.epoch_ops) {
+      cost.push_back(spec.compile_base_ms +
+                     spec.compile_per_op_ms * static_cast<double>(ops));
+    }
+    return cost;
+  };
+  const std::vector<double> short_cost = epoch_costs(0);
+  const std::vector<double> long_cost = epoch_costs(2);
+  ASSERT_EQ(short_cost.size(), 3u);
+  ASSERT_EQ(long_cost.size(), 41u);
+  const double short_done = short_cost[0] + long_cost[0] + short_cost[1] +
+                            long_cost[1] + short_cost[2];
+
+  spec.n_threads = 1;
+  const runtime::FleetReport clean = run_compiled(spec);
+  ASSERT_TRUE(clean.runtime.all_converged);
+
+  spec.chaos.shard_kills.push_back({0, short_done - short_cost[2] / 2});
+  const runtime::FleetReport serial = run_compiled(spec);
+  EXPECT_EQ(serial.shard_kills, 1u);
+  EXPECT_EQ(serial.failovers, 1u) << "a finished stream was orphaned";
+  EXPECT_EQ(serial.failover_epochs, 2u);  // switch 2's epochs 1 and 2
+  EXPECT_TRUE(serial.failover_ok);
+  EXPECT_TRUE(serial.replay_ok);
+  EXPECT_TRUE(serial.runtime.all_converged);
+  EXPECT_EQ(serial.layout_fingerprint, clean.layout_fingerprint);
+  EXPECT_EQ(serial.delta_fingerprint, clean.delta_fingerprint);
+  for (const size_t threads : {2u, 5u}) {
+    spec.n_threads = threads;
+    const runtime::FleetReport parallel = run_compiled(spec);
+    EXPECT_EQ(parallel.fleet_fingerprint, serial.fleet_fingerprint)
+        << threads << " threads";
+    EXPECT_EQ(parallel.delta_fingerprint, serial.delta_fingerprint)
+        << threads << " threads";
+    EXPECT_EQ(parallel.layout_fingerprint, serial.layout_fingerprint)
+        << threads << " threads";
+    EXPECT_EQ(parallel.failovers, 1u);
+    EXPECT_TRUE(parallel.failover_ok);
+    EXPECT_TRUE(parallel.runtime.all_converged);
+  }
+}
+
 TEST(ShardedFleetTest, CompiledMatchesPrecompiledLogs) {
   // The differential oracle for the one driver: the same SwitchTasks run
   // compiled-in-the-loop (ring sources, ready-time gated) and as

@@ -31,7 +31,8 @@ import json
 import sys
 
 DEFAULT_KEY = ("switches", "shards", "threads")
-DEFAULT_IGNORE = ("wall_ms", "steals", "starved_pumps")
+DEFAULT_IGNORE = ("wall_ms", "wall_rule_ops_per_s", "steals",
+                  "starved_pumps")
 
 # Per-benchmark row-identity overrides, applied when --key is not passed:
 # the chaos harness sweeps fault modes over one geometry, so rows are

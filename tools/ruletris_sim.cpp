@@ -454,6 +454,8 @@ int main(int argc, char** argv) {
                   "%.1f ms, compile %.1f ms)\n",
                   report.updates_per_s(), report.rule_ops,
                   report.makespan_ms, report.compile_vt_ms);
+      std::printf("  %.0f rule ops/s measured (wall clock, this host)\n",
+                  report.wall_rule_ops_per_s());
       std::printf("  ack p50/p99 %.2f/%.2f ms | %zu sealed epochs | "
                   "%zu steals | wall %.0f ms\n",
                   report.runtime.ack_ms.median(), report.runtime.ack_ms.p99(),
@@ -481,6 +483,7 @@ int main(int argc, char** argv) {
         j->field("threads", static_cast<double>(report.threads));
         j->field("rule_ops", static_cast<double>(report.rule_ops));
         j->field("updates_per_s", report.updates_per_s());
+        j->field("wall_rule_ops_per_s", report.wall_rule_ops_per_s());
         j->field("makespan_ms", report.makespan_ms);
         j->field("compile_vt_ms", report.compile_vt_ms);
         j->field("ack_p50_ms", report.runtime.ack_ms.median());
