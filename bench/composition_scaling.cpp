@@ -2,18 +2,14 @@
 //
 // RuleTris pays the full composition compile on policy bootstrap and on
 // structural policy changes; this bench measures how that compile scales
-// with the policy size for all three operators, against the pre-index
-// baseline:
-//   * legacy   — the O(n^2) sequential-pair stitch loop and serial compose
-//                fan-out (CompileOptions::legacy_stitch);
-//   * indexed  — candidate pairs pulled from an overlap index over the left
-//                rules, per-node scratch arenas (the default path);
-//   * parallel — indexed, with the compose fan-out and the stitch predicate
-//                sweep sharded across a thread pool.
-// All three strategies must produce the identical CompileSnapshot (member
-// entries by provenance, key-vertex representatives, visible minimum-DAG
-// edges); the bench exits non-zero on divergence, and the smoke run is wired
-// into ctest so compile-path regressions fail tier-1.
+// with the policy size for all three operators, under both compose fan-out
+// strategies:
+//   * serial   — the default path;
+//   * parallel — the compose fan-out sharded across a thread pool.
+// Both must produce the identical CompileSnapshot (member entries by
+// provenance, key-vertex representatives, visible minimum-DAG edges); the
+// bench exits non-zero on divergence, and the smoke run is wired into ctest
+// so compile-path regressions fail tier-1.
 //
 // Workloads mirror the paper's evaluation policies, with the left table
 // swept and the right fixed at a hardware-sized router:
@@ -65,9 +61,8 @@ int main(int argc, char** argv) {
 
   util::set_log_level(util::LogLevel::kOff);
   std::printf("\n=== Composition full-compile scaling (left x router-128) ===\n");
-  std::printf("%-10s %-8s | %-10s %-10s %-11s | %-8s %-8s | %-9s %-9s\n", "op",
-              "left", "legacy ms", "indexed ms", "parallel ms", "entries",
-              "visible", "prune spd", "par spd");
+  std::printf("%-10s %-8s | %-10s %-11s | %-8s %-8s | %-9s\n", "op", "left",
+              "serial ms", "parallel ms", "entries", "visible", "par spd");
 
   const std::vector<size_t> sizes =
       smoke ? std::vector<size_t>{100, 200}
@@ -106,13 +101,8 @@ int main(int argc, char** argv) {
         return watch.elapsed_ms();
       };
 
-      CompileOptions legacy;
-      legacy.legacy_stitch = true;
-      const double legacy_ms = timed_rebuild(legacy);
-      const CompileSnapshot legacy_snap = node.snapshot();
-
-      const double indexed_ms = timed_rebuild(CompileOptions{});
-      const CompileSnapshot indexed_snap = node.snapshot();
+      const double serial_ms = timed_rebuild(CompileOptions{});
+      const CompileSnapshot serial_snap = node.snapshot();
 
       CompileOptions par;
       par.n_threads = threads;
@@ -123,23 +113,16 @@ int main(int argc, char** argv) {
       const double parallel_ms = timed_rebuild(par);
       const CompileSnapshot parallel_snap = node.snapshot();
 
-      if (!(indexed_snap == legacy_snap)) {
-        std::fprintf(stderr, "FAIL: indexed compile diverged from legacy (%s, n=%zu)\n",
-                     compiler::op_name(op), n);
-        ok = false;
-      }
-      if (!(parallel_snap == indexed_snap)) {
+      if (!(parallel_snap == serial_snap)) {
         std::fprintf(stderr, "FAIL: parallel compile diverged from serial (%s, n=%zu)\n",
                      compiler::op_name(op), n);
         ok = false;
       }
 
-      const double prune_speedup = legacy_ms / indexed_ms;
-      const double parallel_speedup = legacy_ms / parallel_ms;
-      std::printf("%-10s %-8zu | %-10.1f %-10.1f %-11.1f | %-8zu %-8zu | %-9.1f %-9.1f\n",
-                  compiler::op_name(op), n, legacy_ms, indexed_ms, parallel_ms,
-                  node.member_size(), node.visible_size(), prune_speedup,
-                  parallel_speedup);
+      const double parallel_speedup = serial_ms / parallel_ms;
+      std::printf("%-10s %-8zu | %-10.1f %-11.1f | %-8zu %-8zu | %-9.1f\n",
+                  compiler::op_name(op), n, serial_ms, parallel_ms, node.member_size(),
+                  node.visible_size(), parallel_speedup);
       std::fflush(stdout);
 
       if (auto* j = bench::json()) {
@@ -149,10 +132,8 @@ int main(int argc, char** argv) {
         j->field("right_rules", static_cast<double>(right_rules.size()));
         j->field("member_entries", static_cast<double>(node.member_size()));
         j->field("visible_rules", static_cast<double>(node.visible_size()));
-        j->field("legacy_ms", legacy_ms);
-        j->field("indexed_ms", indexed_ms);
+        j->field("serial_ms", serial_ms);
         j->field("parallel_ms", parallel_ms);
-        j->field("prune_speedup", prune_speedup);
         j->field("parallel_speedup", parallel_speedup);
       }
     }

@@ -6,12 +6,21 @@
 // and inserts a fresh one (Sec. VII-B). Prints compilation time (Fig. 9a),
 // firmware time (Fig. 9b) and TCAM update time (Fig. 9c) for Baseline,
 // CoVisor and RuleTris.
+//
+// Flags: --json PATH  machine-readable report (see bench_util.h)
+//        --smoke      the HW row only, 20 updates (CI); exits non-zero on any
+//                     switch-apply failure in either mode
+#include <cstring>
+
 #include "bench/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace ruletris;
   bench::init_json(argc, argv, "fig9_parallel");
   bench::CompositionScenario scenario;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) scenario.smoke = true;
+  }
   scenario.title = "Fig. 9: L3-L4 monitoring + L3 router (parallel)";
   scenario.op = 0;  // parallel
   scenario.left_size = 100;
@@ -23,7 +32,7 @@ int main(int argc, char** argv) {
     return classbench::random_monitor_rule(100, rng);
   };
   scenario.protect_last_left = true;  // never churn the monitor's default
-  bench::run_composition_scenario(scenario);
+  const size_t failures = bench::run_composition_scenario(scenario);
   bench::write_json();
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

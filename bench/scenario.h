@@ -3,7 +3,8 @@
 // For each configuration (right-member table size) the runner drives the
 // same update stream — delete one rule from the left member, insert a fresh
 // one — through all three compilers and their switches, recording the
-// paper's three latency components per update.
+// paper's three latency components per update. A switch that rejects an
+// update counts as a failure; the benches exit non-zero on any.
 #pragma once
 
 #include <functional>
@@ -43,19 +44,29 @@ struct CompositionScenario {
   /// Keep the left member's final rule (e.g. a NAT passthrough default) out
   /// of the update stream.
   bool protect_last_left = false;
+  /// CI mode: the hardware row only, kSmokeUpdates updates.
+  bool smoke = false;
+  static constexpr size_t kSmokeUpdates = 20;
 };
 
-inline void run_composition_scenario(const CompositionScenario& scenario) {
+/// Runs every configuration; returns the number of switch-apply failures
+/// over all of them.
+inline size_t run_composition_scenario(const CompositionScenario& scenario) {
   util::set_log_level(util::LogLevel::kError);
   print_header(scenario.title);
-  const size_t updates = updates_per_run();
+  const size_t updates =
+      scenario.smoke ? CompositionScenario::kSmokeUpdates : updates_per_run();
 
   std::vector<std::pair<std::string, size_t>> configs;
   configs.emplace_back(util::strfmt("HW(%zu)", scenario.hw_right_size),
                        scenario.hw_right_size);
-  for (size_t n : scenario.emu_right_sizes) {
-    configs.emplace_back(util::strfmt("%zu", n), n);
+  if (!scenario.smoke) {
+    for (size_t n : scenario.emu_right_sizes) {
+      configs.emplace_back(util::strfmt("%zu", n), n);
+    }
   }
+
+  size_t total_failures = 0;
 
   for (const auto& [label, right_size] : configs) {
     util::Rng rng(0x9e00 + right_size);
@@ -167,7 +178,9 @@ inline void run_composition_scenario(const CompositionScenario& scenario) {
     if (failures != 0) {
       std::printf("    !! %zu switch-apply failures\n", failures);
     }
+    total_failures += failures;
   }
+  return total_failures;
 }
 
 }  // namespace ruletris::bench

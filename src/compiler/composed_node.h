@@ -1,30 +1,29 @@
-// Binary composition node: parallel (+), sequential (>), priority ($) with
-// DAG preservation — the RuleTris front-end core (Sec. IV-B, IV-C).
+// Binary composition node: parallel (+), sequential (>), priority ($) —
+// the RuleTris front-end core (Sec. IV-B, IV-C).
 //
 // The node keeps the *member-level* state the paper describes: every
 // composed rule ever derived (including ones obscured by an identical
-// higher-priority match), the member-level dependency graph built with the
-// paper's algorithms (graph cross-products, mega-dependency resolution), and
+// higher-priority match), its provenance (left source x right source), and
 // the two-level nested key-vertex structure indexed by match. The *visible*
 // level — one representative rule per key vertex — is what the parent node
 // (or the back-end) consumes; obscured members are retained so that future
 // incremental removals can promote them (Sec. IV-B1).
 //
 // Deviation from the paper (see DESIGN.md): the paper derives the visible
-// DAG by projecting member-level edges onto key-vertex representatives. We
+// DAG from member-level edges (graph cross-products, tentative and
+// mega-dependency resolution) projected onto key-vertex representatives. We
 // found that projection unsound when an ordering chain passes through an
 // obscured member whose key's representative sits elsewhere in the match
 // order, so the visible DAG is maintained exactly by dag::MinDagMaintainer
-// over the representatives instead. The member-level machinery is retained
-// for provenance, key-vertex bookkeeping, and fidelity to Sec. IV-B.
+// over the representatives instead, and no member-level graph is computed.
+// A node that is a child of another keeps no DAG edges at all (see
+// PolicyNode::demote_to_child).
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -32,8 +31,6 @@
 #include "compiler/update.h"
 #include "compiler/update_builder.h"
 #include "dag/min_dag_maintainer.h"
-#include "flowspace/rule_index.h"
-#include "util/hash.h"
 
 namespace ruletris::compiler {
 
@@ -48,18 +45,12 @@ inline constexpr size_t kCompileParallelCutoff = 512;
 
 /// Tuning knobs for ComposedNode's full compile. Defaults are right for
 /// production use; the composition bench and the equivalence tests override
-/// them (forced parallelism, legacy-stitch ablation).
+/// them (forced parallelism).
 struct CompileOptions {
-  /// Workers for full_rebuild's compose fan-out and the sequential-stitch
-  /// predicate sweep; <= 1 compiles serially.
+  /// Workers for full_rebuild's compose fan-out; <= 1 compiles serially.
   size_t n_threads = 1;
   /// Left tables smaller than this compile serially even when n_threads > 1.
   size_t parallel_cutoff = kCompileParallelCutoff;
-  /// Ablation: enumerate every ordered left pair in the sequential stitch
-  /// (the pre-index O(n^2) loop) instead of pulling candidate pairs from an
-  /// overlap index over the left rules. Same resulting state, measured by
-  /// bench/composition_scaling as the speedup baseline.
-  bool legacy_stitch = false;
   /// Clamp n_threads to the machine's core count before deciding whether —
   /// and how wide — to shard (util::effective_workers). On a single-core
   /// host the compile then stays serial no matter what n_threads says.
@@ -85,10 +76,8 @@ CompileOptions default_compile_options();
 /// Id-independent image of a composed node's compiled state, keyed by
 /// (left_src, right_src) provenance instead of entry ids (ids come from the
 /// process-global counter, so two compiles of the same policy never share
-/// them). Serial, parallel, and legacy-stitch full compiles must produce
-/// equal snapshots; the incremental path must agree on everything but the
-/// member-edge provenance (its stitching may retain extra, still-valid
-/// constraint edges — see DESIGN.md).
+/// them). Serial and parallel full compiles and the incremental path must
+/// produce equal snapshots.
 struct CompileSnapshot {
   using Prov = std::pair<RuleId, RuleId>;  // (left_src, right_src)
 
@@ -173,7 +162,7 @@ class ComposedNode final : public PolicyNode {
 
   /// Recomputes the whole composed state from the children (also used by
   /// tests and the incremental-vs-scratch ablation). Honours
-  /// compile_options(): threads, parallel cutoff, legacy-stitch ablation.
+  /// compile_options(): threads and parallel cutoff.
   void full_rebuild();
 
   /// Canonical id-independent image of the current compiled state, for
@@ -233,6 +222,7 @@ class ComposedNode final : public PolicyNode {
     return visible_dag_.cover_overflows() + left_->cover_overflows() +
            right_->cover_overflows();
   }
+  void demote_to_child() override { visible_dag_.drop_edges(); }
 
  private:
   struct Entry {
@@ -246,17 +236,6 @@ class ComposedNode final : public PolicyNode {
   struct KeyVertex {
     std::vector<RuleId> members;  // unordered; representative tracked aside
     RuleId rep = 0;               // 0 while a promotion is pending
-  };
-
-  struct PairKey {
-    RuleId l, r;
-    bool operator==(const PairKey&) const = default;
-  };
-  // Full 128-bit mix: rule ids arrive in consecutive blocks from the global
-  // counter, and the old h(l)*C + h(r) combiner collided on exactly those
-  // structured grids (util/hash.h; collision test in composition tests).
-  struct PairKeyHash {
-    size_t operator()(const PairKey& k) const { return util::hash_pair(k.l, k.r); }
   };
 
   const Entry& entry(RuleId id) const;
@@ -284,116 +263,27 @@ class ComposedNode final : public PolicyNode {
   void promote_pending(UpdateBuilder& out);
 
   // --- member/visible state mutation (visible changes recorded in `out`).
-  RuleId add_entry(TernaryMatch match, ActionList actions, RuleId left_src,
-                   RuleId right_src, UpdateBuilder& out);
+  void add_entry(TernaryMatch match, ActionList actions, RuleId left_src,
+                 RuleId right_src, UpdateBuilder& out);
   void remove_entry(RuleId eid, UpdateBuilder& out);
-  void add_member_edge(RuleId u, RuleId v, UpdateBuilder& out);
-  void remove_member_edge(RuleId u, RuleId v, UpdateBuilder& out);
   void set_representative(KeyVertex& key, RuleId new_rep, UpdateBuilder& out);
 
-  /// Recursive tentative-edge resolution (Sec. IV-B3) on the member graph.
-  /// Queue and visited set live in reusable member scratch; `seeds` is read
-  /// only on entry, so callers may pass seed_scratch_.
-  void resolve_tentative(const std::vector<std::pair<RuleId, RuleId>>& seeds,
-                         const std::unordered_set<RuleId>* lower_set,
-                         const std::unordered_set<RuleId>* upper_set,
-                         UpdateBuilder& out);
-
-  /// Resolves a mega dependency "every rule in lower must yield to upper"
-  /// by seeding tops(lower) x bottoms(upper) (Sec. IV-B2/3).
-  void resolve_mega(const std::unordered_set<RuleId>& lower_set,
-                    const std::unordered_set<RuleId>& upper_set, UpdateBuilder& out);
-
-  /// resolve_mega with tops(lower) and bottoms(upper) precomputed by the
-  /// caller. The full-compile stitch computes them once per partial: a mega
-  /// always joins two *distinct* partials, so a partial's intra-set
-  /// adjacency — and hence its tops/bottoms — never changes across the
-  /// resolution loop, while the live rescan in resolve_mega walks adjacency
-  /// lists that grow with every resolved mega (the second quadratic term on
-  /// broad-rule workloads). The resulting member-edge set is identical:
-  /// tentative resolution is a closure, insensitive to seed order.
-  void resolve_mega_seeded(const std::unordered_set<RuleId>& lower_set,
-                           const std::unordered_set<RuleId>& upper_set,
-                           const std::vector<RuleId>& tops,
-                           const std::vector<RuleId>& bottoms, UpdateBuilder& out);
-
-  /// Per-thread context for the read-only sequential-stitch predicate.
-  struct StitchScratch {
-    std::vector<TernaryMatch> cover;
-    std::vector<std::pair<RuleId, const TernaryMatch*>> cover_keyed;
-    flowspace::CoverScratch cover_scratch;
-  };
-
-  /// Shared read-only context for the index-pruned stitch: an overlap index
-  /// over every member entry plus each entry's left-rule position, so a
-  /// pair's cover set is a bucket query instead of a scan over every
-  /// in-between partial (broad left rules — NAT/route defaults — otherwise
-  /// cost O(members) per pair and the stitch goes quadratic).
-  struct StitchIndex {
-    flowspace::RuleIndex entries;
-    std::unordered_map<RuleId, size_t> entry_left_pos;
-  };
-
-  /// True iff the partial tables of left_rules[upper_idx] and
-  /// left_rules[lower_idx] need a mega dependency: the left matches overlap,
-  /// both partials are non-empty, and the overlap is not entirely covered by
-  /// the composed entries of the partials strictly in between. Read-only
-  /// (safe to evaluate from worker threads with per-thread scratch). With an
-  /// `index`, the cover set comes from the entry overlap index; without one
-  /// it comes from the legacy scan over the in-between partials. Both paths
-  /// test the identical cover set in the identical deterministic order.
-  bool sequential_pair_needs_mega(const std::vector<Rule>& left_rules,
-                                  size_t upper_idx, size_t lower_idx,
-                                  StitchScratch& scratch,
-                                  const StitchIndex* index = nullptr) const;
-
-  /// Resolves the mega dependency between the partial tables of two left
-  /// rules (`upper_left` matched first): fills the mega scratch sets from
-  /// by_left_ and runs resolve_mega. Callers have already established the
-  /// stitch predicate.
-  void resolve_sequential_pair(RuleId upper_left, RuleId lower_left,
-                               UpdateBuilder& out);
-
-  /// Sequential stitching (Sec. IV-B2, generalized): resolves the mega
-  /// dependency between the two partial tables iff
-  /// sequential_pair_needs_mega holds.
-  void maybe_resolve_sequential_pair(const std::vector<Rule>& left_rules,
-                                     size_t upper_idx, size_t lower_idx,
-                                     UpdateBuilder& out);
-
-  /// Re-stitches every ordered left pair involving `left_src`, pulling
-  /// candidate partners from an overlap index over the left rules.
-  void resolve_sequential_megas_around(RuleId left_src, UpdateBuilder& out);
-
-  /// Full-compile phase 1: composes every (left rule x overlapping right
-  /// rule) pair and materializes the entries in left order. The compose
-  /// fan-out (probe, index query, pair composition) is sharded across a
-  /// thread pool when opts_ asks for it; entry materialization — id
-  /// assignment, maps, key vertices — always runs on the calling thread in
-  /// deterministic left order, so serial and parallel compiles agree.
+  /// Full-compile cross product: composes every (left rule x overlapping
+  /// right rule) pair and materializes the entries in left order. The
+  /// compose fan-out (probe, index query, pair composition) is sharded
+  /// across a thread pool when opts_ asks for it; entry materialization —
+  /// id assignment, maps, key vertices — always runs on the calling thread
+  /// in deterministic left order, so serial and parallel compiles agree.
   void build_cross_product(const std::vector<Rule>& left_rules, UpdateBuilder& out);
 
-  /// Full-compile sequential stitch over all ordered left pairs. Candidate
-  /// pairs come from an overlap index over the left rules (every skipped
-  /// pair fails the overlap test, i.e. would have been a no-op); the
-  /// cover-test predicate is evaluated in parallel when opts_ asks for it,
-  /// and the surviving pairs resolve serially in (lower, upper) order —
-  /// identical to the order the legacy O(n^2) loop resolves them in.
-  void stitch_sequential(const std::vector<Rule>& left_rules, UpdateBuilder& out);
-
   // --- incremental handlers
-  void on_left_removed(RuleId left_src, UpdateBuilder& out);
-  void on_right_removed(RuleId right_src, UpdateBuilder& out);
+  /// Removes every entry derived from child rule `src` (Sec. IV-C rule
+  /// delete); representatives are promoted later by promote_pending.
+  void on_removed(bool from_left, RuleId src, UpdateBuilder& out);
+  /// Composes a left rule with every right rule its probe overlaps (also
+  /// the serial full-compile cross product, one left rule at a time).
   void on_left_added(const Rule& rule, UpdateBuilder& out);
   void on_right_added(const Rule& rule, UpdateBuilder& out);
-  void on_left_edge_added(RuleId li, RuleId lj, UpdateBuilder& out);
-  void on_left_edge_removed(RuleId li, RuleId lj, UpdateBuilder& out);
-  void on_right_edge_added(RuleId m, RuleId n, UpdateBuilder& out);
-  void on_right_edge_removed(RuleId m, RuleId n, UpdateBuilder& out);
-
-  /// Removes an entry and patches the member DAG around it with verified
-  /// tentative predecessor x successor edges (Sec. IV-C rule delete).
-  void remove_entry_with_patch(RuleId eid, UpdateBuilder& out);
 
   OpKind op_;
   CompileOptions opts_;
@@ -401,11 +291,10 @@ class ComposedNode final : public PolicyNode {
   std::unique_ptr<PolicyNode> right_;
 
   std::unordered_map<RuleId, Entry> entries_;
-  std::unordered_map<PairKey, RuleId, PairKeyHash> by_pair_;
+  // Provenance: the entries derived from each left / right child rule.
   std::unordered_map<RuleId, std::vector<RuleId>> by_left_;
   std::unordered_map<RuleId, std::vector<RuleId>> by_right_;
 
-  DependencyGraph member_graph_;
   // Nested key-vertex structure: entries grouped by match (the entry's own
   // `match` field is the lookup key, so no separate reverse map is needed).
   std::unordered_map<TernaryMatch, KeyVertex, flowspace::TernaryMatchHash> keys_;
@@ -418,18 +307,9 @@ class ComposedNode final : public PolicyNode {
   bool bulk_building_ = false;
   std::unique_ptr<DeltaRecorder> recorder_;
 
-  // Reusable scratch for the resolution kernels: apply_child_update lands
-  // here on every propagated update, so the hot path must not allocate at
-  // steady state. None of these survive a call; none of the kernels nest on
-  // the same buffer (resolve_mega's seeds are consumed before
-  // resolve_tentative reuses the queue).
-  std::unordered_set<PairKey, PairKeyHash> tentative_visited_;
-  std::deque<std::pair<RuleId, RuleId>> tentative_queue_;
-  std::vector<std::pair<RuleId, RuleId>> seed_scratch_;
-  std::vector<RuleId> tops_scratch_, bottoms_scratch_;
-  std::unordered_set<RuleId> mega_lower_, mega_upper_;
+  // Reusable removal list: on_removed walks a copy, since removal edits
+  // by_left_ / by_right_ under it.
   std::vector<RuleId> removal_scratch_;
-  mutable StitchScratch stitch_scratch_;
 };
 
 }  // namespace ruletris::compiler

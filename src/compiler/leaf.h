@@ -26,7 +26,8 @@ class LeafNode final : public PolicyNode {
   explicit LeafNode(const flowspace::FlowTable& table);
 
   /// Inserts a prioritized rule; returns the visible update (the rule plus
-  /// the DAG delta: new direct dependencies and edges it now covers).
+  /// the DAG delta: new direct dependencies and edges it now covers; no
+  /// edges once demoted to a child).
   /// Throws std::invalid_argument, changing nothing, on a present or
   /// invalid id.
   TableUpdate insert(Rule rule);
@@ -50,6 +51,7 @@ class LeafNode final : public PolicyNode {
     return dag_.overlapping(m);
   }
   size_t cover_overflows() const override { return dag_.cover_overflows(); }
+  void demote_to_child() override { dag_.drop_edges(); }
 
   /// Fragment budget of the incremental cover tests (tests lower it to
   /// force the conservative-edge fallback).

@@ -2,9 +2,11 @@
 //
 // A RuleTris policy is a binary tree of composition operators over named
 // leaf tables, e.g. (monitor + router) or (nat > router). Every node
-// maintains the *visible* result of its subtree: a set of rules (no
-// priorities) plus the minimum dependency DAG over them, and can apply
-// incremental updates arriving from a child.
+// maintains the *visible* result of its subtree — a set of rules in match
+// order, with an overlap index over them — and can apply incremental
+// updates arriving from a child. Only the root also keeps the minimum
+// dependency DAG over its rules: that is what the back-end installs, while
+// a parent reads nothing of a child's DAG.
 #pragma once
 
 #include <memory>
@@ -32,7 +34,8 @@ class PolicyNode {
   /// rules' original priorities, a composed node descending positions.
   virtual std::vector<Rule> visible_rules_in_order() const = 0;
 
-  /// The minimum DAG over the visible rules.
+  /// The minimum DAG over the visible rules. Throws std::logic_error on a
+  /// node demoted to a child (demote_to_child).
   virtual const DependencyGraph& visible_graph() const = 0;
 
   virtual bool has_visible(RuleId id) const = 0;
@@ -51,8 +54,16 @@ class PolicyNode {
   /// Cover tests in this subtree's min-DAG construction (a leaf's bulk
   /// build, then incremental maintenance) that hit the fragment limit and
   /// kept a conservative edge instead (the visible DAG may then carry an
-  /// edge the minimum DAG would not).
+  /// edge the minimum DAG would not). A demoted node runs no more cover
+  /// tests, so its count stops at the demotion.
   virtual size_t cover_overflows() const = 0;
+
+  /// Makes this node a child. A node starts as a root with its exact DAG;
+  /// from this call on it keeps only its order and overlap index, which is
+  /// all a parent reads: its edges are dropped, updates run no cover tests
+  /// and carry no edge deltas, and visible_graph() throws. ComposedNode's
+  /// constructor calls it on both children. Not reversible.
+  virtual void demote_to_child() = 0;
 };
 
 }  // namespace ruletris::compiler

@@ -59,8 +59,9 @@ DagDelta MinDagMaintainer::insert_at(size_t idx, RuleId id, TernaryMatch match) 
   slots_.emplace(id, Slot{match, new_rank});
   if (new_rank == lo_rank) renumber();
   index_.insert(id, match);
-  graph_.add_vertex(id);
   delta.added_vertices.push_back(id);
+  if (!keep_edges_) return delta;
+  graph_.add_vertex(id);
 
   const uint64_t my_rank = rank(id);
   const std::vector<RuleId> candidates = index_.find_overlapping(match);
@@ -102,17 +103,18 @@ DagDelta MinDagMaintainer::remove(RuleId id) {
   DagDelta delta;
   auto sit = slots_.find(id);
   if (sit == slots_.end()) return delta;
+  delta.removed_vertices.push_back(id);
 
   std::vector<RuleId> above, below;
-  for (RuleId c : index_.find_overlapping(sit->second.match)) {
-    if (c == id) continue;
-    (rank(c) < rank(id) ? above : below).push_back(c);
+  if (keep_edges_) {
+    for (RuleId c : index_.find_overlapping(sit->second.match)) {
+      if (c == id) continue;
+      (rank(c) < rank(id) ? above : below).push_back(c);
+    }
+    for (RuleId s : graph_.successors(id)) delta.removed_edges.emplace_back(id, s);
+    for (RuleId p : graph_.predecessors(id)) delta.removed_edges.emplace_back(p, id);
+    graph_.remove_vertex(id);
   }
-
-  for (RuleId s : graph_.successors(id)) delta.removed_edges.emplace_back(id, s);
-  for (RuleId p : graph_.predecessors(id)) delta.removed_edges.emplace_back(p, id);
-  graph_.remove_vertex(id);
-  delta.removed_vertices.push_back(id);
 
   order_.erase(std::find(order_.begin(), order_.end(), id));
   slots_.erase(sit);
@@ -144,6 +146,7 @@ void MinDagMaintainer::bulk_load(const OrderedRules& rules, size_t n_threads) {
     index_.insert(id, match);
   }
   renumber();
+  if (!keep_edges_) return;
 
   MinDagBuildOptions opts;
   opts.n_threads = n_threads;

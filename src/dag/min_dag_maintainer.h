@@ -19,9 +19,14 @@
 //    maintained exactly here. See DESIGN.md "Deviations";
 //  * the surviving rules of tcam::eliminate_redundancy.
 // Bulk loads go through the builder's row loop (dag/builder.h).
+//
+// A policy-tree child needs only the order and the overlap index, so
+// drop_edges() turns the maintainer into an ordered, indexed rule set: no
+// edges, no cover tests, deltas that list vertices only.
 #pragma once
 
 #include <algorithm>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -39,7 +44,11 @@ class MinDagMaintainer {
  public:
   size_t size() const { return order_.size(); }
   bool contains(RuleId id) const { return slots_.count(id) != 0; }
-  const DependencyGraph& graph() const { return graph_; }
+  /// The minimum DAG; throws std::logic_error after drop_edges().
+  const DependencyGraph& graph() const {
+    if (!keep_edges_) throw std::logic_error("MinDagMaintainer: edges were dropped");
+    return graph_;
+  }
   const TernaryMatch& match(RuleId id) const { return slots_.at(id).match; }
 
   /// Rules overlapping `m`, in no particular order.
@@ -86,6 +95,13 @@ class MinDagMaintainer {
   /// (cheaper than n incremental inserts).
   void bulk_load(const OrderedRules& rules, size_t n_threads = 1);
 
+  /// Stops maintaining edges for good: frees the graph, and every later
+  /// insert, remove and bulk load keeps only the order, ranks and index.
+  void drop_edges() {
+    keep_edges_ = false;
+    graph_ = DependencyGraph();
+  }
+
  private:
   DagDelta insert_at(size_t idx, RuleId id, TernaryMatch match);
 
@@ -107,6 +123,7 @@ class MinDagMaintainer {
   std::unordered_map<RuleId, Slot> slots_;
   flowspace::RuleIndex index_;
   DependencyGraph graph_;
+  bool keep_edges_ = true;
 
   // Reusable cover-test arenas: is_direct sits on every update path, so its
   // between-set and fragment buffers must not reallocate at steady state.

@@ -1,9 +1,9 @@
 // Hash mixing for composite hash-map keys.
 //
-// Several hot maps key on a *pair* of 64-bit rule ids (the compiler's
-// by-pair provenance map, tentative-edge visited sets, the update builder's
-// edge ledger). The obvious `h(a)*C + h(b)` combiner collides badly on the
-// structured id grids these maps actually see — consecutive id blocks from
+// Hot maps that key on a *pair* of 64-bit rule ids (the update builder's
+// edge ledger) need a pair hash. The obvious `h(a)*C + h(b)` combiner
+// collides badly on the structured id grids these maps actually see —
+// consecutive id blocks from
 // the monotonic rule-id source make (a, b) and (a+1, b-C') land in the same
 // slot family. The mixers here finalize each half through splitmix64 and
 // fold a full 128-bit product, so grid structure in either coordinate is

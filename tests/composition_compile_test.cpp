@@ -1,22 +1,20 @@
 // Compile-strategy equivalence for ComposedNode's full compile.
 //
-// full_rebuild has three interchangeable execution strategies — serial
-// index-pruned (default), the legacy O(n^2) stitch ablation, and the
-// thread-pool sharded path — plus the incremental path that reaches the same
-// state one child update at a time. All of them must agree on the
-// id-independent CompileSnapshot: member entries by provenance, key-vertex
-// representatives, and the visible minimum-DAG edge set. (Member-graph edges
-// are deliberately outside the snapshot: the incremental stitcher may retain
-// extra, still-valid constraint edges.)
+// full_rebuild has two interchangeable execution strategies — serial and
+// the thread-pool sharded compose fan-out — plus the incremental path that
+// reaches the same state one child update at a time. All of them must agree
+// on the id-independent CompileSnapshot: member entries by provenance,
+// key-vertex representatives, and the visible minimum-DAG edge set.
 //
 // Also holds the collision smoke test for util::hash_pair, which backs the
-// PairKey/EdgeKey hashes: rule ids arrive in consecutive runs from the
-// global counter, exactly the structured grids the old multiply-add
+// update builder's EdgeKey hash: rule ids arrive in consecutive runs from
+// the global counter, exactly the structured grids the old multiply-add
 // combiners degraded on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -25,6 +23,7 @@
 
 #include "compiler/composed_node.h"
 #include "compiler/leaf.h"
+#include "dag/builder.h"
 #include "test_util.h"
 #include "util/hash.h"
 
@@ -101,21 +100,12 @@ TEST_P(CompileStrategies, SerialLegacyAndParallelSnapshotsAgree) {
       const CompileSnapshot serial =
           make_node(op, t1, t2, CompileOptions{}).snapshot();
 
-      CompileOptions legacy;
-      legacy.legacy_stitch = true;
-      EXPECT_EQ(make_node(op, t1, t2, legacy).snapshot(), serial)
-          << compiler::op_name(op) << " legacy stitch diverged";
-
       for (const size_t threads : {2ul, 4ul}) {
         CompileOptions par;
         par.n_threads = threads;
         par.parallel_cutoff = 0;  // force the sharded path on tiny tables
         EXPECT_EQ(make_node(op, t1, t2, par).snapshot(), serial)
             << compiler::op_name(op) << " parallel diverged, threads=" << threads;
-
-        par.legacy_stitch = true;
-        EXPECT_EQ(make_node(op, t1, t2, par).snapshot(), serial)
-            << compiler::op_name(op) << " parallel legacy diverged";
       }
     }
   }
@@ -167,13 +157,6 @@ TEST_P(CompileStrategies, IncrementalStateMatchesFullRebuildSnapshot) {
     node.full_rebuild();
     EXPECT_EQ(node.snapshot(), incremental)
         << compiler::op_name(op) << " parallel rebuild diverged from incremental";
-
-    CompileOptions legacy;
-    legacy.legacy_stitch = true;
-    node.set_compile_options(legacy);
-    node.full_rebuild();
-    EXPECT_EQ(node.snapshot(), incremental)
-        << compiler::op_name(op) << " legacy rebuild diverged from incremental";
   }
 }
 
@@ -237,16 +220,37 @@ TEST_P(CompileStrategies, NestedTwoLevelPoliciesAgreeAcrossStrategies) {
       par.parallel_cutoff = 0;
       EXPECT_EQ(build(par), serial) << compiler::op_name(op1) << " then "
                                     << compiler::op_name(op2) << " (parallel)";
-      CompileOptions legacy;
-      legacy.legacy_stitch = true;
-      EXPECT_EQ(build(legacy), serial) << compiler::op_name(op1) << " then "
-                                       << compiler::op_name(op2) << " (legacy)";
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompileStrategies,
                          ::testing::Values(1u, 0xbeefu, 0x5eedu));
+
+TEST(ComposedNodeChildren, KeepNoDagEdges) {
+  // A composed node demotes its children: they keep order and index but no
+  // edges, so reading a child's DAG throws, its updates carry no edge
+  // deltas, and the parent's visible DAG stays the brute-force minimum.
+  Rng rng(0xc41d);
+  for (const OpKind op : kAllOps) {
+    auto left = std::make_unique<LeafNode>(FlowTable{random_table_rules(rng, 12)});
+    auto right = std::make_unique<LeafNode>(FlowTable{random_table_rules(rng, 12)});
+    LeafNode* lp = left.get();
+    EXPECT_NO_THROW((void)lp->visible_graph()) << "a node starts as a root";
+    ComposedNode node{op, std::move(left), std::move(right), CompileOptions{}};
+    EXPECT_THROW((void)lp->visible_graph(), std::logic_error);
+    EXPECT_THROW((void)node.right().visible_graph(), std::logic_error);
+    for (int step = 0; step < 10; ++step) {
+      Rule r = Rule::make(testutil::random_match(rng), random_actions(rng),
+                          1 + static_cast<int32_t>(rng.next_below(30)));
+      const compiler::TableUpdate up = lp->insert(std::move(r));
+      EXPECT_TRUE(up.dag.added_edges.empty() && up.dag.removed_edges.empty());
+      node.apply_child_update(true, up);
+    }
+    const FlowTable visible{node.visible_rules_in_order()};
+    EXPECT_EQ(node.visible_graph(), dag::build_min_dag(visible)) << compiler::op_name(op);
+  }
+}
 
 TEST(PairHash, NoCollisionsOnConsecutiveIdGrids) {
   // Rule ids are handed out consecutively, so PairKeys form dense integer

@@ -189,7 +189,7 @@ TEST(RecordedDeltaTest, EveryOperatorAndNestedTreesMatchDiff) {
   const PolicySpec b = PolicySpec::leaf("b");
   const PolicySpec c = PolicySpec::leaf("c");
   // Nested trees get smaller leaves: a parallel child feeding a sequential
-  // parent multiplies the member entries the stitch has to walk.
+  // parent multiplies the member entries.
   const struct {
     const char* name;
     PolicySpec spec;

@@ -2,6 +2,10 @@
 // update streams, plus rank-renumbering and bulk-load paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
 #include "dag/builder.h"
 #include "dag/min_dag_maintainer.h"
 #include "flowspace/rule.h"
@@ -201,6 +205,55 @@ TEST(MinDagMaintainer, CoverOverflowIsCounted) {
       EXPECT_EQ(dag.cover_overflows(), 0u);
     }
   }
+}
+
+TEST(MinDagMaintainer, DroppedEdgesKeepOrderAndIndex) {
+  // A maintainer that dropped its edges must keep the same order, rank
+  // compare and overlap index as one that did not, under the same stream,
+  // while its deltas carry vertices only and graph() throws.
+  Rng rng(37);
+  Shadow shadow;
+  MinDagMaintainer full, bare;
+  dag::OrderedRules initial;
+  for (int i = 0; i < 20; ++i) {
+    shadow.rules.push_back(testutil::random_rule(rng, 20 - i));
+    initial.emplace_back(shadow.rules.back().id, shadow.rules.back().match);
+  }
+  full.bulk_load(initial);
+  bare.bulk_load(initial);
+  bare.drop_edges();
+  EXPECT_THROW((void)bare.graph(), std::logic_error);
+  for (int step = 0; step < 80; ++step) {
+    dag::DagDelta delta;
+    if (shadow.rules.size() > 3 && rng.next_bool(0.4)) {
+      const size_t pick = rng.next_below(shadow.rules.size());
+      const RuleId id = shadow.rules[pick].id;
+      full.remove(id);
+      delta = bare.remove(id);
+      shadow.rules.erase(shadow.rules.begin() + static_cast<ptrdiff_t>(pick));
+      EXPECT_EQ(delta.removed_vertices, std::vector<RuleId>{id});
+    } else {
+      Rule r = testutil::random_rule(rng, 1 + static_cast<int>(rng.next_below(20)));
+      shadow.rules.push_back(r);
+      full.insert(r.id, r.match, shadow.before(r));
+      delta = bare.insert(r.id, r.match, shadow.before(r));
+      EXPECT_EQ(delta.added_vertices, std::vector<RuleId>{r.id});
+    }
+    ASSERT_TRUE(delta.added_edges.empty() && delta.removed_edges.empty())
+        << "step " << step;
+    ASSERT_EQ(bare.order(), full.order()) << "step " << step;
+    const RuleId a = full.order()[rng.next_below(full.size())];
+    const RuleId b = full.order()[rng.next_below(full.size())];
+    ASSERT_EQ(bare.before(a, b), full.before(a, b)) << "step " << step;
+    const TernaryMatch probe = testutil::random_match(rng);
+    std::vector<RuleId> got = bare.overlapping(probe);
+    std::vector<RuleId> want = full.overlapping(probe);
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(got, want) << "step " << step;
+  }
+  EXPECT_EQ(full.graph(), build_min_dag(shadow.table()));
+  EXPECT_THROW((void)bare.graph(), std::logic_error);
 }
 
 TEST(MinDagMaintainer, RemoveMissingIsNoop) {

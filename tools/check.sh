@@ -54,9 +54,9 @@ echo "=== [perfbench] ctest"
 first_tree="${CHECK_TREES%% *}"
 bench_dir="$ROOT/build-check-$first_tree/bench"
 echo "=== smoke benches ($first_tree tree)"
-for bench in chaos_recovery composition_scaling dag_extraction \
-             fleet_throughput netplan recovery_latency runtime_scaling \
-             tcam_scheduler traffic_engine warm_boot; do
+for bench in chaos_recovery composition_scaling dag_extraction fig9_parallel \
+             fig10_sequential fleet_throughput netplan recovery_latency \
+             runtime_scaling tcam_scheduler traffic_engine warm_boot; do
   echo "--- $bench --smoke"
   "$bench_dir/$bench" --smoke > /dev/null \
     || { echo "SMOKE FAILED: $bench"; exit 1; }
