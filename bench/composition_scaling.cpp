@@ -1,15 +1,16 @@
 // Full-compile scaling of the composition front-end (Sec. IV-B).
 //
 // RuleTris pays the full composition compile on policy bootstrap and on
-// structural policy changes; this bench measures how that compile scales
-// with the policy size for all three operators, under both compose fan-out
-// strategies:
-//   * serial   — the default path;
-//   * parallel — the compose fan-out sharded across a thread pool.
-// Both must produce the identical CompileSnapshot (member entries by
-// provenance, key-vertex representatives, visible minimum-DAG edges); the
-// bench exits non-zero on divergence, and the smoke run is wired into ctest
-// so compile-path regressions fail tier-1.
+// structural policy changes: the cross product, then one bulk minimum-DAG
+// build over the root's visible table. This bench measures how that compile
+// scales with the policy size for all three operators, with the DAG build
+// on one thread (serial) and on --threads workers (parallel) — the one
+// thread knob of a compile, dag::set_default_build_threads. Both must
+// produce the identical CompileSnapshot (member entries by provenance,
+// key-vertex representatives, visible minimum-DAG edges); the bench exits
+// non-zero on divergence, and the smoke run is wired into ctest so
+// compile-path regressions fail tier-1. Each time is the minimum of three
+// alternating rebuilds (one in smoke runs).
 //
 // Workloads mirror the paper's evaluation policies, with the left table
 // swept and the right fixed at a hardware-sized router:
@@ -17,9 +18,12 @@
 //   sequential: nat(n)      > router(128)   (Fig. 10 shape)
 //   priority:   firewall(n) $ router(128)   (supplementary shape)
 //
-// Flags: --threads N   worker count for the parallel strategy (default 4)
+// Flags: --threads N   DAG build threads for the parallel run (default 4)
 //        --json PATH   machine-readable report (see bench_util.h)
-//        --smoke       tiny sizes + equivalence checks only
+//        --smoke       small sizes + equivalence checks only; every smoke
+//                      root exceeds dag::kSmallTableDirectCutoff visible
+//                      rules, so the threaded row loop runs
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -28,13 +32,12 @@
 #include "classbench/generator.h"
 #include "compiler/composed_node.h"
 #include "compiler/leaf.h"
+#include "dag/builder.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {
   using namespace ruletris;
-  using compiler::CompileOptions;
   using compiler::CompileSnapshot;
   using compiler::ComposedNode;
   using compiler::LeafNode;
@@ -54,9 +57,10 @@ int main(int argc, char** argv) {
   if (auto* j = bench::json()) {
     j->meta("workload", "left table swept, right = classbench router(128)");
     j->meta("threads", static_cast<double>(threads));
-    j->meta("threads_effective",
-            static_cast<double>(util::effective_workers(threads)));
-    j->meta("parallel_cutoff", static_cast<double>(compiler::kCompileParallelCutoff));
+    // The DAG builder never clamps to the core count.
+    j->meta("threads_effective", static_cast<double>(threads));
+    j->meta("parallel_cutoff",
+            static_cast<double>(dag::MinDagBuildOptions{}.parallel_cutoff));
   }
 
   util::set_log_level(util::LogLevel::kOff);
@@ -65,7 +69,7 @@ int main(int argc, char** argv) {
               "serial ms", "parallel ms", "entries", "visible", "par spd");
 
   const std::vector<size_t> sizes =
-      smoke ? std::vector<size_t>{100, 200}
+      smoke ? std::vector<size_t>{500, 1000}
             : std::vector<size_t>{250, 500, 1000, 2000, 4000, 10000, 20000};
   const OpKind ops[] = {OpKind::kParallel, OpKind::kSequential, OpKind::kPriority};
   bool ok = true;
@@ -87,35 +91,37 @@ int main(int argc, char** argv) {
           break;
       }
 
-      // Construct once (untimed warmup compile); then re-run full_rebuild
-      // under each strategy on the same node, so leaf DAG extraction and
-      // allocator warmup stay out of the timed sections.
-      CompileOptions serial;
+      // Construct once (untimed warmup compile, serial leaf DAGs); then
+      // re-run full_rebuild at each thread count on the same node, so leaf
+      // DAG extraction and allocator warmup stay out of the timed sections.
+      dag::set_default_build_threads(1);
       ComposedNode node{op, std::make_unique<LeafNode>(FlowTable{left_rules}),
-                        std::make_unique<LeafNode>(FlowTable{right_rules}), serial};
+                        std::make_unique<LeafNode>(FlowTable{right_rules})};
 
-      auto timed_rebuild = [&](const CompileOptions& opts) {
-        node.set_compile_options(opts);
+      auto timed_rebuild = [&](size_t dag_threads) {
+        dag::set_default_build_threads(dag_threads);
         util::Stopwatch watch;
         node.full_rebuild();
         return watch.elapsed_ms();
       };
 
-      const double serial_ms = timed_rebuild(CompileOptions{});
-      const CompileSnapshot serial_snap = node.snapshot();
-
-      CompileOptions par;
-      par.n_threads = threads;
-      // Smoke is the equivalence gate: force the pool path even on a
-      // single-core host. The timed sweep keeps the production clamp, so
-      // parallel_ms reflects what a user would actually get here.
-      par.clamp_to_hardware = !smoke;
-      const double parallel_ms = timed_rebuild(par);
-      const CompileSnapshot parallel_snap = node.snapshot();
-
-      if (!(parallel_snap == serial_snap)) {
-        std::fprintf(stderr, "FAIL: parallel compile diverged from serial (%s, n=%zu)\n",
-                     compiler::op_name(op), n);
+      double serial_ms = 1e300;
+      double parallel_ms = 1e300;
+      for (int run = 0; run < (smoke ? 1 : 3); ++run) {
+        serial_ms = std::min(serial_ms, timed_rebuild(1));
+        const CompileSnapshot serial_snap = node.snapshot();
+        parallel_ms = std::min(parallel_ms, timed_rebuild(threads));
+        if (!(node.snapshot() == serial_snap)) {
+          std::fprintf(stderr,
+                       "FAIL: %zu-thread compile diverged from serial (%s, n=%zu)\n",
+                       threads, compiler::op_name(op), n);
+          ok = false;
+        }
+      }
+      if (smoke && node.visible_size() < dag::kSmallTableDirectCutoff) {
+        std::fprintf(stderr, "FAIL: %s n=%zu has %zu visible rules, under the DAG "
+                     "builder's direct cutoff: the threaded build never runs\n",
+                     compiler::op_name(op), n, node.visible_size());
         ok = false;
       }
 

@@ -12,7 +12,9 @@
 //     back, must equal a from-scratch compile of the same member tables),
 //     slot-identical TCAM layouts between the cold and warm schedulers,
 //     layout_valid() on the restored scheduler, and — full mode, largest
-//     size — warm boot >= 100x faster than the cold compile.
+//     size — warm boot >= 100x faster than the cold compile. The floor is
+//     against a one-thread compile: the bench leaves the DAG build thread
+//     count (dag::set_default_build_threads) at its serial default.
 //
 //   delta — an epoch churn stream observed by EpochFreezer, which seals each
 //     patch from the compiler's recorded churn; every patch blob must equal
@@ -22,8 +24,7 @@
 //     delta blob alike), and a ThawedController replaying the frames must
 //     land on exactly the live compiler's final CompileSnapshot.
 //
-// Flags: --threads N   compile worker count (default 4)
-//        --json PATH   machine-readable report (see bench_util.h)
+// Flags: --json PATH   machine-readable report (see bench_util.h)
 //        --smoke       tiny sizes + correctness checks only
 #include <algorithm>
 #include <cstring>
@@ -58,18 +59,13 @@ namespace {
 
 struct Args {
   bool smoke = false;
-  size_t threads = 4;
 };
 
 Args parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) a.smoke = true;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      a.threads = static_cast<size_t>(std::atol(argv[++i]));
-    }
   }
-  if (a.threads == 0) a.threads = 1;
   return a;
 }
 
@@ -122,17 +118,8 @@ int main(int argc, char** argv) {
   util::set_log_level(util::LogLevel::kOff);
   bench::init_json(argc, argv, "warm_boot");
 
-  // Cold boot gets the production compile path: the parallel strategy the
-  // sim configures at startup (see tools/ruletris_sim).
-  {
-    compiler::CompileOptions opts;
-    opts.n_threads = args.threads;
-    compiler::set_default_compile_options(opts);
-  }
-
   if (auto* j = bench::json()) {
     j->meta("workload", "monitor(n) + router(128), Fig. 9 shape");
-    j->meta("threads", static_cast<double>(args.threads));
     j->meta("mode", args.smoke ? "smoke" : "full");
   }
 

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <iterator>
-#include <mutex>
 #include <stdexcept>
 
 #include "compiler/compose_ops.h"
-#include "util/thread_pool.h"
+#include "dag/builder.h"
 
 namespace ruletris::compiler {
 
@@ -17,21 +16,6 @@ const char* op_name(OpKind op) {
     case OpKind::kPriority: return "priority";
   }
   return "?";
-}
-
-namespace {
-std::mutex g_default_opts_mutex;
-CompileOptions g_default_compile_options;
-}  // namespace
-
-void set_default_compile_options(const CompileOptions& opts) {
-  std::scoped_lock lock(g_default_opts_mutex);
-  g_default_compile_options = opts;
-}
-
-CompileOptions default_compile_options() {
-  std::scoped_lock lock(g_default_opts_mutex);
-  return g_default_compile_options;
 }
 
 // ---------------------------------------------------------------------------
@@ -95,15 +79,7 @@ DeltaRecorder::Net DeltaRecorder::take() {
 
 ComposedNode::ComposedNode(OpKind op, std::unique_ptr<PolicyNode> left,
                            std::unique_ptr<PolicyNode> right)
-    : ComposedNode(op, std::move(left), std::move(right), default_compile_options()) {}
-
-ComposedNode::ComposedNode(OpKind op, std::unique_ptr<PolicyNode> left,
-                           std::unique_ptr<PolicyNode> right,
-                           const CompileOptions& opts)
-    : op_(op),
-      opts_(opts),
-      left_(std::move(left)),
-      right_(std::move(right)) {
+    : op_(op), left_(std::move(left)), right_(std::move(right)) {
   // A parent reads its children's rules, order and overlap index, never
   // their DAGs.
   left_->demote_to_child();
@@ -305,14 +281,15 @@ void ComposedNode::full_rebuild() {
       add_entry(r.match, r.actions, 0, r.id, sink);
     }
   } else {
-    // Parallel / sequential: cross product guided by the overlap index,
-    // sharded across workers when opts_ asks for it.
-    build_cross_product(left_rules, sink);
+    // Parallel / sequential: cross product guided by the overlap index.
+    for (const Rule& l : left_rules) on_left_added(l, sink);
   }
 
   bulk_building_ = false;
 
-  // Bulk-load the exact visible DAG over the representatives.
+  // Bulk-load the exact visible DAG over the representatives: most of a
+  // full compile for the parallel and priority operators, so it runs on the
+  // process-wide DAG build threads.
   std::vector<const Entry*> reps;
   reps.reserve(keys_.size());
   for (const auto& [match, kv] : keys_) {
@@ -324,59 +301,7 @@ void ComposedNode::full_rebuild() {
   std::vector<std::pair<RuleId, TernaryMatch>> ordered;
   ordered.reserve(reps.size());
   for (const Entry* e : reps) ordered.emplace_back(e->id, e->match);
-  visible_dag_.bulk_load(ordered);
-}
-
-void ComposedNode::build_cross_product(const std::vector<Rule>& left_rules,
-                                       UpdateBuilder& out) {
-  const size_t n = left_rules.size();
-  const size_t workers = opts_.clamp_to_hardware
-                             ? util::effective_workers(opts_.n_threads)
-                             : opts_.n_threads;
-  const bool parallel = workers > 1 && n >= opts_.parallel_cutoff;
-  if (!parallel) {
-    for (const Rule& l : left_rules) on_left_added(l, out);
-    return;
-  }
-
-  // The fan-out (probe, index query, pair composition) only reads the
-  // children, so workers claim left-rule chunks off an atomic cursor and
-  // buffer their compositions per left row. Entry materialization — id
-  // assignment, maps, key vertices — runs on this thread in left order, so
-  // the resulting state is identical to the serial build's.
-  struct Composed {
-    TernaryMatch match;
-    ActionList actions;
-    RuleId right_src;
-  };
-  std::vector<std::vector<Composed>> per_left(n);
-  util::ChunkCursor cursor(0, n, util::ChunkCursor::suggest_chunk(n, workers));
-  util::ThreadPool pool(workers);
-  util::run_on_workers(pool, [&] {
-    return [&] {
-      size_t begin, end;
-      while (cursor.next(begin, end)) {
-        for (size_t i = begin; i < end; ++i) {
-          const Rule& l = left_rules[i];
-          const TernaryMatch probe = right_probe(l.match, l.actions);
-          for (RuleId rid : right_->visible_overlapping(probe)) {
-            const Rule r{rid, right_->visible_match(rid), right_->visible_actions(rid),
-                         0};
-            auto composed = compose_pair(l, r);
-            if (!composed) continue;
-            per_left[i].push_back(
-                {std::move(composed->first), std::move(composed->second), rid});
-          }
-        }
-      }
-    };
-  });
-  for (size_t i = 0; i < n; ++i) {
-    for (Composed& c : per_left[i]) {
-      add_entry(std::move(c.match), std::move(c.actions), left_rules[i].id,
-                c.right_src, out);
-    }
-  }
+  visible_dag_.bulk_load(ordered, dag::default_build_threads());
 }
 
 // ---------------------------------------------------------------------------
@@ -463,8 +388,10 @@ CompileSnapshot ComposedNode::snapshot() const {
     prov.emplace(id, CompileSnapshot::Prov{e.left_src, e.right_src});
     snap.entries.emplace_back(e.left_src, e.right_src, e.match, e.actions);
   }
-  // (left_src, right_src) is unique per entry (by_pair_ invariant), so the
-  // provenance prefix is a total order over the entries.
+  // Each (left, right) source pair is composed at most once: when the later
+  // of its two sources arrives, and its entry leaves with either source. So
+  // (left_src, right_src) is unique per entry and the provenance prefix is a
+  // total order over the entries.
   std::sort(snap.entries.begin(), snap.entries.end(),
             [](const auto& a, const auto& b) {
               if (std::get<0>(a) != std::get<0>(b)) return std::get<0>(a) < std::get<0>(b);

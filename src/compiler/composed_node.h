@@ -38,46 +38,11 @@ enum class OpKind { kParallel, kSequential, kPriority };
 
 const char* op_name(OpKind op);
 
-/// Left tables smaller than this compile serially even when threads were
-/// requested: below it the compose fan-out finishes faster than the pool's
-/// chunk choreography.
-inline constexpr size_t kCompileParallelCutoff = 512;
-
-/// Tuning knobs for ComposedNode's full compile. Defaults are right for
-/// production use; the composition bench and the equivalence tests override
-/// them (forced parallelism).
-struct CompileOptions {
-  /// Workers for full_rebuild's compose fan-out; <= 1 compiles serially.
-  size_t n_threads = 1;
-  /// Left tables smaller than this compile serially even when n_threads > 1.
-  size_t parallel_cutoff = kCompileParallelCutoff;
-  /// Clamp n_threads to the machine's core count before deciding whether —
-  /// and how wide — to shard (util::effective_workers). On a single-core
-  /// host the compile then stays serial no matter what n_threads says.
-  /// Equivalence tests disable this to force the pool path and its
-  /// interleavings even where there is nothing to gain from them.
-  bool clamp_to_hardware = true;
-};
-
-/// Process-wide default compile options, used by the two-argument
-/// ComposedNode constructor (and thus by RuleTrisCompiler). Set from
-/// tools/bench flags (--compile-threads).
-///
-/// Contract: the global is guarded by an internal mutex. The setter
-/// publishes atomically and the getter returns a snapshot *copy*, so a
-/// thread constructing a compiler concurrently with a writer observes
-/// either the old or the new options in full, never a torn mix. Intended
-/// usage is still configure-at-startup — set once from flags before
-/// spawning compile work; nodes latch their options at construction, so a
-/// later set never retunes an existing compiler.
-void set_default_compile_options(const CompileOptions& opts);
-CompileOptions default_compile_options();
-
 /// Id-independent image of a composed node's compiled state, keyed by
 /// (left_src, right_src) provenance instead of entry ids (ids come from the
 /// process-global counter, so two compiles of the same policy never share
-/// them). Serial and parallel full compiles and the incremental path must
-/// produce equal snapshots.
+/// them). Full compiles at every DAG build thread count and the incremental
+/// path must produce equal snapshots.
 struct CompileSnapshot {
   using Prov = std::pair<RuleId, RuleId>;  // (left_src, right_src)
 
@@ -144,25 +109,18 @@ class DeltaRecorder {
 
 class ComposedNode final : public PolicyNode {
  public:
-  /// Takes ownership of both children and performs the initial full compile
-  /// with the process-wide default CompileOptions.
+  /// Takes ownership of both children and performs the initial full compile.
   ComposedNode(OpKind op, std::unique_ptr<PolicyNode> left,
                std::unique_ptr<PolicyNode> right);
-
-  /// Same, with explicit compile options (bench ablations, forced threads).
-  ComposedNode(OpKind op, std::unique_ptr<PolicyNode> left,
-               std::unique_ptr<PolicyNode> right, const CompileOptions& opts);
 
   OpKind op() const { return op_; }
   PolicyNode& left() { return *left_; }
   PolicyNode& right() { return *right_; }
 
-  const CompileOptions& compile_options() const { return opts_; }
-  void set_compile_options(const CompileOptions& opts) { opts_ = opts; }
-
   /// Recomputes the whole composed state from the children (also used by
-  /// tests and the incremental-vs-scratch ablation). Honours
-  /// compile_options(): threads and parallel cutoff.
+  /// tests and the incremental-vs-scratch ablation): the serial cross
+  /// product, then one bulk minimum-DAG build over the visible table on
+  /// dag::default_build_threads() workers (the same edges for every count).
   void full_rebuild();
 
   /// Canonical id-independent image of the current compiled state, for
@@ -268,25 +226,16 @@ class ComposedNode final : public PolicyNode {
   void remove_entry(RuleId eid, UpdateBuilder& out);
   void set_representative(KeyVertex& key, RuleId new_rep, UpdateBuilder& out);
 
-  /// Full-compile cross product: composes every (left rule x overlapping
-  /// right rule) pair and materializes the entries in left order. The
-  /// compose fan-out (probe, index query, pair composition) is sharded
-  /// across a thread pool when opts_ asks for it; entry materialization —
-  /// id assignment, maps, key vertices — always runs on the calling thread
-  /// in deterministic left order, so serial and parallel compiles agree.
-  void build_cross_product(const std::vector<Rule>& left_rules, UpdateBuilder& out);
-
   // --- incremental handlers
   /// Removes every entry derived from child rule `src` (Sec. IV-C rule
   /// delete); representatives are promoted later by promote_pending.
   void on_removed(bool from_left, RuleId src, UpdateBuilder& out);
   /// Composes a left rule with every right rule its probe overlaps (also
-  /// the serial full-compile cross product, one left rule at a time).
+  /// the full-compile cross product, one left rule at a time).
   void on_left_added(const Rule& rule, UpdateBuilder& out);
   void on_right_added(const Rule& rule, UpdateBuilder& out);
 
   OpKind op_;
-  CompileOptions opts_;
   std::unique_ptr<PolicyNode> left_;
   std::unique_ptr<PolicyNode> right_;
 

@@ -111,11 +111,12 @@ DependencyGraph build_min_dag_brute(const flowspace::FlowTable& table);
 /// path instead of constructing the index (bench/reporting).
 bool uses_direct_path(size_t table_size, const MinDagBuildOptions& opts);
 
-/// Process-wide default thread count for bulk DAG extraction entry points
-/// that take no explicit count (a LeafNode built from a FlowTable). 0 or 1
-/// means serial.
-/// Set from tools/bench flags (--dag-threads); not read concurrently with
-/// writes.
+/// Process-wide thread count for every bulk minimum-DAG build a compile
+/// performs: a LeafNode built from a FlowTable and a ComposedNode's visible
+/// table after a full compile. 0 or 1 means serial; the count is not clamped
+/// to the machine's cores, and the edges do not depend on it. The one thread
+/// knob of a full compile: set from tools/bench flags (--dag-threads); not
+/// read concurrently with writes.
 void set_default_build_threads(size_t n);
 size_t default_build_threads();
 

@@ -1,10 +1,14 @@
 // Compile-strategy equivalence for ComposedNode's full compile.
 //
-// full_rebuild has two interchangeable execution strategies — serial and
-// the thread-pool sharded compose fan-out — plus the incremental path that
-// reaches the same state one child update at a time. All of them must agree
-// on the id-independent CompileSnapshot: member entries by provenance,
-// key-vertex representatives, and the visible minimum-DAG edge set.
+// full_rebuild bulk-builds the root's visible minimum DAG on
+// dag::default_build_threads() workers, and the incremental path reaches
+// the same state one child update at a time. A compile on one thread, on
+// four, and the incremental path must agree on the id-independent
+// CompileSnapshot (member entries by provenance, key-vertex
+// representatives, the visible minimum-DAG edge set), and the two thread
+// counts on every update the root emits under churn. The classbench trees
+// (the composition bench's shapes) are large enough that the DAG builder
+// really shards.
 //
 // Also holds the collision smoke test for util::hash_pair, which backs the
 // update builder's EdgeKey hash: rule ids arrive in consecutive runs from
@@ -12,17 +16,19 @@
 // combiners degraded on.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <tuple>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "classbench/generator.h"
 #include "compiler/composed_node.h"
 #include "compiler/leaf.h"
+#include "compiler/ruletris_compiler.h"
 #include "dag/builder.h"
 #include "test_util.h"
 #include "util/hash.h"
@@ -30,11 +36,13 @@
 namespace ruletris {
 namespace {
 
-using compiler::CompileOptions;
 using compiler::CompileSnapshot;
 using compiler::ComposedNode;
 using compiler::LeafNode;
 using compiler::OpKind;
+using compiler::PolicySpec;
+using compiler::RuleTrisCompiler;
+using compiler::TableUpdate;
 using flowspace::Action;
 using flowspace::ActionList;
 using flowspace::FieldId;
@@ -68,53 +76,148 @@ std::vector<Rule> random_table_rules(Rng& rng, size_t n) {
   return rules;
 }
 
-ComposedNode make_node(OpKind op, const std::vector<Rule>& t1,
-                       const std::vector<Rule>& t2, const CompileOptions& opts) {
-  return ComposedNode{op, std::make_unique<LeafNode>(FlowTable{t1}),
-                      std::make_unique<LeafNode>(FlowTable{t2}), opts};
-}
-
-/// RAII guard for the process-wide default compile options (the nested-tree
-/// tests build whole trees under one strategy via the defaulted ctor).
-class DefaultOptionsGuard {
+/// RAII guard for the process-wide DAG build thread count, the one thread
+/// knob of a full compile.
+class DagThreadsGuard {
  public:
-  explicit DefaultOptionsGuard(const CompileOptions& opts)
-      : saved_(compiler::default_compile_options()) {
-    compiler::set_default_compile_options(opts);
+  explicit DagThreadsGuard(size_t n) : saved_(dag::default_build_threads()) {
+    dag::set_default_build_threads(n);
   }
-  ~DefaultOptionsGuard() { compiler::set_default_compile_options(saved_); }
+  ~DagThreadsGuard() { dag::set_default_build_threads(saved_); }
+  DagThreadsGuard(const DagThreadsGuard&) = delete;
+  DagThreadsGuard& operator=(const DagThreadsGuard&) = delete;
 
  private:
-  CompileOptions saved_;
+  size_t saved_;
 };
+
+/// Left-table size of the classbench trees: every root below holds more
+/// than dag::kSmallTableDirectCutoff visible rules, so its full compile runs
+/// the DAG builder's threaded row loop.
+constexpr size_t kBigLeft = 500;
+
+/// A classbench table for a leaf of the trees below, named by profile:
+/// "rtr" is `router` itself (the composition bench's router(128)), "nat"
+/// targets it, "mon" and "fw" are monitor and firewall tables.
+std::vector<Rule> classbench_table(const std::string& leaf,
+                                   const std::vector<Rule>& router, Rng& rng) {
+  if (leaf == "rtr") return router;
+  if (leaf == "nat") return classbench::generate_nat(kBigLeft, router, rng);
+  if (leaf == "mon") return classbench::generate_monitor(kBigLeft, rng);
+  return classbench::generate_firewall(kBigLeft, rng);
+}
+
+/// A fresh rule of the leaf's profile, for churn.
+Rule classbench_rule(const std::string& leaf, const std::vector<Rule>& router,
+                     Rng& rng) {
+  if (leaf == "rtr") return classbench::generate_router(1, rng).front();
+  if (leaf == "nat") return classbench::random_nat_rule(router, kBigLeft, rng);
+  return classbench::random_monitor_rule(kBigLeft, rng);
+}
+
+PolicySpec flat_tree(OpKind op) {
+  switch (op) {
+    case OpKind::kParallel:
+      return PolicySpec::parallel(PolicySpec::leaf("mon"), PolicySpec::leaf("rtr"));
+    case OpKind::kSequential:
+      return PolicySpec::sequential(PolicySpec::leaf("nat"), PolicySpec::leaf("rtr"));
+    case OpKind::kPriority:
+      break;
+  }
+  return PolicySpec::priority(PolicySpec::leaf("fw"), PolicySpec::leaf("rtr"));
+}
+
+/// (fw $ mon) + rtr: the root compiles against a composed child.
+PolicySpec nested_tree() {
+  return PolicySpec::parallel(
+      PolicySpec::priority(PolicySpec::leaf("fw"), PolicySpec::leaf("mon")),
+      PolicySpec::leaf("rtr"));
+}
+
+/// TableUpdate as a comparable value (Rule has no equality operator).
+auto update_image(const TableUpdate& u) {
+  std::vector<std::tuple<RuleId, TernaryMatch, ActionList, int32_t>> added;
+  for (const Rule& r : u.added) added.emplace_back(r.id, r.match, r.actions, r.priority);
+  return std::make_tuple(u.removed, added, u.dag.removed_vertices, u.dag.removed_edges,
+                         u.dag.added_vertices, u.dag.added_edges);
+}
+
+/// What one compile of a classbench tree produced: the root's state after
+/// the initial compile, every update it emitted under a seeded churn, its
+/// state after the churn, and its state after a full_rebuild from there.
+struct CompileTrace {
+  CompileSnapshot initial;
+  std::vector<decltype(update_image(TableUpdate{}))> updates;
+  CompileSnapshot incremental;
+  CompileSnapshot rebuilt;
+};
+
+/// Compiles `spec` through RuleTrisCompiler with `threads` DAG build
+/// threads, churns random leaves, then rebuilds the root. Rule ids come from
+/// a private namespace, so traces of one seed compare id for id.
+CompileTrace compile_and_churn(const PolicySpec& spec, uint64_t seed, size_t threads) {
+  DagThreadsGuard guard(threads);
+  RuleId counter = RuleId{1} << 40;
+  flowspace::ScopedRuleIdNamespace ns(&counter);
+  Rng rng(seed);
+  const std::vector<Rule> router = classbench::generate_router(128, rng);
+  std::map<std::string, FlowTable> tables;
+  std::map<std::string, std::vector<RuleId>> live;
+  for (const std::string& leaf : spec.leaf_names()) {
+    const std::vector<Rule> rules = classbench_table(leaf, router, rng);
+    for (const Rule& r : rules) live[leaf].push_back(r.id);
+    tables.emplace(leaf, FlowTable{rules});
+  }
+  RuleTrisCompiler frontend(spec, std::move(tables));
+  auto& root = dynamic_cast<ComposedNode&>(frontend.root());
+  EXPECT_GT(root.visible_size(), dag::kSmallTableDirectCutoff);
+
+  CompileTrace trace;
+  trace.initial = root.snapshot();
+  const std::vector<std::string> leaves = spec.leaf_names();
+  for (int step = 0; step < 40; ++step) {
+    const std::string& leaf = leaves[rng.next_below(leaves.size())];
+    std::vector<RuleId>& ids = live[leaf];
+    if (ids.size() > 1 && rng.next_bool(0.5)) {
+      const size_t victim = rng.next_below(ids.size());
+      trace.updates.push_back(update_image(frontend.remove(leaf, ids[victim])));
+      ids.erase(ids.begin() + static_cast<ptrdiff_t>(victim));
+    } else {
+      Rule fresh = classbench_rule(leaf, router, rng);
+      ids.push_back(fresh.id);
+      trace.updates.push_back(update_image(frontend.insert(leaf, std::move(fresh))));
+    }
+  }
+  trace.incremental = root.snapshot();
+  root.full_rebuild();
+  trace.rebuilt = root.snapshot();
+  return trace;
+}
+
+void expect_same_trace(const CompileTrace& a, const CompileTrace& b, const char* what) {
+  EXPECT_EQ(a.initial, b.initial) << what << ": initial compile";
+  EXPECT_TRUE(a.updates == b.updates) << what << ": root update stream";
+  EXPECT_EQ(a.incremental, b.incremental) << what << ": state after churn";
+  EXPECT_EQ(a.rebuilt, b.rebuilt) << what << ": full_rebuild after churn";
+}
 
 class CompileStrategies : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(CompileStrategies, SerialLegacyAndParallelSnapshotsAgree) {
-  Rng rng(GetParam());
+TEST_P(CompileStrategies, OneAndFourDagThreadsAgree) {
+  // The root's visible DAG is bulk-built on dag::default_build_threads()
+  // workers; its edges, and so every later incremental update, must not
+  // depend on the count.
   for (const OpKind op : kAllOps) {
-    for (int trial = 0; trial < 4; ++trial) {
-      const auto t1 = random_table_rules(rng, 8 + rng.next_below(16));
-      const auto t2 = random_table_rules(rng, 8 + rng.next_below(16));
-
-      const CompileSnapshot serial =
-          make_node(op, t1, t2, CompileOptions{}).snapshot();
-
-      for (const size_t threads : {2ul, 4ul}) {
-        CompileOptions par;
-        par.n_threads = threads;
-        par.parallel_cutoff = 0;  // force the sharded path on tiny tables
-        EXPECT_EQ(make_node(op, t1, t2, par).snapshot(), serial)
-            << compiler::op_name(op) << " parallel diverged, threads=" << threads;
-      }
-    }
+    expect_same_trace(compile_and_churn(flat_tree(op), GetParam(), 1),
+                      compile_and_churn(flat_tree(op), GetParam(), 4),
+                      compiler::op_name(op));
   }
 }
 
 TEST_P(CompileStrategies, IncrementalStateMatchesFullRebuildSnapshot) {
   // Drive a node through random child inserts/removals, then recompile the
   // same node from scratch: entries, representatives, and the visible DAG
-  // must land in the identical state (under every strategy).
+  // must land in the identical state (at one and at four DAG threads).
   Rng rng(GetParam() ^ 0x1ac5);
   for (const OpKind op : kAllOps) {
     auto t1 = random_table_rules(rng, 5);
@@ -123,7 +226,7 @@ TEST_P(CompileStrategies, IncrementalStateMatchesFullRebuildSnapshot) {
     auto right = std::make_unique<LeafNode>(FlowTable{t2});
     LeafNode* lp = left.get();
     LeafNode* rp = right.get();
-    ComposedNode node{op, std::move(left), std::move(right), CompileOptions{}};
+    ComposedNode node{op, std::move(left), std::move(right)};
 
     std::vector<RuleId> live_l, live_r;
     for (const Rule& r : t1) live_l.push_back(r.id);
@@ -150,78 +253,20 @@ TEST_P(CompileStrategies, IncrementalStateMatchesFullRebuildSnapshot) {
     EXPECT_EQ(node.snapshot(), incremental)
         << compiler::op_name(op) << " serial rebuild diverged from incremental";
 
-    CompileOptions par;
-    par.n_threads = 4;
-    par.parallel_cutoff = 0;
-    node.set_compile_options(par);
-    node.full_rebuild();
-    EXPECT_EQ(node.snapshot(), incremental)
-        << compiler::op_name(op) << " parallel rebuild diverged from incremental";
+    // Classbench roots, large enough that the rebuild's DAG build shards.
+    const CompileTrace big = compile_and_churn(flat_tree(op), GetParam(), 4);
+    EXPECT_EQ(big.rebuilt, big.incremental)
+        << compiler::op_name(op) << " 4-thread rebuild diverged from incremental";
   }
 }
 
 TEST_P(CompileStrategies, NestedTwoLevelPoliciesAgreeAcrossStrategies) {
-  // (a op1 b) op2 c — the inner composed node is itself a child, so the
-  // outer compile consumes a composed visible table/DAG, not a leaf's.
-  Rng rng(GetParam() ^ 0x2b1d);
-  for (const OpKind op1 : kAllOps) {
-    for (const OpKind op2 : kAllOps) {
-      const auto ta = random_table_rules(rng, 6 + rng.next_below(6));
-      const auto tb = random_table_rules(rng, 6 + rng.next_below(6));
-      const auto tc = random_table_rules(rng, 6 + rng.next_below(6));
-
-      auto build = [&](const CompileOptions& opts) {
-        DefaultOptionsGuard guard(opts);
-        auto inner = std::make_unique<ComposedNode>(
-            op1, std::make_unique<LeafNode>(FlowTable{ta}),
-            std::make_unique<LeafNode>(FlowTable{tb}));
-        ComposedNode root{op2, std::move(inner),
-                          std::make_unique<LeafNode>(FlowTable{tc})};
-        // The inner node's entry ids come from the process-global counter and
-        // differ per build, so the root's raw provenance snapshot is not
-        // comparable across builds. Canonicalize each source id to its rank
-        // in the child's visible order (deterministic given the same leaf
-        // tables), keeping the snapshot comparison id-independent.
-        const CompileSnapshot s = root.snapshot();
-        auto ranks = [](const compiler::PolicyNode& n) {
-          std::unordered_map<RuleId, size_t> m;
-          const auto rules = n.visible_rules_in_order();
-          for (size_t i = 0; i < rules.size(); ++i) m[rules[i].id] = i + 1;
-          return m;
-        };
-        const auto lrank = ranks(root.left());
-        const auto rrank = ranks(root.right());
-        auto canon = [&](const CompileSnapshot::Prov& p) {
-          return std::pair<size_t, size_t>{p.first ? lrank.at(p.first) : 0,
-                                           p.second ? rrank.at(p.second) : 0};
-        };
-        std::vector<std::tuple<size_t, size_t, TernaryMatch, ActionList>> entries;
-        for (const auto& [l, r, m, a] : s.entries) {
-          const auto [cl, cr] = canon({l, r});
-          entries.emplace_back(cl, cr, m, a);
-        }
-        std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-          if (std::get<0>(a) != std::get<0>(b)) return std::get<0>(a) < std::get<0>(b);
-          return std::get<1>(a) < std::get<1>(b);
-        });
-        std::vector<std::pair<size_t, size_t>> reps;
-        for (const auto& p : s.reps) reps.push_back(canon(p));
-        std::sort(reps.begin(), reps.end());
-        std::vector<std::pair<std::pair<size_t, size_t>, std::pair<size_t, size_t>>>
-            edges;
-        for (const auto& [u, v] : s.visible_edges) edges.emplace_back(canon(u), canon(v));
-        std::sort(edges.begin(), edges.end());
-        return std::make_tuple(entries, reps, edges);
-      };
-
-      const auto serial = build(CompileOptions{});
-      CompileOptions par;
-      par.n_threads = 4;
-      par.parallel_cutoff = 0;
-      EXPECT_EQ(build(par), serial) << compiler::op_name(op1) << " then "
-                                    << compiler::op_name(op2) << " (parallel)";
-    }
-  }
+  // (fw $ mon) + rtr: the root compiles against a composed child's visible
+  // table, and the inner node's full compile runs on the same knob.
+  const CompileTrace serial = compile_and_churn(nested_tree(), GetParam(), 1);
+  expect_same_trace(serial, compile_and_churn(nested_tree(), GetParam(), 4),
+                    "(fw $ mon) + rtr");
+  EXPECT_EQ(serial.rebuilt, serial.incremental) << "nested rebuild diverged";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompileStrategies,
@@ -230,25 +275,34 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CompileStrategies,
 TEST(ComposedNodeChildren, KeepNoDagEdges) {
   // A composed node demotes its children: they keep order and index but no
   // edges, so reading a child's DAG throws, its updates carry no edge
-  // deltas, and the parent's visible DAG stays the brute-force minimum.
-  Rng rng(0xc41d);
-  for (const OpKind op : kAllOps) {
-    auto left = std::make_unique<LeafNode>(FlowTable{random_table_rules(rng, 12)});
-    auto right = std::make_unique<LeafNode>(FlowTable{random_table_rules(rng, 12)});
-    LeafNode* lp = left.get();
-    EXPECT_NO_THROW((void)lp->visible_graph()) << "a node starts as a root";
-    ComposedNode node{op, std::move(left), std::move(right), CompileOptions{}};
-    EXPECT_THROW((void)lp->visible_graph(), std::logic_error);
-    EXPECT_THROW((void)node.right().visible_graph(), std::logic_error);
-    for (int step = 0; step < 10; ++step) {
-      Rule r = Rule::make(testutil::random_match(rng), random_actions(rng),
-                          1 + static_cast<int32_t>(rng.next_below(30)));
-      const compiler::TableUpdate up = lp->insert(std::move(r));
-      EXPECT_TRUE(up.dag.added_edges.empty() && up.dag.removed_edges.empty());
-      node.apply_child_update(true, up);
+  // deltas, and the parent's visible DAG stays the minimum DAG (serial
+  // builder as the oracle) whether it was bulk-built on one or four threads.
+  for (const size_t threads : {1ul, 4ul}) {
+    const DagThreadsGuard guard(threads);
+    Rng rng(0xc41d);
+    const std::vector<Rule> router = classbench::generate_router(128, rng);
+    for (const OpKind op : kAllOps) {
+      const std::string lname = flat_tree(op).leaf_names().front();
+      auto left = std::make_unique<LeafNode>(
+          FlowTable{classbench_table(lname, router, rng)});
+      auto right = std::make_unique<LeafNode>(FlowTable{router});
+      LeafNode* lp = left.get();
+      EXPECT_NO_THROW((void)lp->visible_graph()) << "a node starts as a root";
+      ComposedNode node{op, std::move(left), std::move(right)};
+      EXPECT_GT(node.visible_size(), dag::kSmallTableDirectCutoff);
+      EXPECT_THROW((void)lp->visible_graph(), std::logic_error);
+      EXPECT_THROW((void)node.right().visible_graph(), std::logic_error);
+      for (int step = 0; step < 10; ++step) {
+        Rule r = Rule::make(testutil::random_match(rng), random_actions(rng),
+                            1 + static_cast<int32_t>(rng.next_below(30)));
+        const compiler::TableUpdate up = lp->insert(std::move(r));
+        EXPECT_TRUE(up.dag.added_edges.empty() && up.dag.removed_edges.empty());
+        node.apply_child_update(true, up);
+      }
+      const FlowTable visible{node.visible_rules_in_order()};
+      EXPECT_EQ(node.visible_graph(), dag::build_min_dag(visible))
+          << compiler::op_name(op) << ", threads=" << threads;
     }
-    const FlowTable visible{node.visible_rules_in_order()};
-    EXPECT_EQ(node.visible_graph(), dag::build_min_dag(visible)) << compiler::op_name(op);
   }
 }
 

@@ -71,7 +71,6 @@ struct Options {
   std::string trace_out;   // record the generated stream here
   std::optional<size_t> capacity;   // default: sized from the composed table
   size_t dag_threads = 0;  // 0 = serial minimum-DAG extraction
-  size_t compile_threads = 0;  // 0 = serial composition full compiles
   std::string json_out;    // machine-readable report path
   std::string freeze_out;  // --freeze: write the final frozen artifact here
   std::string thaw_in;     // --thaw: warm boot from this artifact, no compile
@@ -125,8 +124,7 @@ struct Options {
                "usage: %s --policy EXPR --table NAME=SOURCE [--table ...]\n"
                "          [--churn NAME] [--updates N] [--seed S]\n"
                "          [--compiler ruletris|covisor|baseline]\n"
-               "          [--tcam-capacity N] [--dag-threads N]\n"
-               "          [--compile-threads N] [--verbose]\n"
+               "          [--tcam-capacity N] [--dag-threads N] [--verbose]\n"
                "          [--trace FILE | --emit-trace FILE] [--json FILE]\n"
                "          [--freeze FILE] [--thaw FILE]\n"
                "          [--runtime] [--switches N] [--window W] [--fault-seed S]\n"
@@ -140,6 +138,9 @@ struct Options {
                "          [--chaos] [--shard-kill-ms T ...] [--quarantine-after N]\n"
                "  SOURCE: gen:router:N | gen:monitor:N | gen:firewall:N |\n"
                "          gen:nat:N | file:PATH\n"
+               "  --dag-threads runs every bulk minimum-DAG build of a\n"
+               "  compile (leaf tables and each composed node's visible\n"
+               "  table) on N threads; the output does not depend on N.\n"
                "  --runtime replicates the compiled update stream to N\n"
                "  concurrent switch sessions over a simulated wire; with\n"
                "  --fault-seed the wire drops/duplicates/delays frames and\n"
@@ -219,8 +220,6 @@ Options parse_args(int argc, char** argv) {
       opt.capacity = static_cast<size_t>(std::stoul(need_value(i)));
     } else if (arg == "--dag-threads") {
       opt.dag_threads = static_cast<size_t>(std::stoul(need_value(i)));
-    } else if (arg == "--compile-threads") {
-      opt.compile_threads = static_cast<size_t>(std::stoul(need_value(i)));
     } else if (arg == "--json") {
       opt.json_out = need_value(i);
     } else if (arg == "--freeze") {
@@ -339,16 +338,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   util::set_log_level(opt.verbose ? util::LogLevel::kInfo : util::LogLevel::kError);
-  // Thread count for every minimum-DAG extraction the pipeline performs
-  // (LeafNode bootstrap and any full rebuilds). 0 keeps the serial path.
+  // Thread count for every bulk minimum-DAG build a compile performs (leaf
+  // bootstrap and each composed node's visible table). 0 keeps it serial.
   dag::set_default_build_threads(opt.dag_threads);
-  // Worker count for composition full compiles (ComposedNode bootstrap);
-  // 0 keeps the serial path.
-  {
-    compiler::CompileOptions copts;
-    copts.n_threads = opt.compile_threads;
-    compiler::set_default_compile_options(copts);
-  }
   bench::init_json(argc, argv, "ruletris_sim");
 
   try {
