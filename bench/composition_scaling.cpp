@@ -21,8 +21,8 @@
 // Flags: --threads N   DAG build threads for the parallel run (default 4)
 //        --json PATH   machine-readable report (see bench_util.h)
 //        --smoke       small sizes + equivalence checks only; every smoke
-//                      root exceeds dag::kSmallTableDirectCutoff visible
-//                      rules, so the threaded row loop runs
+//                      root is large enough that its --threads build runs
+//                      the threaded row loop (dag::uses_parallel_path)
 #include <algorithm>
 #include <cstring>
 #include <string>
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
               "serial ms", "parallel ms", "entries", "visible", "par spd");
 
   const std::vector<size_t> sizes =
-      smoke ? std::vector<size_t>{500, 1000}
+      smoke ? std::vector<size_t>{1000, 2000}
             : std::vector<size_t>{250, 500, 1000, 2000, 4000, 10000, 20000};
   const OpKind ops[] = {OpKind::kParallel, OpKind::kSequential, OpKind::kPriority};
   bool ok = true;
@@ -118,9 +118,11 @@ int main(int argc, char** argv) {
           ok = false;
         }
       }
-      if (smoke && node.visible_size() < dag::kSmallTableDirectCutoff) {
+      dag::MinDagBuildOptions threaded;
+      threaded.n_threads = threads;
+      if (smoke && threads > 1 && !dag::uses_parallel_path(node.visible_size(), threaded)) {
         std::fprintf(stderr, "FAIL: %s n=%zu has %zu visible rules, under the DAG "
-                     "builder's direct cutoff: the threaded build never runs\n",
+                     "builder's parallel cutoff: the threaded build never runs\n",
                      compiler::op_name(op), n, node.visible_size());
         ok = false;
       }

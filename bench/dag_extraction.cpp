@@ -4,8 +4,9 @@
 // time complexity. In practice, it can consume minutes in processing a flow
 // table with a few thousand rules." This bench measures that brute force
 // against the three optimization layers this repository stacks on top of it:
-//   1. candidate pruning  — the two-level RuleIndex limits each rule's pair
-//      tests to rules it can actually overlap;
+//   1. candidate pruning  — a dst-prefix index over row positions limits each
+//      rule's tests to the rules it can actually overlap, and the residue
+//      walk skips candidates contained in a rule it has already passed;
 //   2. fragment arena     — the per-row residue walk and try_cover kernel
 //      reuse scratch buffers, so the hot loop is allocation-free;
 //   3. row parallelism    — rows are independent, so build_min_dag_parallel
@@ -18,6 +19,8 @@
 //        --json PATH   machine-readable report (see bench_util.h)
 //        --smoke       tiny sizes + equivalence checks; used as a ctest
 //                      smoke test so parallel-builder regressions fail tier-1
+//                      (the larger smoke size is over the parallel cutoff, so
+//                      the threaded row loop runs)
 #include <cstring>
 #include <string>
 #include <vector>
@@ -58,9 +61,16 @@ int main(int argc, char** argv) {
               "incremental us/update", "1t speedup", "Nt speedup");
 
   const std::vector<size_t> sizes =
-      smoke ? std::vector<size_t>{200, 400}
+      smoke ? std::vector<size_t>{200, 1200}
             : std::vector<size_t>{250, 500, 1000, 2000, 4000, 10000, 20000};
   bool ok = true;
+  dag::MinDagBuildOptions threaded;
+  threaded.n_threads = threads;
+  if (smoke && threads > 1 && !dag::uses_parallel_path(sizes.back(), threaded)) {
+    std::fprintf(stderr, "FAIL: no smoke size reaches the parallel cutoff (%zu rows)\n",
+                 threaded.parallel_cutoff);
+    ok = false;
+  }
 
   for (const size_t n : sizes) {
     util::Rng rng(0xdead + n);

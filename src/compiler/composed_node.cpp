@@ -78,12 +78,13 @@ DeltaRecorder::Net DeltaRecorder::take() {
 // ---------------------------------------------------------------------------
 
 ComposedNode::ComposedNode(OpKind op, std::unique_ptr<PolicyNode> left,
-                           std::unique_ptr<PolicyNode> right)
+                           std::unique_ptr<PolicyNode> right, NodeRole role)
     : op_(op), left_(std::move(left)), right_(std::move(right)) {
   // A parent reads its children's rules, order and overlap index, never
   // their DAGs.
   left_->demote_to_child();
   right_->demote_to_child();
+  if (role == NodeRole::kChild) demote_to_child();
   full_rebuild();
 }
 
@@ -289,7 +290,7 @@ void ComposedNode::full_rebuild() {
 
   // Bulk-load the exact visible DAG over the representatives: most of a
   // full compile for the parallel and priority operators, so it runs on the
-  // process-wide DAG build threads.
+  // process-wide DAG build threads. A child loads order and index only.
   std::vector<const Entry*> reps;
   reps.reserve(keys_.size());
   for (const auto& [match, kv] : keys_) {

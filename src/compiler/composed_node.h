@@ -109,9 +109,10 @@ class DeltaRecorder {
 
 class ComposedNode final : public PolicyNode {
  public:
-  /// Takes ownership of both children and performs the initial full compile.
+  /// Takes ownership of both children and performs the initial full
+  /// compile; a root also bulk-builds its visible DAG.
   ComposedNode(OpKind op, std::unique_ptr<PolicyNode> left,
-               std::unique_ptr<PolicyNode> right);
+               std::unique_ptr<PolicyNode> right, NodeRole role = NodeRole::kRoot);
 
   OpKind op() const { return op_; }
   PolicyNode& left() { return *left_; }

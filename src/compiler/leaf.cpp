@@ -4,7 +4,8 @@
 
 namespace ruletris::compiler {
 
-LeafNode::LeafNode(const flowspace::FlowTable& table) {
+LeafNode::LeafNode(const flowspace::FlowTable& table, NodeRole role) {
+  if (role == NodeRole::kChild) demote_to_child();
   dag::OrderedRules ordered;
   ordered.reserve(table.size());
   meta_.reserve(table.size());
@@ -12,8 +13,9 @@ LeafNode::LeafNode(const flowspace::FlowTable& table) {
     ordered.emplace_back(r.id, r.match);
     meta_.emplace(r.id, Meta{r.actions, r.priority});
   }
-  // Bulk extraction honours the process-wide thread knob (serial when 0/1);
-  // its overflow fallbacks count with the incremental ones.
+  // Bulk extraction (skipped by a child) honours the process-wide thread
+  // knob (serial when 0/1); its overflow fallbacks count with the
+  // incremental ones.
   dag_.bulk_load(ordered, dag::default_build_threads());
 }
 

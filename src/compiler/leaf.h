@@ -22,8 +22,8 @@ class LeafNode final : public PolicyNode {
  public:
   LeafNode() = default;
 
-  /// Bulk-loads an initial prioritized table and builds its DAG.
-  explicit LeafNode(const flowspace::FlowTable& table);
+  /// Bulk-loads an initial prioritized table; a root also builds its DAG.
+  explicit LeafNode(const flowspace::FlowTable& table, NodeRole role = NodeRole::kRoot);
 
   /// Inserts a prioritized rule; returns the visible update (the rule plus
   /// the DAG delta: new direct dependencies and edges it now covers; no

@@ -25,6 +25,12 @@ using flowspace::Rule;
 using flowspace::RuleId;
 using flowspace::TernaryMatch;
 
+/// Where a node is built in a policy tree. A root keeps the exact minimum
+/// DAG over its visible rules. A child is demoted (PolicyNode::
+/// demote_to_child) before its initial bulk load, so it never builds a DAG
+/// that its parent would only drop.
+enum class NodeRole { kRoot, kChild };
+
 class PolicyNode {
  public:
   virtual ~PolicyNode() = default;
@@ -51,18 +57,21 @@ class PolicyNode {
   /// Ids of visible rules whose match overlaps `m` (uses the node's index).
   virtual std::vector<RuleId> visible_overlapping(const TernaryMatch& m) const = 0;
 
-  /// Cover tests in this subtree's min-DAG construction (a leaf's bulk
+  /// Cover tests in this subtree's min-DAG construction (a node's bulk
   /// build, then incremental maintenance) that hit the fragment limit and
   /// kept a conservative edge instead (the visible DAG may then carry an
   /// edge the minimum DAG would not). A demoted node runs no more cover
-  /// tests, so its count stops at the demotion.
+  /// tests, so its count stops at the demotion; a node built as a child
+  /// (NodeRole::kChild, as RuleTrisCompiler builds every non-root node)
+  /// runs none and counts 0.
   virtual size_t cover_overflows() const = 0;
 
-  /// Makes this node a child. A node starts as a root with its exact DAG;
-  /// from this call on it keeps only its order and overlap index, which is
-  /// all a parent reads: its edges are dropped, updates run no cover tests
-  /// and carry no edge deltas, and visible_graph() throws. ComposedNode's
-  /// constructor calls it on both children. Not reversible.
+  /// Makes this node a child. A node built as a root starts with its exact
+  /// DAG; from this call on it keeps only its order and overlap index, which
+  /// is all a parent reads: its edges are dropped, updates run no cover
+  /// tests and carry no edge deltas, and visible_graph() throws.
+  /// ComposedNode's constructor calls it on both children (a no-op on a
+  /// node built as NodeRole::kChild). Not reversible.
   virtual void demote_to_child() = 0;
 };
 

@@ -19,7 +19,7 @@ TableUpdate chain_updates(const TableUpdate& first, const TableUpdate& second) {
 
 RuleTrisCompiler::RuleTrisCompiler(
     const PolicySpec& spec, std::map<std::string, flowspace::FlowTable> initial_tables) {
-  root_ = build(spec, initial_tables);
+  root_ = build(spec, initial_tables, NodeRole::kRoot);
 
   // Record the path from each leaf to the root for update propagation.
   struct Walker {
@@ -44,21 +44,24 @@ RuleTrisCompiler::RuleTrisCompiler(
 }
 
 std::unique_ptr<PolicyNode> RuleTrisCompiler::build(
-    const PolicySpec& spec, std::map<std::string, flowspace::FlowTable>& tables) {
+    const PolicySpec& spec, std::map<std::string, flowspace::FlowTable>& tables,
+    NodeRole role) {
   if (spec.is_leaf) {
     auto it = tables.find(spec.leaf_name);
     auto leaf = std::make_unique<LeafNode>(
-        it == tables.end() ? flowspace::FlowTable() : std::move(it->second));
+        it == tables.end() ? flowspace::FlowTable() : std::move(it->second), role);
     if (leaves_.count(spec.leaf_name)) {
       throw std::invalid_argument("duplicate leaf name: " + spec.leaf_name);
     }
     leaves_[spec.leaf_name].node = leaf.get();
     return leaf;
   }
-  auto left = build(*spec.left, tables);
-  auto right = build(*spec.right, tables);
+  // Every node below the root is built as a child: it never bulk-builds a
+  // DAG that its parent would only drop.
+  auto left = build(*spec.left, tables, NodeRole::kChild);
+  auto right = build(*spec.right, tables, NodeRole::kChild);
   return std::make_unique<ComposedNode>(static_cast<OpKind>(spec.op), std::move(left),
-                                        std::move(right));
+                                        std::move(right), role);
 }
 
 TableUpdate RuleTrisCompiler::propagate(const std::string& leaf, TableUpdate update) {

@@ -52,7 +52,8 @@ class RuleTrisCompiler {
   };
 
   std::unique_ptr<PolicyNode> build(const PolicySpec& spec,
-                                    std::map<std::string, flowspace::FlowTable>& tables);
+                                    std::map<std::string, flowspace::FlowTable>& tables,
+                                    NodeRole role);
   TableUpdate propagate(const std::string& leaf, TableUpdate update);
 
   std::unique_ptr<PolicyNode> root_;

@@ -15,9 +15,14 @@
 //
 // Every optimized entry point adapts onto one core over an ordered
 // (RuleId, TernaryMatch) sequence, build_min_dag_ordered:
-//  * indexed: each rule only tests the rules it can actually overlap (a
-//    RuleIndex keyed by position, so no id -> position map) and the per-row
-//    residue walk reuses arena buffers, so the hot loop is allocation-free;
+//  * indexed: each rule only tests the rules it can actually overlap. A
+//    static index built once per build keys the rows by dst_ip prefix and
+//    answers position-window queries (a row's candidates are the overlapping
+//    rows above it; a fallback pair's between-set is the overlapping rows
+//    strictly between the two), so a query costs about its output, not a
+//    bucket scan. The per-row residue walk skips a candidate contained in a
+//    later one it has passed, which can neither hit nor subtract, and reuses
+//    arena buffers, so the hot loop is allocation-free;
 //  * parallel: rows are independent given the input, so they are sharded
 //    across a thread pool with per-thread arenas. The edge set is merged in
 //    row order and is bit-identical to the serial build.
@@ -40,10 +45,10 @@
 namespace ruletris::dag {
 
 /// Below this table size the direct per-pair build beats the indexed one:
-/// constructing the RuleIndex and walking residues costs more than the
-/// handful of pair tests it would prune (the checked-in extraction bench
-/// showed the indexed build ~3.5x *slower* than brute force at 250 rules).
-/// The crossover sits between 250 and 500 rules on the router profile.
+/// constructing the index and walking residues costs more than the handful
+/// of pair tests it would prune (the extraction bench once showed the
+/// indexed build ~3.5x *slower* than brute force at 250 rules). The
+/// crossover sits between 250 and 500 rules on the router profile.
 inline constexpr size_t kSmallTableDirectCutoff = 384;
 
 /// Tuning knobs for the indexed builder. Defaults are right for every
@@ -58,8 +63,12 @@ struct MinDagBuildOptions {
   size_t residue_soft_limit = 2048;
   /// Worker threads for build_min_dag_parallel; <= 1 builds serially.
   size_t n_threads = 1;
-  /// Tables smaller than this build serially even when n_threads > 1.
-  size_t parallel_cutoff = 256;
+  /// Tables smaller than this build serially even when n_threads > 1. Set
+  /// from the measured 4-thread crossover: monitor, firewall and composed
+  /// visible tables break even at ~600-800 rows and gain 1.3-2.4x at
+  /// 1,000; router tables, whose build is mostly the serial index and graph
+  /// assembly, read 0.8-1.0x at every size (EXPERIMENTS.md).
+  size_t parallel_cutoff = 1024;
   /// Tables smaller than this skip the index entirely and use the direct
   /// per-pair path (same edges, same conservative overflow policy — applied
   /// before the thread check, so serial and parallel builds stay
@@ -111,12 +120,17 @@ DependencyGraph build_min_dag_brute(const flowspace::FlowTable& table);
 /// path instead of constructing the index (bench/reporting).
 bool uses_direct_path(size_t table_size, const MinDagBuildOptions& opts);
 
+/// True iff a build of `table_size` rows with `opts` shards its rows across
+/// opts.n_threads workers (tests and benches assert that 1-vs-N thread
+/// comparisons really run the threaded row loop).
+bool uses_parallel_path(size_t table_size, const MinDagBuildOptions& opts);
+
 /// Process-wide thread count for every bulk minimum-DAG build a compile
-/// performs: a LeafNode built from a FlowTable and a ComposedNode's visible
-/// table after a full compile. 0 or 1 means serial; the count is not clamped
-/// to the machine's cores, and the edges do not depend on it. The one thread
-/// knob of a full compile: set from tools/bench flags (--dag-threads); not
-/// read concurrently with writes.
+/// performs: a root LeafNode built from a FlowTable and a root ComposedNode's
+/// visible table after a full compile (children build none). 0 or 1 means
+/// serial; the count is not clamped to the machine's cores, and the edges do
+/// not depend on it. The one thread knob of a full compile: set from
+/// tools/bench flags (--dag-threads); not read concurrently with writes.
 void set_default_build_threads(size_t n);
 size_t default_build_threads();
 

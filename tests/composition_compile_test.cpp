@@ -91,10 +91,18 @@ class DagThreadsGuard {
   size_t saved_;
 };
 
-/// Left-table size of the classbench trees: every root below holds more
-/// than dag::kSmallTableDirectCutoff visible rules, so its full compile runs
-/// the DAG builder's threaded row loop.
-constexpr size_t kBigLeft = 500;
+/// Left-table size of the classbench trees: every root below holds enough
+/// visible rules that its full compile on four DAG threads runs the
+/// builder's threaded row loop (builds_threaded).
+constexpr size_t kBigLeft = 1000;
+
+/// True iff a root of `visible` rules bulk-builds its DAG on the builder's
+/// threaded row loop when the compile runs on four DAG threads.
+bool builds_threaded(size_t visible) {
+  dag::MinDagBuildOptions opts;
+  opts.n_threads = 4;
+  return dag::uses_parallel_path(visible, opts);
+}
 
 /// A classbench table for a leaf of the trees below, named by profile:
 /// "rtr" is `router` itself (the composition bench's router(128)), "nat"
@@ -170,7 +178,7 @@ CompileTrace compile_and_churn(const PolicySpec& spec, uint64_t seed, size_t thr
   }
   RuleTrisCompiler frontend(spec, std::move(tables));
   auto& root = dynamic_cast<ComposedNode&>(frontend.root());
-  EXPECT_GT(root.visible_size(), dag::kSmallTableDirectCutoff);
+  EXPECT_TRUE(builds_threaded(root.visible_size())) << root.visible_size();
 
   CompileTrace trace;
   trace.initial = root.snapshot();
@@ -289,7 +297,7 @@ TEST(ComposedNodeChildren, KeepNoDagEdges) {
       LeafNode* lp = left.get();
       EXPECT_NO_THROW((void)lp->visible_graph()) << "a node starts as a root";
       ComposedNode node{op, std::move(left), std::move(right)};
-      EXPECT_GT(node.visible_size(), dag::kSmallTableDirectCutoff);
+      EXPECT_TRUE(builds_threaded(node.visible_size())) << node.visible_size();
       EXPECT_THROW((void)lp->visible_graph(), std::logic_error);
       EXPECT_THROW((void)node.right().visible_graph(), std::logic_error);
       for (int step = 0; step < 10; ++step) {
@@ -304,6 +312,66 @@ TEST(ComposedNodeChildren, KeepNoDagEdges) {
           << compiler::op_name(op) << ", threads=" << threads;
     }
   }
+}
+
+/// Eight rules whose bulk min-DAG build overflows the default fragment
+/// budget exactly once: the pair (in_port=1 rule, match-all rule) has four
+/// exact-field rules between them that fragment the overlap ~32*32*16*16
+/// ways before the two dst halves cover it. So a node's cover_overflows()
+/// tells whether its bulk build ran.
+std::vector<Rule> overflowing_table() {
+  std::vector<TernaryMatch> m(8);
+  m[1].set_exact(FieldId::kSrcIp, 0x0a000001);
+  m[2].set_exact(FieldId::kDstIp, 0x0b000001);
+  m[3].set_exact(FieldId::kSrcPort, 1234);
+  m[4].set_exact(FieldId::kDstPort, 80);
+  m[5].set_prefix(FieldId::kDstIp, 0, 1);
+  m[6].set_prefix(FieldId::kDstIp, 0x80000000u, 1);
+  m[7].set_exact(FieldId::kInPort, 1);
+  std::vector<Rule> rules;
+  for (size_t i = 0; i < m.size(); ++i) {
+    rules.push_back(Rule::make(m[i], ActionList{Action::forward(1)},
+                               static_cast<int32_t>(m.size() - i)));
+  }
+  return rules;
+}
+
+TEST(ComposedNodeChildren, CompilerBuildsNoDagBelowTheRoot) {
+  const std::vector<Rule> rules = overflowing_table();
+  const std::vector<Rule> pass{
+      Rule::make(TernaryMatch::wildcard(), ActionList{Action::count(1)}, 1)};
+
+  // Directly constructed nodes start as roots with their exact DAG, so the
+  // overflowing bulk build runs; a node built as a child skips it.
+  EXPECT_EQ(LeafNode(FlowTable{rules}).cover_overflows(), 1u);
+  const LeafNode child(FlowTable{rules}, compiler::NodeRole::kChild);
+  EXPECT_EQ(child.cover_overflows(), 0u);
+  EXPECT_THROW((void)child.visible_graph(), std::logic_error);
+  ComposedNode direct{OpKind::kParallel, std::make_unique<LeafNode>(FlowTable{rules}),
+                      std::make_unique<LeafNode>(FlowTable{pass})};
+  EXPECT_EQ(direct.left().cover_overflows(), 1u) << "built, then demoted";
+  EXPECT_EQ(direct.cover_overflows(), 2u) << "the visible table overflows too";
+
+  // RuleTrisCompiler builds every node below the root as a child: neither
+  // the leaves nor the inner composed node run a bulk build, and the root
+  // still holds the exact visible DAG.
+  const PolicySpec spec = PolicySpec::parallel(
+      PolicySpec::parallel(PolicySpec::leaf("a"), PolicySpec::leaf("b")),
+      PolicySpec::leaf("c"));
+  RuleTrisCompiler frontend(
+      spec, {{"a", FlowTable{rules}}, {"b", FlowTable{pass}}, {"c", FlowTable{pass}}});
+  auto& root = dynamic_cast<ComposedNode&>(frontend.root());
+  EXPECT_EQ(frontend.leaf("a").cover_overflows(), 0u);
+  EXPECT_EQ(root.left().cover_overflows(), 0u);
+  EXPECT_THROW((void)root.left().visible_graph(), std::logic_error);
+  EXPECT_EQ(root.cover_overflows(), 1u) << "only the root's own bulk build runs";
+  EXPECT_EQ(root.visible_graph(),
+            dag::build_min_dag(FlowTable{root.visible_rules_in_order()}));
+
+  // A single-leaf policy's leaf is the root and keeps its DAG.
+  RuleTrisCompiler single(PolicySpec::leaf("a"), {{"a", FlowTable{rules}}});
+  EXPECT_EQ(single.leaf("a").cover_overflows(), 1u);
+  EXPECT_NO_THROW((void)single.root().visible_graph());
 }
 
 TEST(PairHash, NoCollisionsOnConsecutiveIdGrids) {

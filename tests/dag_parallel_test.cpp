@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "classbench/generator.h"
@@ -176,6 +177,96 @@ TEST_P(MinDagBuilders, SerialAndParallelCountTheSameOverflows) {
   // The default budget never overflows here; a reused stats object resets.
   build_min_dag_parallel(table, MinDagBuildOptions{}, &serial);
   EXPECT_EQ(serial.cover_overflows, 0u);
+}
+
+/// A table shaped to hit every branch of the builder's dst-prefix index:
+/// match-all and dst-wildcard rows, nested prefix chains (each link extends
+/// an earlier row's prefix), /32 hosts inside earlier prefixes, non-prefix
+/// dst masks (the scan list), exact and wildcard ip_proto, and a few exact
+/// duplicates. Random priorities put containers both above and below the
+/// rules they contain. Two top dst bits keep overlaps dense.
+FlowTable index_shaped_table(Rng& rng, size_t n) {
+  std::vector<TernaryMatch> matches;
+  std::vector<Rule> rules;
+  for (size_t i = 0; i < n; ++i) {
+    TernaryMatch m;
+    const double shape = rng.next_double();
+    const TernaryMatch* parent =
+        matches.empty() ? nullptr : &matches[rng.next_below(matches.size())];
+    const flowspace::FieldTernary pdst =
+        parent != nullptr ? parent->field(FieldId::kDstIp) : flowspace::FieldTernary{};
+    const bool parent_prefix = std::countl_one(pdst.mask) == std::popcount(pdst.mask);
+    if (shape < 0.05) {
+      matches.push_back(m);  // match-all
+    } else if (shape < 0.08 && parent != nullptr) {
+      matches.push_back(*parent);  // exact duplicate
+    } else {
+      const auto len = static_cast<uint32_t>(parent_prefix ? std::popcount(pdst.mask) : 0);
+      const uint32_t below = len >= 32 ? 0u : rng.next_u32() >> len;  // bits under it
+      if (shape < 0.15) {
+        // dst wildcard: other fields only
+      } else if (shape < 0.50 && parent_prefix && len < 32) {
+        // Nested chain: extend the parent's prefix by 1-8 bits.
+        const uint32_t ext = std::min<uint32_t>(32, len + 1 + rng.next_below(8));
+        m.set_prefix(FieldId::kDstIp, pdst.value | below, ext);
+      } else if (shape < 0.62) {
+        // /32 host, inside the parent's prefix when it has one.
+        m.set_exact(FieldId::kDstIp, parent_prefix && len > 0
+                                         ? pdst.value | below
+                                         : rng.next_u32() & 0xc00000ffu);
+      } else if (shape < 0.72) {
+        // Non-prefix dst mask: a leading prefix (often one no row has)
+        // plus scattered low bits.
+        const auto lead = static_cast<uint32_t>(2 + 3 * rng.next_below(3));
+        m.set_ternary(FieldId::kDstIp, rng.next_u32(),
+                      ~(~0u >> lead) | (rng.next_u32() & 0x0000f0f0u));
+      } else {
+        m.set_prefix(FieldId::kDstIp, static_cast<uint32_t>(rng.next_below(4)) << 30,
+                     1 + static_cast<uint32_t>(rng.next_below(4)));
+      }
+      if (rng.next_bool(0.5)) {
+        m.set_exact(FieldId::kIpProto, rng.next_bool(0.5) ? 6 : 17);
+      }
+      if (rng.next_bool(0.2)) {
+        m.set_prefix(FieldId::kSrcIp, static_cast<uint32_t>(rng.next_below(4)) << 30,
+                     static_cast<uint32_t>(rng.next_below(3)));
+      }
+      matches.push_back(m);
+    }
+    rules.push_back(Rule::make(matches.back(), testutil::random_actions(rng),
+                               static_cast<int32_t>(rng.next_below(4 * n))));
+  }
+  return FlowTable{rules};
+}
+
+TEST_P(MinDagBuilders, IndexedBuildsMatchBruteForceOnIndexShapedTables) {
+  // Tables over the direct cutoff, so the indexed path runs: serially, on
+  // four threads, and with a residue soft limit of 2 so nearly every row
+  // takes the per-pair fallback and its window-queried between-sets.
+  Rng rng(GetParam() ^ 0x1d15);
+  const FlowTable table = index_shaped_table(rng, 400);
+  ASSERT_FALSE(dag::uses_direct_path(table.size(), MinDagBuildOptions{}));
+  const DependencyGraph oracle = build_min_dag_brute(table);
+  EXPECT_GT(oracle.edge_count(), table.size() / 2);
+
+  dag::MinDagBuildStats stats;
+  EXPECT_TRUE(build_min_dag(table, MinDagBuildOptions{}, &stats) == oracle);
+  EXPECT_EQ(stats.cover_overflows, 0u);
+
+  MinDagBuildOptions threaded;
+  threaded.n_threads = 4;
+  threaded.parallel_cutoff = 0;
+  ASSERT_TRUE(dag::uses_parallel_path(table.size(), threaded));
+  EXPECT_TRUE(build_min_dag_parallel(table, threaded) == oracle) << "4 threads";
+
+  for (const size_t threads : {1ul, 4ul}) {
+    MinDagBuildOptions fallback = threaded;
+    fallback.n_threads = threads;
+    fallback.residue_soft_limit = 2;
+    EXPECT_TRUE(build_min_dag_parallel(table, fallback, &stats) == oracle)
+        << "residue_soft_limit 2, threads=" << threads;
+    EXPECT_EQ(stats.cover_overflows, 0u);
+  }
 }
 
 class CoverKernel : public ::testing::TestWithParam<uint64_t> {};

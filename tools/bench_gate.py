@@ -14,7 +14,9 @@ loosen the gate for wall-clock benches.
 
 Row identity defaults to a per-benchmark profile (PROFILES below;
 e.g. the chaos harness keys on mode/switches/shards/threads), falling
-back to the fleet geometry; --key overrides either.
+back to the fleet geometry; --key overrides either. A profile may also
+name host wall-clock fields (PROFILE_IGNORE), which are skipped on top
+of --ignore.
 
     tools/bench_gate.py BASELINE FRESH [--key k1,k2,...]
                         [--tolerance 0.02] [--ignore f1,f2,...]
@@ -39,6 +41,13 @@ DEFAULT_IGNORE = ("wall_ms", "wall_rule_ops_per_s", "steals",
 # identified by mode first.
 PROFILES = {
     "chaos_recovery": ("mode", "switches", "shards", "threads"),
+    "fig11_cacheflow": ("load", "backend"),
+}
+
+# Per-benchmark wall-clock fields: fig11's firmware_* columns time the DAG
+# firmware on the host; its swap and TCAM-latency columns are modelled.
+PROFILE_IGNORE = {
+    "fig11_cacheflow": ("firmware_med_ms", "firmware_p10_ms", "firmware_p90_ms"),
 }
 
 
@@ -81,6 +90,7 @@ def main():
         key_fields = tuple(k for k in args.key.split(",") if k)
     else:
         key_fields = PROFILES.get(base.get("benchmark"), DEFAULT_KEY)
+    ignored |= set(PROFILE_IGNORE.get(base.get("benchmark"), ()))
 
     failures = []
 

@@ -85,4 +85,15 @@ chaos_fresh="$ROOT/build-check-$first_tree/BENCH_chaos.smoke.json"
 python3 "$ROOT/tools/bench_gate.py" "$ROOT/BENCH_chaos.json" "$chaos_fresh" \
   || { echo "PERF GATE FAILED: chaos_recovery drifted from baseline"; exit 1; }
 
+# Same gate for the CacheFlow figure: its FIB DAG comes from
+# dag::build_min_dag and drives the DAG firmware's swaps, so a builder change
+# that moved an edge shows in the swap and TCAM-latency columns. The
+# firmware_* wall-clock columns are skipped (bench_gate.py PROFILE_IGNORE).
+echo "=== fig11 perf gate (vs committed BENCH_fig11.json)"
+fig11_fresh="$ROOT/build-check-$first_tree/BENCH_fig11.fresh.json"
+"$bench_dir/fig11_cacheflow" --json "$fig11_fresh" > /dev/null \
+  || { echo "BENCH FAILED: fig11_cacheflow (gate run)"; exit 1; }
+python3 "$ROOT/tools/bench_gate.py" "$ROOT/BENCH_fig11.json" "$fig11_fresh" \
+  || { echo "PERF GATE FAILED: fig11_cacheflow drifted from baseline"; exit 1; }
+
 echo "=== all checks passed (trees: $CHECK_TREES)"
