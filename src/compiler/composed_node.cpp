@@ -89,9 +89,9 @@ ComposedNode::ComposedNode(OpKind op, std::unique_ptr<PolicyNode> left,
 }
 
 const ComposedNode::Entry& ComposedNode::entry(RuleId id) const {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) throw std::out_of_range("ComposedNode: unknown entry");
-  return it->second;
+  const Entry* e = entries_.find(id);
+  if (e == nullptr) throw std::out_of_range("ComposedNode: unknown entry");
+  return *e;
 }
 
 bool ComposedNode::entry_before(const Entry& a, const Entry& b) const {
@@ -181,16 +181,15 @@ void ComposedNode::promote_pending(UpdateBuilder& out) {
 void ComposedNode::add_entry(TernaryMatch match, ActionList actions, RuleId left_src,
                              RuleId right_src, UpdateBuilder& out) {
   const RuleId eid = flowspace::next_rule_id();
-  Entry e{eid, std::move(match), std::move(actions), left_src, right_src};
-  const TernaryMatch key_match = e.match;
-
   if (left_src != 0) by_left_[left_src].push_back(eid);
   if (right_src != 0) by_right_[right_src].push_back(eid);
 
-  KeyVertex& kv = keys_[key_match];
+  // `stored` stays valid below: nothing inserts into or erases from
+  // entries_ until this call returns.
+  Entry& stored = entries_[eid];
+  stored = Entry{eid, std::move(match), std::move(actions), left_src, right_src};
+  KeyVertex& kv = keys_[stored.match];
   kv.members.push_back(eid);
-  auto [it, inserted] = entries_.emplace(eid, std::move(e));
-  const Entry& stored = it->second;
   if (recorder_) recorder_->entry_added(eid);
 
   if (kv.members.size() == 1) {
@@ -240,20 +239,16 @@ void ComposedNode::remove_entry(RuleId eid, UpdateBuilder& out) {
   auto drop_from = [eid](std::vector<RuleId>& vec) {
     vec.erase(std::remove(vec.begin(), vec.end(), eid), vec.end());
   };
-  if (e.left_src != 0) {
-    auto it = by_left_.find(e.left_src);
-    if (it != by_left_.end()) {
-      drop_from(it->second);
-      if (it->second.empty()) by_left_.erase(it);
+  auto drop_provenance = [&drop_from](util::RuleIdMap<std::vector<RuleId>>& by_src,
+                                      RuleId src) {
+    if (src == 0) return;
+    if (std::vector<RuleId>* derived = by_src.find(src)) {
+      drop_from(*derived);
+      if (derived->empty()) by_src.erase(src);
     }
-  }
-  if (e.right_src != 0) {
-    auto it = by_right_.find(e.right_src);
-    if (it != by_right_.end()) {
-      drop_from(it->second);
-      if (it->second.empty()) by_right_.erase(it);
-    }
-  }
+  };
+  drop_provenance(by_left_, e.left_src);
+  drop_provenance(by_right_, e.right_src);
   entries_.erase(eid);
 }
 
@@ -336,17 +331,18 @@ TableUpdate ComposedNode::apply_child_update(bool from_left, const TableUpdate& 
 }
 
 void ComposedNode::on_removed(bool from_left, RuleId src, UpdateBuilder& out) {
-  auto& by_src = from_left ? by_left_ : by_right_;
-  auto it = by_src.find(src);
-  if (it == by_src.end()) return;
-  auto& doomed = removal_scratch_;  // removal edits by_src under us
-  doomed.assign(it->second.begin(), it->second.end());
+  const std::vector<RuleId>* derived = (from_left ? by_left_ : by_right_).find(src);
+  if (derived == nullptr) return;
+  auto& doomed = removal_scratch_;  // removal edits by_left_ / by_right_ under us
+  doomed.assign(derived->begin(), derived->end());
   for (RuleId eid : doomed) remove_entry(eid, out);
 }
 
 void ComposedNode::on_left_added(const Rule& rule, UpdateBuilder& out) {
   const TernaryMatch probe = right_probe(rule.match, rule.actions);
-  for (RuleId rid : right_->visible_overlapping(probe)) {
+  std::vector<RuleId>& candidates = overlap_scratch_;
+  right_->visible_overlapping(probe, candidates);
+  for (RuleId rid : candidates) {
     const Rule r{rid, right_->visible_match(rid), right_->visible_actions(rid), 0};
     auto composed = compose_pair(rule, r);
     if (!composed) continue;
@@ -356,7 +352,9 @@ void ComposedNode::on_left_added(const Rule& rule, UpdateBuilder& out) {
 
 void ComposedNode::on_right_added(const Rule& rule, UpdateBuilder& out) {
   if (op_ == OpKind::kParallel) {
-    for (RuleId lid : left_->visible_overlapping(rule.match)) {
+    std::vector<RuleId>& candidates = overlap_scratch_;
+    left_->visible_overlapping(rule.match, candidates);
+    for (RuleId lid : candidates) {
       const Rule l{lid, left_->visible_match(lid), left_->visible_actions(lid), 0};
       auto composed = compose_pair(l, rule);
       if (!composed) continue;
@@ -382,13 +380,13 @@ void ComposedNode::on_right_added(const Rule& rule, UpdateBuilder& out) {
 
 CompileSnapshot ComposedNode::snapshot() const {
   CompileSnapshot snap;
-  std::unordered_map<RuleId, CompileSnapshot::Prov> prov;
+  util::RuleIdMap<CompileSnapshot::Prov> prov;
   prov.reserve(entries_.size());
   snap.entries.reserve(entries_.size());
-  for (const auto& [id, e] : entries_) {
-    prov.emplace(id, CompileSnapshot::Prov{e.left_src, e.right_src});
+  entries_.for_each([&](RuleId id, const Entry& e) {
+    prov.insert(id, CompileSnapshot::Prov{e.left_src, e.right_src});
     snap.entries.emplace_back(e.left_src, e.right_src, e.match, e.actions);
-  }
+  });
   // Each (left, right) source pair is composed at most once: when the later
   // of its two sources arrives, and its entry leaves with either source. So
   // (left_src, right_src) is unique per entry and the provenance prefix is a
@@ -416,9 +414,9 @@ CompileSnapshot ComposedNode::snapshot() const {
 std::vector<ComposedNode::MemberView> ComposedNode::export_members() const {
   std::vector<MemberView> out;
   out.reserve(entries_.size());
-  for (const auto& [id, e] : entries_) {
+  entries_.for_each([&out](RuleId id, const Entry& e) {
     out.push_back(MemberView{id, e.left_src, e.right_src, &e.match, &e.actions});
-  }
+  });
   std::sort(out.begin(), out.end(), [](const MemberView& a, const MemberView& b) {
     if (a.left_src != b.left_src) return a.left_src < b.left_src;
     return a.right_src < b.right_src;
@@ -462,9 +460,9 @@ std::vector<Rule> ComposedNode::visible_rules_in_order() const {
 }
 
 bool ComposedNode::has_visible(RuleId id) const {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return false;
-  return keys_.at(it->second.match).rep == id;
+  const Entry* e = entries_.find(id);
+  if (e == nullptr) return false;
+  return keys_.at(e->match).rep == id;
 }
 
 const TernaryMatch& ComposedNode::visible_match(RuleId id) const {
@@ -476,14 +474,15 @@ const ActionList& ComposedNode::visible_actions(RuleId id) const {
 }
 
 bool ComposedNode::visible_before(RuleId a, RuleId b) const {
-  const auto ia = entries_.find(a);
-  const auto ib = entries_.find(b);
-  if (ia == entries_.end() || ib == entries_.end()) return a < b;  // dead ids
-  return entry_before(ia->second, ib->second);
+  const Entry* ea = entries_.find(a);
+  const Entry* eb = entries_.find(b);
+  if (ea == nullptr || eb == nullptr) return a < b;  // dead ids
+  return entry_before(*ea, *eb);
 }
 
-std::vector<RuleId> ComposedNode::visible_overlapping(const TernaryMatch& m) const {
-  return visible_dag_.overlapping(m);
+void ComposedNode::visible_overlapping(const TernaryMatch& m,
+                                       std::vector<RuleId>& out) const {
+  visible_dag_.overlapping(m, out);
 }
 
 }  // namespace ruletris::compiler

@@ -31,6 +31,7 @@
 #include "compiler/update.h"
 #include "compiler/update_builder.h"
 #include "dag/min_dag_maintainer.h"
+#include "util/rule_id_map.h"
 
 namespace ruletris::compiler {
 
@@ -176,7 +177,8 @@ class ComposedNode final : public PolicyNode {
   const ActionList& visible_actions(RuleId id) const override;
   size_t visible_size() const override { return keys_.size(); }
   bool visible_before(RuleId a, RuleId b) const override;
-  std::vector<RuleId> visible_overlapping(const TernaryMatch& m) const override;
+  void visible_overlapping(const TernaryMatch& m,
+                           std::vector<RuleId>& out) const override;
   size_t cover_overflows() const override {
     return visible_dag_.cover_overflows() + left_->cover_overflows() +
            right_->cover_overflows();
@@ -240,10 +242,10 @@ class ComposedNode final : public PolicyNode {
   std::unique_ptr<PolicyNode> left_;
   std::unique_ptr<PolicyNode> right_;
 
-  std::unordered_map<RuleId, Entry> entries_;
+  util::RuleIdMap<Entry> entries_;
   // Provenance: the entries derived from each left / right child rule.
-  std::unordered_map<RuleId, std::vector<RuleId>> by_left_;
-  std::unordered_map<RuleId, std::vector<RuleId>> by_right_;
+  util::RuleIdMap<std::vector<RuleId>> by_left_;
+  util::RuleIdMap<std::vector<RuleId>> by_right_;
 
   // Nested key-vertex structure: entries grouped by match (the entry's own
   // `match` field is the lookup key, so no separate reverse map is needed).
@@ -260,6 +262,8 @@ class ComposedNode final : public PolicyNode {
   // Reusable removal list: on_removed walks a copy, since removal edits
   // by_left_ / by_right_ under it.
   std::vector<RuleId> removal_scratch_;
+  // Reusable overlap candidates of on_left_added / on_right_added.
+  std::vector<RuleId> overlap_scratch_;
 };
 
 }  // namespace ruletris::compiler

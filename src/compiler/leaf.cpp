@@ -11,7 +11,7 @@ LeafNode::LeafNode(const flowspace::FlowTable& table, NodeRole role) {
   meta_.reserve(table.size());
   for (const Rule& r : table.rules()) {
     ordered.emplace_back(r.id, r.match);
-    meta_.emplace(r.id, Meta{r.actions, r.priority});
+    meta_.insert(r.id, Meta{r.actions, r.priority});
   }
   // Bulk extraction (skipped by a child) honours the process-wide thread
   // knob (serial when 0/1); its overflow fallbacks count with the
@@ -37,7 +37,7 @@ TableUpdate LeafNode::insert(Rule rule) {
   update.dag = dag_.insert(rule.id, rule.match, [&](RuleId existing) {
     return meta_.at(existing).priority >= priority;
   });
-  meta_.emplace(rule.id, Meta{rule.actions, priority});
+  meta_.insert(rule.id, Meta{rule.actions, priority});
   update.added.push_back(std::move(rule));
   return update;
 }

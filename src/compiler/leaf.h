@@ -10,11 +10,10 @@
 // flowspace::FlowTable fed the same inserts and erases keeps (tested).
 #pragma once
 
-#include <unordered_map>
-
 #include "compiler/node.h"
 #include "compiler/update.h"
 #include "dag/min_dag_maintainer.h"
+#include "util/rule_id_map.h"
 
 namespace ruletris::compiler {
 
@@ -47,8 +46,9 @@ class LeafNode final : public PolicyNode {
   }
   size_t visible_size() const override { return dag_.size(); }
   bool visible_before(RuleId a, RuleId b) const override { return dag_.before(a, b); }
-  std::vector<RuleId> visible_overlapping(const TernaryMatch& m) const override {
-    return dag_.overlapping(m);
+  void visible_overlapping(const TernaryMatch& m,
+                           std::vector<RuleId>& out) const override {
+    dag_.overlapping(m, out);
   }
   size_t cover_overflows() const override { return dag_.cover_overflows(); }
   void demote_to_child() override { dag_.drop_edges(); }
@@ -60,11 +60,11 @@ class LeafNode final : public PolicyNode {
  private:
   struct Meta {
     ActionList actions;
-    int32_t priority;
+    int32_t priority = 0;
   };
 
   dag::MinDagMaintainer dag_;
-  std::unordered_map<RuleId, Meta> meta_;
+  util::RuleIdMap<Meta> meta_;
 };
 
 }  // namespace ruletris::compiler

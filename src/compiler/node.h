@@ -54,8 +54,11 @@ class PolicyNode {
   /// parent key vertices and for canonical linearization.
   virtual bool visible_before(RuleId a, RuleId b) const = 0;
 
-  /// Ids of visible rules whose match overlaps `m` (uses the node's index).
-  virtual std::vector<RuleId> visible_overlapping(const TernaryMatch& m) const = 0;
+  /// Replaces `out` with the ids of visible rules whose match overlaps `m`,
+  /// in the node's overlap-index visit order. Taking the caller's vector
+  /// lets a parent reuse one scratch buffer for every probe.
+  virtual void visible_overlapping(const TernaryMatch& m,
+                                   std::vector<RuleId>& out) const = 0;
 
   /// Cover tests in this subtree's min-DAG construction (a node's bulk
   /// build, then incremental maintenance) that hit the fragment limit and

@@ -6,8 +6,17 @@
 // *normalized* TableUpdates (removals, then additions), so this builder
 // records mutation events in order and emits only the net difference
 // between the pre- and post-update visible state.
+//
+// A builder lives for one update, so its three hash tables draw their nodes
+// and bucket arrays from a builder-local monotonic arena that starts in
+// inline storage: a typical compile step allocates nothing on the heap here.
+// The tables are the same std hash tables with the same rehash policy, so
+// build() emits in the same order whatever the allocator. The builder is
+// neither copyable nor movable (the tables point into its own arena).
 #pragma once
 
+#include <cstddef>
+#include <memory_resource>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -18,6 +27,10 @@ namespace ruletris::compiler {
 
 class UpdateBuilder {
  public:
+  UpdateBuilder() = default;
+  UpdateBuilder(const UpdateBuilder&) = delete;
+  UpdateBuilder& operator=(const UpdateBuilder&) = delete;
+
   /// Records that visible rule `rule.id` became visible.
   void add_rule(const Rule& rule) {
     cancelled_.erase(rule.id);  // an id may come back after cancelling out
@@ -51,7 +64,23 @@ class UpdateBuilder {
   /// omitted (DagDelta vertex removal removes incident edges), and edges
   /// touching cancelled or removed vertices are dropped.
   TableUpdate build() const {
+    // Size every list first, so each takes one allocation.
+    size_t n_removed = 0, n_added = 0, n_edges_added = 0, n_edges_removed = 0;
+    for (const auto& [id, st] : verts_) {
+      n_removed += st.present_before;
+      n_added += st.present_now;
+    }
+    for (const auto& [key, net] : edges_) {
+      n_edges_added += net > 0;
+      n_edges_removed += net < 0;
+    }
     TableUpdate out;
+    out.removed.reserve(n_removed);
+    out.dag.removed_vertices.reserve(n_removed);
+    out.added.reserve(n_added);
+    out.dag.added_vertices.reserve(n_added);
+    out.dag.added_edges.reserve(n_edges_added);
+    out.dag.removed_edges.reserve(n_edges_removed);
     for (const auto& [id, st] : verts_) {
       if (st.present_before && !st.present_now) {
         out.removed.push_back(id);
@@ -112,9 +141,14 @@ class UpdateBuilder {
     if (it->second == 0) edges_.erase(it);
   }
 
-  std::unordered_map<RuleId, VertexState> verts_;
-  std::unordered_set<RuleId> cancelled_;
-  std::unordered_map<EdgeKey, int, EdgeKeyHash> edges_;
+  // Enough for the vertices and edges of a few dozen visible changes.
+  static constexpr size_t kInlineBytes = 4096;
+  alignas(std::max_align_t) std::byte inline_[kInlineBytes];
+  std::pmr::monotonic_buffer_resource arena_{inline_, kInlineBytes};
+
+  std::pmr::unordered_map<RuleId, VertexState> verts_{&arena_};
+  std::pmr::unordered_set<RuleId> cancelled_{&arena_};
+  std::pmr::unordered_map<EdgeKey, int, EdgeKeyHash> edges_{&arena_};
 };
 
 }  // namespace ruletris::compiler

@@ -42,12 +42,13 @@ void MinDagMaintainer::renumber() {
   }
 }
 
-DagDelta MinDagMaintainer::insert_at(size_t idx, RuleId id, TernaryMatch match) {
+const DagDelta& MinDagMaintainer::insert_at(size_t idx, RuleId id, TernaryMatch match) {
   if (id == flowspace::kInvalidRuleId) {
     throw std::invalid_argument("MinDagMaintainer: invalid id");
   }
   if (contains(id)) throw std::invalid_argument("MinDagMaintainer: duplicate id");
-  DagDelta delta;
+  DagDelta& delta = delta_;
+  delta.clear();
 
   // Sparse rank between the neighbours (one gap past the last rule);
   // renumber when the gap is exhausted.
@@ -56,7 +57,7 @@ DagDelta MinDagMaintainer::insert_at(size_t idx, RuleId id, TernaryMatch match) 
       idx < order_.size() ? rank(order_[idx]) : lo_rank + 2 * kRankGap;
   const uint64_t new_rank = lo_rank + (hi_rank - lo_rank) / 2;
   order_.insert(order_.begin() + static_cast<ptrdiff_t>(idx), id);
-  slots_.emplace(id, Slot{match, new_rank});
+  slots_.insert(id, Slot{match, new_rank});
   if (new_rank == lo_rank) renumber();
   index_.insert(id, match);
   delta.added_vertices.push_back(id);
@@ -64,7 +65,8 @@ DagDelta MinDagMaintainer::insert_at(size_t idx, RuleId id, TernaryMatch match) 
   graph_.add_vertex(id);
 
   const uint64_t my_rank = rank(id);
-  const std::vector<RuleId> candidates = index_.find_overlapping(match);
+  std::vector<RuleId>& candidates = candidates_scratch_;
+  overlapping(match, candidates);
 
   // New direct dependencies incident to `id`.
   for (RuleId c : candidates) {
@@ -86,7 +88,8 @@ DagDelta MinDagMaintainer::insert_at(size_t idx, RuleId id, TernaryMatch match) 
   // overlap it.
   for (RuleId u : candidates) {
     if (u == id || rank(u) < my_rank) continue;
-    std::vector<RuleId> succs(graph_.successors(u).begin(), graph_.successors(u).end());
+    std::vector<RuleId>& succs = succ_scratch_;  // remove_edge edits the set
+    succs.assign(graph_.successors(u).begin(), graph_.successors(u).end());
     for (RuleId s : succs) {
       if (s == id || rank(s) > my_rank) continue;
       if (!match.overlaps(slots_.at(s).match)) continue;
@@ -99,25 +102,32 @@ DagDelta MinDagMaintainer::insert_at(size_t idx, RuleId id, TernaryMatch match) 
   return delta;
 }
 
-DagDelta MinDagMaintainer::remove(RuleId id) {
-  DagDelta delta;
-  auto sit = slots_.find(id);
-  if (sit == slots_.end()) return delta;
+const DagDelta& MinDagMaintainer::remove(RuleId id) {
+  DagDelta& delta = delta_;
+  delta.clear();
+  const Slot* slot = slots_.find(id);
+  if (slot == nullptr) return delta;
   delta.removed_vertices.push_back(id);
 
-  std::vector<RuleId> above, below;
+  // Overlapping rules matched before (above) and after (below) the removed
+  // one, each in index visit order.
+  std::vector<RuleId>& above = candidates_scratch_;
+  std::vector<RuleId>& below = below_scratch_;
+  above.clear();
+  below.clear();
   if (keep_edges_) {
-    for (RuleId c : index_.find_overlapping(sit->second.match)) {
-      if (c == id) continue;
-      (rank(c) < rank(id) ? above : below).push_back(c);
-    }
+    const uint64_t my_rank = slot->rank;
+    index_.for_each_overlapping(slot->match, [&](RuleId c, const TernaryMatch&) {
+      if (c == id) return;
+      (rank(c) < my_rank ? above : below).push_back(c);
+    });
     for (RuleId s : graph_.successors(id)) delta.removed_edges.emplace_back(id, s);
     for (RuleId p : graph_.predecessors(id)) delta.removed_edges.emplace_back(p, id);
     graph_.remove_vertex(id);
   }
 
   order_.erase(std::find(order_.begin(), order_.end(), id));
-  slots_.erase(sit);
+  slots_.erase(id);
   index_.erase(id);
 
   // Pairs the removed rule used to cover may become direct.
@@ -140,9 +150,10 @@ void MinDagMaintainer::bulk_load(const OrderedRules& rules, size_t n_threads) {
   index_.clear();
 
   order_.reserve(rules.size());
+  slots_.reserve(rules.size());
   for (const auto& [id, match] : rules) {
     order_.push_back(id);
-    slots_.emplace(id, Slot{match, 0});
+    slots_.insert(id, Slot{match, 0});
     index_.insert(id, match);
   }
   renumber();

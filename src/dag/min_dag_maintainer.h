@@ -27,13 +27,13 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "dag/builder.h"
 #include "dag/dependency_graph.h"
 #include "flowspace/rule_index.h"
 #include "flowspace/ternary.h"
+#include "util/rule_id_map.h"
 
 namespace ruletris::dag {
 
@@ -43,7 +43,7 @@ using flowspace::TernaryMatch;
 class MinDagMaintainer {
  public:
   size_t size() const { return order_.size(); }
-  bool contains(RuleId id) const { return slots_.count(id) != 0; }
+  bool contains(RuleId id) const { return slots_.contains(id); }
   /// The minimum DAG; throws std::logic_error after drop_edges().
   const DependencyGraph& graph() const {
     if (!keep_edges_) throw std::logic_error("MinDagMaintainer: edges were dropped");
@@ -51,9 +51,12 @@ class MinDagMaintainer {
   }
   const TernaryMatch& match(RuleId id) const { return slots_.at(id).match; }
 
-  /// Rules overlapping `m`, in no particular order.
-  std::vector<RuleId> overlapping(const TernaryMatch& m) const {
-    return index_.find_overlapping(m);
+  /// Replaces `out` with the rules overlapping `m`, in the overlap index's
+  /// visit order (callers reuse `out` across calls).
+  void overlapping(const TernaryMatch& m, std::vector<RuleId>& out) const {
+    out.clear();
+    index_.for_each_overlapping(
+        m, [&out](RuleId id, const TernaryMatch&) { out.push_back(id); });
   }
 
   /// Rule ids in matched-first order.
@@ -63,10 +66,10 @@ class MinDagMaintainer {
   /// (e.g. mid-deletion in a propagating update) get the stable arbitrary
   /// order a < b.
   bool before(RuleId a, RuleId b) const {
-    const auto ia = slots_.find(a);
-    const auto ib = slots_.find(b);
-    if (ia == slots_.end() || ib == slots_.end()) return a < b;
-    return ia->second.rank < ib->second.rank;
+    const Slot* sa = slots_.find(a);
+    const Slot* sb = slots_.find(b);
+    if (sa == nullptr || sb == nullptr) return a < b;
+    return sa->rank < sb->rank;
   }
 
   /// Inserts after every present rule `before(existing)` holds for — a
@@ -74,15 +77,19 @@ class MinDagMaintainer {
   /// `existing` is matched before the incoming rule. Returns the exact delta
   /// (one added vertex plus edge additions/removals). Throws
   /// std::invalid_argument, changing nothing, on a present or invalid id.
+  ///
+  /// The returned delta (of insert and remove alike) lives in this
+  /// maintainer and is reused, so the update path allocates no fresh
+  /// delta per call: it is valid until the next insert or remove.
   template <typename Before>
-  DagDelta insert(RuleId id, TernaryMatch match, Before&& before) {
+  const DagDelta& insert(RuleId id, TernaryMatch match, Before&& before) {
     const auto it = std::partition_point(order_.begin(), order_.end(), before);
     return insert_at(static_cast<size_t>(it - order_.begin()), id, std::move(match));
   }
 
   /// Removes; the delta contains the removed vertex, its (implied) removed
   /// edges, and the verified patch edges between former neighbours.
-  DagDelta remove(RuleId id);
+  const DagDelta& remove(RuleId id);
 
   /// Cover tests that hit the fragment limit and kept a conservative edge.
   size_t cover_overflows() const { return cover_overflows_; }
@@ -103,7 +110,7 @@ class MinDagMaintainer {
   }
 
  private:
-  DagDelta insert_at(size_t idx, RuleId id, TernaryMatch match);
+  const DagDelta& insert_at(size_t idx, RuleId id, TernaryMatch match);
 
   /// Direct-dependency test for (earlier `hi`, later `lo`): overlap not
   /// covered by in-between rules (prefiltered through the overlap index).
@@ -116,17 +123,24 @@ class MinDagMaintainer {
 
   struct Slot {
     TernaryMatch match;
-    uint64_t rank;  // sparse, order-consistent
+    uint64_t rank = 0;  // sparse, order-consistent
   };
 
   std::vector<RuleId> order_;  // matched-first
-  std::unordered_map<RuleId, Slot> slots_;
+  util::RuleIdMap<Slot> slots_;
   flowspace::RuleIndex index_;
   DependencyGraph graph_;
   bool keep_edges_ = true;
 
   // Reusable cover-test arenas: is_direct sits on every update path, so its
   // between-set and fragment buffers must not reallocate at steady state.
+  // The same holds for the returned delta, the overlap candidates of
+  // insert_at and remove and the successor copy insert_at walks while it
+  // removes edges.
+  DagDelta delta_;
+  std::vector<RuleId> candidates_scratch_;
+  std::vector<RuleId> below_scratch_;
+  std::vector<RuleId> succ_scratch_;
   mutable std::vector<TernaryMatch> between_scratch_;
   mutable flowspace::CoverScratch cover_scratch_;
   size_t fragment_limit_ = flowspace::kDefaultFragmentLimit;

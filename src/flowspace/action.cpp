@@ -25,65 +25,104 @@ std::string Action::to_string() const {
 }
 
 ActionList::ActionList(std::initializer_list<Action> actions)
-    : actions_(actions) {
+    : ActionList(std::span<const Action>(actions.begin(), actions.size())) {}
+
+ActionList::ActionList(std::span<const Action> actions) {
+  assign(actions);
   canonicalize();
 }
 
-ActionList::ActionList(std::vector<Action> actions) : actions_(std::move(actions)) {
-  canonicalize();
+void ActionList::reset(size_t n) {
+  if (n > kInline) {
+    heap_ = std::make_unique<Action[]>(n);
+  } else {
+    heap_.reset();
+  }
+  size_ = static_cast<uint32_t>(n);
+}
+
+void ActionList::assign(std::span<const Action> actions) {
+  reset(actions.size());
+  std::copy(actions.begin(), actions.end(), data());
+}
+
+void ActionList::take(ActionList& other) {
+  size_ = other.size_;
+  std::copy(other.inline_, other.inline_ + kInline, inline_);
+  heap_ = std::move(other.heap_);
+  other.size_ = 0;
+}
+
+void ActionList::shrink(size_t n) {
+  if (size_ > kInline && n <= kInline) {
+    std::copy(heap_.get(), heap_.get() + n, inline_);
+    heap_.reset();
+  }
+  size_ = static_cast<uint32_t>(n);
 }
 
 void ActionList::canonicalize() {
-  std::sort(actions_.begin(), actions_.end());
-  actions_.erase(std::unique(actions_.begin(), actions_.end()), actions_.end());
+  Action* first = data();
+  std::sort(first, first + size_);
+  shrink(static_cast<size_t>(std::unique(first, first + size_) - first));
 }
 
 void ActionList::add(const Action& a) {
-  actions_.push_back(a);
-  canonicalize();
+  ActionList grown;
+  grown.reset(size_ + 1);
+  std::copy(data(), data() + size_, grown.data());
+  grown.data()[size_] = a;
+  grown.canonicalize();
+  *this = std::move(grown);
 }
 
 bool ActionList::contains(ActionType t) const {
-  return std::any_of(actions_.begin(), actions_.end(),
-                     [t](const Action& a) { return a.type == t; });
+  return std::ranges::any_of(actions(), [t](const Action& a) { return a.type == t; });
 }
 
 std::vector<Action> ActionList::set_fields() const {
   std::vector<Action> out;
-  for (const Action& a : actions_) {
+  for (const Action& a : actions()) {
     if (a.is_set_field()) out.push_back(a);
   }
   return out;
 }
 
 ActionList ActionList::parallel_union(const ActionList& a, const ActionList& b) {
-  std::vector<Action> merged = a.actions_;
-  merged.insert(merged.end(), b.actions_.begin(), b.actions_.end());
-  return ActionList(std::move(merged));
+  ActionList out;
+  out.reset(a.size() + b.size());
+  std::copy(b.data(), b.data() + b.size(),
+            std::copy(a.data(), a.data() + a.size(), out.data()));
+  out.canonicalize();
+  return out;
 }
 
 ActionList ActionList::sequential_merge(const ActionList& left, const ActionList& right) {
-  std::vector<Action> merged;
+  ActionList out;
+  out.reset(left.size() + right.size());  // an upper bound; trimmed below
+  Action* merged = out.data();
+  size_t n = 0;
   // Left's rewrites survive unless the right rewrites the same field.
-  for (const Action& a : left.actions_) {
+  for (const Action& a : left.actions()) {
     if (!a.is_set_field()) {
-      if (a.type != ActionType::kForward) merged.push_back(a);  // terminals union;
+      if (a.type != ActionType::kForward) merged[n++] = a;  // terminals union;
       // a left Forward is consumed by feeding the packet to the right stage.
       continue;
     }
-    const bool overridden =
-        std::any_of(right.actions_.begin(), right.actions_.end(), [&](const Action& b) {
-          return b.is_set_field() && b.field == a.field;
-        });
-    if (!overridden) merged.push_back(a);
+    const bool overridden = std::ranges::any_of(right.actions(), [&](const Action& b) {
+      return b.is_set_field() && b.field == a.field;
+    });
+    if (!overridden) merged[n++] = a;
   }
-  merged.insert(merged.end(), right.actions_.begin(), right.actions_.end());
-  return ActionList(std::move(merged));
+  std::copy(right.data(), right.data() + right.size(), merged + n);
+  out.shrink(n + right.size());
+  out.canonicalize();
+  return out;
 }
 
 Packet ActionList::apply_rewrites(const Packet& p) const {
   Packet out = p;
-  for (const Action& a : actions_) {
+  for (const Action& a : actions()) {
     if (a.is_set_field()) out.set(a.field, a.arg);
   }
   return out;
@@ -91,7 +130,7 @@ Packet ActionList::apply_rewrites(const Packet& p) const {
 
 TernaryMatch ActionList::apply_rewrites(const TernaryMatch& m) const {
   TernaryMatch out = m;
-  for (const Action& a : actions_) {
+  for (const Action& a : actions()) {
     if (a.is_set_field()) out.set_exact(a.field, a.arg);
   }
   return out;
@@ -99,7 +138,7 @@ TernaryMatch ActionList::apply_rewrites(const TernaryMatch& m) const {
 
 std::optional<TernaryMatch> ActionList::rewrite_preimage(const TernaryMatch& m) const {
   TernaryMatch out = m;
-  for (const Action& a : actions_) {
+  for (const Action& a : actions()) {
     if (!a.is_set_field()) continue;
     const FieldTernary& ft = m.field(a.field);
     // After the rewrite the field equals a.arg; `m` accepts that iff its
@@ -112,7 +151,7 @@ std::optional<TernaryMatch> ActionList::rewrite_preimage(const TernaryMatch& m) 
 
 size_t ActionList::hash() const {
   uint64_t h = 0x9ae16a3b2f90404fULL;
-  for (const Action& a : actions_) {
+  for (const Action& a : actions()) {
     h ^= (static_cast<uint64_t>(a.type) << 40) ^
          (static_cast<uint64_t>(a.field) << 32) ^ a.arg;
     h *= 0x100000001b3ULL;
@@ -121,11 +160,11 @@ size_t ActionList::hash() const {
 }
 
 std::string ActionList::to_string() const {
-  if (actions_.empty()) return "[]";
+  if (empty()) return "[]";
   std::string out = "[";
-  for (size_t i = 0; i < actions_.size(); ++i) {
+  for (size_t i = 0; i < size_; ++i) {
     if (i) out += ", ";
-    out += actions_[i].to_string();
+    out += data()[i].to_string();
   }
   out += "]";
   return out;

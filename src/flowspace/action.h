@@ -6,9 +6,13 @@
 // sequential match composition, live here.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "flowspace/field.h"
@@ -44,18 +48,38 @@ struct Action {
   std::string to_string() const;
 };
 
+static_assert(std::is_trivially_copyable_v<Action>,
+              "ActionList copies actions as plain bytes");
+
 /// A canonically ordered, duplicate-free set of actions. Canonical form
 /// makes action-set equality (needed by floating-rule elimination and by
-/// key-vertex handling) a plain vector compare.
+/// key-vertex handling) a plain element-wise compare.
+///
+/// Almost every rule carries one to three actions, and rules are copied on
+/// every compile step, so up to kInline actions live inside the object and
+/// only longer lists take a heap block (sized exactly).
 class ActionList {
  public:
+  static constexpr size_t kInline = 3;
+
   ActionList() = default;
   ActionList(std::initializer_list<Action> actions);
-  explicit ActionList(std::vector<Action> actions);
+  explicit ActionList(std::span<const Action> actions);
+  ActionList(const ActionList& other) { assign(other.actions()); }
+  ActionList(ActionList&& other) noexcept { take(other); }
+  ActionList& operator=(const ActionList& other) {
+    if (this != &other) assign(other.actions());
+    return *this;
+  }
+  ActionList& operator=(ActionList&& other) noexcept {
+    if (this != &other) take(other);
+    return *this;
+  }
+  ~ActionList() = default;
 
-  const std::vector<Action>& actions() const { return actions_; }
-  bool empty() const { return actions_.empty(); }
-  size_t size() const { return actions_.size(); }
+  std::span<const Action> actions() const { return {data(), size_}; }
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
 
   void add(const Action& a);
 
@@ -83,14 +107,30 @@ class ActionList {
   /// rewrite conflicts with `m`'s constraint on that field).
   std::optional<TernaryMatch> rewrite_preimage(const TernaryMatch& m) const;
 
-  bool operator==(const ActionList&) const = default;
+  bool operator==(const ActionList& other) const {
+    return std::ranges::equal(actions(), other.actions());
+  }
 
   size_t hash() const;
   std::string to_string() const;
 
  private:
+  const Action* data() const { return size_ <= kInline ? inline_ : heap_.get(); }
+  Action* data() { return size_ <= kInline ? inline_ : heap_.get(); }
+
+  /// Sets the size to `n`, inline or in a fresh heap block, with
+  /// unspecified contents: the previous actions are lost.
+  void reset(size_t n);
+  void assign(std::span<const Action> actions);
+  void take(ActionList& other);
+  /// Keeps the first `n` actions, moving them back inline when they fit.
+  void shrink(size_t n);
+  /// Sorts and dedupes in place, moving back inline when it shrinks to fit.
   void canonicalize();
-  std::vector<Action> actions_;
+
+  uint32_t size_ = 0;
+  Action inline_[kInline];
+  std::unique_ptr<Action[]> heap_;  // size_ actions when size_ > kInline
 };
 
 }  // namespace ruletris::flowspace

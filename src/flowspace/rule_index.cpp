@@ -25,20 +25,20 @@ bool RuleIndex::dst_exact(const TernaryMatch& m, uint32_t& value) {
 }
 
 void RuleIndex::insert(RuleId id, const TernaryMatch& match) {
-  if (by_id_.count(id)) throw std::invalid_argument("RuleIndex::insert: duplicate id");
+  if (by_id_.contains(id)) throw std::invalid_argument("RuleIndex::insert: duplicate id");
   const uint32_t bucket = bucket_of(match);
   const uint32_t dst_key = dst_key_of(match);
   DstBucket& db = buckets_[bucket][dst_key];
   uint32_t value = 0;
   const bool is_exact = dst_exact(match, value);
   (is_exact ? db.exact[value] : db.coarse).push_back(Entry{id, match});
-  by_id_[id] = Slot{bucket, dst_key, is_exact, value};
+  by_id_.insert(id, Slot{bucket, dst_key, is_exact, value});
 }
 
 void RuleIndex::erase(RuleId id) {
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) return;
-  const Slot slot = it->second;
+  const Slot* found = by_id_.find(id);
+  if (found == nullptr) return;
+  const Slot slot = *found;
   auto bit = buckets_.find(slot.bucket);
   auto dit = bit->second.find(slot.dst_key);
   DstBucket& db = dit->second;
@@ -53,7 +53,7 @@ void RuleIndex::erase(RuleId id) {
     bit->second.erase(dit);
     if (bit->second.empty()) buckets_.erase(bit);
   }
-  by_id_.erase(it);
+  by_id_.erase(id);
 }
 
 void RuleIndex::clear() {

@@ -29,11 +29,14 @@
 #include <vector>
 
 #include "flowspace/rule.h"
+#include "util/rule_id_map.h"
 
 namespace ruletris::flowspace {
 
 class RuleIndex {
  public:
+  /// Throws std::invalid_argument on a present or invalid (kInvalidRuleId)
+  /// id.
   void insert(RuleId id, const TernaryMatch& match);
   void erase(RuleId id);
   void clear();
@@ -91,10 +94,10 @@ class RuleIndex {
 
   /// Where an id lives, so erase() can find it without re-deriving keys.
   struct Slot {
-    uint32_t bucket;
-    uint32_t dst_key;
-    bool is_exact;
-    uint32_t exact_value;
+    uint32_t bucket = 0;
+    uint32_t dst_key = 0;
+    bool is_exact = false;
+    uint32_t exact_value = 0;
   };
 
   template <typename Fn>
@@ -107,7 +110,7 @@ class RuleIndex {
                 Fn&& fn) const;
 
   std::unordered_map<uint32_t, DstBuckets> buckets_;
-  std::unordered_map<RuleId, Slot> by_id_;
+  util::RuleIdMap<Slot> by_id_;
 };
 
 template <typename Fn>

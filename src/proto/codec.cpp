@@ -118,16 +118,17 @@ class Reader {
 
   ActionList actions() {
     const uint16_t n = u16();
-    std::vector<Action> list;
-    list.reserve(n);
+    // Lists are short: decode into a stack buffer, into a heap one only
+    // when the list would not fit inline in the ActionList either.
+    Action inline_buf[ActionList::kInline];
+    std::vector<Action> heap_buf(n > ActionList::kInline ? n : 0);
+    Action* list = n > ActionList::kInline ? heap_buf.data() : inline_buf;
     for (uint16_t i = 0; i < n; ++i) {
-      Action a;
-      a.type = static_cast<ActionType>(u8());
-      a.field = static_cast<FieldId>(u8());
-      a.arg = u32();
-      list.push_back(a);
+      list[i].type = static_cast<ActionType>(u8());
+      list[i].field = static_cast<FieldId>(u8());
+      list[i].arg = u32();
     }
-    return ActionList(std::move(list));
+    return ActionList(std::span<const Action>(list, n));
   }
 
   Rule rule() {

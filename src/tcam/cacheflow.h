@@ -32,9 +32,9 @@
 #include "flowspace/rule.h"
 #include "tcam/dag_scheduler.h"
 #include "tcam/priority_firmware.h"
-#include "tcam/rule_id_map.h"
 #include "tcam/soft_table.h"
 #include "tcam/tcam.h"
+#include "util/rule_id_map.h"
 
 namespace ruletris::tcam {
 
@@ -183,7 +183,7 @@ class CacheFlowManager {
 
   std::vector<Rule> rules_;                    // the full table, by position
   std::vector<flowspace::RuleId> rule_order_;  // matched-first order
-  RuleIdMap<uint32_t> position_;               // id -> position
+  util::RuleIdMap<uint32_t> position_;               // id -> position
   // The full table's minimum DAG as position adjacency (CSR): rule `pos`
   // depends on succ_[succ_begin_[pos] .. succ_begin_[pos + 1]), in the
   // graph's own iteration order; pred_ likewise holds its dependents.

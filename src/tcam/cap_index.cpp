@@ -41,18 +41,26 @@ void CapIndex::load_cells(std::vector<long long> lo_succ,
   hi_pred_ = std::move(hi_pred);
 }
 
+void CapIndex::AddrSet::insert(size_t addr) {
+  const auto it = std::lower_bound(addrs_.begin(), addrs_.end(), addr);
+  if (it == addrs_.end() || *it != addr) addrs_.insert(it, addr);
+}
+
+void CapIndex::AddrSet::erase(size_t addr) {
+  const auto it = std::lower_bound(addrs_.begin(), addrs_.end(), addr);
+  if (it != addrs_.end() && *it == addr) addrs_.erase(it);
+}
+
 CapIndex::VertexCaps& CapIndex::hydrate(RuleId id,
                                         const dag::DependencyGraph& graph,
                                         const Tcam& tcam) {
-  const auto [it, fresh] = caps_.try_emplace(id);
-  VertexCaps& c = it->second;
-  if (fresh) {
-    for (const RuleId succ : graph.successors(id)) {
-      if (const auto a = tcam.address_if(succ)) c.succ_addrs.insert(*a);
-    }
-    for (const RuleId pred : graph.predecessors(id)) {
-      if (const auto a = tcam.address_if(pred)) c.pred_addrs.insert(*a);
-    }
+  if (VertexCaps* c = caps_.find(id)) return *c;
+  VertexCaps& c = caps_[id];
+  for (const RuleId succ : graph.successors(id)) {
+    if (const auto a = tcam.address_if(succ)) c.succ_addrs.insert(*a);
+  }
+  for (const RuleId pred : graph.predecessors(id)) {
+    if (const auto a = tcam.address_if(pred)) c.pred_addrs.insert(*a);
   }
   return c;
 }
@@ -61,20 +69,17 @@ std::pair<long long, long long> CapIndex::bounds_of(
     RuleId id, const dag::DependencyGraph& graph, const Tcam& tcam) {
   const VertexCaps& c = hydrate(id, graph, tcam);
   const long long lo =
-      c.pred_addrs.empty() ? -1 : static_cast<long long>(*c.pred_addrs.rbegin());
-  const long long hi = c.succ_addrs.empty()
-                           ? static_cast<long long>(capacity_)
-                           : static_cast<long long>(*c.succ_addrs.begin());
+      c.pred_addrs.empty() ? -1 : static_cast<long long>(c.pred_addrs.max());
+  const long long hi = c.succ_addrs.empty() ? static_cast<long long>(capacity_)
+                                            : static_cast<long long>(c.succ_addrs.min());
   return {lo, hi};
 }
 
 void CapIndex::refresh_cells_at(size_t addr, const VertexCaps& caps) {
-  lo_succ_[addr] = caps.succ_addrs.empty()
-                       ? static_cast<long long>(capacity_)
-                       : static_cast<long long>(*caps.succ_addrs.begin());
-  hi_pred_[addr] = caps.pred_addrs.empty()
-                       ? -1
-                       : static_cast<long long>(*caps.pred_addrs.rbegin());
+  lo_succ_[addr] = caps.succ_addrs.empty() ? static_cast<long long>(capacity_)
+                                            : static_cast<long long>(caps.succ_addrs.min());
+  hi_pred_[addr] =
+      caps.pred_addrs.empty() ? -1 : static_cast<long long>(caps.pred_addrs.max());
 }
 
 void CapIndex::refresh_cells(RuleId id, const VertexCaps& caps, const Tcam& tcam) {
@@ -94,8 +99,8 @@ void CapIndex::on_write(RuleId id, size_t addr,
     // Hydrated sets track installed-neighbour addresses even for vertices
     // that are currently evicted, so the set update must not hinge on the
     // neighbour being installed.
-    if (const auto it = caps_.find(succ); it != caps_.end()) {
-      it->second.pred_addrs.insert(addr);
+    if (VertexCaps* c = caps_.find(succ)) {
+      c->pred_addrs.insert(addr);
     }
     if (const auto as = tcam.address_if(succ)) {
       own_lo = std::min(own_lo, static_cast<long long>(*as));
@@ -103,8 +108,8 @@ void CapIndex::on_write(RuleId id, size_t addr,
     }
   }
   for (const RuleId pred : graph.predecessors(id)) {
-    if (const auto it = caps_.find(pred); it != caps_.end()) {
-      it->second.succ_addrs.insert(addr);
+    if (VertexCaps* c = caps_.find(pred)) {
+      c->succ_addrs.insert(addr);
     }
     if (const auto ap = tcam.address_if(pred)) {
       own_hi = std::max(own_hi, static_cast<long long>(*ap));
@@ -123,10 +128,10 @@ void CapIndex::on_move(size_t from, size_t to, const dag::DependencyGraph& graph
   for (const RuleId succ : graph.successors(id)) {
     const auto as = tcam.address_if(succ);
     if (as) own_lo = std::min(own_lo, static_cast<long long>(*as));
-    if (const auto it = caps_.find(succ); it != caps_.end()) {
-      it->second.pred_addrs.erase(from);
-      it->second.pred_addrs.insert(to);
-      if (as) refresh_cells_at(*as, it->second);
+    if (VertexCaps* c = caps_.find(succ)) {
+      c->pred_addrs.erase(from);
+      c->pred_addrs.insert(to);
+      if (as) refresh_cells_at(*as, *c);
     } else if (as) {
       if (hi_pred_[*as] == static_cast<long long>(from)) {
         // The cap may drop; hydrating post-move already reflects `to`.
@@ -139,10 +144,10 @@ void CapIndex::on_move(size_t from, size_t to, const dag::DependencyGraph& graph
   for (const RuleId pred : graph.predecessors(id)) {
     const auto ap = tcam.address_if(pred);
     if (ap) own_hi = std::max(own_hi, static_cast<long long>(*ap));
-    if (const auto it = caps_.find(pred); it != caps_.end()) {
-      it->second.succ_addrs.erase(from);
-      it->second.succ_addrs.insert(to);
-      if (ap) refresh_cells_at(*ap, it->second);
+    if (VertexCaps* c = caps_.find(pred)) {
+      c->succ_addrs.erase(from);
+      c->succ_addrs.insert(to);
+      if (ap) refresh_cells_at(*ap, *c);
     } else if (ap) {
       if (lo_succ_[*ap] == static_cast<long long>(from)) {
         refresh_cells_at(*ap, hydrate(pred, graph, tcam));
@@ -166,24 +171,24 @@ void CapIndex::on_erase(RuleId id, size_t addr,
   // follow-up erase a no-op.
   for (const RuleId succ : graph.successors(id)) {
     const auto as = tcam.address_if(succ);
-    if (const auto it = caps_.find(succ); it != caps_.end()) {
-      it->second.pred_addrs.erase(addr);
-      if (as) refresh_cells_at(*as, it->second);
+    if (VertexCaps* c = caps_.find(succ)) {
+      c->pred_addrs.erase(addr);
+      if (as) refresh_cells_at(*as, *c);
     } else if (as && hi_pred_[*as] == static_cast<long long>(addr)) {
-      VertexCaps& c = hydrate(succ, graph, tcam);
-      c.pred_addrs.erase(addr);
-      refresh_cells_at(*as, c);
+      VertexCaps& h = hydrate(succ, graph, tcam);
+      h.pred_addrs.erase(addr);
+      refresh_cells_at(*as, h);
     }
   }
   for (const RuleId pred : graph.predecessors(id)) {
     const auto ap = tcam.address_if(pred);
-    if (const auto it = caps_.find(pred); it != caps_.end()) {
-      it->second.succ_addrs.erase(addr);
-      if (ap) refresh_cells_at(*ap, it->second);
+    if (VertexCaps* c = caps_.find(pred)) {
+      c->succ_addrs.erase(addr);
+      if (ap) refresh_cells_at(*ap, *c);
     } else if (ap && lo_succ_[*ap] == static_cast<long long>(addr)) {
-      VertexCaps& c = hydrate(pred, graph, tcam);
-      c.succ_addrs.erase(addr);
-      refresh_cells_at(*ap, c);
+      VertexCaps& h = hydrate(pred, graph, tcam);
+      h.succ_addrs.erase(addr);
+      refresh_cells_at(*ap, h);
     }
   }
   lo_succ_[addr] = static_cast<long long>(capacity_);
@@ -200,14 +205,14 @@ void CapIndex::on_add_edge(RuleId u, RuleId v, const dag::DependencyGraph&,
   const auto au = tcam.address_if(u);
   const auto av = tcam.address_if(v);
   if (av) {
-    if (const auto it = caps_.find(u); it != caps_.end()) {
-      it->second.succ_addrs.insert(*av);
+    if (VertexCaps* c = caps_.find(u)) {
+      c->succ_addrs.insert(*av);
     }
     if (au) lo_succ_[*au] = std::min(lo_succ_[*au], static_cast<long long>(*av));
   }
   if (au) {
-    if (const auto it = caps_.find(v); it != caps_.end()) {
-      it->second.pred_addrs.insert(*au);
+    if (VertexCaps* c = caps_.find(v)) {
+      c->pred_addrs.insert(*au);
     }
     if (av) hi_pred_[*av] = std::max(hi_pred_[*av], static_cast<long long>(*au));
   }
@@ -219,25 +224,25 @@ void CapIndex::on_remove_edge(RuleId u, RuleId v,
   const auto au = tcam.address_if(u);
   const auto av = tcam.address_if(v);
   if (av) {
-    if (const auto it = caps_.find(u); it != caps_.end()) {
-      it->second.succ_addrs.erase(*av);
-      refresh_cells(u, it->second, tcam);
+    if (VertexCaps* c = caps_.find(u)) {
+      c->succ_addrs.erase(*av);
+      refresh_cells(u, *c, tcam);
     } else if (au && lo_succ_[*au] == static_cast<long long>(*av)) {
       // The binding cap went away; hydrate and drop the stale address (a
       // no-op when the graph edge was already removed before this call).
-      VertexCaps& c = hydrate(u, graph, tcam);
-      c.succ_addrs.erase(*av);
-      refresh_cells_at(*au, c);
+      VertexCaps& h = hydrate(u, graph, tcam);
+      h.succ_addrs.erase(*av);
+      refresh_cells_at(*au, h);
     }
   }
   if (au) {
-    if (const auto it = caps_.find(v); it != caps_.end()) {
-      it->second.pred_addrs.erase(*au);
-      refresh_cells(v, it->second, tcam);
+    if (VertexCaps* c = caps_.find(v)) {
+      c->pred_addrs.erase(*au);
+      refresh_cells(v, *c, tcam);
     } else if (av && hi_pred_[*av] == static_cast<long long>(*au)) {
-      VertexCaps& c = hydrate(v, graph, tcam);
-      c.pred_addrs.erase(*au);
-      refresh_cells_at(*av, c);
+      VertexCaps& h = hydrate(v, graph, tcam);
+      h.pred_addrs.erase(*au);
+      refresh_cells_at(*av, h);
     }
   }
 }

@@ -8,27 +8,27 @@
 // are *always exact* for installed entries, so every BFS probe is one array
 // load (O(1)).
 //
-// Per-vertex ordered neighbour-address sets back the cells, but they are
+// Per-vertex sorted neighbour-address lists back the cells, but they are
 // hydrated lazily: a vertex's set is built from the graph + TCAM the first
 // time an operation actually needs it (a cap can *decrease* — erase, move,
 // edge removal — or insert bounds are requested for the vertex), and is
 // maintained incrementally from then on. Operations that only tighten a cap
 // (writes, edge additions) fold the new address into the cells directly and
-// touch only already-hydrated sets. This keeps the amortized per-mutation
-// cost at the documented O(degree_of_touched_vertex · log) while making
+// touch only already-hydrated lists. The cells read only a list's first and
+// last address, so a list is a sorted vector (one allocation, no tree
+// nodes): an update costs O(log degree) to find its place plus a shift.
 // rebuild() — and the warm-boot restore path, which adopts externally
-// computed cells via load_cells() — allocation-free O(V + E) instead of an
-// O(E log) full set construction.
+// computed cells via load_cells() — stays allocation-free O(V + E) instead
+// of an O(E log) full list construction.
 #pragma once
 
 #include <cstddef>
-#include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "dag/dependency_graph.h"
 #include "tcam/tcam.h"
+#include "util/rule_id_map.h"
 
 namespace ruletris::tcam {
 
@@ -81,13 +81,27 @@ class CapIndex {
   void on_remove_vertex(flowspace::RuleId v) { caps_.erase(v); }
 
  private:
+  /// A sorted, duplicate-free address list.
+  class AddrSet {
+   public:
+    bool empty() const { return addrs_.empty(); }
+    size_t min() const { return addrs_.front(); }
+    size_t max() const { return addrs_.back(); }
+    void insert(size_t addr);
+    void erase(size_t addr);
+
+   private:
+    std::vector<size_t> addrs_;
+  };
+
   struct VertexCaps {
-    std::set<size_t> succ_addrs;  // addresses of installed successors
-    std::set<size_t> pred_addrs;  // addresses of installed predecessors
+    AddrSet succ_addrs;  // addresses of installed successors
+    AddrSet pred_addrs;  // addresses of installed predecessors
   };
 
   /// Returns the vertex's caps, building them from the graph + TCAM on
-  /// first touch. Presence in caps_ == hydrated.
+  /// first touch. Presence in caps_ == hydrated. The reference is valid
+  /// until the next hydration or on_remove_vertex.
   VertexCaps& hydrate(flowspace::RuleId id, const dag::DependencyGraph& graph,
                       const Tcam& tcam);
 
@@ -97,7 +111,7 @@ class CapIndex {
   void refresh_cells_at(size_t addr, const VertexCaps& caps);
 
   size_t capacity_;
-  std::unordered_map<flowspace::RuleId, VertexCaps> caps_;
+  util::RuleIdMap<VertexCaps> caps_;
   std::vector<long long> lo_succ_;  // per address; capacity_ when unconstrained
   std::vector<long long> hi_pred_;  // per address; -1 when unconstrained
 };

@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "flowspace/rule.h"
-#include "tcam/rule_id_map.h"
 #include "tcam/tuple_space.h"
+#include "util/rule_id_map.h"
 
 namespace ruletris::tcam {
 
@@ -77,7 +77,7 @@ class SoftTable {
   TupleSpace index_{kSeqBits};
   std::vector<flowspace::Rule> pool_;  // by handle; a free entry has kInvalidRuleId
   std::vector<uint32_t> free_;         // recycled pool indexes
-  RuleIdMap<uint32_t> by_id_;          // id -> pool index
+  util::RuleIdMap<uint32_t> by_id_;          // id -> pool index
   uint64_t next_seq_ = 0;
 };
 

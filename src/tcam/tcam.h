@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "flowspace/rule.h"
-#include "tcam/rule_id_map.h"
 #include "tcam/tuple_space.h"
+#include "util/rule_id_map.h"
 
 namespace ruletris::tcam {
 
@@ -125,7 +125,7 @@ class Tcam {
   // index == physical address; a free slot holds a rule with kInvalidRuleId.
   std::vector<Rule> slots_;
   TupleSpace index_;  // installed matches; handle == rank == address
-  RuleIdMap<uint32_t> by_id_;  // id -> address
+  util::RuleIdMap<uint32_t> by_id_;  // id -> address
   Stats stats_;
   OpObserver observer_;
 };

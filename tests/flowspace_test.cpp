@@ -1,6 +1,9 @@
 // Unit and property tests for the flow-space algebra.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 #include <unordered_set>
+#include <vector>
 
 #include "flowspace/action.h"
 #include "flowspace/rule.h"
@@ -288,6 +291,135 @@ TEST(ActionList, PreimagePointwiseCorrect) {
       const bool via_preimage = pre.has_value() && pre->matches(p);
       EXPECT_EQ(via_rewrite, via_preimage);
     }
+  }
+}
+
+// --- ActionList storage: inline up to kInline actions, heap beyond ---------
+
+/// The vector-backed canonical form: sorted, duplicate-free.
+std::vector<Action> canonical(std::vector<Action> v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+/// The hash the vector-backed list computed (FNV-style over the canonical
+/// actions), kept here as the reference.
+size_t vector_hash(const std::vector<Action>& v) {
+  uint64_t h = 0x9ae16a3b2f90404fULL;
+  for (const Action& a : v) {
+    h ^= (static_cast<uint64_t>(a.type) << 40) ^ (static_cast<uint64_t>(a.field) << 32) ^
+         a.arg;
+    h *= 0x100000001b3ULL;
+  }
+  return static_cast<size_t>(h);
+}
+
+std::vector<Action> as_vector(const ActionList& l) {
+  return {l.actions().begin(), l.actions().end()};
+}
+
+/// `n` distinct actions: forwards, counters and rewrites.
+std::vector<Action> distinct_actions(size_t n) {
+  std::vector<Action> out;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t k = static_cast<uint32_t>(i);
+    switch (i % 3) {
+      case 0: out.push_back(Action::forward(k)); break;
+      case 1: out.push_back(Action::count(k)); break;
+      default: out.push_back(Action::set_field(FieldId::kDstPort, k)); break;
+    }
+  }
+  return out;
+}
+
+TEST(ActionList, CopyMoveAndSelfAssignAcrossTheInlineBoundary) {
+  for (const size_t n : {size_t{0}, ActionList::kInline, ActionList::kInline + 1, size_t{9}}) {
+    const std::vector<Action> want = canonical(distinct_actions(n));
+    const ActionList original(distinct_actions(n));
+    ASSERT_EQ(as_vector(original), want) << n;
+
+    ActionList copy(original);
+    EXPECT_EQ(copy, original) << n;
+    EXPECT_NE(copy.actions().data(), original.actions().data()) << n;  // no sharing
+
+    ActionList assigned{Action::drop()};
+    assigned = original;
+    EXPECT_EQ(as_vector(assigned), want) << n;
+
+    ActionList moved(std::move(copy));
+    EXPECT_EQ(as_vector(moved), want) << n;
+    EXPECT_TRUE(copy.empty()) << n;  // a moved-from list is empty
+    copy = original;                 // and reusable
+    EXPECT_EQ(copy, original) << n;
+
+    ActionList move_assigned(distinct_actions(5));
+    move_assigned = std::move(moved);
+    EXPECT_EQ(as_vector(move_assigned), want) << n;
+
+    ActionList& alias = move_assigned;
+    move_assigned = alias;  // self copy-assignment
+    EXPECT_EQ(as_vector(move_assigned), want) << n;
+    move_assigned = std::move(alias);  // self move-assignment
+    EXPECT_EQ(as_vector(move_assigned), want) << n;
+
+    ActionList grown(original);
+    grown.add(Action::to_software());
+    std::vector<Action> grown_want = want;
+    grown_want.push_back(Action::to_software());
+    EXPECT_EQ(as_vector(grown), canonical(grown_want)) << n;
+  }
+}
+
+TEST(ActionList, CompositionCrossesTheInlineBoundary) {
+  // Two inline lists whose union spills, and a spilled list whose
+  // sequential merge shrinks back inline.
+  const ActionList a{Action::count(1), Action::count(2)};
+  const ActionList b{Action::count(2), Action::count(3), Action::forward(4)};
+  const ActionList u = ActionList::parallel_union(a, b);
+  EXPECT_EQ(u.size(), 4u);
+  EXPECT_EQ(as_vector(u),
+            canonical({Action::count(1), Action::count(2), Action::count(3),
+                       Action::forward(4)}));
+
+  const ActionList left{Action::forward(1), Action::set_field(FieldId::kDstIp, 1),
+                        Action::set_field(FieldId::kDstPort, 2), Action::count(7)};
+  const ActionList right{Action::set_field(FieldId::kDstIp, 9),
+                         Action::set_field(FieldId::kDstPort, 8)};
+  const ActionList merged = ActionList::sequential_merge(left, right);
+  EXPECT_EQ(as_vector(merged),
+            canonical({Action::count(7), Action::set_field(FieldId::kDstIp, 9),
+                       Action::set_field(FieldId::kDstPort, 8)}));
+}
+
+TEST(ActionList, EqualityAndHashMatchTheVectorForm) {
+  Rng rng(23);
+  auto random_actions = [&rng] {
+    std::vector<Action> v;
+    const size_t n = rng.next_below(7);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t arg = static_cast<uint32_t>(rng.next_below(3));
+      switch (rng.next_below(3)) {
+        case 0: v.push_back(Action::forward(arg)); break;
+        case 1: v.push_back(Action::count(arg)); break;
+        default: v.push_back(Action::set_field(FieldId::kDstPort, arg)); break;
+      }
+    }
+    return v;
+  };
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::vector<Action> va = random_actions();
+    const std::vector<Action> vb = random_actions();
+    const ActionList a(va);
+    const ActionList b(vb);
+    EXPECT_EQ(as_vector(a), canonical(va));
+    EXPECT_EQ(a.hash(), vector_hash(canonical(va)));
+    EXPECT_EQ(a == b, canonical(va) == canonical(vb));
+    std::vector<Action> vu = va;
+    vu.insert(vu.end(), vb.begin(), vb.end());
+    const ActionList u = ActionList::parallel_union(a, b);
+    EXPECT_EQ(as_vector(u), canonical(vu));
+    EXPECT_EQ(u.hash(), vector_hash(canonical(vu)));
   }
 }
 

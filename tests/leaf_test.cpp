@@ -190,7 +190,8 @@ TEST(LeafNode, VisibleInterface) {
   EXPECT_EQ(update.added[0].id, id);
   EXPECT_TRUE(leaf.has_visible(id));
   EXPECT_EQ(leaf.visible_size(), 1u);
-  const auto overlapping = leaf.visible_overlapping(leaf.visible_match(id));
+  std::vector<RuleId> overlapping{7, 8, 9};  // stale content is replaced
+  leaf.visible_overlapping(leaf.visible_match(id), overlapping);
   ASSERT_EQ(overlapping.size(), 1u);
 }
 

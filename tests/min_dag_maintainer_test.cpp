@@ -246,8 +246,9 @@ TEST(MinDagMaintainer, DroppedEdgesKeepOrderAndIndex) {
     const RuleId b = full.order()[rng.next_below(full.size())];
     ASSERT_EQ(bare.before(a, b), full.before(a, b)) << "step " << step;
     const TernaryMatch probe = testutil::random_match(rng);
-    std::vector<RuleId> got = bare.overlapping(probe);
-    std::vector<RuleId> want = full.overlapping(probe);
+    std::vector<RuleId> got, want;
+    bare.overlapping(probe, got);
+    full.overlapping(probe, want);
     std::sort(got.begin(), got.end());
     std::sort(want.begin(), want.end());
     ASSERT_EQ(got, want) << "step " << step;

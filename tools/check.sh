@@ -62,15 +62,17 @@ for bench in chaos_recovery composition_scaling dag_extraction fig9_parallel \
     || { echo "SMOKE FAILED: $bench"; exit 1; }
 done
 
-# Perf gate: the fleet harness is virtual-time deterministic, so a smoke
-# sweep must reproduce the committed baseline rows (same geometry cells)
-# within float-printing noise. Drift means the modelled system changed —
-# regenerate BENCH_fleet.json with `fleet_throughput --json` and commit it
-# with the change that moved the numbers.
-echo "=== fleet perf gate (smoke sweep vs committed BENCH_fleet.json)"
-fleet_fresh="$ROOT/build-check-$first_tree/BENCH_fleet.smoke.json"
-"$bench_dir/fleet_throughput" --smoke --json "$fleet_fresh" > /dev/null \
-  || { echo "SMOKE FAILED: fleet_throughput (gate run)"; exit 1; }
+# Perf gate: the fleet harness is virtual-time deterministic, so the full
+# sweep must reproduce every committed baseline row within float-printing
+# noise and every fingerprint exactly. The full grid (8 cells, up to 1,280
+# switches, a few seconds) is gated rather than the two smoke cells, so a
+# compile-path change that reorders output only at fleet scale fails here.
+# Drift means the modelled system changed — regenerate BENCH_fleet.json with
+# `fleet_throughput --json` and commit it with the change that moved it.
+echo "=== fleet perf gate (full sweep vs committed BENCH_fleet.json)"
+fleet_fresh="$ROOT/build-check-$first_tree/BENCH_fleet.fresh.json"
+"$bench_dir/fleet_throughput" --json "$fleet_fresh" > /dev/null \
+  || { echo "BENCH FAILED: fleet_throughput (gate run)"; exit 1; }
 python3 "$ROOT/tools/bench_gate.py" "$ROOT/BENCH_fleet.json" "$fleet_fresh" \
   || { echo "PERF GATE FAILED: fleet_throughput drifted from baseline"; exit 1; }
 
