@@ -22,7 +22,6 @@ int main() {
   using namespace ruletris;
   using compiler::LeafNode;
   using compiler::PolicySpec;
-  using compiler::TableUpdate;
   using flowspace::FlowTable;
   using flowspace::Rule;
 
@@ -48,13 +47,7 @@ int main() {
     const size_t composed_size = composed.root().visible_size();
     switchsim::SimulatedSwitch single(switchsim::FirmwareMode::kDag,
                                       composed_size + composed_size / 8 + 128);
-    {
-      TableUpdate initial;
-      initial.added = composed.root().visible_rules_in_order();
-      for (const Rule& r : initial.added) initial.dag.added_vertices.push_back(r.id);
-      initial.dag.added_edges = composed.root().visible_graph().edges();
-      single.deliver(switchsim::to_messages(initial));
-    }
+    single.deliver(switchsim::to_messages(compiler::full_install(composed.root())));
 
     // --- Pipeline: members installed verbatim into their own stages.
     LeafNode nat_leaf{FlowTable{nat}};
@@ -63,11 +56,8 @@ int main() {
         {nat.size() + 64, right_size + right_size / 8 + 64});
     for (int stage = 0; stage < 2; ++stage) {
       const LeafNode& leaf = stage == 0 ? nat_leaf : router_leaf;
-      TableUpdate initial;
-      initial.added = leaf.visible_rules_in_order();
-      for (const Rule& r : initial.added) initial.dag.added_vertices.push_back(r.id);
-      initial.dag.added_edges = leaf.visible_graph().edges();
-      pipeline.deliver(static_cast<size_t>(stage), switchsim::to_messages(initial));
+      pipeline.deliver(static_cast<size_t>(stage),
+                       switchsim::to_messages(compiler::full_install(leaf)));
     }
 
     bench::MetricSet single_metrics, pipeline_metrics;

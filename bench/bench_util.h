@@ -87,6 +87,15 @@ class JsonReport {
   void field(const std::string& key, const std::string& value) {
     rows_.back().emplace_back(key, quote(value));
   }
+  /// Adds every field `visit_fields(report, f)` yields to the current row;
+  /// the visitor is found by argument-dependent lookup (the runtime's
+  /// reports: runtime/report_fields.h).
+  template <class Report>
+  void fields(const Report& report) {
+    visit_fields(report, [this](const std::string& key, const auto& value) {
+      field(key, value);
+    });
+  }
 
   const std::string& path() const { return path_; }
 

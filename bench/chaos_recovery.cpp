@@ -14,22 +14,23 @@
 // Self-checks (exit non-zero on violation):
 //   * determinism — cells sharing (mode, switches, shards) but differing
 //     in threads must produce identical fleet/delta/layout fingerprints;
-//   * recovery — the chaos run must converge with failover_ok, zero
-//     re-admission failures, zero rejoin audit violations, and its final
-//     TCAM layouts and delta chains bit-identical to the clean run's;
-//   * coverage — shard kills, failovers, quarantines and re-admissions all
-//     actually fired (a chaos bench that exercises nothing is a bug);
+//   * recovery — every cell must pass FleetReport::self_checks_ok()
+//     (converged, replay and failover verified, every quarantined switch
+//     re-admitted with a clean catch-up and rejoin audit), and the chaos
+//     run's final TCAM layouts and delta chains must be bit-identical to
+//     the clean run's;
+//   * coverage — shard kills, failovers and quarantines all actually fired
+//     (a chaos bench that exercises nothing is a bug);
 //   * backoff — the adaptive cell's total retransmits must be strictly
 //     below the fixed-timer cell's.
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "runtime/sharded_controller.h"
+#include "runtime/report_fields.h"
 #include "util/logging.h"
 
 int main(int argc, char** argv) {
@@ -99,15 +100,9 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== Chaos recovery: clean vs chaos fleet (%zu switches, "
               "%zu shards) ===\n", kSwitches, kShards);
-  std::printf("%-12s %-8s | %-11s %-12s | %-6s %-9s %-6s %-7s | %-7s %-9s | %-6s\n",
+  std::printf("%-12s %-8s | %-11s %-12s | %-6s %-9s %-8s | %-10s | %-6s\n",
               "mode", "threads", "updates/s", "makespan ms", "kills",
-              "failovers", "quar", "readmit", "retx", "rejoin p99", "ok");
-
-  // Clean cells have empty recovery histograms; report 0 instead of
-  // throwing on an empty percentile set.
-  const auto p_or0 = [](const util::Histogram& h, double q) {
-    return h.count() == 0 ? 0.0 : h.percentile(q);
-  };
+              "failovers", "active", "rejoin p99", "ok");
 
   bool all_ok = true;
   const auto check = [&all_ok](bool ok, const char* what) {
@@ -118,9 +113,8 @@ int main(int argc, char** argv) {
     return ok;
   };
 
-  // (mode, threads==first-seen) fingerprints for the determinism check and
-  // the chaos==clean recovery check.
-  std::map<std::string, std::tuple<uint64_t, uint64_t, uint64_t>> seen;
+  // First-seen report per mode, for the determinism check and the
+  // chaos==clean recovery check.
   std::map<std::string, runtime::FleetReport> first;
 
   for (const Cell& cell : cells) {
@@ -138,30 +132,18 @@ int main(int argc, char** argv) {
 
     const runtime::FleetReport report = runtime::Controller(spec).run_compiled(spec);
 
-    bool deterministic = true;
-    const auto prints = std::make_tuple(report.fleet_fingerprint,
-                                        report.delta_fingerprint,
-                                        report.layout_fingerprint);
-    if (auto it = seen.find(mode); it != seen.end()) {
-      deterministic = it->second == prints;
-    } else {
-      seen.emplace(mode, prints);
-      first.emplace(mode, report);
-    }
-    const bool ok = report.runtime.all_converged && report.replay_ok &&
-                    report.failover_ok &&
-                    report.runtime.readmit_failures == 0 &&
-                    report.runtime.rejoin_audit_violations == 0 &&
-                    deterministic;
+    const auto [it, fresh] = first.try_emplace(mode, report);
+    const bool deterministic =
+        fresh || it->second.fingerprints() == report.fingerprints();
+    const bool ok = report.self_checks_ok() && deterministic;
     check(ok, (mode + " cell failed its run-level checks").c_str());
 
-    std::printf("%-12s %-8zu | %-11.0f %-12.1f | %-6zu %-9zu %-6zu %-7zu | "
-                "%-7zu %-9.1f | %s%s\n",
+    std::printf("%-12s %-8zu | %-11.0f %-12.1f | %-6zu %-9zu %-8zu | %-10.1f | "
+                "%s%s\n",
                 cell.mode, cell.threads, report.updates_per_s(),
                 report.makespan_ms, report.shard_kills, report.failovers,
-                report.runtime.quarantines, report.runtime.readmissions,
-                report.runtime.retransmits,
-                p_or0(report.runtime.rejoin_ms, 99.0),
+                report.active_switches,
+                runtime::percentile_or0(report.runtime.rejoin_ms, 99.0),
                 ok ? "yes" : "NO",
                 deterministic ? "" : " [fingerprint mismatch]");
     std::fflush(stdout);
@@ -169,42 +151,8 @@ int main(int argc, char** argv) {
     if (auto* j = bench::json()) {
       j->begin_row();
       j->field("mode", mode);
-      j->field("switches", static_cast<double>(kSwitches));
-      j->field("shards", static_cast<double>(kShards));
-      j->field("threads", static_cast<double>(cell.threads));
-      j->field("rule_ops", static_cast<double>(report.rule_ops));
-      j->field("updates_per_s", report.updates_per_s());
-      j->field("makespan_ms", report.makespan_ms);
-      j->field("compile_vt_ms", report.compile_vt_ms);
-      j->field("shard_kills", static_cast<double>(report.shard_kills));
-      j->field("failovers", static_cast<double>(report.failovers));
-      j->field("failover_epochs", static_cast<double>(report.failover_epochs));
-      j->field("quarantines",
-               static_cast<double>(report.runtime.quarantines));
-      j->field("readmissions",
-               static_cast<double>(report.runtime.readmissions));
-      j->field("retransmits", static_cast<double>(report.runtime.retransmits));
-      j->field("probe_sends", static_cast<double>(report.runtime.probe_sends));
-      j->field("blackout_drops",
-               static_cast<double>(report.runtime.blackout_drops));
-      j->field("failover_p50_ms", p_or0(report.failover_ms, 50.0));
-      j->field("rejoin_p50_ms", p_or0(report.runtime.rejoin_ms, 50.0));
-      j->field("rejoin_p99_ms", p_or0(report.runtime.rejoin_ms, 99.0));
-      j->field("fleet_fingerprint",
-               util::strfmt("%016llx", static_cast<unsigned long long>(
-                                           report.fleet_fingerprint)));
-      j->field("delta_fingerprint",
-               util::strfmt("%016llx", static_cast<unsigned long long>(
-                                           report.delta_fingerprint)));
-      j->field("layout_fingerprint",
-               util::strfmt("%016llx", static_cast<unsigned long long>(
-                                           report.layout_fingerprint)));
-      j->field("converged", report.runtime.all_converged ? 1.0 : 0.0);
+      j->fields(report);
       j->field("deterministic", deterministic ? 1.0 : 0.0);
-      // Host-dependent diagnostics; the perf gate ignores these fields.
-      j->field("wall_ms", report.wall_ms);
-      j->field("steals", static_cast<double>(report.steals));
-      j->field("starved_pumps", static_cast<double>(report.starved_pumps));
     }
   }
 
@@ -215,8 +163,6 @@ int main(int argc, char** argv) {
   check(chaos.shard_kills > 0, "no shard kill fired");
   check(chaos.failovers > 0, "no switch was adopted");
   check(chaos.runtime.quarantines > 0, "no session quarantined");
-  check(chaos.runtime.readmissions == chaos.runtime.quarantines,
-        "a quarantined switch never rejoined");
   // The recovery guarantee: chaos final layouts and delta chains must be
   // bit-identical to the never-failed run's.
   check(chaos.layout_fingerprint == clean.layout_fingerprint,

@@ -13,8 +13,10 @@
 //
 // Self-checks (exit non-zero on violation):
 //   * determinism — cells sharing (switches, shards) but differing in
-//     threads must produce identical fleet and delta fingerprints;
-//   * RTDZ replay — every audited switch's delta chain must reproduce its
+//     threads must produce identical fingerprints (FleetReport::
+//     fingerprints());
+//   * the fleet verdict (FleetReport::self_checks_ok()): every switch
+//     converged and every audited switch's delta chain reproduced its
 //     final compile image;
 //   * full mode only: aggregate updates/s must scale monotonically in the
 //     switch count and the top cell must sustain >= 1e6 updates/s.
@@ -25,7 +27,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "runtime/sharded_controller.h"
+#include "runtime/report_fields.h"
 #include "util/logging.h"
 
 int main(int argc, char** argv) {
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   // (switches, shards) -> fingerprints of the first run; later thread
   // counts must reproduce them bit-for-bit.
-  std::map<std::pair<size_t, size_t>, std::pair<uint64_t, uint64_t>> seen;
+  std::map<std::pair<size_t, size_t>, std::vector<uint64_t>> seen;
   // threads==1 throughput per switch count, for the monotonicity check.
   std::map<size_t, double> curve;
 
@@ -97,17 +99,10 @@ int main(int argc, char** argv) {
     const runtime::FleetReport report =
         runtime::Controller(spec).run_compiled(spec);
 
-    const auto key = std::make_pair(cell.switches, cell.shards);
-    bool deterministic = true;
-    const auto prints =
-        std::make_pair(report.fleet_fingerprint, report.delta_fingerprint);
-    if (auto it = seen.find(key); it != seen.end()) {
-      deterministic = it->second == prints;
-    } else {
-      seen.emplace(key, prints);
-    }
-    const bool ok = report.runtime.all_converged && report.replay_ok &&
-                    deterministic;
+    const auto [it, first] = seen.try_emplace(
+        std::make_pair(cell.switches, cell.shards), report.fingerprints());
+    const bool deterministic = first || it->second == report.fingerprints();
+    const bool ok = report.self_checks_ok() && deterministic;
     all_ok = all_ok && ok;
 
     std::printf("%-9zu %-7zu %-8zu | %-13.0f %-11.0f %-12.1f %-11.1f | %-9.2f "
@@ -126,32 +121,8 @@ int main(int argc, char** argv) {
 
     if (auto* j = bench::json()) {
       j->begin_row();
-      j->field("switches", static_cast<double>(cell.switches));
-      j->field("shards", static_cast<double>(cell.shards));
-      j->field("threads", static_cast<double>(cell.threads));
-      j->field("rule_ops", static_cast<double>(report.rule_ops));
-      j->field("updates_per_s", report.updates_per_s());
-      // Measured beside modelled; host-dependent, so the perf gate skips it.
-      j->field("wall_rule_ops_per_s", report.wall_rule_ops_per_s());
-      j->field("makespan_ms", report.makespan_ms);
-      j->field("compile_vt_ms", report.compile_vt_ms);
-      j->field("ack_p50_ms", report.runtime.ack_ms.median());
-      j->field("ack_p99_ms", report.runtime.ack_ms.p99());
-      j->field("entry_writes", static_cast<double>(report.runtime.entry_writes));
-      j->field("shard_steps", static_cast<double>(report.shard_steps));
-      j->field("replay_audits", static_cast<double>(report.replay_audits));
-      j->field("fleet_fingerprint",
-               util::strfmt("%016llx", static_cast<unsigned long long>(
-                                           report.fleet_fingerprint)));
-      j->field("delta_fingerprint",
-               util::strfmt("%016llx", static_cast<unsigned long long>(
-                                           report.delta_fingerprint)));
-      j->field("converged", report.runtime.all_converged ? 1.0 : 0.0);
+      j->fields(report);
       j->field("deterministic", deterministic ? 1.0 : 0.0);
-      // Host-dependent diagnostics; the perf gate ignores these fields.
-      j->field("wall_ms", report.wall_ms);
-      j->field("steals", static_cast<double>(report.steals));
-      j->field("starved_pumps", static_cast<double>(report.starved_pumps));
     }
   }
 

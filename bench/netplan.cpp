@@ -30,6 +30,7 @@
 #include "netplan/topology.h"
 #include "runtime/config.h"
 #include "runtime/controller.h"
+#include "runtime/report_fields.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -128,16 +129,13 @@ struct StrategyResult {
   size_t sim_violations = 0;      // planner-side table simulation
   size_t runtime_violations = 0;  // live-TCAM audits across fault seeds
   size_t audits = 0;
-  size_t crashes = 0;
-  size_t restarts = 0;
-  size_t entry_writes = 0;
+  runtime::SessionTotals totals;  // summed over the fault seeds
   bool all_completed = true;
   bool all_converged = true;
   util::Samples makespan_ms;  // one sample per fault seed
 };
 
-size_t simulate_and_audit(const Topology& topo, const NetworkPolicy& oldp,
-                          const NetworkPolicy& newp, const UpdatePlan& plan,
+size_t simulate_and_audit(const UpdatePlan& plan,
                           const ConsistencyAuditor& auditor) {
   std::vector<FlowTable> mid = netplan::tables_from(plan.initial);
   const LookupFn look = netplan::tables_lookup(mid);
@@ -162,8 +160,7 @@ StrategyResult run_strategy(const Topology& topo, const NetworkPolicy& oldp,
       topo, oldp, newp, netplan::tables_from(result.plan.initial),
       netplan::tables_from(result.plan.final_tables), acfg);
 
-  result.sim_violations =
-      simulate_and_audit(topo, oldp, newp, result.plan, auditor);
+  result.sim_violations = simulate_and_audit(result.plan, auditor);
 
   const std::vector<runtime::SwitchWorkload> fleet =
       netplan::to_workloads(netplan::materialize(topo, result.plan));
@@ -182,9 +179,7 @@ StrategyResult run_strategy(const Topology& topo, const NetworkPolicy& oldp,
         });
     result.all_completed = result.all_completed && report.all_completed;
     result.all_converged = result.all_converged && report.all_converged;
-    result.crashes += report.crashes;
-    result.restarts += report.restarts;
-    result.entry_writes += report.entry_writes;
+    result.totals += report;
     result.makespan_ms.add(report.makespan_ms);
   }
   return result;
@@ -263,9 +258,7 @@ int main(int argc, char** argv) {
       j->field("sim_violations", static_cast<double>(r.sim_violations));
       j->field("runtime_violations",
                static_cast<double>(r.runtime_violations));
-      j->field("crashes", static_cast<double>(r.crashes));
-      j->field("restarts", static_cast<double>(r.restarts));
-      j->field("entry_writes", static_cast<double>(r.entry_writes));
+      j->fields(r.totals);
       j->field("converged", (r.all_completed && r.all_converged) ? 1.0 : 0.0);
     }
   }

@@ -29,6 +29,7 @@
 #include "flowspace/rule.h"
 #include "runtime/config.h"
 #include "runtime/controller.h"
+#include "runtime/report_fields.h"
 #include "runtime/workload.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -90,9 +91,9 @@ int main(int argc, char** argv) {
       smoke ? std::vector<size_t>{1, 4} : std::vector<size_t>{1, 4, 16, 64};
   const std::vector<size_t> windows = {1, 4, 16};
 
-  std::printf("%-9s %-7s | %-12s %-13s | %-10s %-10s | %-8s %-8s %-9s\n",
+  std::printf("%-9s %-7s | %-12s %-13s | %-10s %-10s | %-9s\n",
               "switches", "window", "makespan ms", "updates/s", "ack p50",
-              "ack p99", "retrans", "resyncs", "converged");
+              "ack p99", "converged");
 
   bool all_ok = true;
   // makespan per (switches, window) for the window>1 sanity check.
@@ -114,31 +115,15 @@ int main(int argc, char** argv) {
       makespans[{n_switches, window}] = report.makespan_ms;
       all_ok = all_ok && report.all_converged;
 
-      std::printf("%-9zu %-7zu | %-12.2f %-13.0f | %-10.3f %-10.3f | "
-                  "%-8zu %-8zu %-9s\n",
+      std::printf("%-9zu %-7zu | %-12.2f %-13.0f | %-10.3f %-10.3f | %-9s\n",
                   n_switches, window, report.makespan_ms,
                   report.updates_per_s(), report.ack_ms.median(),
-                  report.ack_ms.p99(), report.retransmits, report.resyncs,
-                  report.all_converged ? "yes" : "NO");
+                  report.ack_ms.p99(), report.all_converged ? "yes" : "NO");
 
       if (auto* j = bench::json()) {
         j->begin_row();
-        j->field("switches", static_cast<double>(n_switches));
+        j->fields(report);
         j->field("window", static_cast<double>(window));
-        j->field("makespan_ms", report.makespan_ms);
-        j->field("updates_per_s", report.updates_per_s());
-        j->field("ack_p50_ms", report.ack_ms.median());
-        j->field("ack_p99_ms", report.ack_ms.p99());
-        j->field("channel_p50_ms", report.channel_ms.median());
-        j->field("tcam_p50_ms", report.tcam_ms.median());
-        j->field("entry_writes", static_cast<double>(report.entry_writes));
-        j->field("moves", static_cast<double>(report.moves));
-        j->field("entry_writes_per_epoch", report.entry_writes_per_epoch());
-        j->field("frames", static_cast<double>(report.data_frames_sent));
-        j->field("retransmits", static_cast<double>(report.retransmits));
-        j->field("resyncs", static_cast<double>(report.resyncs));
-        j->field("restarts", static_cast<double>(report.restarts));
-        j->field("converged", report.all_converged ? 1.0 : 0.0);
       }
     }
   }

@@ -89,13 +89,7 @@ inline size_t run_composition_scenario(const CompositionScenario& scenario) {
     const size_t composed = ruletris.root().visible_size();
     const size_t dag_capacity = composed + composed / 8 + 128;
     switchsim::SimulatedSwitch sw_dag(switchsim::FirmwareMode::kDag, dag_capacity);
-    {
-      compiler::TableUpdate initial;
-      initial.added = ruletris.root().visible_rules_in_order();
-      for (const Rule& r : initial.added) initial.dag.added_vertices.push_back(r.id);
-      initial.dag.added_edges = ruletris.root().visible_graph().edges();
-      sw_dag.deliver(switchsim::to_messages(initial));
-    }
+    sw_dag.deliver(switchsim::to_messages(compiler::full_install(ruletris.root())));
 
     // --- CoVisor pipeline.
     compiler::CovisorCompiler covisor(spec, tables_for());

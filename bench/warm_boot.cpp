@@ -85,11 +85,7 @@ std::map<std::string, FlowTable> tables_for(const std::vector<Rule>& left,
 /// Installs the root's visible table into a fresh scheduler the way a cold
 /// controller would: one bulk BackendUpdate carrying rules + the minimum DAG.
 bool cold_install(const compiler::ComposedNode& node, DagScheduler& sched) {
-  BackendUpdate initial;
-  initial.added = node.visible_rules_in_order();
-  for (const Rule& r : initial.added) initial.dag.added_vertices.push_back(r.id);
-  initial.dag.added_edges = node.visible_graph().edges();
-  return sched.apply(initial);
+  return sched.apply(compiler::full_install<BackendUpdate>(node));
 }
 
 /// True when both TCAMs hold the same rule (id, match, actions, priority)

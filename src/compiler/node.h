@@ -78,4 +78,18 @@ class PolicyNode {
   virtual void demote_to_child() = 0;
 };
 
+/// The update that installs `node`'s whole visible table on an empty
+/// switch: its rules in match order, one added vertex per rule, then its
+/// visible DAG edges. `Update` is TableUpdate, or tcam::BackendUpdate for a
+/// caller that feeds a scheduler directly (both carry `added` and `dag`).
+/// Throws std::logic_error on a demoted node, like visible_graph().
+template <class Update = TableUpdate>
+Update full_install(const PolicyNode& node) {
+  Update update;
+  update.added = node.visible_rules_in_order();
+  for (const Rule& r : update.added) update.dag.added_vertices.push_back(r.id);
+  update.dag.added_edges = node.visible_graph().edges();
+  return update;
+}
+
 }  // namespace ruletris::compiler

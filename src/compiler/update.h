@@ -29,22 +29,6 @@ struct TableUpdate {
   DagDelta dag;
 
   bool empty() const { return removed.empty() && added.empty() && dag.empty(); }
-
-  void merge(TableUpdate other) {
-    removed.insert(removed.end(), other.removed.begin(), other.removed.end());
-    added.insert(added.end(), std::make_move_iterator(other.added.begin()),
-                 std::make_move_iterator(other.added.end()));
-    auto& d = dag;
-    d.removed_vertices.insert(d.removed_vertices.end(),
-                              other.dag.removed_vertices.begin(),
-                              other.dag.removed_vertices.end());
-    d.removed_edges.insert(d.removed_edges.end(), other.dag.removed_edges.begin(),
-                           other.dag.removed_edges.end());
-    d.added_vertices.insert(d.added_vertices.end(), other.dag.added_vertices.begin(),
-                            other.dag.added_vertices.end());
-    d.added_edges.insert(d.added_edges.end(), other.dag.added_edges.begin(),
-                         other.dag.added_edges.end());
-  }
 };
 
 }  // namespace ruletris::compiler

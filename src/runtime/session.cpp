@@ -12,36 +12,25 @@ SessionTotals& SessionTotals::operator+=(const SessionTotals& other) {
 #define RULETRIS_ADD_COUNTER(name) name += other.name;
   RULETRIS_SESSION_COUNTERS(RULETRIS_ADD_COUNTER)
 #undef RULETRIS_ADD_COUNTER
-  ack_ms.merge(other.ack_ms);
-  channel_ms.merge(other.channel_ms);
-  firmware_ms.merge(other.firmware_ms);
-  tcam_ms.merge(other.tcam_ms);
-  rejoin_ms.merge(other.rejoin_ms);
+#define RULETRIS_MERGE_HISTOGRAM(name, clock) name##_ms.merge(other.name##_ms);
+  RULETRIS_SESSION_HISTOGRAMS(RULETRIS_MERGE_HISTOGRAM)
+#undef RULETRIS_MERGE_HISTOGRAM
   return *this;
 }
 
 bool SessionTotals::same_virtual(const SessionTotals& other) const {
 #define RULETRIS_SAME_COUNTER(name) name == other.name &&
+#define RULETRIS_SAME_HISTOGRAM(name, clock) \
+  (Clock::clock == Clock::kWall || name##_ms == other.name##_ms) &&
   return RULETRIS_SESSION_COUNTERS(RULETRIS_SAME_COUNTER)
-         ack_ms == other.ack_ms && channel_ms == other.channel_ms &&
-         tcam_ms == other.tcam_ms && rejoin_ms == other.rejoin_ms;
+         RULETRIS_SESSION_HISTOGRAMS(RULETRIS_SAME_HISTOGRAM) true;
+#undef RULETRIS_SAME_HISTOGRAM
 #undef RULETRIS_SAME_COUNTER
 }
 
-SwitchSession::SwitchSession(const SessionConfig& config,
-                             const std::vector<EncodedEpoch>& epochs)
-    : SwitchSession(config, std::make_unique<VectorEpochSource>(epochs),
-                    nullptr) {}
-
 SwitchSession::SwitchSession(const SessionConfig& config, const EpochSource& source)
-    : SwitchSession(config, nullptr, &source) {}
-
-SwitchSession::SwitchSession(const SessionConfig& config,
-                             std::unique_ptr<VectorEpochSource> owned,
-                             const EpochSource* source)
     : cfg_(config),
-      owned_source_(std::move(owned)),
-      source_(owned_source_ ? owned_source_.get() : source),
+      source_(&source),
       wire_(config.knobs.channel, config.knobs.faults,
             util::mix64(config.seed ^ 0x71c3)),
       // A separate restart stream: restart times must not shift when the

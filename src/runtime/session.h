@@ -129,25 +129,38 @@ class VectorEpochSource final : public EpochSource {
   X(rejoin_audit_violations) /* structural audits failed on rejoin */           \
   X(deadline_misses)         /* sessions stopped by knobs.deadline_ms */
 
-/// The summable part of a session's outcome: the counters above plus the
-/// latency decomposition, one Histogram each. Sessions fill them without
-/// synchronization; the controller sums them at report time.
+/// Every latency histogram a session fills, declared once. Each entry is
+/// X(name, clock): SessionTotals holds `util::Histogram name##_ms`, and the
+/// clock says whether it is reproducible virtual time (kVirtual) or host
+/// wall clock (kWall, diagnostic only, so left out of same_virtual and of
+/// the report rows).
+#define RULETRIS_SESSION_HISTOGRAMS(X)                                          \
+  X(ack, kVirtual)     /* first send of an epoch -> ack committing it */        \
+  X(channel, kVirtual) /* per delivered data frame: send -> arrival */          \
+  X(firmware, kWall)   /* firmware apply time on this host */                   \
+  X(tcam, kVirtual)    /* modelled entry writes x 0.6 ms */                     \
+  X(rejoin, kVirtual)  /* quarantine entry -> re-admission */
+
+/// Which clock a histogram (or any report field) is measured on.
+enum class Clock { kVirtual, kWall };
+
+/// The summable part of a session's outcome: the counters and histograms
+/// above, each expanded from its list into the fields, the sum and the
+/// equality. Sessions fill them without synchronization; the controller
+/// sums them at report time.
 struct SessionTotals {
 #define RULETRIS_DECLARE_COUNTER(name) size_t name = 0;
   RULETRIS_SESSION_COUNTERS(RULETRIS_DECLARE_COUNTER)
 #undef RULETRIS_DECLARE_COUNTER
-
-  util::Histogram ack_ms;       // first send of an epoch -> ack committing it
-  util::Histogram channel_ms;   // per delivered data frame: send -> arrival
-  util::Histogram firmware_ms;  // wall clock (diagnostic, not deterministic)
-  util::Histogram tcam_ms;      // modelled entry writes x 0.6 ms
-  util::Histogram rejoin_ms;    // quarantine entry -> re-admission (virtual)
+#define RULETRIS_DECLARE_HISTOGRAM(name, clock) util::Histogram name##_ms;
+  RULETRIS_SESSION_HISTOGRAMS(RULETRIS_DECLARE_HISTOGRAM)
+#undef RULETRIS_DECLARE_HISTOGRAM
 
   /// Sums every counter and merges every histogram.
   SessionTotals& operator+=(const SessionTotals& other);
 
-  /// Every counter and every virtual-time histogram equal: all but the
-  /// wall-clock firmware_ms, so this is what must hold across thread counts.
+  /// Every counter and every kVirtual histogram equal: all but the
+  /// wall-clock ones, so this is what must hold across thread counts.
   bool same_virtual(const SessionTotals& other) const;
 };
 
@@ -165,13 +178,10 @@ struct SessionStats : SessionTotals {
 
 class SwitchSession {
  public:
-  /// `epochs` is the controller's shared encoded log; it must outlive the
-  /// session and is read-only here.
-  SwitchSession(const SessionConfig& config, const std::vector<EncodedEpoch>& epochs);
-
-  /// Feeds the session from any source, e.g. the compile shards' growing
-  /// rings. `source` must outlive the session. Drive with start() +
-  /// pump_published(); run() also works once the source is complete.
+  /// Feeds the session from any source: a fixed log (VectorEpochSource) or
+  /// the compile shards' growing rings. `source` must outlive the session.
+  /// Drive with start() + pump_published(); run() also works once the
+  /// source is complete.
   SwitchSession(const SessionConfig& config, const EpochSource& source);
 
   /// Drives the session to completion (every epoch acked) or to the virtual
@@ -229,9 +239,6 @@ class SwitchSession {
   const SwitchAgent& agent() const { return agent_; }
 
  private:
-  SwitchSession(const SessionConfig& config,
-                std::unique_ptr<VectorEpochSource> owned,
-                const EpochSource* source);
   bool past_deadline();
   void send_window();
   uint64_t highest_sendable() const;
@@ -263,7 +270,6 @@ class SwitchSession {
   void verify(const std::vector<flowspace::Rule>& expected);
 
   SessionConfig cfg_;
-  std::unique_ptr<VectorEpochSource> owned_source_;  // vector-log convenience
   const EpochSource* source_;
   EventQueue events_;
   FaultyWire wire_;

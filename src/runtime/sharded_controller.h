@@ -146,55 +146,71 @@ struct FleetSpec : RuntimeConfig, CompileSpec {
   }
 };
 
+/// Every FleetReport field but `runtime`, declared once. Each entry is
+/// X(kind, name); the kind picks the member's type and how a report row
+/// spells it (runtime/report_fields.h):
+///   count  size_t, 0          flag  bool, true (a self-check verdict)
+///   real   double, 0.0        digest  uint64_t fingerprint, 0
+///   hist   util::Histogram name##_ms (virtual time)
+#define RULETRIS_FLEET_FIELDS(X)                                               \
+  X(count, switches)                                                           \
+  X(count, shards)                                                             \
+  X(count, threads)                                                            \
+  X(count, rule_ops)        /* rule-level updates compiled fleet-wide */       \
+  /* Slowest *active* session's virtual commit time. Quarantined switches   \
+     are excluded: one dead box may not hold the fleet number hostage;      \
+     their own rejoin latencies are reported separately. */                 \
+  X(real, makespan_ms)                                                         \
+  X(real, compile_vt_ms)    /* slowest shard's final virtual compile clock */  \
+  X(real, wall_ms)          /* host time the whole call took (diagnostic) */   \
+  X(count, shard_steps)     /* epochs sealed across all shards */              \
+  X(count, steals)          /* shard steps run by a non-home worker */         \
+  X(count, starved_pumps)   /* session pumps that hit the sealed horizon */    \
+  /* Order-independent digest of every switch's final TCAM layout plus its  \
+     deterministic session counters: equal across thread counts. */         \
+  X(digest, fleet_fingerprint)                                                 \
+  /* Digest of every switch's RTDZ delta-hash chain (the full compile       \
+     output, sealed epoch by sealed epoch). */                              \
+  X(digest, delta_fingerprint)                                                 \
+  X(count, replay_audits)   /* switches whose delta chain was replayed */      \
+  /* Every audited switch: each recorded delta encoded like the diffed one, \
+     and the replay reproduced the final image. */                          \
+  X(flag, replay_ok)                                                           \
+  /* Incremental cover tests that hit the fragment limit and kept a         \
+     conservative edge (compiler::PolicyNode::cover_overflows). */          \
+  X(count, cover_overflows)                                                    \
+  /* Fault-tolerance outcome (all zero / true on a clean run). */           \
+  X(count, shard_kills)     /* scheduled kills that actually fired */          \
+  X(count, kills_escaped)   /* shards that finished before their kill time */  \
+  X(count, failovers)       /* orphaned switches adopted by survivors */       \
+  /* Every adoption: blob chain verified and the rebuilt engine matched the \
+     replayed image. */                                                     \
+  X(flag, failover_ok)                                                         \
+  X(count, failover_epochs) /* epochs re-stepped during adoptions */           \
+  X(count, active_switches) /* never-quarantined sessions (makespan basis) */  \
+  X(count, active_rule_ops) /* their compiled rule ops (throughput basis) */   \
+  X(hist, failover)         /* shard kill -> adoption complete */              \
+  /* Order-independent digest of every switch's final TCAM layout alone    \
+     (no counters): what chaos runs compare against clean runs. */          \
+  X(digest, layout_fingerprint)
+
+// Per-kind expansions: the member, and the member's entry in fingerprints().
+#define RULETRIS_FLEET_MEMBER_count(name) size_t name = 0;
+#define RULETRIS_FLEET_MEMBER_real(name) double name = 0.0;
+#define RULETRIS_FLEET_MEMBER_flag(name) bool name = true;
+#define RULETRIS_FLEET_MEMBER_digest(name) uint64_t name = 0;
+#define RULETRIS_FLEET_MEMBER_hist(name) util::Histogram name##_ms;
+#define RULETRIS_FLEET_DIGEST_count(name)
+#define RULETRIS_FLEET_DIGEST_real(name)
+#define RULETRIS_FLEET_DIGEST_flag(name)
+#define RULETRIS_FLEET_DIGEST_digest(name) name,
+#define RULETRIS_FLEET_DIGEST_hist(name)
+
 struct FleetReport {
   RuntimeReport runtime;  // merged per-session stats (fault counters, hists)
-  size_t switches = 0;
-  size_t shards = 0;
-  size_t threads = 0;
-
-  size_t rule_ops = 0;        // total rule-level updates compiled fleet-wide
-  /// Slowest *active* session's virtual commit time. Quarantined switches
-  /// are excluded — one dead box may not hold the fleet number hostage;
-  /// their own rejoin latencies are reported separately.
-  double makespan_ms = 0.0;
-  double compile_vt_ms = 0.0; // slowest shard's final virtual compile clock
-  double wall_ms = 0.0;       // real time the whole call took (diagnostic)
-
-  size_t shard_steps = 0;   // epochs sealed across all shards
-  size_t steals = 0;        // shard steps run by a non-home worker
-  size_t starved_pumps = 0; // session pumps that hit the sealed horizon
-
-  /// Order-independent digest of every switch's final TCAM layout plus its
-  /// deterministic session counters — the value the determinism self-check
-  /// compares across thread counts.
-  uint64_t fleet_fingerprint = 0;
-  /// Digest of every switch's RTDZ delta-hash chain (covers the full
-  /// compile output, sealed epoch by sealed epoch).
-  uint64_t delta_fingerprint = 0;
-
-  size_t replay_audits = 0;  // switches whose delta chain was replayed
-  /// Every audited switch: each recorded delta encoded like the diffed one,
-  /// and the replay reproduced the final image.
-  bool replay_ok = true;
-  /// Incremental cover tests that hit the fragment limit and kept a
-  /// conservative edge (compiler::PolicyNode::cover_overflows), fleet-wide.
-  size_t cover_overflows = 0;
-
-  // Fault-tolerance outcome (all zero / true on a clean run).
-  size_t shard_kills = 0;     // scheduled kills that actually fired
-  size_t kills_escaped = 0;   // shards that finished before their kill time
-  size_t failovers = 0;       // orphaned switches adopted by survivors
-  bool failover_ok = true;    // every adoption: blob chain verified and the
-                              // rebuilt engine matched the replayed image
-  size_t failover_epochs = 0; // epochs re-stepped during adoptions
-  size_t active_switches = 0; // never-quarantined sessions (makespan basis)
-  size_t active_rule_ops = 0; // their compiled rule ops (throughput basis)
-  util::Histogram failover_ms;  // shard kill -> adoption complete (virtual)
-
-  /// Order-independent digest of every switch's final TCAM layout alone
-  /// (no counters): the value chaos runs compare against clean runs — the
-  /// bit-identical-convergence claim.
-  uint64_t layout_fingerprint = 0;
+#define RULETRIS_FLEET_MEMBER(kind, name) RULETRIS_FLEET_MEMBER_##kind(name)
+  RULETRIS_FLEET_FIELDS(RULETRIS_FLEET_MEMBER)
+#undef RULETRIS_FLEET_MEMBER
 
   /// Aggregate sustained rule-update throughput in virtual time: active
   /// switches' compiled rule-level operations over the slowest active
@@ -210,6 +226,24 @@ struct FleetReport {
   double wall_rule_ops_per_s() const {
     if (wall_ms <= 0.0) return 0.0;
     return static_cast<double>(rule_ops) / (wall_ms / 1000.0);
+  }
+
+  /// The fleet verdict every driver checks: every switch converged, every
+  /// replay audit and adoption verified, every quarantined switch rejoined
+  /// with a clean warm-boot catch-up and a clean rejoin audit.
+  bool self_checks_ok() const {
+    return runtime.all_converged && replay_ok && failover_ok &&
+           runtime.readmit_failures == 0 &&
+           runtime.rejoin_audit_violations == 0 &&
+           runtime.readmissions == runtime.quarantines;
+  }
+
+  /// Every digest field, in declaration order: runs of one spec at any
+  /// thread count must agree on all of them (the determinism check).
+  std::vector<uint64_t> fingerprints() const {
+#define RULETRIS_FLEET_DIGEST(kind, name) RULETRIS_FLEET_DIGEST_##kind(name)
+    return {RULETRIS_FLEET_FIELDS(RULETRIS_FLEET_DIGEST)};
+#undef RULETRIS_FLEET_DIGEST
   }
 };
 

@@ -64,10 +64,7 @@ ChurnEngine::Step ChurnEngine::step() {
   Step out;
   if (produced_ == 0) {
     // Epoch 1: install the initial composed table and its minimum DAG.
-    TableUpdate initial;
-    initial.added = frontend_->root().visible_rules_in_order();
-    for (const Rule& r : initial.added) initial.dag.added_vertices.push_back(r.id);
-    initial.dag.added_edges = frontend_->root().visible_graph().edges();
+    const TableUpdate initial = compiler::full_install(frontend_->root());
     out.ops = initial.added.size();
     out.batch = switchsim::to_messages(initial);
     ++produced_;

@@ -1,5 +1,4 @@
-// Sharded compile pipeline + fleet runtime tests: ShardPlan partition
-// soundness (sharded union == unsharded snapshot), lock-free publication,
+// Sharded compile pipeline + fleet runtime tests: lock-free publication,
 // the pipelined session path against the classic vector-log path, bursty
 // workload determinism, whole-fleet bit-identity across thread counts, and
 // the compiled fleet against the same tasks replayed as pre-compiled logs.
@@ -11,9 +10,7 @@
 #include <vector>
 
 #include "classbench/generator.h"
-#include "compiler/composed_node.h"
 #include "compiler/ruletris_compiler.h"
-#include "compiler/shard_plan.h"
 #include "frozen/publish.h"
 #include "runtime/controller.h"
 #include "runtime/session.h"
@@ -24,9 +21,7 @@
 namespace ruletris {
 namespace {
 
-using compiler::CompileSnapshot;
 using compiler::PolicySpec;
-using compiler::ShardPlan;
 using flowspace::FieldId;
 using flowspace::FlowTable;
 using flowspace::Rule;
@@ -37,8 +32,7 @@ runtime::FleetReport run_compiled(const runtime::FleetSpec& spec) {
   return runtime::Controller(spec).run_compiled(spec);
 }
 
-/// Rules whose dst prefixes are at least as deep as the plan's bucket, so
-/// the prefix partition is closed (no cross-shard overlap is possible).
+/// Rules spread over `n_buckets` top-octet dst prefixes, 8 to 16 bits deep.
 std::vector<Rule> bucketed_rules(size_t n, uint64_t seed, size_t n_buckets) {
   Rng rng(seed);
   std::vector<Rule> out;
@@ -56,82 +50,6 @@ std::vector<Rule> bucketed_rules(size_t n, uint64_t seed, size_t n_buckets) {
                              static_cast<int32_t>(100 + rng.next_below(50))));
   }
   return out;
-}
-
-TEST(ShardPlanTest, SplitPreservesEveryRuleAndRoutesDeterministically) {
-  const ShardPlan plan = ShardPlan::make(4);
-  std::map<std::string, FlowTable> tables;
-  tables.emplace("t", FlowTable{bucketed_rules(80, 11, 16)});
-
-  const auto parts = plan.split(tables);
-  ASSERT_EQ(parts.size(), 4u);
-  size_t total = 0;
-  for (size_t k = 0; k < parts.size(); ++k) {
-    for (const Rule& r : parts[k].at("t").rules()) {
-      EXPECT_EQ(plan.shard_of(r), k);
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, 80u);
-}
-
-TEST(ShardPlanTest, CoarseRulesLandInCatchAllShardZero) {
-  const ShardPlan plan = ShardPlan::make(4);
-  TernaryMatch coarse;
-  coarse.set_prefix(FieldId::kDstIp, 0x0a000000u, 4);  // /4 < bucket_bits
-  EXPECT_TRUE(plan.catch_all(coarse));
-  EXPECT_EQ(plan.shard_of(coarse), 0u);
-
-  TernaryMatch wildcard;  // no dst constraint at all
-  EXPECT_TRUE(plan.catch_all(wildcard));
-  EXPECT_EQ(plan.shard_of(wildcard), 0u);
-}
-
-TEST(ShardPlanTest, BucketAlignedPartitionIsClosed) {
-  const ShardPlan plan = ShardPlan::make(3);
-  std::map<std::string, FlowTable> tables;
-  tables.emplace("mon", FlowTable{bucketed_rules(60, 21, 16)});
-  tables.emplace("rtr", FlowTable{bucketed_rules(40, 22, 16)});
-  EXPECT_EQ(ShardPlan::cross_shard_overlaps(plan.split(tables)), 0u);
-}
-
-TEST(ShardPlanTest, CoarseRulesBreakClosureAndAreDetected) {
-  const ShardPlan plan = ShardPlan::make(3);
-  std::vector<Rule> rules = bucketed_rules(40, 31, 16);
-  // A near-wildcard monitor rule overlaps every bucket.
-  Rng rng(1);
-  TernaryMatch coarse;
-  coarse.set_prefix(FieldId::kDstIp, 0, 0);
-  rules.push_back(Rule::make(coarse, testutil::random_actions(rng), 10));
-  std::map<std::string, FlowTable> tables;
-  tables.emplace("t", FlowTable{std::move(rules)});
-  EXPECT_GT(ShardPlan::cross_shard_overlaps(plan.split(tables)), 0u);
-}
-
-TEST(ShardPlanTest, ShardedCompileUnionEqualsUnshardedSnapshot) {
-  // Same rule objects (same ids) compiled whole vs. per shard: because the
-  // partition is closed, the union of per-shard snapshots must reproduce
-  // the unsharded compile exactly — entries, reps and visible edges.
-  const ShardPlan plan = ShardPlan::make(3);
-  std::map<std::string, FlowTable> tables;
-  tables.emplace("mon", FlowTable{bucketed_rules(50, 41, 16)});
-  tables.emplace("rtr", FlowTable{bucketed_rules(30, 42, 16)});
-  const PolicySpec spec =
-      PolicySpec::parallel(PolicySpec::leaf("mon"), PolicySpec::leaf("rtr"));
-
-  compiler::RuleTrisCompiler whole(spec, tables);
-  const CompileSnapshot expected =
-      dynamic_cast<const compiler::ComposedNode&>(whole.root()).snapshot();
-
-  const auto parts = plan.split(tables);
-  ASSERT_EQ(ShardPlan::cross_shard_overlaps(parts), 0u);
-  std::vector<CompileSnapshot> shards;
-  for (const auto& part : parts) {
-    compiler::RuleTrisCompiler one(spec, part);
-    shards.push_back(
-        dynamic_cast<const compiler::ComposedNode&>(one.root()).snapshot());
-  }
-  EXPECT_EQ(compiler::merge_shard_snapshots(std::move(shards)), expected);
 }
 
 TEST(PublishRingTest, SealsInOrderAndReadsBack) {
@@ -172,7 +90,8 @@ TEST(PipelinedSessionTest, ClosedRingMatchesVectorLogUnderFaults) {
   sc.knobs.faults = runtime::FaultSpec::chaos();
   sc.tcam_capacity = workload.suggested_capacity();
 
-  runtime::SwitchSession classic(sc, *log);
+  const runtime::VectorEpochSource vector_log(*log);
+  runtime::SwitchSession classic(sc, vector_log);
   const runtime::SessionStats want = classic.run(workload.final_rules);
   ASSERT_TRUE(want.converged);
 

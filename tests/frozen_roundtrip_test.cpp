@@ -103,11 +103,7 @@ TEST(FrozenRoundtrip, RestoreMatchesColdInstallSlotForSlot) {
   const size_t capacity = node.visible_size() + node.visible_size() / 8 + 32;
   Tcam cold_tcam(capacity);
   DagScheduler cold(cold_tcam);
-  tcam::BackendUpdate initial;
-  initial.added = node.visible_rules_in_order();
-  for (const Rule& r : initial.added) initial.dag.added_vertices.push_back(r.id);
-  initial.dag.added_edges = node.visible_graph().edges();
-  ASSERT_TRUE(cold.apply(initial));
+  ASSERT_TRUE(cold.apply(compiler::full_install<tcam::BackendUpdate>(node)));
 
   PolicyImage image = frozen::capture_policy(c.frontend, 1);
   frozen::capture_layout(image.tables[0], cold_tcam);

@@ -96,13 +96,7 @@ TEST(Integration, UpdatesStreamedToSwitchStayConsistent) {
   RuleTrisCompiler compiler(spec, tables);
 
   SimulatedSwitch sw(FirmwareMode::kDag, 256);
-  {
-    TableUpdate initial;
-    initial.added = compiler.root().visible_rules_in_order();
-    for (const Rule& r : initial.added) initial.dag.added_vertices.push_back(r.id);
-    initial.dag.added_edges = compiler.root().visible_graph().edges();
-    ASSERT_TRUE(sw.deliver(to_messages(initial)).ok);
-  }
+  ASSERT_TRUE(sw.deliver(to_messages(full_install(compiler.root()))).ok);
 
   std::vector<RuleId> live;
   for (const Rule& r : tables.at("mon").rules()) live.push_back(r.id);

@@ -29,11 +29,7 @@ using util::Rng;
 
 /// Installs a leaf's full table+DAG into one pipeline stage.
 void install_stage(MultiTableSwitch& sw, size_t stage, const LeafNode& leaf) {
-  TableUpdate update;
-  update.added = leaf.visible_rules_in_order();
-  for (const Rule& r : update.added) update.dag.added_vertices.push_back(r.id);
-  update.dag.added_edges = leaf.visible_graph().edges();
-  ASSERT_TRUE(sw.deliver(stage, to_messages(update)).ok);
+  ASSERT_TRUE(sw.deliver(stage, to_messages(compiler::full_install(leaf))).ok);
 }
 
 TEST(Pipeline, MatchesComposedSequentialSemantics) {
@@ -109,11 +105,7 @@ TEST(Pipeline, StageMissIsIdentity) {
   Rng rng(33);
   const auto router = classbench::generate_router(4, rng);
   LeafNode router_leaf{FlowTable{router}};
-  TableUpdate update;
-  update.added = router_leaf.visible_rules_in_order();
-  for (const Rule& r : update.added) update.dag.added_vertices.push_back(r.id);
-  update.dag.added_edges = router_leaf.visible_graph().edges();
-  ASSERT_TRUE(pipeline.deliver(1, to_messages(update)).ok);
+  ASSERT_TRUE(pipeline.deliver(1, to_messages(compiler::full_install(router_leaf))).ok);
 
   Packet p;
   p.set(flowspace::FieldId::kDstIp, 0x0a000001);
@@ -152,11 +144,7 @@ TEST(Pipeline, ParallelDeliverAllMatchesSequential) {
     for (size_t s = 0; s < 4; ++s) {
       const auto router = classbench::generate_router(40, rng);
       leaves.emplace_back(FlowTable{router});
-      TableUpdate update;
-      update.added = leaves.back().visible_rules_in_order();
-      for (const Rule& r : update.added) update.dag.added_vertices.push_back(r.id);
-      update.dag.added_edges = leaves.back().visible_graph().edges();
-      initial.push_back(to_messages(update));
+      initial.push_back(to_messages(compiler::full_install(leaves.back())));
     }
     rounds.push_back(std::move(initial));
     for (int round = 0; round < 6; ++round) {

@@ -55,6 +55,7 @@ using runtime::SessionStats;
 using runtime::SwitchAgent;
 using runtime::SwitchSession;
 using runtime::SwitchWorkload;
+using runtime::VectorEpochSource;
 using testutil::expect_reports_identical;
 
 TEST(EventQueue, RunsEventsInDueThenFifoOrder) {
@@ -212,7 +213,8 @@ TEST(SwitchSession, FaultFreeSessionConvergesWithoutRetries) {
   // retry timer never fires spuriously and the counters stay exact.
   cfg.knobs.retry.timeout_ms = 500.0;
   cfg.tcam_capacity = wl.suggested_capacity();
-  SwitchSession session(cfg, log);
+  const VectorEpochSource source(log);
+  SwitchSession session(cfg, source);
   const SessionStats stats = session.run(wl.final_rules);
 
   EXPECT_TRUE(stats.completed);
@@ -238,7 +240,8 @@ TEST(SwitchSession, WiderWindowPipelinesAndShrinksMakespan) {
     SessionConfig cfg;
     cfg.knobs.window = window;
     cfg.tcam_capacity = wl.suggested_capacity();
-    SwitchSession session(cfg, log);
+    const VectorEpochSource source(log);
+    SwitchSession session(cfg, source);
     return session.run(wl.final_rules);
   };
 
@@ -259,7 +262,8 @@ TEST(SwitchSession, ChaoticWireStillConverges) {
   cfg.knobs.faults = FaultSpec::chaos();
   cfg.seed = 99;
   cfg.tcam_capacity = wl.suggested_capacity();
-  SwitchSession session(cfg, log);
+  const VectorEpochSource source(log);
+  SwitchSession session(cfg, source);
   const SessionStats stats = session.run(wl.final_rules);
 
   EXPECT_TRUE(stats.completed);
@@ -274,7 +278,8 @@ TEST(SwitchSession, ChaoticWireStillConverges) {
 TEST(SwitchSession, EmptyEpochLogFinishesImmediately) {
   const std::vector<EncodedEpoch> log;
   SessionConfig cfg;
-  SwitchSession session(cfg, log);
+  const VectorEpochSource source(log);
+  SwitchSession session(cfg, source);
   const SessionStats stats = session.run({});
   EXPECT_TRUE(stats.completed);
   EXPECT_TRUE(stats.converged);
@@ -441,7 +446,8 @@ TEST(SwitchSession, CorruptedFramesAreNackedAndRetransmitted) {
   cfg.knobs.faults.corrupt_p = 0.2;
   cfg.seed = 3;
   cfg.tcam_capacity = wl.suggested_capacity();
-  SwitchSession session(cfg, log);
+  const VectorEpochSource source(log);
+  SwitchSession session(cfg, source);
   const SessionStats stats = session.run(wl.final_rules);
 
   EXPECT_TRUE(stats.completed);
@@ -470,7 +476,8 @@ TEST(SwitchSession, DoubleRestartDuringResyncReplayStillConverges) {
     cfg.knobs.faults.delay_ms = 12.0;
     cfg.seed = seed;
     cfg.tcam_capacity = wl.suggested_capacity();
-    SwitchSession session(cfg, log);
+    const VectorEpochSource source(log);
+    SwitchSession session(cfg, source);
     const SessionStats stats = session.run(wl.final_rules);
     EXPECT_TRUE(stats.completed) << "seed " << seed;
     EXPECT_TRUE(stats.converged) << "seed " << seed;
@@ -495,7 +502,8 @@ TEST(SwitchSession, CapacityExhaustionRejectsCleanlyAndAuditsClean) {
   // Deliberately below the table's high-water mark, so some update in the
   // stream must be rejected for capacity.
   cfg.tcam_capacity = wl.peak_visible - wl.peak_visible / 4;
-  SwitchSession session(cfg, log);
+  const VectorEpochSource source(log);
+  SwitchSession session(cfg, source);
   util::set_log_level(util::LogLevel::kOff);  // rejections are the point
   const SessionStats stats = session.run(wl.final_rules);
   util::set_log_level(util::LogLevel::kWarn);

@@ -54,11 +54,7 @@ std::vector<Rule> random_table_rules(Rng& rng, int n, DistinctPriorities& prios)
 
 /// Installs a RuleTris compiler's full current state onto a DAG switch.
 void install_ruletris(RuleTrisCompiler& compiler, SimulatedSwitch& sw) {
-  TableUpdate initial;
-  initial.added = compiler.root().visible_rules_in_order();
-  for (const Rule& r : initial.added) initial.dag.added_vertices.push_back(r.id);
-  initial.dag.added_edges = compiler.root().visible_graph().edges();
-  const auto metrics = sw.deliver(to_messages(initial));
+  const auto metrics = sw.deliver(to_messages(full_install(compiler.root())));
   ASSERT_TRUE(metrics.ok);
 }
 

@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <fstream>
@@ -41,7 +42,7 @@
 #include "netplan/topology.h"
 #include "runtime/config.h"
 #include "runtime/controller.h"
-#include "runtime/sharded_controller.h"
+#include "runtime/report_fields.h"
 #include "runtime/warm_boot.h"
 #include "runtime/workload.h"
 #include "switchsim/adapters.h"
@@ -327,6 +328,31 @@ Rule make_replacement(const std::string& source,
   return classbench::random_monitor_rule(100, rng);
 }
 
+/// The text summary of a runtime report: every field visit_fields yields
+/// (runtime/report_fields.h), three to a line, then the distribution of
+/// each non-empty session histogram in `totals`.
+template <class Report>
+void print_report(const Report& report, const runtime::SessionTotals& totals) {
+  size_t n = 0;
+  runtime::visit_fields(report, [&n](const std::string& key, const auto& value) {
+    std::string text;
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>, std::string>) {
+      text = value;
+    } else {
+      text = util::strfmt("%.6g", value);
+    }
+    const bool last = ++n % 3 == 0;
+    std::printf(last ? "  %-24s %s\n" : "  %-24s %-16s", key.c_str(), text.c_str());
+  });
+  if (n % 3 != 0) std::printf("\n");
+  runtime::visit_histograms(totals, [](const char* name, runtime::Clock clock,
+                                       const util::Histogram& h) {
+    if (h.empty()) return;
+    std::printf("  %-8s %s ms%s\n", name, h.summary("").c_str(),
+                clock == runtime::Clock::kWall ? " (wall clock, this host)" : "");
+  });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -431,84 +457,22 @@ int main(int argc, char** argv) {
       if (fspec.n_threads > 1) {
         runtime::FleetSpec serial = fspec;
         serial.n_threads = 1;
-        const runtime::FleetReport ref =
-            runtime::Controller(serial).run_compiled(serial);
-        deterministic = ref.fleet_fingerprint == report.fleet_fingerprint &&
-                        ref.delta_fingerprint == report.delta_fingerprint &&
-                        ref.layout_fingerprint == report.layout_fingerprint;
+        deterministic = runtime::Controller(serial).run_compiled(serial)
+                            .fingerprints() == report.fingerprints();
       }
-      const bool recovery_clean =
-          report.failover_ok && report.runtime.readmit_failures == 0 &&
-          report.runtime.rejoin_audit_violations == 0 &&
-          report.runtime.readmissions == report.runtime.quarantines;
-
-      std::printf("  %.0f updates/s sustained (%zu rule ops, makespan "
-                  "%.1f ms, compile %.1f ms)\n",
-                  report.updates_per_s(), report.rule_ops,
-                  report.makespan_ms, report.compile_vt_ms);
-      std::printf("  %.0f rule ops/s measured (wall clock, this host)\n",
-                  report.wall_rule_ops_per_s());
-      std::printf("  ack p50/p99 %.2f/%.2f ms | %zu sealed epochs | "
-                  "%zu steals | wall %.0f ms\n",
-                  report.runtime.ack_ms.median(), report.runtime.ack_ms.p99(),
-                  report.shard_steps, report.steals, report.wall_ms);
-      std::printf("  converged %s | replay audits %zu/%s | "
-                  "cross-thread determinism %s\n",
-                  report.runtime.all_converged ? "yes" : "NO",
-                  report.replay_audits, report.replay_ok ? "ok" : "FAILED",
+      const bool ok = report.self_checks_ok() && deterministic;
+      print_report(report, report.runtime);
+      std::printf("  self-checks %s, cross-thread determinism %s\n",
+                  report.self_checks_ok() ? "ok" : "FAILED",
                   deterministic ? "ok" : "VIOLATED");
-      std::printf("  cover-test overflows %zu (conservative DAG edges kept)\n",
-                  report.cover_overflows);
-      if (opt.chaos) {
-        std::printf("  chaos: %zu shard kills (%zu escaped), %zu failovers "
-                    "(%s), %zu quarantines, %zu re-admissions (%s)\n",
-                    report.shard_kills, report.kills_escaped,
-                    report.failovers, report.failover_ok ? "ok" : "FAILED",
-                    report.runtime.quarantines, report.runtime.readmissions,
-                    recovery_clean ? "clean" : "VIOLATED");
-      }
       if (auto* j = bench::json()) {
         j->meta("mode", "fleet");
         j->begin_row();
-        j->field("switches", static_cast<double>(report.switches));
-        j->field("shards", static_cast<double>(report.shards));
-        j->field("threads", static_cast<double>(report.threads));
-        j->field("rule_ops", static_cast<double>(report.rule_ops));
-        j->field("updates_per_s", report.updates_per_s());
-        j->field("wall_rule_ops_per_s", report.wall_rule_ops_per_s());
-        j->field("makespan_ms", report.makespan_ms);
-        j->field("compile_vt_ms", report.compile_vt_ms);
-        j->field("ack_p50_ms", report.runtime.ack_ms.median());
-        j->field("ack_p99_ms", report.runtime.ack_ms.p99());
-        j->field("fleet_fingerprint",
-                 util::strfmt("%016llx", static_cast<unsigned long long>(
-                                             report.fleet_fingerprint)));
-        j->field("delta_fingerprint",
-                 util::strfmt("%016llx", static_cast<unsigned long long>(
-                                             report.delta_fingerprint)));
-        j->field("layout_fingerprint",
-                 util::strfmt("%016llx", static_cast<unsigned long long>(
-                                             report.layout_fingerprint)));
-        j->field("converged", report.runtime.all_converged ? 1.0 : 0.0);
-        j->field("replay_ok", report.replay_ok ? 1.0 : 0.0);
-        j->field("cover_overflows", static_cast<double>(report.cover_overflows));
+        j->fields(report);
         j->field("deterministic", deterministic ? 1.0 : 0.0);
-        j->field("shard_kills", static_cast<double>(report.shard_kills));
-        j->field("failovers", static_cast<double>(report.failovers));
-        j->field("failover_ok", report.failover_ok ? 1.0 : 0.0);
-        j->field("quarantines",
-                 static_cast<double>(report.runtime.quarantines));
-        j->field("readmissions",
-                 static_cast<double>(report.runtime.readmissions));
-        j->field("readmit_failures",
-                 static_cast<double>(report.runtime.readmit_failures));
-        j->field("rejoin_audit_violations",
-                 static_cast<double>(report.runtime.rejoin_audit_violations));
-        j->field("wall_ms", report.wall_ms);
         bench::write_json();
       }
-      return (report.runtime.all_converged && report.replay_ok &&
-              deterministic && recovery_clean) ? 0 : 1;
+      return ok ? 0 : 1;
     }
 
     const PolicySpec spec = compiler::parse_policy(opt.policy);
@@ -728,11 +692,8 @@ int main(int argc, char** argv) {
                   plan.peak_rules, plan.overhead_pct());
       std::printf("  sim audit : %zu probes x %zu boundaries, %zu mixed\n",
                   auditor.probe_count(), sim_audits, sim_mixed);
-      std::printf("  fleet     : makespan %.2f ms, %zu crashes, %zu restarts, "
-                  "completed %s, converged %s\n",
-                  freport.makespan_ms, freport.crashes, freport.restarts,
-                  freport.all_completed ? "yes" : "NO",
-                  freport.all_converged ? "yes" : "NO");
+      std::printf("  fleet     :\n");
+      print_report(freport, freport);
       std::printf("  live audit: %zu boundaries, %zu mixed\n", live_audits,
                   live_mixed);
       const bool consistent = sim_mixed == 0 && live_mixed == 0;
@@ -746,7 +707,6 @@ int main(int argc, char** argv) {
         j->meta("seed", static_cast<double>(opt.seed));
         j->begin_row();
         j->field("planner", netplan::strategy_name(strategy));
-        j->field("switches", static_cast<double>(topo.switch_count()));
         j->field("flows_old", static_cast<double>(old_policy.flows.size()));
         j->field("flows_new", static_cast<double>(new_policy.flows.size()));
         j->field("flows_changed", static_cast<double>(plan.flows_changed));
@@ -756,15 +716,11 @@ int main(int argc, char** argv) {
         j->field("final_rules", static_cast<double>(plan.final_rules));
         j->field("peak_rules", static_cast<double>(plan.peak_rules));
         j->field("overhead_pct", plan.overhead_pct());
-        j->field("makespan_ms", freport.makespan_ms);
         j->field("sim_audits", static_cast<double>(sim_audits));
         j->field("sim_violations", static_cast<double>(sim_mixed));
         j->field("live_audits", static_cast<double>(live_audits));
         j->field("live_violations", static_cast<double>(live_mixed));
-        j->field("crashes", static_cast<double>(freport.crashes));
-        j->field("restarts", static_cast<double>(freport.restarts));
-        j->field("completed", freport.all_completed ? 1.0 : 0.0);
-        j->field("converged", freport.all_converged ? 1.0 : 0.0);
+        j->fields(freport);
         bench::write_json();
       }
       return (consistent && freport.all_completed && freport.all_converged)
@@ -849,31 +805,8 @@ int main(int argc, char** argv) {
                   wire_desc.c_str());
       std::printf("  compiled %zu epochs in %.1f ms; replicated in %.1f ms wall\n",
                   report.epochs, compile_wall_ms, wall_ms);
-      std::printf("  virtual makespan : %.2f ms   throughput : %.0f updates/s\n",
-                  report.makespan_ms, report.updates_per_s());
-      std::printf("  ack latency  : %s ms (p99 %.3f)\n",
-                  report.ack_ms.summary("").c_str(), report.ack_ms.p99());
-      std::printf("  channel      : %s ms\n", report.channel_ms.summary("").c_str());
-      std::printf("  tcam         : %s ms\n", report.tcam_ms.summary("").c_str());
-      std::printf("  tcam writes  : %zu (%zu moves), %.2f writes/epoch\n",
-                  report.entry_writes, report.moves,
-                  report.entry_writes_per_epoch());
-      std::printf("  firmware(wall): %s ms\n",
-                  report.firmware_ms.summary("").c_str());
-      std::printf("  frames %zu (retransmits %zu, resync replays %zu), "
-                  "drops %zu, duplicates %zu\n",
-                  report.data_frames_sent, report.retransmits,
-                  report.resync_replays, dropped, report.duplicates);
-      std::printf("  restarts %zu, resyncs %zu, timeouts %zu\n",
-                  report.restarts, report.resyncs, report.timeouts);
-      if (cfg.knobs.faults.crash_p > 0 || cfg.knobs.faults.corrupt_p > 0) {
-        std::printf("  crashes %zu (roll-forwards %zu, recovered writes %zu); "
-                    "nacks %zu (resent %zu)\n",
-                    report.crashes, report.roll_forwards,
-                    report.recovered_writes, report.nacks,
-                    report.nack_retransmits);
-      }
-      std::printf("  converged: %s (%zu/%zu)\n",
+      print_report(report, report);
+      std::printf("  wire drops %zu; converged: %s (%zu/%zu)\n", dropped,
                   report.all_converged ? "yes" : "NO", converged,
                   report.sessions.size());
 
@@ -883,28 +816,10 @@ int main(int argc, char** argv) {
         j->meta("churn", churn);
         j->meta("seed", static_cast<double>(opt.seed));
         j->begin_row();
-        j->field("switches", static_cast<double>(report.sessions.size()));
         j->field("window", static_cast<double>(cfg.knobs.window));
-        j->field("epochs", static_cast<double>(report.epochs));
         j->field("fault_seed",
                  opt.fault_seed ? static_cast<double>(*opt.fault_seed) : -1.0);
-        j->field("makespan_ms", report.makespan_ms);
-        j->field("updates_per_s", report.updates_per_s());
-        j->field("ack_p50_ms", report.ack_ms.median());
-        j->field("ack_p99_ms", report.ack_ms.p99());
-        j->field("channel_p50_ms", report.channel_ms.median());
-        j->field("tcam_p50_ms", report.tcam_ms.median());
-        j->field("entry_writes", static_cast<double>(report.entry_writes));
-        j->field("moves", static_cast<double>(report.moves));
-        j->field("entry_writes_per_epoch", report.entry_writes_per_epoch());
-        j->field("frames", static_cast<double>(report.data_frames_sent));
-        j->field("retransmits", static_cast<double>(report.retransmits));
-        j->field("resyncs", static_cast<double>(report.resyncs));
-        j->field("restarts", static_cast<double>(report.restarts));
-        j->field("crashes", static_cast<double>(report.crashes));
-        j->field("roll_forwards", static_cast<double>(report.roll_forwards));
-        j->field("nacks", static_cast<double>(report.nacks));
-        j->field("converged", report.all_converged ? 1.0 : 0.0);
+        j->fields(report);
         bench::write_json();
       }
       return report.all_converged ? 0 : 1;
@@ -980,11 +895,7 @@ int main(int argc, char** argv) {
       switchsim::SimulatedSwitch sw(
           switchsim::FirmwareMode::kDag,
           opt.capacity.value_or(composed + composed / 8 + 128));
-      compiler::TableUpdate initial;
-      initial.added = frontend.root().visible_rules_in_order();
-      for (const Rule& r : initial.added) initial.dag.added_vertices.push_back(r.id);
-      initial.dag.added_edges = frontend.root().visible_graph().edges();
-      sw.deliver(switchsim::to_messages(initial));
+      sw.deliver(switchsim::to_messages(compiler::full_install(frontend.root())));
       run_stream(frontend,
                  [&](const auto& upd) {
                    const auto m = sw.deliver(switchsim::to_messages(upd));
