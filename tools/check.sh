@@ -98,4 +98,21 @@ fig11_fresh="$ROOT/build-check-$first_tree/BENCH_fig11.fresh.json"
 python3 "$ROOT/tools/bench_gate.py" "$ROOT/BENCH_fig11.json" "$fig11_fresh" \
   || { echo "PERF GATE FAILED: fig11_cacheflow drifted from baseline"; exit 1; }
 
+# Same gate for the paper's composition figures (Fig. 9 parallel, Fig. 10
+# sequential), full sweep as recorded: their tcam_* columns are the modelled
+# TCAM write latency per update and channel_* the modelled control-channel
+# time, so a compile or firmware change that costs RuleTris (or the
+# baselines) an entry write fails here. The wall-clock compile_*,
+# firmware_* and total_* columns are skipped (bench_gate.py PROFILE_IGNORE).
+for fig in fig9_parallel:fig9 fig10_sequential:fig10; do
+  bench="${fig%%:*}"
+  name="${fig##*:}"
+  echo "=== $name perf gate (vs committed BENCH_$name.json)"
+  fresh="$ROOT/build-check-$first_tree/BENCH_$name.fresh.json"
+  "$bench_dir/$bench" --json "$fresh" > /dev/null \
+    || { echo "BENCH FAILED: $bench (gate run)"; exit 1; }
+  python3 "$ROOT/tools/bench_gate.py" "$ROOT/BENCH_$name.json" "$fresh" \
+    || { echo "PERF GATE FAILED: $bench drifted from baseline"; exit 1; }
+done
+
 echo "=== all checks passed (trees: $CHECK_TREES)"
