@@ -1,7 +1,6 @@
 #include "compiler/composed_node.h"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 
 #include "compiler/compose_ops.h"
@@ -16,61 +15,6 @@ const char* op_name(OpKind op) {
     case OpKind::kPriority: return "priority";
   }
   return "?";
-}
-
-// ---------------------------------------------------------------------------
-// DeltaRecorder
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Sums the signs of each key's events (sorted by key first) into the keys
-/// whose net is -1 and +1. Any other net means the events were not a
-/// sequence of set insertions and removals.
-template <typename Key, typename Event, typename KeyOf>
-void net_signs(std::vector<Event>& events, KeyOf key_of, std::vector<Key>& removed,
-               std::vector<Key>& added) {
-  std::sort(events.begin(), events.end(), [&key_of](const Event& a, const Event& b) {
-    return key_of(a) < key_of(b);
-  });
-  for (size_t i = 0; i < events.size();) {
-    const Key key = key_of(events[i]);
-    int net = 0;
-    for (; i < events.size() && key_of(events[i]) == key; ++i) net += events[i].sign;
-    if (net == -1) {
-      removed.push_back(key);
-    } else if (net == 1) {
-      added.push_back(key);
-    } else if (net != 0) {
-      throw std::logic_error("DeltaRecorder: events do not net to a set change");
-    }
-  }
-  events.clear();
-}
-
-}  // namespace
-
-DeltaRecorder::Net DeltaRecorder::take() {
-  Net net;
-  // Member ids are fresh on every add, so an id in both lists was added and
-  // removed within the epoch.
-  std::sort(entries_added_.begin(), entries_added_.end());
-  std::sort(entries_removed_.begin(), entries_removed_.end());
-  std::set_difference(entries_removed_.begin(), entries_removed_.end(),
-                      entries_added_.begin(), entries_added_.end(),
-                      std::back_inserter(net.entries_removed));
-  std::set_difference(entries_added_.begin(), entries_added_.end(),
-                      entries_removed_.begin(), entries_removed_.end(),
-                      std::back_inserter(net.entries_added));
-  entries_added_.clear();
-  entries_removed_.clear();
-
-  net_signs<RuleId>(visible_, [](const VisibleEvent& e) { return e.id; },
-                    net.visible_removed, net.visible_added);
-  net_signs<std::pair<RuleId, RuleId>>(
-      edges_, [](const EdgeEvent& e) { return std::make_pair(e.u, e.v); },
-      net.edges_removed, net.edges_added);
-  return net;
 }
 
 // ---------------------------------------------------------------------------
@@ -124,41 +68,29 @@ TernaryMatch ComposedNode::right_probe(const TernaryMatch& left_match,
 // Visible-level helpers
 // ---------------------------------------------------------------------------
 
-void ComposedNode::forward_delta(const dag::DagDelta& delta, UpdateBuilder& out) {
+void ComposedNode::forward_delta(const dag::DagDelta& delta) {
   // The maintainer's delta is exact (a vertex removal lists its incident
-  // edges), so the recorder sees every visible-edge change.
-  for (const auto& [u, v] : delta.removed_edges) {
-    out.remove_edge(u, v);
-    if (recorder_) recorder_->edge_changed(u, v, -1);
-  }
-  for (const auto& [u, v] : delta.added_edges) {
-    out.add_edge(u, v);
-    if (recorder_) recorder_->edge_changed(u, v, +1);
-  }
+  // edges), so the log sees every visible-edge change.
+  for (const auto& [u, v] : delta.removed_edges) log_.remove_edge(u, v);
+  for (const auto& [u, v] : delta.added_edges) log_.add_edge(u, v);
 }
 
-void ComposedNode::make_visible(RuleId rep_id, UpdateBuilder& out) {
+void ComposedNode::make_visible(RuleId rep_id) {
+  if (bulk_building_) return;
   const Entry& rep = entry(rep_id);
-  if (!bulk_building_) {
-    forward_delta(visible_dag_.insert(rep_id, rep.match,
-                                      [&](RuleId existing) {
-                                        return visible_before(existing, rep_id);
-                                      }),
-                  out);
-  }
-  out.add_rule(Rule{rep_id, rep.match, rep.actions, 0});
-  if (recorder_) recorder_->visible_changed(rep_id, +1);
+  forward_delta(visible_dag_.insert(rep_id, rep.match, [&](RuleId existing) {
+    return visible_before(existing, rep_id);
+  }));
+  log_.add_rule(Rule{rep_id, rep.match, rep.actions, 0});
 }
 
-void ComposedNode::make_invisible(RuleId rep_id, UpdateBuilder& out) {
-  if (!bulk_building_) {
-    forward_delta(visible_dag_.remove(rep_id), out);
-  }
-  out.remove_rule(rep_id);
-  if (recorder_) recorder_->visible_changed(rep_id, -1);
+void ComposedNode::make_invisible(RuleId rep_id) {
+  if (bulk_building_) return;
+  forward_delta(visible_dag_.remove(rep_id));
+  log_.remove_rule(rep_id);
 }
 
-void ComposedNode::promote_pending(UpdateBuilder& out) {
+void ComposedNode::promote_pending() {
   for (const TernaryMatch& match : pending_promotions_) {
     auto it = keys_.find(match);
     if (it == keys_.end()) continue;  // key vertex fully drained
@@ -169,7 +101,7 @@ void ComposedNode::promote_pending(UpdateBuilder& out) {
       if (m != best && entry_before(entry(m), entry(best))) best = m;
     }
     kv.rep = best;
-    make_visible(best, out);
+    make_visible(best);
   }
   pending_promotions_.clear();
 }
@@ -179,7 +111,7 @@ void ComposedNode::promote_pending(UpdateBuilder& out) {
 // ---------------------------------------------------------------------------
 
 void ComposedNode::add_entry(TernaryMatch match, ActionList actions, RuleId left_src,
-                             RuleId right_src, UpdateBuilder& out) {
+                             RuleId right_src) {
   const RuleId eid = flowspace::next_rule_id();
   if (left_src != 0) by_left_[left_src].push_back(eid);
   if (right_src != 0) by_right_[right_src].push_back(eid);
@@ -190,39 +122,35 @@ void ComposedNode::add_entry(TernaryMatch match, ActionList actions, RuleId left
   stored = Entry{eid, std::move(match), std::move(actions), left_src, right_src};
   KeyVertex& kv = keys_[stored.match];
   kv.members.push_back(eid);
-  if (recorder_) recorder_->entry_added(eid);
+  if (!bulk_building_) log_.entry_added(eid);
 
   if (kv.members.size() == 1) {
     kv.rep = eid;
-    make_visible(eid, out);
+    make_visible(eid);
   } else if (kv.rep != 0 && entry_before(stored, entry(kv.rep))) {
-    set_representative(kv, eid, out);
+    set_representative(kv, eid);
   }
   // kv.rep == 0 (promotion pending) cannot coexist with additions: removals
   // and promote_pending always complete before adds in apply_child_update.
 }
 
-void ComposedNode::set_representative(KeyVertex& key, RuleId new_rep, UpdateBuilder& out) {
+void ComposedNode::set_representative(KeyVertex& key, RuleId new_rep) {
   const RuleId old_rep = key.rep;
   if (old_rep == new_rep) return;
-  if (bulk_building_) {
-    key.rep = new_rep;
-    return;
-  }
-  make_invisible(old_rep, out);
+  make_invisible(old_rep);
   key.rep = new_rep;
-  make_visible(new_rep, out);
+  make_visible(new_rep);
 }
 
-void ComposedNode::remove_entry(RuleId eid, UpdateBuilder& out) {
+void ComposedNode::remove_entry(RuleId eid) {
   const Entry e = entry(eid);  // copy: we are about to erase it
-  if (recorder_) recorder_->entry_removed(eid);
+  log_.entry_removed(eid);
 
   KeyVertex& kv = keys_.at(e.match);
   kv.members.erase(std::remove(kv.members.begin(), kv.members.end(), eid),
                    kv.members.end());
   if (kv.rep == eid) {
-    make_invisible(eid, out);
+    make_invisible(eid);
     if (kv.members.empty()) {
       keys_.erase(e.match);
     } else {
@@ -257,28 +185,28 @@ void ComposedNode::remove_entry(RuleId eid, UpdateBuilder& out) {
 // ---------------------------------------------------------------------------
 
 void ComposedNode::full_rebuild() {
-  recorder_.reset();  // the rebuild is not churn: recording stops here
+  recording_ = false;  // the rebuild is not churn: recording stops here
+  log_.clear();
   entries_.clear();
   by_left_.clear();
   by_right_.clear();
   keys_.clear();
   pending_promotions_.clear();
 
-  UpdateBuilder sink;  // initial compile: the whole table is the "update"
   bulk_building_ = true;
 
   const std::vector<Rule> left_rules = left_->visible_rules_in_order();
   if (op_ == OpKind::kPriority) {
     // The whole left table stacks on top of the right one (entry_before).
     for (const Rule& l : left_rules) {
-      add_entry(l.match, l.actions, l.id, 0, sink);
+      add_entry(l.match, l.actions, l.id, 0);
     }
     for (const Rule& r : right_->visible_rules_in_order()) {
-      add_entry(r.match, r.actions, 0, r.id, sink);
+      add_entry(r.match, r.actions, 0, r.id);
     }
   } else {
     // Parallel / sequential: cross product guided by the overlap index.
-    for (const Rule& l : left_rules) on_left_added(l, sink);
+    for (const Rule& l : left_rules) on_left_added(l);
   }
 
   bulk_building_ = false;
@@ -307,59 +235,62 @@ void ComposedNode::full_rebuild() {
 TableUpdate ComposedNode::apply_child_update(bool from_left, const TableUpdate& update) {
   // A child's DAG delta is not read: the visible DAG here is maintained
   // from this node's own order, and a child keeps no edges anyway.
-  UpdateBuilder out;
+  const ChurnLog::Mark mark = log_.mark();
 
   // 1. Rule removals, then the deferred representative promotions.
-  for (RuleId removed : update.removed) on_removed(from_left, removed, out);
-  promote_pending(out);
+  for (RuleId removed : update.removed) on_removed(from_left, removed);
+  promote_pending();
 
   // 2. Rule additions.
   for (const Rule& added : update.added) {
     if (op_ == OpKind::kPriority) {
       if (from_left) {
-        add_entry(added.match, added.actions, added.id, 0, out);
+        add_entry(added.match, added.actions, added.id, 0);
       } else {
-        add_entry(added.match, added.actions, 0, added.id, out);
+        add_entry(added.match, added.actions, 0, added.id);
       }
     } else if (from_left) {
-      on_left_added(added, out);
+      on_left_added(added);
     } else {
-      on_right_added(added, out);
+      on_right_added(added);
     }
   }
-  return out.build();
+  TableUpdate out = log_.build(mark);
+  if (!recording_) log_.clear();
+  return out;
 }
 
-void ComposedNode::on_removed(bool from_left, RuleId src, UpdateBuilder& out) {
+void ComposedNode::on_removed(bool from_left, RuleId src) {
   const std::vector<RuleId>* derived = (from_left ? by_left_ : by_right_).find(src);
   if (derived == nullptr) return;
   auto& doomed = removal_scratch_;  // removal edits by_left_ / by_right_ under us
   doomed.assign(derived->begin(), derived->end());
-  for (RuleId eid : doomed) remove_entry(eid, out);
+  for (RuleId eid : doomed) remove_entry(eid);
 }
 
-void ComposedNode::on_left_added(const Rule& rule, UpdateBuilder& out) {
+void ComposedNode::on_left_added(const Rule& rule) {
   const TernaryMatch probe = right_probe(rule.match, rule.actions);
   std::vector<RuleId>& candidates = overlap_scratch_;
   right_->visible_overlapping(probe, candidates);
+  std::sort(candidates.begin(), candidates.end());
   for (RuleId rid : candidates) {
     const Rule r{rid, right_->visible_match(rid), right_->visible_actions(rid), 0};
     auto composed = compose_pair(rule, r);
     if (!composed) continue;
-    add_entry(std::move(composed->first), std::move(composed->second), rule.id, rid, out);
+    add_entry(std::move(composed->first), std::move(composed->second), rule.id, rid);
   }
 }
 
-void ComposedNode::on_right_added(const Rule& rule, UpdateBuilder& out) {
+void ComposedNode::on_right_added(const Rule& rule) {
   if (op_ == OpKind::kParallel) {
     std::vector<RuleId>& candidates = overlap_scratch_;
     left_->visible_overlapping(rule.match, candidates);
+    std::sort(candidates.begin(), candidates.end());
     for (RuleId lid : candidates) {
       const Rule l{lid, left_->visible_match(lid), left_->visible_actions(lid), 0};
       auto composed = compose_pair(l, rule);
       if (!composed) continue;
-      add_entry(std::move(composed->first), std::move(composed->second), lid, rule.id,
-                out);
+      add_entry(std::move(composed->first), std::move(composed->second), lid, rule.id);
     }
     return;
   }
@@ -369,8 +300,7 @@ void ComposedNode::on_right_added(const Rule& rule, UpdateBuilder& out) {
     if (!right_probe(l.match, l.actions).overlaps(rule.match)) continue;
     auto composed = compose_pair(l, rule);
     if (!composed) continue;
-    add_entry(std::move(composed->first), std::move(composed->second), l.id, rule.id,
-              out);
+    add_entry(std::move(composed->first), std::move(composed->second), l.id, rule.id);
   }
 }
 
@@ -430,7 +360,16 @@ ComposedNode::MemberView ComposedNode::member(RuleId id) const {
 }
 
 void ComposedNode::start_recording() {
-  recorder_ = std::make_unique<DeltaRecorder>(visible_order());
+  log_.clear();
+  recording_ = true;
+  boundary_order_ = visible_order();
+}
+
+ComposedNode::Recorded ComposedNode::take_recorded() {
+  if (!recording_) throw std::logic_error("ComposedNode: not recording");
+  Recorded out{log_.take(), std::move(boundary_order_)};
+  boundary_order_ = visible_order();
+  return out;
 }
 
 std::vector<RuleId> ComposedNode::representative_ids() const {

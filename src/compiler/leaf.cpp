@@ -1,5 +1,7 @@
 #include "compiler/leaf.h"
 
+#include <algorithm>
+
 #include "dag/builder.h"
 
 namespace ruletris::compiler {
@@ -29,6 +31,12 @@ std::vector<Rule> LeafNode::visible_rules_in_order() const {
   return out;
 }
 
+// A root emits its delta's edges ascending, as a composed root does.
+static void sort_edges(dag::DagDelta& delta) {
+  std::sort(delta.added_edges.begin(), delta.added_edges.end());
+  std::sort(delta.removed_edges.begin(), delta.removed_edges.end());
+}
+
 TableUpdate LeafNode::insert(Rule rule) {
   TableUpdate update;
   // Priority descending, ties in insertion order: the incoming rule goes
@@ -37,6 +45,7 @@ TableUpdate LeafNode::insert(Rule rule) {
   update.dag = dag_.insert(rule.id, rule.match, [&](RuleId existing) {
     return meta_.at(existing).priority >= priority;
   });
+  sort_edges(update.dag);
   meta_.insert(rule.id, Meta{rule.actions, priority});
   update.added.push_back(std::move(rule));
   return update;
@@ -46,6 +55,7 @@ TableUpdate LeafNode::remove(RuleId id) {
   TableUpdate update;
   if (!dag_.contains(id)) return update;
   update.dag = dag_.remove(id);
+  sort_edges(update.dag);
   meta_.erase(id);
   update.removed.push_back(id);
   return update;

@@ -2,19 +2,15 @@
 
 #include <stdexcept>
 
-#include "compiler/update_builder.h"
+#include "compiler/churn_log.h"
 
 namespace ruletris::compiler {
 
 TableUpdate chain_updates(const TableUpdate& first, const TableUpdate& second) {
-  UpdateBuilder builder;
-  for (const TableUpdate* u : {&first, &second}) {
-    for (const auto& [a, b] : u->dag.removed_edges) builder.remove_edge(a, b);
-    for (flowspace::RuleId id : u->removed) builder.remove_rule(id);
-    for (const Rule& r : u->added) builder.add_rule(r);
-    for (const auto& [a, b] : u->dag.added_edges) builder.add_edge(a, b);
-  }
-  return builder.build();
+  ChurnLog log;
+  log.append(first);
+  log.append(second);
+  return log.build();
 }
 
 RuleTrisCompiler::RuleTrisCompiler(

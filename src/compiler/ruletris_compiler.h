@@ -18,8 +18,11 @@
 
 namespace ruletris::compiler {
 
-/// Replays `first` then `second` and returns the normalized net update
-/// (used to express modify = delete + insert as one message).
+/// Replays `first` then `second` through one ChurnLog and returns the net
+/// update (used to express modify = delete + insert as one message). The
+/// netting reads each key's first and last event, so chaining is
+/// associative: folding a sequence pairwise equals appending all of it to
+/// one log and building once.
 TableUpdate chain_updates(const TableUpdate& first, const TableUpdate& second);
 
 class RuleTrisCompiler {

@@ -198,6 +198,7 @@ std::vector<std::pair<RuleId, RuleId>> DependencyGraph::edges() const {
   for (const auto& [id, n] : nodes_) {
     for (RuleId succ : n.out) out.emplace_back(id, succ);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -216,11 +217,13 @@ std::string DependencyGraph::to_string() const {
   std::string out = util::strfmt("DAG(%zu vertices, %zu edges)\n", nodes_.size(), edge_count_);
   auto ids = vertices();
   std::sort(ids.begin(), ids.end());
+  const auto edge_list = edges();  // ascending, so grouped by tail
+  auto e = edge_list.begin();
   for (RuleId id : ids) {
-    std::vector<RuleId> succ(node(id).out.begin(), node(id).out.end());
-    std::sort(succ.begin(), succ.end());
     out += util::strfmt("  %llu ->", static_cast<unsigned long long>(id));
-    for (RuleId s : succ) out += util::strfmt(" %llu", static_cast<unsigned long long>(s));
+    for (; e != edge_list.end() && e->first == id; ++e) {
+      out += util::strfmt(" %llu", static_cast<unsigned long long>(e->second));
+    }
     out += "\n";
   }
   return out;

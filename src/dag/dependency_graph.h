@@ -107,6 +107,7 @@ class DependencyGraph {
   /// Applies a delta: removals first, then additions.
   void apply(const DagDelta& delta);
 
+  /// Every edge (u, v), ascending.
   std::vector<std::pair<RuleId, RuleId>> edges() const;
 
   bool operator==(const DependencyGraph& other) const;

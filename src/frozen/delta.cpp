@@ -195,9 +195,9 @@ void start_recording(compiler::RuleTrisCompiler& frontend) {
 PolicyDelta seal_recorded(compiler::RuleTrisCompiler& frontend,
                           uint64_t from_epoch, uint64_t to_epoch) {
   compiler::ComposedNode& root = composed_root(frontend);
-  compiler::DeltaRecorder* rec = root.recorder();
-  if (rec == nullptr) fail("policy root is not recording");
-  compiler::DeltaRecorder::Net net = rec->take();
+  if (!root.recording()) fail("policy root is not recording");
+  compiler::ComposedNode::Recorded rec = root.take_recorded();
+  compiler::ChurnLog::Net& net = rec.net;
 
   TableDelta d;
   d.removed_entries = std::move(net.entries_removed);
@@ -213,10 +213,8 @@ PolicyDelta seal_recorded(compiler::RuleTrisCompiler& frontend,
   d.reps_added = std::move(net.visible_added);
   d.edges_removed = std::move(net.edges_removed);
   d.edges_added = std::move(net.edges_added);
-  const std::vector<RuleId>& live = root.visible_order();
-  d.order_inserts = order_edit(rec->boundary_order(), live, d.reps_removed,
-                               d.reps_added);
-  rec->set_boundary_order(live);
+  d.order_inserts = order_edit(rec.boundary_order, root.visible_order(),
+                               d.reps_removed, d.reps_added);
 
   PolicyDelta delta;
   delta.from_epoch = from_epoch;

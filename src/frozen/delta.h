@@ -67,9 +67,9 @@ struct PolicyDelta {
 PolicyDelta diff(const PolicyImage& from, const PolicyImage& to);
 
 /// Starts churn recording on a single-table policy's composed root (see
-/// compiler::DeltaRecorder); the current state becomes the boundary the
-/// next seal_recorded() diffs from. Throws like capture_policy() when the
-/// root is not a composed node.
+/// compiler::ComposedNode::take_recorded); the current state becomes the
+/// boundary the next seal_recorded() diffs from. Throws like
+/// capture_policy() when the root is not a composed node.
 void start_recording(compiler::RuleTrisCompiler& frontend);
 
 /// Seals the epoch the root recorded since start_recording() or the last

@@ -174,8 +174,7 @@ TableImage capture_table(const compiler::ComposedNode& node) {
         MemberEntry{m.id, m.left_src, m.right_src, *m.match, *m.actions});
   }
   image.reps = node.representative_ids();
-  image.visible_edges = node.visible_graph().edges();
-  std::sort(image.visible_edges.begin(), image.visible_edges.end());
+  image.visible_edges = node.visible_graph().edges();  // ascending
   image.visible_order = node.visible_order();
   return image;
 }

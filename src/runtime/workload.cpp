@@ -11,7 +11,6 @@
 namespace ruletris::runtime {
 
 using compiler::TableUpdate;
-using compiler::chain_updates;
 using flowspace::Rule;
 using flowspace::RuleId;
 
@@ -96,8 +95,9 @@ ChurnEngine::Step ChurnEngine::step() {
       out.ops = 2;  // modify = delete + insert
     }
   } else {
-    // One geometric-length burst, compiled op by op and chained into a
-    // single barrier-fenced epoch.
+    // One geometric-length burst, compiled op by op into one log and
+    // netted once into a single barrier-fenced epoch (the same update as
+    // folding chain_updates over the ops, in linear time).
     size_t len = 1;
     while (len < std::max<size_t>(burst.max_burst, 1) &&
            rng_.next_bool(burst.continue_p)) {
@@ -111,8 +111,7 @@ ChurnEngine::Step ChurnEngine::step() {
       for (size_t i = 0; i < len; ++i) {
         const RuleId victim = live_.back();
         live_.pop_back();
-        TableUpdate one = frontend_->remove(leaf_, victim);
-        update = out.ops == 0 ? std::move(one) : chain_updates(update, one);
+        burst_log_.append(frontend_->remove(leaf_, victim));
         ++out.ops;
       }
     } else {
@@ -120,12 +119,13 @@ ChurnEngine::Step ChurnEngine::step() {
       const uint32_t base = rng_.next_u32();
       for (size_t i = 0; i < len; ++i) {
         const Rule fresh = localize(churn_.make_rule(rng_), base, bits);
-        TableUpdate one = frontend_->insert(leaf_, fresh);
+        burst_log_.append(frontend_->insert(leaf_, fresh));
         live_.push_back(fresh.id);
-        update = out.ops == 0 ? std::move(one) : chain_updates(update, one);
         ++out.ops;
       }
     }
+    update = burst_log_.build();
+    burst_log_.clear();
   }
   // Empty updates still become (cheap) epochs: the agent must tolerate
   // batches that only carry a DAG no-op and a barrier.

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "compiler/churn_log.h"
 #include "compiler/policy_spec.h"
 #include "flowspace/rule.h"
 #include "proto/messages.h"
@@ -116,6 +117,7 @@ class ChurnEngine {
   std::string leaf_;
   std::unique_ptr<compiler::RuleTrisCompiler> frontend_;
   std::vector<flowspace::RuleId> live_;
+  compiler::ChurnLog burst_log_;  // one burst's op updates, netted once
   util::Rng rng_;
   size_t produced_ = 0;
   size_t peak_visible_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
+#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -573,6 +575,10 @@ bool DagScheduler::insert_impl(const Rule& rule, int depth) {
         displaced.push_back(tcam_.rule(pred));
       }
     }
+    // Lowest address first: the TCAM's own order, not the adjacency's.
+    std::sort(displaced.begin(), displaced.end(), [this](const Rule& a, const Rule& b) {
+      return tcam_.address_of(a.id) < tcam_.address_of(b.id);
+    });
     for (const Rule& d : displaced) {
       do_erase(tcam_.address_of(d.id));
     }
@@ -681,27 +687,26 @@ ApplyStatus DagScheduler::apply_status(const BackendUpdate& update) {
 
   // Install in dependency order: if a -> b among the new rules, b must be
   // matched first and therefore installed first (local Kahn over the batch).
-  std::unordered_map<RuleId, const Rule*> pending;
-  for (const Rule& r : update.added) pending[r.id] = &r;
-  std::unordered_map<RuleId, size_t> deps;  // # uninstalled successors in batch
-  std::deque<RuleId> ready;
-  for (const Rule& r : update.added) {
-    size_t n = 0;
-    for (RuleId succ : graph_.successors(r.id)) {
-      if (pending.count(succ)) ++n;
-    }
-    deps[r.id] = n;
-    if (n == 0) ready.push_back(r.id);
+  // Among ready rules the one listed first in `update.added` goes first, so
+  // the order is the update's own, whatever order the adjacency visits.
+  const std::vector<Rule>& added = update.added;
+  std::unordered_map<RuleId, size_t> position;
+  for (size_t i = 0; i < added.size(); ++i) position[added[i].id] = i;
+  std::vector<size_t> deps(added.size(), 0);  // # uninstalled successors in batch
+  std::priority_queue<size_t, std::vector<size_t>, std::greater<>> ready;
+  for (size_t i = 0; i < added.size(); ++i) {
+    for (RuleId succ : graph_.successors(added[i].id)) deps[i] += position.count(succ);
+    if (deps[i] == 0) ready.push(i);
   }
   size_t installed = 0;
   while (!ready.empty()) {
-    const RuleId id = ready.front();
-    ready.pop_front();
-    if (!insert_impl(*pending.at(id), 0)) return fail_txn(owns);
+    const Rule& rule = added[ready.top()];
+    ready.pop();
+    if (!insert_impl(rule, 0)) return fail_txn(owns);
     ++installed;
-    for (RuleId pred : graph_.predecessors(id)) {
-      auto it = deps.find(pred);
-      if (it != deps.end() && --it->second == 0) ready.push_back(pred);
+    for (RuleId pred : graph_.predecessors(rule.id)) {
+      auto it = position.find(pred);
+      if (it != position.end() && --deps[it->second] == 0) ready.push(it->second);
     }
   }
   if (installed != update.added.size()) {

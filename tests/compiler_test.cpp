@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <unordered_set>
 
 #include "compiler/baseline.h"
 #include "dag/builder.h"
@@ -365,7 +366,7 @@ TEST(RuleTrisCompiler, ModifyIsDeletePlusInsertNetUpdate) {
   std::unordered_set<RuleId> removed(update.removed.begin(), update.removed.end());
   for (const Rule& r : update.added) {
     // A visible id may appear in both lists only as remove-then-add
-    // (refresh); UpdateBuilder guarantees this is intentional.
+    // (refresh), which ChurnLog::build lists in both on purpose.
     (void)r;
   }
   // Applying the update to a shadow graph of the pre-state must reproduce

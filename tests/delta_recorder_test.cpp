@@ -1,8 +1,8 @@
 // Recorded epoch deltas against their differential oracle.
 //
 // frozen::seal_recorded derives each epoch's PolicyDelta from the churn the
-// composed root recorded (compiler::DeltaRecorder); frozen::diff derives it
-// from two full captures. On every epoch of every stream below the two must
+// composed root recorded (ComposedNode::take_recorded); frozen::diff derives
+// it from two full captures. On every epoch of every stream below the two must
 // be equal and encode to the same bytes: the bursty fleet task (insert and
 // teardown bursts) over 50 seeds, classic insert/delete/modify churn,
 // parallel/sequential/priority compositions churned on both sides, nested

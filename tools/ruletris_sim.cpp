@@ -827,7 +827,10 @@ int main(int argc, char** argv) {
 
     // Build the chosen compiler and its switch.
     util::Samples compile_ms, firmware_ms, tcam_ms, channel_ms;
-    util::Stopwatch initial_watch;
+    // Set-up, timed apart: the churn trace, the initial compile and the
+    // whole-table install on an empty switch.
+    double trace_ms = 0.0, initial_compile_ms = 0.0, initial_install_ms = 0.0;
+    util::Stopwatch setup_watch;
 
     // The churn stream: either replayed from a trace file, or synthesized
     // (and optionally recorded for later replay).
@@ -849,10 +852,13 @@ int main(int argc, char** argv) {
         std::printf("recorded churn trace to %s\n", opt.trace_out.c_str());
       }
     }
+    trace_ms = setup_watch.elapsed_ms();
 
     auto run_stream = [&](auto& frontend, auto deliver, size_t composed_size) {
-      std::printf("composed table: %zu rules; initial compile %.1f ms\n",
-                  composed_size, initial_watch.elapsed_ms());
+      std::printf("composed table: %zu rules\n", composed_size);
+      std::printf("  trace            %.1f ms\n", trace_ms);
+      std::printf("  initial compile  %.1f ms\n", initial_compile_ms);
+      std::printf("  initial install  %.1f ms\n", initial_install_ms);
       std::vector<RuleId> by_add_index;  // 1-based trace add references
       size_t pending_compile_updates = 0;
       double pending_compile_ms = 0.0;
@@ -890,12 +896,16 @@ int main(int argc, char** argv) {
     // Conservative min-DAG edges (bulk build + incremental); ruletris only.
     std::optional<size_t> cover_overflows;
     if (opt.compiler == "ruletris") {
+      setup_watch.restart();
       compiler::RuleTrisCompiler frontend(spec, tables_for());
+      initial_compile_ms = setup_watch.elapsed_ms();
       const size_t composed = frontend.root().visible_size();
       switchsim::SimulatedSwitch sw(
           switchsim::FirmwareMode::kDag,
           opt.capacity.value_or(composed + composed / 8 + 128));
+      setup_watch.restart();
       sw.deliver(switchsim::to_messages(compiler::full_install(frontend.root())));
+      initial_install_ms = setup_watch.elapsed_ms();
       run_stream(frontend,
                  [&](const auto& upd) {
                    const auto m = sw.deliver(switchsim::to_messages(upd));
@@ -924,11 +934,13 @@ int main(int argc, char** argv) {
         switchsim::SimulatedSwitch sw(
             switchsim::FirmwareMode::kPriority,
             opt.capacity.value_or(composed + composed / 8 + 128));
+        setup_watch.restart();
         compiler::PrioritizedUpdate initial;
         for (const Rule& r : frontend.compiled()) {
           initial.push_back(compiler::PrioritizedOp::add(r));
         }
         sw.deliver(switchsim::to_messages(initial));
+        initial_install_ms = setup_watch.elapsed_ms();
         run_stream(frontend,
                    [&](const auto& upd) {
                      const auto m = sw.deliver(switchsim::to_messages(upd));
@@ -938,11 +950,14 @@ int main(int argc, char** argv) {
                    },
                    composed);
       };
+      setup_watch.restart();
       if (opt.compiler == "covisor") {
         compiler::CovisorCompiler frontend(spec, tables_for());
+        initial_compile_ms = setup_watch.elapsed_ms();
         run_prioritized(frontend);
       } else {
         compiler::BaselineCompiler frontend(spec, tables_for());
+        initial_compile_ms = setup_watch.elapsed_ms();
         run_prioritized(frontend);
       }
     } else {
@@ -972,6 +987,9 @@ int main(int argc, char** argv) {
       j->meta("seed", static_cast<double>(opt.seed));
       j->begin_row();
       j->field("updates", static_cast<double>(trace.steps.size()));
+      j->field("trace_ms", trace_ms);
+      j->field("initial_compile_ms", initial_compile_ms);
+      j->field("initial_install_ms", initial_install_ms);
       j->field("compile_med_ms", compile_ms.median());
       j->field("compile_p10_ms", compile_ms.p10());
       j->field("compile_p90_ms", compile_ms.p90());
