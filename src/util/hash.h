@@ -1,13 +1,10 @@
-// Hash mixing for composite hash-map keys.
-//
-// Hot maps that key on a *pair* of 64-bit rule ids (the update builder's
-// edge ledger) need a pair hash. The obvious `h(a)*C + h(b)` combiner
-// collides badly on the structured id grids these maps actually see —
-// consecutive id blocks from
-// the monotonic rule-id source make (a, b) and (a+1, b-C') land in the same
-// slot family. The mixers here finalize each half through splitmix64 and
-// fold a full 128-bit product, so grid structure in either coordinate is
-// destroyed before the table reduces the hash modulo its bucket count.
+// Hash mixing for values derived from a *pair* of 64-bit inputs: per-switch
+// and per-epoch RNG seeds, flow-stream draws, blob-chain folds. The obvious
+// `h(a)*C + h(b)` combiner keeps the structure of grid-shaped inputs
+// (consecutive switch indices, consecutive id blocks), so (a, b) and
+// (a+1, b-C') come out related. The mixers here finalize each half through
+// splitmix64 and fold a full 128-bit product, so grid structure in either
+// coordinate is destroyed.
 #pragma once
 
 #include <cstddef>
