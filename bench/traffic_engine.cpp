@@ -15,15 +15,18 @@
 //     final TCAM layouts are bit-identical (checksums) across all three.
 //
 //   slowpath — tuple-space SoftTable vs a linear full-table scan on the
-//     same packet sample, over growing rule counts, with the mean tuple
-//     probes per lookup. Check: identical winners everywhere; >= 10x
-//     speedup at >= 100k rules (full mode).
+//     same packet sample, over growing rule counts, with the mean hash
+//     probes per lookup and the index's chains, marker slots, deepest
+//     search tree and chain rebuilds. Check: identical winners everywhere;
+//     >= 10x speedup at >= 100k rules and <= 5 probes per lookup (full
+//     mode).
 //
 //   tcam — the tuple-indexed Tcam::lookup vs a highest-address-first linear
 //     scan over entries_high_to_low(), on a CacheFlow TCAM (1,024 entries
 //     in front of a 100k-rule FIB; smoke: 128 in front of 2,000) warmed by
-//     the flow-driven engine. Reports tuples, probes per lookup and ns per
-//     lookup. Check: identical winners on every sampled packet.
+//     the flow-driven engine. Reports tuples, the same index columns as
+//     slowpath and ns per lookup. Check: identical winners on every sampled
+//     packet; <= 5 probes per lookup (full mode).
 #include <cstring>
 #include <vector>
 
@@ -81,6 +84,24 @@ TrafficReport run_policy(const flowspace::FlowTable& fib,
 int fail(const char* what) {
   std::fprintf(stderr, "SELF-CHECK FAILED: %s\n", what);
   return 1;
+}
+
+/// Full mode's bound on mean hash probes per lookup, in both index users.
+constexpr double kMaxProbesPerLookup = 5.0;
+
+/// The index's shape: printed after a section's line and added to its row.
+void report_index(const tcam::TupleSpace& index) {
+  std::printf("    %zu chains | %zu marker slots | depth <= %u | %llu chain rebuilds | "
+              "%llu propagation visits\n",
+              index.chain_count(), index.marker_slots(), index.max_depth(),
+              static_cast<unsigned long long>(index.stats().chain_rebuilds),
+              static_cast<unsigned long long>(index.stats().propagation_visits));
+  if (auto* j = bench::json()) {
+    j->field("chains", static_cast<double>(index.chain_count()));
+    j->field("marker_slots", static_cast<double>(index.marker_slots()));
+    j->field("max_depth", static_cast<double>(index.max_depth()));
+    j->field("chain_rebuilds", static_cast<double>(index.stats().chain_rebuilds));
+  }
 }
 
 }  // namespace
@@ -271,12 +292,15 @@ int main(int argc, char** argv) {
       j->field("tuple_ns_per_pkt", tss_ns);
       j->field("speedup", speedup);
     }
+    report_index(soft.index());
     (void)lin_hits;
     (void)tss_hits;
     if (args.smoke) {
       if (speedup < 1.5) return fail("tuple-space slower than expected in smoke");
     } else if (n >= 100000 && speedup < 10.0) {
       return fail("tuple-space must beat the linear scan >= 10x at >= 100k rules");
+    } else if (probes > kMaxProbesPerLookup) {
+      return fail("SoftTable must average <= 5 probes per lookup");
     }
   }
 
@@ -343,7 +367,11 @@ int main(int argc, char** argv) {
       j->field("linear_ns_per_pkt", lin_ns);
       j->field("indexed_ns_per_pkt", idx_ns);
     }
+    report_index(tc.index());
     (void)hits;
+    if (!args.smoke && probes > kMaxProbesPerLookup) {
+      return fail("Tcam::lookup must average <= 5 probes per lookup");
+    }
   }
 
   bench::write_json();

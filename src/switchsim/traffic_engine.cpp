@@ -58,9 +58,8 @@ EpochStats TrafficEngine::run_lookup_epoch(uint64_t e) {
       const util::FlowStream::Event ev = stream_.at(e, i);
       const Packet p = packet_for(ev.flow_id);
       const auto out = manager_.classify(p);
-      if (out.rule != nullptr) {
-        const size_t pos = manager_.position_of(out.rule->id);
-        if (shard.hits[pos]++ == 0) shard.touched.push_back(pos);
+      if (out.rule != nullptr && shard.hits[out.position]++ == 0) {
+        shard.touched.push_back(out.position);
       }
       if (out.fast_path) ++fast;
     }

@@ -1,6 +1,7 @@
 #include "tcam/cacheflow.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <stdexcept>
 
@@ -21,7 +22,7 @@ CacheFlowManager::CacheFlowManager(std::vector<Rule> rules,
     : rules_(std::move(rules)),
       mode_(mode),
       tcam_(std::make_unique<Tcam>(tcam_capacity)),
-      soft_(rules_),  // ctor order == FlowTable tie order
+      soft_(rules_),  // ctor order == FlowTable tie order; handle == position
       cached_(rules_.size(), 0),
       cover_ids_(rules_.size(), flowspace::kInvalidRuleId),
       cover_refs_(rules_.size(), 0),
@@ -34,6 +35,9 @@ CacheFlowManager::CacheFlowManager(std::vector<Rule> rules,
   for (size_t i = 0; i < rules_.size(); ++i) {
     rule_order_.push_back(rules_[i].id);
     position_.insert(rules_[i].id, static_cast<uint32_t>(i));
+    // classify() reads a slow-path hit's position off its soft-table
+    // handle: the table is built in rule order and never erased from.
+    assert(soft_.at(static_cast<uint32_t>(i)).id == rules_[i].id);
   }
   // A dependency must be in the table (its cover stands in for it); a
   // dependent outside the table can never be cached and is dropped.
@@ -231,15 +235,17 @@ bool CacheFlowManager::lookup_consistent(const Packet& packet) const {
 CacheFlowManager::LookupOutcome CacheFlowManager::classify(const Packet& packet) const {
   const Rule* hit = tcam_->lookup(packet);
   if (hit != nullptr && !hit->actions.contains(ActionType::kToSoftware)) {
-    return LookupOutcome{hit, true};
+    return LookupOutcome{hit, true, position_of(hit->id)};
   }
   // Miss or cover punt: the software path answers from the full table.
-  return LookupOutcome{soft_.lookup(packet), false};
+  const Rule* truth = soft_.lookup(packet);
+  if (truth == nullptr) return LookupOutcome{};
+  return LookupOutcome{truth, false, soft_.handle_of(truth)};
 }
 
 CacheFlowManager::LookupOutcome CacheFlowManager::lookup(const Packet& packet) {
   const LookupOutcome out = classify(packet);
-  if (out.rule != nullptr) add_hits(out.rule->id, 1);
+  if (out.rule != nullptr) add_hits_at(out.position, 1);
   return out;
 }
 

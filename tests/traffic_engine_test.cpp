@@ -1,7 +1,8 @@
 // Traffic plane: Zipf/flow generator determinism, tuple-space slow-path
 // equivalence with the linear full table and with the node-based reference
-// table it replaced (same winner, same probes per lookup), and flow-driven
-// (FDRC) admission behaviour of the CacheFlow manager under the engine.
+// table it replaced (same winner, and no more probes per lookup on average
+// than the reference's linear chain), and flow-driven (FDRC) admission
+// behaviour of the CacheFlow manager under the engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -206,9 +207,9 @@ TEST(SoftTable, InsertRejectsInvalidAndDuplicateIds) {
 
 /// The node-based tuple-space table SoftTable replaced, kept verbatim in
 /// behaviour: one std::unordered_map of masked 7-word keys per tuple, each
-/// bucket a std::vector of (rule, seq), the same priority-ordered probe
-/// chain with the same strict-inequality early exit. It is the oracle for
-/// both the winner and the per-lookup probe count.
+/// bucket a std::vector of (rule, seq), a priority-ordered linear probe
+/// chain with a strict-inequality early exit. It is the oracle for the
+/// winner, and its probe count bounds the chained search's on average.
 class RefSoftTable {
  public:
   void insert(const Rule& rule) {
@@ -351,26 +352,37 @@ struct Trio {
     ASSERT_TRUE(table.erase(id).has_value());
   }
 
-  /// Same winner in all three, and the same tuple probes as the reference.
+  /// Same winner in all three; the probes of both tables are summed for
+  /// `probes_no_worse`.
   ::testing::AssertionResult agree(const Packet& p) {
     const uint64_t before = soft.stats().tuples_probed;
     const Rule* got = soft.lookup_counted(p);
-    const uint64_t probes = soft.stats().tuples_probed - before;
+    probes += soft.stats().tuples_probed - before;
     if (soft.lookup(p) != got) return ::testing::AssertionFailure() << "lookup != lookup_counted";
-    uint64_t ref_probes = 0;
-    const Rule* want = ref.lookup(p, ref_probes);
+    uint64_t lookup_ref_probes = 0;
+    const Rule* want = ref.lookup(p, lookup_ref_probes);
+    ref_probes += lookup_ref_probes;
     const Rule* lin = table.lookup(p);
     const auto id = [](const Rule* r) { return r == nullptr ? flowspace::kInvalidRuleId : r->id; };
     if (id(got) != id(want) || id(got) != id(lin)) {
       return ::testing::AssertionFailure() << "winner " << id(got) << ", reference "
                                            << id(want) << ", linear " << id(lin);
     }
-    if (probes != ref_probes) {
-      return ::testing::AssertionFailure() << "probes " << probes << ", reference "
-                                           << ref_probes;
-    }
     return ::testing::AssertionSuccess();
   }
+
+  /// The chained search issues no more probes than the reference's linear
+  /// chain, on average over every lookup so far.
+  ::testing::AssertionResult probes_no_worse() const {
+    std::printf("[probes] chained %llu, reference %llu\n",
+                static_cast<unsigned long long>(probes),
+                static_cast<unsigned long long>(ref_probes));
+    if (probes <= ref_probes) return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << "probes " << probes << ", reference " << ref_probes;
+  }
+
+  uint64_t probes = 0;
+  uint64_t ref_probes = 0;
 };
 
 /// Packets aimed at `rules` (hits, near misses and overlap ambiguities),
@@ -418,6 +430,7 @@ void churn_against_reference(const std::vector<Rule>& pool, uint64_t seed) {
     }
   }
   ASSERT_EQ(trio.soft.size(), trio.table.size());
+  EXPECT_TRUE(trio.probes_no_worse()) << "seed " << seed;
 }
 
 TEST(SoftTableDifferential, MonitorChurnMatchesReferenceAndLinearScan) {
@@ -501,6 +514,7 @@ TEST(SoftTableDifferential, ErasingCollidingClustersKeepsEveryProbeChainIntact) 
   for (size_t i = 0; i < 6; ++i) ASSERT_NO_FATAL_FAILURE(trio.erase(rules[12 + i].id));
   check_all("last cluster erased");
   EXPECT_EQ(trio.soft.size(), trio.table.size());
+  EXPECT_TRUE(trio.probes_no_worse());
 }
 
 TEST(SoftTableDifferential, GrowthPastInitialCapacityKeepsEveryKey) {
@@ -519,6 +533,7 @@ TEST(SoftTableDifferential, GrowthPastInitialCapacityKeepsEveryKey) {
   for (const Rule& r : rules) {
     ASSERT_TRUE(trio.agree(host_packet(r.match.field(flowspace::FieldId::kDstIp).value)));
   }
+  EXPECT_TRUE(trio.probes_no_worse());
 }
 
 TEST(SoftTableDifferential, IdenticalMatchesAtEqualAndDifferentPriorities) {
@@ -548,15 +563,16 @@ TEST(SoftTableDifferential, IdenticalMatchesAtEqualAndDifferentPriorities) {
       }
     }
     EXPECT_EQ(trio.soft.lookup(p), nullptr);
+    EXPECT_TRUE(trio.probes_no_worse()) << "rotation " << rot;
   }
 }
 
 TEST(SoftTableDifferential, EmptiedTuplesLeaveTheChain) {
   // Rules over 40 distinct masks (src prefix lengths 0..32, then 7 more
   // with dst port 80 exact), then over 5, churn in and out, so whole masks
-  // die and come back. The table must hold one tuple per live mask, and
-  // winners and probe counts must still match the reference, which keeps
-  // dead tuples and skips them without a probe.
+  // die and come back. The table must hold one tuple per live mask, its
+  // winners must still match the reference (which keeps dead tuples and
+  // skips them without a probe), and its probes must not exceed it.
   Rng rng(17);
   Trio trio;
   std::vector<Rule> installed;
@@ -584,6 +600,7 @@ TEST(SoftTableDifferential, EmptiedTuplesLeaveTheChain) {
       ASSERT_TRUE(trio.agree(p)) << "round " << round;
     }
   }
+  EXPECT_TRUE(trio.probes_no_worse());
 }
 
 // --- engine determinism and admission ------------------------------------
