@@ -1,6 +1,7 @@
 #include "runtime/session.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "tcam/auditor.h"
 #include "tcam/tcam.h"
@@ -364,8 +365,11 @@ void SwitchSession::readmit(uint64_t anchor) {
   if (cfg_.on_readmit && !cfg_.on_readmit(anchor)) ++stats_.readmit_failures;
   // The TCAM the switch rejoins with must already satisfy every structural
   // invariant — re-admission may not launder a torn table back in.
-  const tcam::AuditReport audit = tcam::audit_state(
-      agent_.device().tcam(), agent_.device().dag_firmware().graph());
+  // Read through the const device: the mutable graph() accessor would
+  // mark the firmware's cap cells stale and force a full rebuild.
+  const switchsim::SimulatedSwitch& device = std::as_const(agent_).device();
+  const tcam::AuditReport audit =
+      tcam::audit_state(device.tcam(), device.dag_firmware().graph());
   if (!audit.clean()) ++stats_.rejoin_audit_violations;
 }
 
@@ -511,11 +515,11 @@ void SwitchSession::verify(const std::vector<flowspace::Rule>& expected) {
             stats_.rejoin_audit_violations == 0;
   // The firmware state auditor checks all three invariants: address-ordered
   // DAG edges, exact expected-set match, no duplicate/orphan slots.
+  const switchsim::SimulatedSwitch& device = std::as_const(agent_).device();
   const tcam::AuditReport audit =
-      tcam::audit_state(agent_.device().tcam(),
-                        agent_.device().dag_firmware().graph(), expected);
+      tcam::audit_state(device.tcam(), device.dag_firmware().graph(), expected);
   ok = ok && audit.clean();
-  ok = ok && agent_.device().dag_firmware().layout_valid();
+  ok = ok && device.dag_firmware().layout_valid();
   stats_.converged = ok;
 }
 

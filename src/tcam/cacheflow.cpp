@@ -84,11 +84,18 @@ bool CacheFlowManager::firmware_insert(const Rule& rule,
                                        const std::vector<RuleId>& above_ids,
                                        const std::vector<RuleId>& below_ids) {
   if (mode_ == Mode::kDagFirmware) {
-    dag_firmware_->graph().add_vertex(rule.id);
-    for (RuleId a : above_ids) dag_firmware_->graph().add_edge(rule.id, a);
-    for (RuleId b : below_ids) dag_firmware_->graph().add_edge(b, rule.id);
-    if (dag_firmware_->insert(rule)) return true;
-    dag_firmware_->graph().remove_vertex(rule.id);  // keep state rollback-clean
+    // One funnelled update: the vertex, its edges and the rule go through
+    // apply_status, whose graph hooks keep the scheduler's cap cells exact,
+    // so a swap never pays a full CapIndex rebuild. The update's vectors
+    // are reused, so this allocates only when an edge list outgrows them.
+    BackendUpdate& u = firmware_update_;
+    u.added.assign(1, rule);
+    u.dag.added_vertices.assign(1, rule.id);
+    u.dag.added_edges.clear();
+    for (RuleId a : above_ids) u.dag.added_edges.emplace_back(rule.id, a);
+    for (RuleId b : below_ids) u.dag.added_edges.emplace_back(b, rule.id);
+    if (dag_firmware_->apply_status(u) == ApplyStatus::kOk) return true;
+    dag_firmware_->remove(rule.id);  // keep state rollback-clean
     return false;
   }
   return priority_firmware_->insert(rule);
@@ -324,14 +331,6 @@ bool fewer_deps(const Candidate& a, const Candidate& b) {
   return a.cost != b.cost ? a.cost < b.cost : a.pos < b.pos;
 }
 
-/// Sorts the first k candidates into place; the rest stay unordered. Every
-/// comparator above is a strict total order ending on the position, so the
-/// prefix is exactly what a full stable sort would produce.
-void sort_top_k(std::vector<Candidate>& v, size_t k,
-                bool (*less)(const Candidate&, const Candidate&)) {
-  std::partial_sort(v.begin(), v.begin() + static_cast<ptrdiff_t>(k), v.end(), less);
-}
-
 }  // namespace
 
 size_t CacheFlowManager::warm(AdmissionPolicy policy, size_t target_occupied) {
@@ -361,17 +360,45 @@ size_t CacheFlowManager::warm(AdmissionPolicy policy, size_t target_occupied) {
 
 std::vector<CacheFlowManager::SwapPlan> CacheFlowManager::plan_swaps(
     size_t max_swaps) const {
+  // Victims: every cached rule. Candidates: the k densest uncached rules
+  // with hits, kept as a heap whose front is the sparsest of them (the
+  // k-th). Once the heap is full, a candidate with at most floor(hits /
+  // cost) of the k-th's hits cannot strictly beat its density even at the
+  // minimum cost of 1, and positions are scanned in ascending order, so a
+  // tie ranks below the k-th: such candidates are skipped before
+  // install_cost_at is paid. The heap then holds exactly the prefix a full
+  // stable sort by density would give.
+  const size_t k = std::min(max_swaps, cached_count_);
+  if (k == 0) return {};
   std::vector<Candidate> in_rules, out_rules;
+  in_rules.reserve(k);
+  out_rules.reserve(cached_count_);
+  uint64_t floor_hits = 0;  // candidates need more hits than this
   for (size_t pos = 0; pos < rules_.size(); ++pos) {
+    const uint64_t hits = hits_[pos];
     if (cached_[pos]) {
-      out_rules.push_back({hits_[pos], install_cost_at(pos), pos});
-    } else if (hits_[pos] > 0) {
-      in_rules.push_back({hits_[pos], install_cost_at(pos), pos});
+      out_rules.push_back({hits, install_cost_at(pos), pos});
+      continue;
     }
+    if (hits <= floor_hits) continue;
+    const Candidate c{hits, install_cost_at(pos), pos};
+    if (in_rules.size() == k) {
+      if (!denser(c, in_rules.front())) continue;
+      std::pop_heap(in_rules.begin(), in_rules.end(), denser);
+      in_rules.back() = c;
+    } else {
+      in_rules.push_back(c);
+    }
+    std::push_heap(in_rules.begin(), in_rules.end(), denser);
+    if (in_rules.size() == k) floor_hits = in_rules.front().hits / in_rules.front().cost;
   }
-  const size_t pairs = std::min({max_swaps, in_rules.size(), out_rules.size()});
-  sort_top_k(in_rules, pairs, denser);
-  sort_top_k(out_rules, pairs, sparser);
+  std::sort_heap(in_rules.begin(), in_rules.end(), denser);  // densest first
+  // Every comparator above is a strict total order ending on the position,
+  // so the sorted victim prefix is exactly what a full stable sort gives.
+  const size_t pairs = in_rules.size();
+  std::partial_sort(out_rules.begin(),
+                    out_rules.begin() + static_cast<ptrdiff_t>(pairs),
+                    out_rules.end(), sparser);
 
   std::vector<SwapPlan> plan;
   for (size_t i = 0; i < pairs; ++i) {

@@ -18,8 +18,9 @@
 //
 // Per-rule state (hit counters, cached flags, cover references) lives in
 // dense vectors indexed by the rule's position in rule_order(), so the
-// planner walks flat arrays: one (hits, cost, position) key per candidate,
-// then a partial sort of only the k candidates a plan can use.
+// planner walks flat arrays: one (hits, cost, position) key per victim and
+// a bounded heap of the k densest candidates, skipping any candidate whose
+// hits alone cannot beat the k-th before its install cost is computed.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +65,13 @@ class CacheFlowManager {
   bool swap(flowspace::RuleId out_id, flowspace::RuleId in_id);
 
   bool is_cached(flowspace::RuleId id) const;
+
+  /// Full cap-index rebuilds of the DAG firmware since construction (0 in
+  /// priority mode). Every swap goes through the scheduler's funnelled
+  /// update path, so this stays 0.
+  size_t full_cap_rebuilds() const {
+    return dag_firmware_ ? dag_firmware_->full_cap_rebuilds() : 0;
+  }
   size_t cached_count() const { return cached_count_; }
   size_t cover_count() const { return cover_targets_.size(); }
 
@@ -194,6 +202,7 @@ class CacheFlowManager {
 
   std::unique_ptr<Tcam> tcam_;
   std::unique_ptr<DagScheduler> dag_firmware_;
+  BackendUpdate firmware_update_;  // firmware_insert's reused DAG-mode update
   std::unique_ptr<PriorityFirmware> priority_firmware_;
   SoftTable soft_;  // slow path == full-table truth
 

@@ -29,6 +29,7 @@ void DagScheduler::sync_caps() {
   if (mode_ == SearchMode::kCached && caps_dirty_) {
     caps_.rebuild(tcam_, graph_);
     caps_dirty_ = false;
+    ++full_cap_rebuilds_;
   }
 }
 

@@ -126,6 +126,15 @@ class DagScheduler {
   /// restore_entry() sequence. No-op in kLegacy mode or when already clean.
   void rebuild_caches() { sync_caps(); }
 
+  /// Full CapIndex rebuilds since construction. Only direct graph() edits
+  /// and journal rollbacks dirty the caps; every funnelled update keeps
+  /// them exact, so a steady-state caller should see this stay flat.
+  size_t full_cap_rebuilds() const { return full_cap_rebuilds_; }
+
+  /// The live cap cells, for differential tests against a fresh rebuild.
+  /// Exact only while no direct graph() edit or rollback is pending.
+  const CapIndex& caps() const { return caps_; }
+
   /// Warm-boot fast path: adopts externally computed cap cells (one pair of
   /// entries per TCAM address, see CapIndex::load_cells) instead of
   /// recomputing them from the graph, and marks the caches clean. The cells
@@ -238,6 +247,7 @@ class DagScheduler {
   SearchMode mode_ = SearchMode::kCached;
   CapIndex caps_;
   bool caps_dirty_ = false;
+  size_t full_cap_rebuilds_ = 0;
   size_t last_chain_moves_ = 0;
   ApplyJournal* journal_ = nullptr;  // not owned
   std::function<bool()> crash_hook_;

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "classbench/generator.h"
 #include "dag/builder.h"
 #include "switchsim/traffic_engine.h"
 #include "tcam/cacheflow.h"
 #include "test_util.h"
+#include "util/zipf.h"
 
 namespace ruletris {
 namespace {
@@ -317,7 +319,8 @@ void add_tied_hits(CacheFlowManager& mgr, Rng& rng) {
 TEST_P(CacheFlowModeTest, TopKPlanEqualsFullStableSort) {
   Rng gen(21);
   FlowTable table{generate_router(400, gen)};
-  CacheFlowManager mgr(table.rules(), build_min_dag(table), GetParam(), 96);
+  const auto graph = build_min_dag(table);
+  CacheFlowManager mgr(table.rules(), graph, GetParam(), 96);
   mgr.warm(Policy::kStaticDag, 80);
   Rng rng(22);
   size_t nonempty = 0;
@@ -332,6 +335,82 @@ TEST_P(CacheFlowModeTest, TopKPlanEqualsFullStableSort) {
     if (round % 4 == 3) mgr.age_hits();
   }
   EXPECT_GT(nonempty, 10u);
+
+  // The planner keeps a bounded heap of the k densest candidates and skips
+  // any whose hits alone (density at cost 1) cannot beat the k-th; the
+  // shapes below aim at that bound. Each starts from a fresh warmed cache,
+  // so every victim sits at 0 hits and the whole selected prefix reaches
+  // the plan.
+  auto fresh = [&] {
+    auto m = std::make_unique<CacheFlowManager>(table.rules(), graph, GetParam(), 96);
+    m->warm(Policy::kStaticDag, 80);
+    return m;
+  };
+  auto expect_reference = [](const CacheFlowManager& m, const std::vector<size_t>& ks,
+                             const char* shape) {
+    for (size_t k : ks) {
+      ASSERT_TRUE(same_plan(m.plan_swaps(k), reference_plan(m, k)))
+          << shape << " k " << k;
+    }
+  };
+
+  {  // Zipf-skewed traffic: a few heavy rules, most candidates at 1-2 hits.
+    auto m = fresh();
+    std::vector<size_t> rank_to_pos(table.size());
+    for (size_t i = 0; i < rank_to_pos.size(); ++i) rank_to_pos[i] = i;
+    Rng zrng(23);
+    zrng.shuffle(rank_to_pos);
+    const util::ZipfSampler zipf(table.size(), 1.1);
+    for (int round = 0; round < 6; ++round) {
+      for (int i = 0; i < 300; ++i) m->add_hits_at(rank_to_pos[zipf.sample(zrng)], 1);
+      size_t candidates = 0, light = 0;
+      for (RuleId id : m->rule_order()) {
+        if (m->is_cached(id) || m->hits(id) == 0) continue;
+        ++candidates;
+        light += m->hits(id) <= 2;
+      }
+      EXPECT_GT(2 * light, candidates) << "round " << round;
+      expect_reference(*m, {1, 3, 16, 64, 1000}, "zipf");
+      m->rebalance(Policy::kFlowDriven, 8);
+      m->age_hits();
+    }
+  }
+
+  {  // Exact density ties at the k-th place. Ties (hits = 6 x cost) at low
+     // positions fill the heap first; denser rules (9 x cost) at middle
+     // positions then push the k-th place into the ties; more ties at high
+     // positions must rank below every equal-density tie seen before them.
+     // A cost-1 tie meets the pruning bound exactly.
+    auto m = fresh();
+    size_t index = 0, ties = 0, denser_count = 0;
+    for (RuleId id : m->rule_order()) {
+      if (m->is_cached(id)) continue;
+      const size_t i = index++;
+      const size_t cost = m->install_cost(id);
+      if ((i < 60 && i % 3 == 0) || (i >= 120 && i < 180 && i % 6 == 3)) {
+        m->add_hits(id, 6 * cost);
+        ++ties;
+      } else if (i >= 60 && i < 120 && i % 6 == 0) {
+        m->add_hits(id, 9 * cost);
+        ++denser_count;
+      }
+    }
+    ASSERT_EQ(ties, 30u);
+    ASSERT_EQ(denser_count, 10u);
+    expect_reference(*m, {1, 5, 9, 10, 11, 15, 20, 25, 30, 39, 40, 41, 1000}, "ties");
+    EXPECT_EQ(m->plan_swaps(1000).size(), std::min<size_t>(m->cached_count(), 40));
+  }
+
+  {  // k at or above the number of candidates.
+    auto m = fresh();
+    size_t candidates = 0;
+    for (RuleId id : m->rule_order()) {
+      if (m->is_cached(id) || candidates == 3) continue;
+      m->add_hits(id, 5 + candidates++);
+    }
+    expect_reference(*m, {2, 3, 4, 16, 1000}, "few candidates");
+    EXPECT_EQ(m->plan_swaps(1000).size(), 3u);
+  }
 }
 
 TEST_P(CacheFlowModeTest, KeyedWarmEqualsFullStableSort) {
@@ -408,6 +487,32 @@ TEST(CacheFlow, DagModeIsCheaperThanPriorityModeOnSwaps) {
   }
   EXPECT_LT(writes[0], writes[1])
       << "DAG-guided swaps must use fewer entry writes than priority-based";
+}
+
+TEST(CacheFlow, DagFirmwareSwapsNeverRebuildTheCapIndex) {
+  // Every firmware insert a swap makes (the rule, its covers, a demotion)
+  // goes through the scheduler's funnelled update path, which keeps the
+  // cap cells exact: warm plus 20 flow-driven rebalance epochs need no
+  // full CapIndex rebuild.
+  Rng gen(17);
+  const FlowTable fib{generate_router(600, gen)};
+  CacheFlowManager mgr(fib.rules(), build_min_dag(fib),
+                       CacheFlowManager::Mode::kDagFirmware, 96);
+  switchsim::TrafficConfig cfg;
+  cfg.flows = 20000;
+  cfg.zipf_alpha = 1.1;
+  cfg.churn_rate = 0.02;
+  cfg.packets_per_epoch = 4000;
+  cfg.epochs = 20;
+  cfg.seed = 5;
+  cfg.policy = Policy::kFlowDriven;
+  cfg.rebalance_swaps = 32;
+  switchsim::TrafficEngine engine(mgr, fib.rules(), cfg);
+  const switchsim::TrafficReport report = engine.run();
+  EXPECT_GT(report.swaps, 20u);
+  EXPECT_EQ(report.consistency_violations, 0u);
+  EXPECT_EQ(report.full_cap_rebuilds, 0u);
+  EXPECT_EQ(mgr.full_cap_rebuilds(), 0u);
 }
 
 TEST(CacheFlow, RebalanceFallbacksAreCounted) {

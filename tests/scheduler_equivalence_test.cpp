@@ -6,7 +6,8 @@
 // random DAG streams, batched BackendUpdates (the incremental cap-hook
 // path), the adversarial default-rule star (the O(n)-degree hotspot), and
 // direct graph() mutation (the dirty-rebuild path). Plus a property test for
-// the Fenwick-descent kth_free behind the free-slot queries.
+// the Fenwick-descent kth_free behind the free-slot queries. A CacheFlow-shaped
+// stream also checks the live cap cells against a from-scratch rebuild.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -17,6 +18,7 @@
 #include "tcam/dag_scheduler.h"
 #include "tcam/occupancy.h"
 #include "test_util.h"
+#include "util/logging.h"
 
 namespace ruletris {
 namespace {
@@ -63,7 +65,9 @@ struct SchedulerPair {
       const std::optional<RuleId> c = tcam_cached.at(a);
       const std::optional<RuleId> l = tcam_legacy.at(a);
       ASSERT_EQ(c.has_value(), l.has_value()) << where << " addr " << a;
-      if (c) ASSERT_EQ(*c, *l) << where << " addr " << a;
+      if (c) {
+        ASSERT_EQ(*c, *l) << where << " addr " << a;
+      }
     }
   }
 
@@ -264,6 +268,114 @@ TEST(SchedulerEquivalence, ExternalGraphMutationTriggersExactRebuild) {
     }
     ASSERT_TRUE(pair.cached.layout_valid());
   }
+  // Each direct graph() edit dirtied the caps: full rebuilds are counted.
+  EXPECT_GT(pair.cached.full_cap_rebuilds(), 0u);
+}
+
+/// The CacheFlow manager's update shape, mirrored to both search modes. An
+/// insert is one apply_status carrying the rule, its vertex and its edges
+/// to installed neighbours; an eviction keeps the vertex, so re-applying
+/// it later adds edges to a vertex whose caps are already hydrated; a
+/// removal drops the vertex; and on a full TCAM an infeasible insert is
+/// followed by remove, as CacheFlow does. After every step the layouts
+/// agree, and the live cap cells equal a CapIndex rebuilt from scratch at
+/// every occupied address without the scheduler ever rebuilding its own.
+TEST(SchedulerEquivalence, CacheFlowUpdateStreamKeepsCellsExact) {
+  util::set_log_level(util::LogLevel::kOff);  // infeasible inserts warn
+  Rng rng(61);
+  const size_t capacity = 28;
+  SchedulerPair pair(capacity);
+  const DagScheduler& cached = pair.cached;  // const: graph() must not dirty
+
+  // Edges point from a lower to a higher level, so the graph stays acyclic.
+  struct Known {
+    Rule rule;
+    double level;
+  };
+  std::vector<Known> known;  // every rule with a vertex, installed or not
+  uint32_t next_tag = 1;
+
+  auto check_cells = [&](const char* where) {
+    ASSERT_TRUE(pair.cached.layout_valid()) << where;
+    ASSERT_EQ(cached.full_cap_rebuilds(), 0u) << where;
+    tcam::CapIndex fresh(capacity);
+    fresh.rebuild(pair.tcam_cached, cached.graph());
+    for (size_t a = 0; a < capacity; ++a) {
+      if (pair.tcam_cached.is_free(a)) continue;
+      ASSERT_EQ(cached.caps().lo_succ_at(a), fresh.lo_succ_at(a)) << where << " addr " << a;
+      ASSERT_EQ(cached.caps().hi_pred_at(a), fresh.hi_pred_at(a)) << where << " addr " << a;
+    }
+  };
+  auto update_for = [&](const Known& k) {
+    BackendUpdate u;
+    u.added.push_back(k.rule);
+    u.dag.added_vertices.push_back(k.rule.id);
+    for (const Known& n : known) {
+      if (n.rule.id == k.rule.id || !pair.tcam_cached.contains(n.rule.id) ||
+          !rng.next_bool(0.15)) {
+        continue;
+      }
+      if (n.level < k.level) {
+        u.dag.added_edges.push_back({n.rule.id, k.rule.id});
+      } else {
+        u.dag.added_edges.push_back({k.rule.id, n.rule.id});
+      }
+    }
+    return u;
+  };
+  // apply_status on both sides; on failure the rule is removed from both,
+  // as CacheFlowManager::firmware_insert does. Returns whether it installed.
+  auto apply_or_remove = [&](size_t index, const char* where) {
+    const BackendUpdate u = update_for(known[index]);
+    const bool ok = pair.cached.apply(u);
+    EXPECT_EQ(ok, pair.legacy.apply(u)) << where;
+    pair.expect_identical(where);
+    if (!ok) {
+      pair.remove_both(known[index].rule.id);
+      known[index] = known.back();
+      known.pop_back();
+    }
+    return ok;
+  };
+  auto pick = [&](bool want_installed) -> std::optional<size_t> {
+    std::vector<size_t> matching;
+    for (size_t i = 0; i < known.size(); ++i) {
+      if (pair.tcam_cached.contains(known[i].rule.id) == want_installed) {
+        matching.push_back(i);
+      }
+    }
+    if (matching.empty()) return std::nullopt;
+    return matching[rng.next_below(matching.size())];
+  };
+
+  size_t infeasible = 0, reapplied = 0;
+  for (int step = 0; step < 600; ++step) {
+    const double what = rng.next_double();
+    const bool full = pair.tcam_cached.occupied() == capacity;
+    if (full && what < 0.3) {
+      known.push_back({make_rule(next_tag++), rng.next_double()});
+      ASSERT_FALSE(apply_or_remove(known.size() - 1, "infeasible insert"));
+      ++infeasible;
+    } else if (what < 0.5) {
+      known.push_back({make_rule(next_tag++), rng.next_double()});
+      apply_or_remove(known.size() - 1, "fresh insert");
+    } else if (what < 0.7) {
+      if (const auto i = pick(true)) pair.evict_both(known[*i].rule.id);
+    } else if (what < 0.85) {
+      if (const auto i = pick(false)) reapplied += apply_or_remove(*i, "re-apply");
+    } else if (!known.empty()) {
+      const size_t i = rng.next_below(known.size());
+      pair.remove_both(known[i].rule.id);
+      known[i] = known.back();
+      known.pop_back();
+    }
+    if (::testing::Test::HasFailure()) return;
+    check_cells("step");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(infeasible, 5u);
+  EXPECT_GT(reapplied, 20u);
+  util::set_log_level(util::LogLevel::kWarn);
 }
 
 /// Fenwick-descent kth_free: the nearest-free queries must agree with a

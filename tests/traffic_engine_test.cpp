@@ -1,8 +1,9 @@
 // Traffic plane: Zipf/flow generator determinism, tuple-space slow-path
 // equivalence with the linear full table and with the node-based reference
 // table it replaced (same winner, and no more probes per lookup on average
-// than the reference's linear chain), and flow-driven (FDRC) admission
-// behaviour of the CacheFlow manager under the engine.
+// than the reference's linear chain), flow-driven (FDRC) admission
+// behaviour of the CacheFlow manager under the engine, and one golden FDRC
+// run whose decisions (checksums, swaps, entry writes) are pinned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -665,6 +666,37 @@ TEST(TrafficEngine, FlowDrivenAdmissionLearnsTheHotSet) {
   EXPECT_GT(flow.epochs.back().hit_rate(), stat.epochs.back().hit_rate());
   EXPECT_EQ(flow.consistency_violations, 0u);
   EXPECT_EQ(stat.consistency_violations, 0u);
+}
+
+TEST(TrafficEngine, GoldenFdrcRunPinsEveryDecision) {
+  // A fixed FDRC run whose outputs are pinned to constants: per-rule hit
+  // counts, the final layout (covers canonicalized), swaps and entry writes.
+  // Any change to an admission decision, a chain, a write or a move moves
+  // one of them; a pure speed change moves none.
+  RuleId ids = RuleId{1} << 40;  // the checksums fold rule ids
+  flowspace::ScopedRuleIdNamespace ns(&ids);
+  Rng rng(0x601d);
+  const FlowTable fib{generate_router(5000, rng)};
+  CacheFlowManager mgr(fib.rules(), build_min_dag(fib),
+                       CacheFlowManager::Mode::kDagFirmware, 512);
+  TrafficConfig cfg;
+  cfg.flows = 1 << 16;
+  cfg.zipf_alpha = 1.1;
+  cfg.churn_rate = 0.01;
+  cfg.packets_per_epoch = 10000;
+  cfg.epochs = 8;
+  cfg.seed = 0x601d;
+  cfg.n_threads = 2;
+  cfg.policy = CacheFlowManager::AdmissionPolicy::kFlowDriven;
+  cfg.rebalance_swaps = 64;
+  TrafficEngine engine(mgr, fib.rules(), cfg);
+  const TrafficReport r = engine.run();
+  EXPECT_EQ(r.hit_checksum, 0x8bd24de19c55ed9eULL);
+  EXPECT_EQ(r.layout_checksum, 0xfdcc28d2e90257cbULL);
+  EXPECT_EQ(r.swaps, 508u);
+  EXPECT_EQ(r.entry_writes, 596u);
+  EXPECT_EQ(r.fast_hits, 48324u);
+  EXPECT_EQ(r.consistency_violations, 0u);
 }
 
 TEST(CacheFlowFdrc, InstallCostCountsUncoveredDependencies) {
