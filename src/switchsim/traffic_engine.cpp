@@ -1,5 +1,6 @@
 #include "switchsim/traffic_engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,6 +14,20 @@ using flowspace::kAllFields;
 using flowspace::Packet;
 using flowspace::Rule;
 using flowspace::RuleId;
+
+namespace {
+
+/// Packets classified together, per shard: enough independent lookups to
+/// overlap their cache misses, few enough that a block's state stays in
+/// registers and L1.
+constexpr size_t kLookupBatch = 16;
+
+/// Index of the rule `flow_id`'s packets are built from.
+size_t target_of(const std::vector<Rule>& rules, uint64_t flow_id) {
+  return static_cast<size_t>(flow_id % rules.size());
+}
+
+}  // namespace
 
 TrafficEngine::TrafficEngine(tcam::CacheFlowManager& manager,
                              const std::vector<Rule>& rules, TrafficConfig config)
@@ -30,8 +45,7 @@ TrafficEngine::TrafficEngine(tcam::CacheFlowManager& manager,
 }
 
 Packet synth_packet(const std::vector<Rule>& rules, uint64_t flow_id) {
-  const size_t idx = static_cast<size_t>(flow_id % rules.size());
-  const Rule& target = rules[idx];
+  const Rule& target = rules[target_of(rules, flow_id)];
   Packet p = target.match.sample_packet();
   // Fill the wildcard bits from the flow's hash stream: flows targeting the
   // same rule stay distinguishable, and a filled packet may legitimately
@@ -52,16 +66,31 @@ EpochStats TrafficEngine::run_lookup_epoch(uint64_t e) {
   stats.packets = config_.packets_per_epoch;
 
   util::Stopwatch watch;
+  // A block's packets are independent, so their cache misses overlap: every
+  // flow's target rule is prefetched before any packet is built from one,
+  // and the slow path descends the block's punts together.
   auto lookup_range = [&](Shard& shard, size_t begin, size_t end) {
     uint64_t fast = 0;
-    for (size_t i = begin; i < end; ++i) {
-      const util::FlowStream::Event ev = stream_.at(e, i);
-      const Packet p = packet_for(ev.flow_id);
-      const auto out = manager_.classify(p);
-      if (out.rule != nullptr && shard.hits[out.position]++ == 0) {
-        shard.touched.push_back(out.position);
+    uint64_t flow[kLookupBatch] = {};
+    Packet packets[kLookupBatch] = {};
+    tcam::CacheFlowManager::LookupOutcome outcomes[kLookupBatch] = {};
+    for (size_t block = begin; block < end; block += kLookupBatch) {
+      const size_t n = std::min(kLookupBatch, end - block);
+      for (size_t j = 0; j < n; ++j) {
+        flow[j] = stream_.at(e, block + j).flow_id;
+        const flowspace::TernaryMatch& m = rules_[target_of(rules_, flow[j])].match;
+        __builtin_prefetch(&m);
+        __builtin_prefetch(reinterpret_cast<const char*>(&m + 1) - 1);
       }
-      if (out.fast_path) ++fast;
+      for (size_t j = 0; j < n; ++j) packets[j] = packet_for(flow[j]);
+      manager_.classify_batch({packets, n}, {outcomes, n});
+      for (size_t j = 0; j < n; ++j) {
+        const auto& out = outcomes[j];
+        if (out.rule != nullptr && shard.hits[out.position]++ == 0) {
+          shard.touched.push_back(out.position);
+        }
+        if (out.fast_path) ++fast;
+      }
     }
     shard.fast += fast;
   };

@@ -9,6 +9,13 @@
 // derived from them, including the FDRC swap plans — are bit-identical
 // across runs and thread counts.
 //
+// A shard classifies its chunk in blocks of 16 packets, so independent
+// packets' cache misses overlap: it prefetches every flow's target rule
+// before building any packet from one, then hands the block to
+// CacheFlowManager::classify_batch, whose slow path descends the block's
+// punts together (TupleSpace::find_batch). Every packet's answer is the
+// per-packet classify()'s, so where a block is cut changes nothing.
+//
 // Epoch loop (the serial points that make parallel lookups safe):
 //   lookup phase (parallel, const)  ->  merge shard hit counts (additive)
 //   -> flow churn (expiry/arrival remaps)  ->  admission rebalance under

@@ -250,6 +250,38 @@ CacheFlowManager::LookupOutcome CacheFlowManager::classify(const Packet& packet)
   return LookupOutcome{truth, false, soft_.handle_of(truth)};
 }
 
+void CacheFlowManager::classify_batch(std::span<const Packet> packets,
+                                      std::span<LookupOutcome> out) const {
+  if (packets.size() != out.size()) {
+    throw std::invalid_argument("CacheFlow::classify_batch: packets and out differ in length");
+  }
+  Packet punted[TupleSpace::kBatch] = {};
+  size_t punted_at[TupleSpace::kBatch] = {};
+  const Rule* truth[TupleSpace::kBatch] = {};
+  size_t n = 0;
+  const auto resolve = [&] {
+    soft_.lookup_batch({punted, n}, {truth, n});
+    for (size_t j = 0; j < n; ++j) {
+      out[punted_at[j]] = truth[j] == nullptr
+                              ? LookupOutcome{}
+                              : LookupOutcome{truth[j], false, soft_.handle_of(truth[j])};
+    }
+    n = 0;
+  };
+  for (size_t i = 0; i < packets.size(); ++i) {
+    const Rule* hit = tcam_->lookup(packets[i]);
+    if (hit != nullptr && !hit->actions.contains(ActionType::kToSoftware)) {
+      out[i] = LookupOutcome{hit, true, position_of(hit->id)};
+      continue;
+    }
+    // Miss or cover punt: the software path answers, a group at a time.
+    punted[n] = packets[i];
+    punted_at[n++] = i;
+    if (n == TupleSpace::kBatch) resolve();
+  }
+  if (n > 0) resolve();
+}
+
 CacheFlowManager::LookupOutcome CacheFlowManager::lookup(const Packet& packet) {
   const LookupOutcome out = classify(packet);
   if (out.rule != nullptr) add_hits_at(out.position, 1);

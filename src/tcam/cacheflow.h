@@ -114,6 +114,14 @@ class CacheFlowManager {
   /// mutation (install/evict/swap/rebalance) races.
   LookupOutcome classify(const flowspace::Packet& packet) const;
 
+  /// classify() of every packet at once: `out[j] = classify(packets[j])`,
+  /// with `out` as long as `packets`. The TCAM answers packet by packet (it
+  /// is small and stays in cache); misses and cover punts are collected and
+  /// resolved by SoftTable::lookup_batch, whose chain descents overlap.
+  /// Const, under the same rule as classify().
+  void classify_batch(std::span<const flowspace::Packet> packets,
+                      std::span<LookupOutcome> out) const;
+
   /// classify() that also credits the winning rule's hit counter.
   LookupOutcome lookup(const flowspace::Packet& packet);
 

@@ -83,6 +83,22 @@ const Rule* SoftTable::lookup(const Packet& p) const {
   return idx == TupleSpace::kNone ? nullptr : &pool_[idx];
 }
 
+void SoftTable::lookup_batch(std::span<const Packet> packets, std::span<const Rule*> out) const {
+  if (packets.size() != out.size()) {
+    throw std::invalid_argument("SoftTable::lookup_batch: packets and out differ in length");
+  }
+  PackedKey keys[TupleSpace::kBatch] = {};
+  TupleSpace::Handle found[TupleSpace::kBatch] = {};
+  for (size_t base = 0; base < packets.size(); base += TupleSpace::kBatch) {
+    const size_t n = std::min(TupleSpace::kBatch, packets.size() - base);
+    for (size_t j = 0; j < n; ++j) keys[j] = pack_fields(packets[base + j].fields);
+    index_.find_batch({keys, n}, {found, n});
+    for (size_t j = 0; j < n; ++j) {
+      out[base + j] = found[j] == TupleSpace::kNone ? nullptr : &pool_[found[j]];
+    }
+  }
+}
+
 const Rule* SoftTable::lookup_counted(const Packet& p) {
   const uint32_t idx = index_.find_counted(pack_fields(p.fields));
   return idx == TupleSpace::kNone ? nullptr : &pool_[idx];

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "flowspace/rule.h"
@@ -56,6 +57,12 @@ class SoftTable {
   /// Highest-priority match (FlowTable-equivalent), nullptr on miss. The
   /// pointer stays valid until the next insert or erase.
   const flowspace::Rule* lookup(const flowspace::Packet& p) const;
+  /// lookup() of every packet at once: `out[j] = lookup(packets[j])`, with
+  /// `out` as long as `packets`. The index descends each group of
+  /// TupleSpace::kBatch keys together (TupleSpace::find_batch), so their
+  /// cache misses overlap. Const, like lookup().
+  void lookup_batch(std::span<const flowspace::Packet> packets,
+                    std::span<const flowspace::Rule*> out) const;
   /// Pool handle of a rule lookup() returned: its index in the constructor's
   /// vector while nothing has been erased.
   uint32_t handle_of(const flowspace::Rule* r) const {

@@ -33,9 +33,9 @@ size_t TupleSpace::home(const PackedKey& key, size_t slot_mask) {
   return util::hash_pair(key[0], key[1]) & slot_mask;
 }
 
-size_t TupleSpace::find_slot(const SlotArray& a, const PackedKey& key) {
+size_t TupleSpace::probe_from(const SlotArray& a, const PackedKey& key, size_t i) {
   const size_t mask = a.slots.size() - 1;
-  for (size_t i = home(key, mask);; i = (i + 1) & mask) {
+  for (;; i = (i + 1) & mask) {
     const Slot& s = a.slots[i];
     if (s.markers == kFree) return kNoSlot;
     if (s.key == key) return i;
@@ -83,6 +83,16 @@ void TupleSpace::erase_slot(SlotArray& a, size_t hole) {
 
 // --- lookup ------------------------------------------------------------------
 
+uint32_t TupleSpace::step(uint32_t ti, const PackedKey& key, size_t at,
+                          const Slot*& found) const {
+  const Tuple& t = tuples_[ti];
+  const size_t i = probe_from(t.table, key, at);
+  // A miss: every entry in the longer half would have left a marker here.
+  if (i == kNoSlot) return t.left;
+  found = &t.table.slots[i];
+  return found->markers == 0 ? kNoTuple : t.right;  // 0: no longer entry extends the key
+}
+
 template <typename CountProbe>
 const TupleSpace::Slot* TupleSpace::descend(uint32_t ti, const PackedKey& key,
                                             const Slot* found,
@@ -90,17 +100,27 @@ const TupleSpace::Slot* TupleSpace::descend(uint32_t ti, const PackedKey& key,
   while (ti != kNoTuple) {
     const Tuple& t = tuples_[ti];
     count_probe();
-    const size_t i = find_slot(t.table, masked(key, t.mask));
-    if (i == kNoSlot) {
-      // Every entry in the longer half would have left a marker here.
-      ti = t.left;
-      continue;
-    }
-    found = &t.table.slots[i];
-    if (found->markers == 0) break;  // no longer entry extends this key
-    ti = t.right;
+    const PackedKey k = masked(key, t.mask);
+    ti = step(ti, k, home(k, t.table.slots.size() - 1), found);
   }
   return found;
+}
+
+bool TupleSpace::settled(Handle best, Rank best_rank, const Chain& c) const {
+  return best != kNone && (best_rank >> tie_bits_) > (c.max_rank >> tie_bits_);
+}
+
+void TupleSpace::take(const Slot* s, bool last, Handle& best, Rank& best_rank) const {
+  if (s == nullptr || s->best == kNone) return;
+  if (best == kNone && last) {
+    best = s->best;  // no rank to compare
+    return;
+  }
+  const Rank rank = links_[s->best].rank;
+  if (best == kNone || rank > best_rank) {
+    best = s->best;
+    best_rank = rank;
+  }
 }
 
 template <typename CountProbe>
@@ -109,33 +129,105 @@ TupleSpace::Handle TupleSpace::find(const PackedKey& key, CountProbe count_probe
   Rank best_rank = 0;
   for (size_t k = 0; k < order_.size(); ++k) {
     const Chain& c = tuples_[order_[k]].chain;
-    // Early exit: every later chain's max rank is at most this one's, so
-    // nothing downstream can beat an established higher hit.
-    if (best != kNone && (best_rank >> tie_bits_) > (c.max_rank >> tie_bits_)) break;
+    if (settled(best, best_rank, c)) break;
     // The last slot found carries the chain's best covering entry.
-    const Slot* s = descend(c.root, key, nullptr, count_probe);
-    if (s == nullptr || s->best == kNone) continue;
-    if (best == kNone && k + 1 == order_.size()) return s->best;  // no rank to compare
-    const Rank rank = links_[s->best].rank;
-    if (best == kNone || rank > best_rank) {
-      best = s->best;
-      best_rank = rank;
-    }
+    take(descend(c.root, key, nullptr, count_probe), k + 1 == order_.size(), best, best_rank);
   }
   return best;
 }
 
-TupleSpace::Handle TupleSpace::find(const PackedKey& key) const {
+template <typename CountProbe>
+void TupleSpace::find_group(const PackedKey* keys, size_t n, Handle* best,
+                            CountProbe count_probe) const {
+  Rank best_rank[kBatch] = {};
+  uint32_t active[kBatch] = {};  // keys still searching chains, by index
+  size_t n_active = n;
+  for (uint32_t j = 0; j < n; ++j) {
+    best[j] = kNone;
+    active[j] = j;
+  }
+  // find() per key, chains in the same order; only the descent interleaves.
+  uint32_t level[kBatch] = {};
+  const Slot* found[kBatch] = {};
+  PackedKey probe[kBatch] = {};  // the key masked to its next level
+  size_t at[kBatch] = {};        // and its home slot there
+  uint32_t walking[kBatch] = {};
+  for (size_t k = 0; k < order_.size() && n_active > 0; ++k) {
+    const Chain& c = tuples_[order_[k]].chain;
+    size_t n_walking = 0;
+    size_t kept = 0;
+    for (size_t a = 0; a < n_active; ++a) {
+      const uint32_t j = active[a];
+      if (settled(best[j], best_rank[j], c)) continue;  // and stays out
+      active[kept++] = j;
+      level[j] = c.root;
+      found[j] = nullptr;
+      if (c.root != kNoTuple) walking[n_walking++] = j;
+    }
+    n_active = kept;
+    while (n_walking > 0) {
+      // Issue every key's next probe before taking any of them.
+      for (size_t w = 0; w < n_walking; ++w) {
+        const uint32_t j = walking[w];
+        const Tuple& t = tuples_[level[j]];
+        probe[j] = masked(keys[j], t.mask);
+        at[j] = home(probe[j], t.table.slots.size() - 1);
+        __builtin_prefetch(&t.table.slots[at[j]]);
+      }
+      size_t still = 0;
+      for (size_t w = 0; w < n_walking; ++w) {
+        const uint32_t j = walking[w];
+        count_probe();
+        level[j] = step(level[j], probe[j], at[j], found[j]);
+        if (level[j] != kNoTuple) walking[still++] = j;
+      }
+      n_walking = still;
+    }
+    for (size_t a = 0; a < n_active; ++a) {
+      const uint32_t j = active[a];
+      take(found[j], k + 1 == order_.size(), best[j], best_rank[j]);
+    }
+  }
+}
+
+template <typename CountProbe>
+void TupleSpace::find_batch(std::span<const PackedKey> keys, std::span<Handle> out,
+                            CountProbe count_probe) const {
+  if (keys.size() != out.size()) {
+    throw std::invalid_argument("TupleSpace::find_batch: keys and out differ in length");
+  }
+  for (size_t base = 0; base < keys.size(); base += kBatch) {
+    find_group(keys.data() + base, std::min(kBatch, keys.size() - base), out.data() + base,
+               count_probe);
+  }
+}
+
+void TupleSpace::mark_searched() const {
   if (!searched_.flag.load(std::memory_order_relaxed)) {
     searched_.flag.store(true, std::memory_order_relaxed);
   }
+}
+
+TupleSpace::Handle TupleSpace::find(const PackedKey& key) const {
+  mark_searched();
   return find(key, [] {});
 }
 
 TupleSpace::Handle TupleSpace::find_counted(const PackedKey& key) {
-  searched_.flag.store(true, std::memory_order_relaxed);
+  mark_searched();
   ++stats_.lookups;
   return find(key, [this] { ++stats_.tuples_probed; });
+}
+
+void TupleSpace::find_batch(std::span<const PackedKey> keys, std::span<Handle> out) const {
+  mark_searched();
+  find_batch(keys, out, [] {});
+}
+
+void TupleSpace::find_batch_counted(std::span<const PackedKey> keys, std::span<Handle> out) {
+  mark_searched();
+  stats_.lookups += keys.size();
+  find_batch(keys, out, [this] { ++stats_.tuples_probed; });
 }
 
 // --- slots, markers and bests ------------------------------------------------

@@ -36,6 +36,12 @@
 // remaining chain. Every mutation keeps the index exact, so lookup is
 // strictly const and concurrent readers need no synchronization.
 //
+// A batch of independent keys can be looked up together (find_batch): the
+// keys descend each chain level by level, and each level's home slots are
+// prefetched for every key before any is probed, so on an index larger
+// than the cache the misses of up to 16 keys overlap. Each key keeps its
+// own early exit and result; find() is the oracle it is tested against.
+//
 // Storage is built for the probe. A level is its packed mask over one
 // power-of-two open-addressing slot array (linear probing, backward-shift
 // delete, grown at half load). A 32-byte slot holds the masked key words,
@@ -50,6 +56,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tcam/packed_key.h"
@@ -103,6 +110,17 @@ class TupleSpace {
   /// Best-ranked live handle whose match covers `key`, or kNone.
   Handle find(const PackedKey& key) const;
 
+  /// Keys find_batch descends together: its stack scratch is this deep.
+  static constexpr size_t kBatch = 16;
+  /// find() of every key at once: `out[j] = find(keys[j])`, with `out` as
+  /// long as `keys`. Groups of kBatch keys descend each chain level by
+  /// level, and every live key's home slot at its next level is prefetched
+  /// before any of them is probed, so the cache misses of independent keys
+  /// overlap instead of queueing. The per-key chain early exit and result
+  /// are find()'s; like find() it is const, needs only stack scratch and
+  /// marks the index searched.
+  void find_batch(std::span<const PackedKey> keys, std::span<Handle> out) const;
+
   struct Stats {
     uint64_t lookups = 0;
     uint64_t tuples_probed = 0;  // hash probes actually issued
@@ -119,6 +137,9 @@ class TupleSpace {
 
   /// find() that also updates stats(); single-threaded callers only.
   Handle find_counted(const PackedKey& key);
+  /// find_batch() that also updates stats(), counting the probes find()
+  /// would issue; single-threaded callers only.
+  void find_batch_counted(std::span<const PackedKey> keys, std::span<Handle> out);
 
   /// One chain as it stands: its level masks, shortest first, and its
   /// search tree depth.
@@ -182,7 +203,11 @@ class TupleSpace {
 
   static size_t home(const PackedKey& key, size_t slot_mask);
   /// Index of the slot holding `key` in `a`, or kNoSlot.
-  static size_t find_slot(const SlotArray& a, const PackedKey& key);
+  static size_t find_slot(const SlotArray& a, const PackedKey& key) {
+    return probe_from(a, key, home(key, a.slots.size() - 1));
+  }
+  /// find_slot from `key`'s home slot `i`.
+  static size_t probe_from(const SlotArray& a, const PackedKey& key, size_t i);
   /// Doubles `a` (or sizes an empty one) until it holds `want` keys at
   /// half load.
   static void grow(SlotArray& a, size_t want);
@@ -190,6 +215,10 @@ class TupleSpace {
   static size_t add_slot(SlotArray& a, const PackedKey& key);
   static void erase_slot(SlotArray& a, size_t i);
 
+  /// One step of the chain search at level `ti`, for `key` already masked
+  /// to the level and its home slot `at`: a found slot goes to `found`.
+  /// Returns the next level, or kNoTuple once the search ends.
+  uint32_t step(uint32_t ti, const PackedKey& key, size_t at, const Slot*& found) const;
   /// The one chain search: binary search from level `ti` down its subtree,
   /// starting from the slot `found` already found above it (or nullptr);
   /// returns the last slot found, whose best answers the levels searched
@@ -197,8 +226,22 @@ class TupleSpace {
   template <typename CountProbe>
   const Slot* descend(uint32_t ti, const PackedKey& key, const Slot* found,
                       CountProbe count_probe) const;
+  /// The early exit between chains: the hit `best` (of `best_rank`)
+  /// strictly outranks every entry of `c` at the tie_bits grain, and so of
+  /// every later chain, whose max ranks are no higher.
+  bool settled(Handle best, Rank best_rank, const Chain& c) const;
+  /// Folds a chain's last found slot `s` into the running best; `last`: no
+  /// chain follows, so a first hit is taken without reading its rank.
+  void take(const Slot* s, bool last, Handle& best, Rank& best_rank) const;
   template <typename CountProbe>
   Handle find(const PackedKey& key, CountProbe count_probe) const;
+  /// find() of `n` <= kBatch keys into `best`, descending them together.
+  template <typename CountProbe>
+  void find_group(const PackedKey* keys, size_t n, Handle* best, CountProbe count_probe) const;
+  template <typename CountProbe>
+  void find_batch(std::span<const PackedKey> keys, std::span<Handle> out,
+                  CountProbe count_probe) const;
+  void mark_searched() const;
 
   /// No live level shorter than `ti` in its chain holds a rank above `rank`.
   bool outranks_shorter(uint32_t ti, Rank rank) const;
@@ -263,8 +306,8 @@ class TupleSpace {
   size_t live_tuples_ = 0;
   size_t entries_ = 0;
   bool chained_ = false;  // masks nest into chains (once searched)
-  /// Set by the first find(); concurrent readers may race to set it, so it
-  /// is atomic, and it copies and moves with the index.
+  /// Set by the first find() or find_batch(); concurrent readers may race
+  /// to set it, so it is atomic, and it copies and moves with the index.
   struct SearchedFlag {
     mutable std::atomic<bool> flag{false};
     SearchedFlag() = default;

@@ -2,14 +2,17 @@
 // equivalence with the linear full table and with the node-based reference
 // table it replaced (same winner, and no more probes per lookup on average
 // than the reference's linear chain), flow-driven (FDRC) admission
-// behaviour of the CacheFlow manager under the engine, and one golden FDRC
-// run whose decisions (checksums, swaps, entry writes) are pinned.
+// behaviour of the CacheFlow manager under the engine, the batched lookup
+// path (classify_batch ≡ classify, blocks split at chunk ends), and one
+// golden FDRC run whose decisions (checksums, swaps, entry writes) are
+// pinned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <limits>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -699,6 +702,39 @@ TEST(TrafficEngine, GoldenFdrcRunPinsEveryDecision) {
   EXPECT_EQ(r.consistency_violations, 0u);
 }
 
+TEST(TrafficEngine, BlocksSplitAtChunkEndsStayBitIdentical) {
+  // 1,003 packets per epoch is no multiple of the 16-packet lookup block,
+  // and 2 and 3 shards claim chunks of 62 and 41 packets: blocks end short
+  // at every chunk end and at the epoch's end.
+  Rng rng(35);
+  const FlowTable fib{generate_router(300, rng)};
+  const auto graph = build_min_dag(fib);
+  std::vector<TrafficReport> reports;
+  for (const size_t threads : {1u, 2u, 3u}) {
+    CacheFlowManager mgr(fib.rules(), graph, CacheFlowManager::Mode::kDagFirmware, 64);
+    TrafficConfig cfg;
+    cfg.flows = 5000;
+    cfg.zipf_alpha = 1.1;
+    cfg.churn_rate = 0.01;
+    cfg.packets_per_epoch = 1003;
+    cfg.epochs = 4;
+    cfg.seed = 91;
+    cfg.n_threads = threads;
+    cfg.rebalance_swaps = 24;
+    TrafficEngine engine(mgr, fib.rules(), cfg);
+    reports.push_back(engine.run());
+  }
+  ASSERT_GT(reports[0].swaps, 0u);
+  ASSERT_GT(reports[0].fast_hits, 0u);
+  for (size_t t = 1; t < reports.size(); ++t) {
+    EXPECT_EQ(reports[t].packets, reports[0].packets) << t + 1 << " threads";
+    EXPECT_EQ(reports[t].fast_hits, reports[0].fast_hits) << t + 1 << " threads";
+    EXPECT_EQ(reports[t].hit_checksum, reports[0].hit_checksum) << t + 1 << " threads";
+    EXPECT_EQ(reports[t].layout_checksum, reports[0].layout_checksum) << t + 1 << " threads";
+    EXPECT_EQ(reports[t].swaps, reports[0].swaps) << t + 1 << " threads";
+  }
+}
+
 TEST(CacheFlowFdrc, InstallCostCountsUncoveredDependencies) {
   Rng rng(55);
   const FlowTable fib{generate_router(80, rng)};
@@ -747,28 +783,76 @@ TEST(CacheFlowFdrc, RebalanceAdmitsTheMeasuredHotRule) {
   EXPECT_TRUE(mgr.is_cached(hot));
 }
 
+/// A flow-driven cache over a 2,000-rule FIB with some dependent rules
+/// cached too, so a lookup may hit, miss or land on a cover punt.
+struct WarmCache {
+  FlowTable fib;
+  dag::DependencyGraph graph;
+  CacheFlowManager mgr;
+  std::vector<Packet> packets;
+
+  explicit WarmCache(Rng&& rng)
+      : fib(generate_router(2000, rng)),
+        graph(build_min_dag(fib)),
+        mgr(fib.rules(), graph, CacheFlowManager::Mode::kDagFirmware, 256) {
+    for (const Rule& r : fib.rules()) mgr.add_hits(r.id, rng.next_below(5));
+    mgr.warm(CacheFlowManager::AdmissionPolicy::kFlowDriven, 180);
+    for (const Rule& r : fib.rules()) {
+      if (mgr.cover_count() >= 8) break;
+      if (!graph.successors(r.id).empty()) mgr.install(r.id);
+    }
+    for (uint64_t i = 0; i < 6000; ++i) {
+      packets.push_back(switchsim::synth_packet(fib.rules(), util::hash_pair(i, 0xc0)));
+    }
+  }
+};
+
+TEST(CacheFlowBatch, ClassifyBatchMatchesClassifyPacketByPacket) {
+  WarmCache cache(Rng(88));
+  const CacheFlowManager& mgr = cache.mgr;
+  size_t fast = 0, misses = 0, punts = 0;
+  std::vector<CacheFlowManager::LookupOutcome> want;
+  for (const Packet& p : cache.packets) {
+    want.push_back(mgr.classify(p));
+    const Rule* tcam_hit = mgr.tcam().lookup(p);
+    fast += want.back().fast_path;
+    misses += tcam_hit == nullptr;
+    punts += tcam_hit != nullptr &&
+             tcam_hit->actions.contains(flowspace::ActionType::kToSoftware);
+  }
+  ASSERT_GT(fast, 0u);
+  ASSERT_GT(misses, 0u);
+  ASSERT_GT(punts, 0u);
+
+  // Slices of every size around the slow path's 16-key group.
+  std::vector<CacheFlowManager::LookupOutcome> got(cache.packets.size());
+  const std::span<const Packet> all(cache.packets);
+  size_t at = 0;
+  for (size_t s = 0; at < all.size(); ++s) {
+    const size_t n = std::min<size_t>(s % 40, all.size() - at);
+    mgr.classify_batch(all.subspan(at, n), std::span(got).subspan(at, n));
+    at += n;
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].rule, want[i].rule) << "packet " << i;
+    ASSERT_EQ(got[i].fast_path, want[i].fast_path) << "packet " << i;
+    ASSERT_EQ(got[i].position, want[i].position) << "packet " << i;
+  }
+  // One call over everything: many groups of punts.
+  std::vector<CacheFlowManager::LookupOutcome> whole(all.size());
+  mgr.classify_batch(all, whole);
+  for (size_t i = 0; i < whole.size(); ++i) ASSERT_EQ(whole[i].rule, want[i].rule) << i;
+}
+
 TEST(CacheFlowConcurrency, FourReadersMatchSerialClassify) {
   // The read path (packed TCAM scan + tuple-space fallback) is const: four
   // threads classifying against one frozen cache must each reproduce the
-  // serial answers exactly. Under the TSAN tree this also proves the path
-  // race-free.
-  Rng rng(88);
-  const FlowTable fib{generate_router(2000, rng)};
-  const auto graph = build_min_dag(fib);
-  CacheFlowManager mgr(fib.rules(), graph, CacheFlowManager::Mode::kDagFirmware, 256);
-  for (const Rule& r : fib.rules()) mgr.add_hits(r.id, rng.next_below(5));
-  mgr.warm(CacheFlowManager::AdmissionPolicy::kFlowDriven, 180);
-  // Cache some dependent rules too, so cover punts are on the read path.
-  for (const Rule& r : fib.rules()) {
-    if (mgr.cover_count() >= 8) break;
-    if (!graph.successors(r.id).empty()) mgr.install(r.id);
-  }
+  // serial answers exactly, one packet at a time and in batches. Under the
+  // TSAN tree this also proves the path race-free.
+  WarmCache cache(Rng(88));
+  const CacheFlowManager& mgr = cache.mgr;
+  const std::vector<Packet>& packets = cache.packets;
   ASSERT_GT(mgr.cover_count(), 0u);
-
-  std::vector<Packet> packets;
-  for (uint64_t i = 0; i < 6000; ++i) {
-    packets.push_back(switchsim::synth_packet(fib.rules(), util::hash_pair(i, 0xc0)));
-  }
   using Answer = std::pair<RuleId, bool>;
   auto classify_all = [&mgr, &packets] {
     std::vector<Answer> out;
@@ -786,10 +870,23 @@ TEST(CacheFlowConcurrency, FourReadersMatchSerialClassify) {
   ASSERT_GT(fast, 0u);
   ASSERT_LT(fast, serial.size());
 
+  auto classify_batched = [&mgr, &packets] {
+    std::vector<CacheFlowManager::LookupOutcome> outcomes(packets.size());
+    mgr.classify_batch(packets, outcomes);
+    std::vector<Answer> out;
+    out.reserve(packets.size());
+    for (const auto& o : outcomes) {
+      out.emplace_back(o.rule == nullptr ? flowspace::kInvalidRuleId : o.rule->id, o.fast_path);
+    }
+    return out;
+  };
+
   std::vector<std::vector<Answer>> parallel(4);
   std::vector<std::thread> readers;
-  for (auto& slot : parallel) {
-    readers.emplace_back([&slot, &classify_all] { slot = classify_all(); });
+  for (size_t t = 0; t < parallel.size(); ++t) {
+    readers.emplace_back([&slot = parallel[t], &classify_all, &classify_batched, t] {
+      slot = t % 2 == 0 ? classify_all() : classify_batched();
+    });
   }
   for (auto& t : readers) t.join();
   for (size_t t = 0; t < parallel.size(); ++t) {

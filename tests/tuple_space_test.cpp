@@ -4,13 +4,15 @@
 // dst prefixes that form one long chain, classbench monitor and firewall
 // masks that form many short ones, and equal priorities under tie_bits 32),
 // and after every round the index must keep its invariants: every chain is
-// strictly nested, tuple_count() equals the live masks, and no lookup
-// probes more than the summed search-tree depths.
+// strictly nested, tuple_count() equals the live masks, no lookup probes
+// more than the summed search-tree depths, and the batched lookup
+// (find_batch) answers and probes exactly as find() does key by key.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -95,8 +97,49 @@ struct Oracle {
   }
 };
 
-/// Every chain strictly nested, one tuple per live mask, and no lookup
-/// over more probes than the search trees are deep.
+/// find_batch over `keys`, cut into slices of 0, 1, 15, 16 and 37 keys (a
+/// full group, a partial one, and two groups and a remainder), answers as
+/// find() does key by key, and find_batch_counted counts the probes
+/// find_counted does.
+::testing::AssertionResult batch_matches_find(TupleSpace& ts, const std::vector<PackedKey>& keys) {
+  static constexpr size_t kSizes[] = {0, 1, 15, 16, 37};
+  const auto slices = [&](auto find_slice) {
+    std::vector<Handle> out(keys.size(), 0xdead);
+    for (size_t at = 0, s = 0; at < keys.size(); ++s) {
+      const size_t n = std::min(kSizes[s % std::size(kSizes)], keys.size() - at);
+      find_slice(std::span<const PackedKey>(keys.data() + at, n), std::span<Handle>(out.data() + at, n));
+      at += n;
+    }
+    return out;
+  };
+  ts.find_batch({}, {});
+  const uint64_t before = ts.stats().tuples_probed;
+  std::vector<Handle> want;
+  for (const PackedKey& key : keys) want.push_back(ts.find_counted(key));
+  const uint64_t probes = ts.stats().tuples_probed - before;
+  const std::vector<Handle> got = slices([&](auto in, auto out) { ts.find_batch(in, out); });
+  for (size_t j = 0; j < keys.size(); ++j) {
+    if (got[j] != want[j]) {
+      return ::testing::AssertionFailure() << "key " << j << ": find_batch " << got[j] << ", find "
+                                           << want[j];
+    }
+  }
+  const uint64_t lookups = ts.stats().lookups;
+  const uint64_t batch_before = ts.stats().tuples_probed;
+  if (slices([&](auto in, auto out) { ts.find_batch_counted(in, out); }) != want) {
+    return ::testing::AssertionFailure() << "find_batch_counted differs from find";
+  }
+  const uint64_t batch_probes = ts.stats().tuples_probed - batch_before;
+  if (batch_probes != probes || ts.stats().lookups - lookups != keys.size()) {
+    return ::testing::AssertionFailure() << "find_batch probed " << batch_probes << " times, find "
+                                         << probes;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Every chain strictly nested, one tuple per live mask, no lookup over
+/// more probes than the search trees are deep, and the batched lookup
+/// answering as the per-key one.
 ::testing::AssertionResult invariants_hold(TupleSpace& ts, const Oracle& oracle, Rng& rng,
                                            size_t random_keys) {
   if (ts.tuple_count() != oracle.masks()) {
@@ -120,6 +163,7 @@ struct Oracle {
   std::vector<PackedKey> keys;
   for (const auto& [h, e] : oracle.live) keys.push_back(noisy_key(e.match, rng));
   for (size_t i = 0; i < random_keys; ++i) keys.push_back({rng.next_u64(), rng.next_u64()});
+  if (auto batch = batch_matches_find(ts, keys); !batch) return batch;
   for (const PackedKey& key : keys) {
     const Handle want = oracle.find(key);
     const uint64_t before = ts.stats().tuples_probed;
@@ -235,6 +279,115 @@ TEST(TupleSpaceChurn, NestedPrefixesShareOneChainOnceTheIndexIsSearched) {
   EXPECT_GT(ts.marker_slots(), 0u);
   EXPECT_GT(ts.stats().propagation_visits, 0u);
   EXPECT_GT(ts.stats().chain_rebuilds, 0u);
+}
+
+// --- batched lookup -----------------------------------------------------------
+
+TEST(TupleSpaceBatch, FlatIndexNeverSearchedAnswersLikeFind) {
+  // Classbench masks inserted one by one and never searched: every mask is
+  // a one-level chain, so a batch walks many chains with early exits.
+  const ClassbenchMatches matches(15);
+  for (const unsigned tie_bits : {0u, 32u}) {
+    Rng rng(51 + tie_bits);
+    Ranks ranks{tie_bits};
+    TupleSpace ts(tie_bits);
+    Oracle oracle;
+    for (Handle h = 0; h < 300; ++h) {
+      const PackedMatch m = tcam::pack_match(matches(rng));
+      const Rank r = ranks(rng);
+      ts.insert(h, m, r);
+      oracle.live[h] = {m, r};
+    }
+    ASSERT_EQ(ts.chain_count(), ts.tuple_count());
+    ASSERT_GT(ts.chain_count(), 20u);
+    std::vector<PackedKey> keys;
+    for (const auto& [h, e] : oracle.live) keys.push_back(noisy_key(e.match, rng));
+    for (int i = 0; i < 50; ++i) keys.push_back({rng.next_u64(), rng.next_u64()});
+    std::vector<Handle> got(keys.size());
+    ts.find_batch(keys, got);  // the index's first search
+    for (size_t j = 0; j < keys.size(); ++j) {
+      ASSERT_EQ(got[j], oracle.find(keys[j])) << "tie_bits " << tie_bits << " key " << j;
+    }
+    ASSERT_EQ(ts.chain_count(), ts.tuple_count());  // a search alone changes nothing
+    ASSERT_TRUE(batch_matches_find(ts, keys)) << "tie_bits " << tie_bits;
+  }
+}
+
+TEST(TupleSpaceBatch, ABatchAloneMarksTheIndexSearched) {
+  // As after find(): the next insert regroups the nested prefixes.
+  Rng rng(22);
+  TupleSpace ts;
+  for (Handle h = 0; h < 150; ++h) ts.insert(h, tcam::pack_match(nested_prefix(rng)), h);
+  ASSERT_GT(ts.chain_count(), 1u);
+  const PackedKey key{0x0a000000, 0};
+  Handle out = 0;
+  ts.find_batch({&key, 1}, {&out, 1});
+  EXPECT_EQ(out, ts.find(key));
+  ts.insert(150, tcam::pack_match(nested_prefix(rng)), 150);
+  EXPECT_EQ(ts.chain_count(), 1u);
+}
+
+TEST(TupleSpaceBatch, ChainedTiedAndTcamIndexesUnderChurn) {
+  // Several chains (nested prefixes beside classbench masks), SoftTable-style
+  // ties under tie_bits 32, and TCAM ranks (rank = handle = address), each
+  // checked after every round of inserts and erases.
+  const ClassbenchMatches matches(16);
+  const auto mixed = [&matches](Rng& rng) {
+    return rng.next_bool(0.5) ? nested_prefix(rng) : matches(rng);
+  };
+  for (const unsigned tie_bits : {0u, 32u}) {
+    Rng rng(61 + tie_bits);
+    Ranks ranks{tie_bits};
+    TupleSpace ts(tie_bits);
+    Oracle oracle;
+    std::vector<Handle> free_handles;
+    for (Handle h = 0; h < 300; ++h) free_handles.push_back(h);
+    bool chained = false;
+    for (int round = 0; round < 12; ++round) {
+      for (int op = 0; op < 25; ++op) {
+        if (!free_handles.empty() && (oracle.live.empty() || rng.next_bool(0.65))) {
+          const Handle h = free_handles.back();
+          free_handles.pop_back();
+          const PackedMatch m = tcam::pack_match(mixed(rng));
+          const Rank r = ranks(rng);
+          ts.insert(h, m, r);
+          oracle.live[h] = {m, r};
+        } else {
+          auto it = oracle.live.begin();
+          std::advance(it, rng.next_below(oracle.live.size()));
+          ts.erase(it->first, it->second.match);
+          free_handles.push_back(it->first);
+          oracle.live.erase(it);
+        }
+      }
+      ASSERT_TRUE(invariants_hold(ts, oracle, rng, 40)) << "tie_bits " << tie_bits << " round "
+                                                       << round;
+      chained |= ts.chain_count() > 1 && ts.chain_count() < ts.tuple_count();
+    }
+    EXPECT_TRUE(chained) << "tie_bits " << tie_bits;
+  }
+  // A TCAM's index, written and searched through the Tcam.
+  Rng rng(71);
+  Tcam tcam(256);
+  for (int round = 0; round < 10; ++round) {
+    for (int op = 0; op < 40; ++op) {
+      const size_t addr = rng.next_below(tcam.capacity());
+      if (tcam.is_free(addr)) {
+        tcam.write(addr, Rule::make(mixed(rng), ActionList{Action::forward(1)}, 0));
+      } else if (rng.next_bool(0.4)) {
+        tcam.erase(addr);
+      }
+    }
+    Oracle oracle;
+    for (size_t a = 0; a < tcam.capacity(); ++a) {
+      if (const auto id = tcam.at(a)) {
+        oracle.live[static_cast<Handle>(a)] = {tcam::pack_match(tcam.rule(*id).match), a};
+      }
+    }
+    TupleSpace index = tcam.index();
+    ASSERT_TRUE(invariants_hold(index, oracle, rng, 40)) << "tcam round " << round;
+    tcam.lookup(flowspace::Packet{});  // searched: the next write regroups
+  }
 }
 
 // --- bulk build ---------------------------------------------------------------

@@ -2,7 +2,10 @@
 # One-command verification gate: configure + build the plain tree and the
 # three sanitizer trees, run the full test suite in each, build and test
 # the standalone perfbench project, and finish with every --smoke bench
-# (self-checking, non-zero exit on violation) from the plain tree.
+# (self-checking, non-zero exit on violation) from the plain tree. Each
+# tree's suite already runs the smoke benches bench/CMakeLists.txt
+# registers (traffic_engine_smoke among them: batched lookups on 3 shards),
+# so every sanitizer sees their multi-thread paths.
 #
 #   tools/check.sh              # everything (slow: four builds + suites)
 #   CHECK_TREES=plain tools/check.sh        # just the tier-1 gate
