@@ -5,7 +5,9 @@
 // range. Balanced placement (nearest the range midpoint) keeps slack spread
 // out so later chains stay short; first-free placement (naive firmware)
 // compacts rules and forces longer chains. This bench replays the same
-// update stream under both policies.
+// update stream under both policies. The churn evicts and reinstalls
+// entries the way CacheFlow does, so every rule keeps its vertex and edges
+// in the firmware's DAG; it exits non-zero if a layout breaks the DAG.
 #include "bench/bench_util.h"
 #include "classbench/generator.h"
 #include "dag/builder.h"
@@ -33,7 +35,7 @@ int main() {
       constexpr size_t kCapacity = 256;
       tcam::Tcam tcam(kCapacity);
       DagScheduler scheduler(tcam, placement);
-      scheduler.graph() = fib_dag;
+      scheduler.load(fib_dag);
       util::Rng rng(0x1dea);
 
       // Install a random subset to the target load.
@@ -64,11 +66,12 @@ int main() {
           for (auto i : ins) dup = dup || i == in;
           if (!dup) ins.push_back(in);
         }
-        for (size_t o : outs) scheduler.remove(cached[o]);
+        for (size_t o : outs) scheduler.evict(cached[o]);
         const auto before = tcam.stats();
         bool ok = true;
         for (auto in : ins) ok = ok && scheduler.insert(fib.rule(in));
         if (!ok) {
+          for (auto in : ins) scheduler.evict(in);
           for (size_t k = 0; k < 3; ++k) scheduler.insert(fib.rule(cached[outs[k]]));
           continue;
         }
@@ -83,6 +86,10 @@ int main() {
                                                                   : "first-free",
                   moves.mean(), moves.p90(), tcam_ms.mean(), tcam_ms.sum());
       std::fflush(stdout);
+      if (!scheduler.layout_valid()) {
+        std::fprintf(stderr, "FAIL: layout violates the DAG after churn\n");
+        return 1;
+      }
     }
   }
   return 0;

@@ -126,9 +126,6 @@ int main(int argc, char** argv) {
                   load, name, metrics.tcam_ms.summary("").c_str(),
                   metrics.firmware_ms.summary("").c_str());
       if (skipped != 0) std::printf("  (%zu swaps skipped: cache full)", skipped);
-      if (mode == CacheFlowManager::Mode::kDagFirmware) {
-        std::printf("  full cap rebuilds %zu", mgr.full_cap_rebuilds());
-      }
       std::printf("\n");
       std::fflush(stdout);
 

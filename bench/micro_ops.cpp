@@ -96,7 +96,7 @@ void BM_SchedulerInsert(benchmark::State& state) {
   const auto graph = dag::build_min_dag(table);
   tcam::Tcam tcam(256);
   tcam::DagScheduler scheduler(tcam);
-  scheduler.graph() = graph;
+  scheduler.load(graph);
   for (flowspace::RuleId id : graph.topo_order_high_to_low()) {
     scheduler.insert(table.rule(id));
   }
@@ -104,9 +104,8 @@ void BM_SchedulerInsert(benchmark::State& state) {
   for (auto _ : state) {
     const Rule& victim = table.rules()[rng.next_below(table.size())];
     if (!tcam.contains(victim.id)) continue;
-    scheduler.remove(victim.id);
-    // Re-insert through Algorithm 1.
-    scheduler.graph() = graph;
+    // Evict keeps the vertex and its edges; re-insert through Algorithm 1.
+    scheduler.evict(victim.id);
     scheduler.insert(victim);
   }
 }

@@ -99,12 +99,16 @@ int main(int argc, char** argv) {
 
   // ---- Part 1: crash-free fast path, journal off vs on -------------------
   // Noise discipline: one sample = `inner` back-to-back replays with only
-  // the apply loop on the clock; modes are interleaved within each rep so
-  // machine drift hits both equally; the min over reps estimates the true
-  // cost of this fixed, deterministic amount of work.
-  const size_t reps = smoke ? 7 : 15;
-  const size_t inner = smoke ? 2 : 4;
+  // the apply loop on the clock. Each rep times both modes back to back, in
+  // alternating order, and yields one paired ratio (journal on / off), so
+  // drift of the machine between reps cancels out of it; the overhead is
+  // the median ratio over reps, which one swamped sample cannot move. The
+  // min per mode is reported alongside. Smoke runs the full-mode counts:
+  // its replays are short, so the estimate needs as many samples.
+  const size_t reps = 15;
+  const size_t inner = 4;
   double best_ms[2] = {1e300, 1e300};
+  std::vector<double> ratios;
   size_t writes_by_mode[2] = {0, 0};
   auto replay = [&](bool journaled, size_t& writes) {
     SimulatedSwitch sw(FirmwareMode::kDag, capacity);
@@ -126,19 +130,23 @@ int main(int argc, char** argv) {
     (void)replay(journaled != 0, writes_by_mode[journaled]);
   }
   for (size_t rep = 0; rep < reps; ++rep) {
-    for (int journaled = 0; journaled <= 1; ++journaled) {
-      double total = 0.0;
+    double total[2] = {0.0, 0.0};
+    for (size_t k = 0; k <= 1; ++k) {
+      const size_t journaled = (rep + k) % 2;
       for (size_t i = 0; i < inner; ++i) {
         size_t writes = 0;
-        total += replay(journaled != 0, writes);
+        total[journaled] += replay(journaled != 0, writes);
         if (writes != writes_by_mode[journaled]) {
           std::fprintf(stderr, "FAIL: replay not deterministic\n");
           return 1;
         }
       }
-      best_ms[journaled] = std::min(best_ms[journaled], total / inner);
     }
+    for (size_t m = 0; m <= 1; ++m) best_ms[m] = std::min(best_ms[m], total[m] / inner);
+    ratios.push_back(total[1] / total[0]);
   }
+  std::nth_element(ratios.begin(), ratios.begin() + reps / 2, ratios.end());
+  const double overhead_ms = (ratios[reps / 2] - 1.0) * best_ms[0];
   size_t journaled_ops = 0;
   {
     SimulatedSwitch sw(FirmwareMode::kDag, capacity);
@@ -161,13 +169,13 @@ int main(int argc, char** argv) {
   // its end-to-end overhead is the CPU sliver divided by the write bill;
   // the CPU-only number is reported alongside with a looser guard — it
   // measures scheduler nanoseconds against journal nanoseconds.
-  const double cpu_overhead_pct =
-      (best_ms[1] - best_ms[0]) / best_ms[0] * 100.0;
+  const double cpu_overhead_pct = overhead_ms / best_ms[0] * 100.0;
   const double write_ms =
       static_cast<double>(writes_by_mode[0]) * tcam::kEntryWriteMs;
   const double apply_overhead_pct =
-      (best_ms[1] - best_ms[0]) / (write_ms + best_ms[0]) * 100.0;
-  std::printf("\ncrash-free replay (min of %zu reps):\n", reps);
+      overhead_ms / (write_ms + best_ms[0]) * 100.0;
+  std::printf("\ncrash-free replay (min of %zu reps; overhead = median paired ratio):\n",
+              reps);
   std::printf("  journal off : %8.2f ms firmware CPU + %.1f ms entry writes "
               "(%zu writes)\n",
               best_ms[0], write_ms, writes_by_mode[0]);
@@ -179,7 +187,7 @@ int main(int argc, char** argv) {
   std::printf("  firmware CPU overhead: %+.2f%%  (%zu journaled ops, "
               "%.0f ns each)\n",
               cpu_overhead_pct, journaled_ops,
-              (best_ms[1] - best_ms[0]) * 1e6 /
+              overhead_ms * 1e6 /
                   static_cast<double>(std::max<size_t>(1, journaled_ops)));
   if (auto* j = bench::json()) {
     for (int journaled = 0; journaled <= 1; ++journaled) {

@@ -158,10 +158,10 @@ int main(int argc, char** argv) {
     }
     std::printf("  %-7s | hit rate %.4f | %10.0f pkts/s | swaps %zu | "
                 "update ms/epoch %s | churn %zu | failed swaps %zu | "
-                "violations %zu | full cap rebuilds %zu\n",
+                "violations %zu\n",
                 policy_name(policy), r.hit_rate(), r.pkts_per_s(), r.swaps,
                 update_ms.summary("").c_str(), r.churn_events, r.failed_swaps,
-                r.consistency_violations, r.full_cap_rebuilds);
+                r.consistency_violations);
     hit_rate[policy == Policy::kFlowDriven] = r.hit_rate();
     if (auto* j = bench::json()) {
       j->begin_row();
@@ -376,9 +376,9 @@ int main(int argc, char** argv) {
     }
     const double probes = tc.probe_stats().probes_per_lookup();
     std::printf("  %zu/%zu occupied | %3zu tuples | %5.2f probes/pkt | linear %7.0f ns/pkt | "
-                "indexed %5.0f ns/pkt | %5.1fx | full cap rebuilds %zu\n",
+                "indexed %5.0f ns/pkt | %5.1fx\n",
                 tc.occupied(), cap, tc.tuple_count(), probes, lin_ns, idx_ns,
-                idx_ns > 0 ? lin_ns / idx_ns : 0.0, mgr.full_cap_rebuilds());
+                idx_ns > 0 ? lin_ns / idx_ns : 0.0);
     if (auto* j = bench::json()) {
       j->begin_row();
       j->field("section", "tcam");

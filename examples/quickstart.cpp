@@ -97,15 +97,13 @@ int main() {
 
     tcam::Tcam tcam(6);
     tcam::DagScheduler scheduler(tcam);
-    scheduler.graph() = graph;
     // Same initial layout as the hardware: 1..5 from the top.
     tcam.write(5, r1);
     tcam.write(4, r2);
     tcam.write(3, r3);
     tcam.write(2, r4);
     tcam.write(1, r5);
-    tcam::DagScheduler fresh(tcam);  // re-sync occupancy with the layout
-    fresh.graph() = graph;
+    scheduler.load(graph);
 
     std::printf("\nminimum DAG of the six rules:\n");
     for (const auto& [u, v] : graph.edges()) {
@@ -114,9 +112,9 @@ int main() {
     }
 
     dump("\nDAG scheduler, before insert:", tcam, names);
-    fresh.insert(r6);
+    scheduler.insert(r6);
     std::printf("DAG scheduler inserted rule 6 with %zu entry moves (Fig. 2(c))\n\n",
-                fresh.last_chain_moves());
+                scheduler.last_chain_moves());
     dump("DAG scheduler, after insert:", tcam, names);
   }
 

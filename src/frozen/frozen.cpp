@@ -326,34 +326,36 @@ size_t FrozenPolicy::restore(size_t t, tcam::DagScheduler& scheduler) const {
     }
     idx_edges.emplace_back(pos[e.u], pos[e.v]);
   }
-  scheduler.graph().bulk_load_indexed(ids, idx_edges);
-
-  std::vector<long long> addr_of(entry_pool.size(), -1);
-  for (const FrozenLayout& l : layout) {
-    const FrozenEntry& e = entry_at(l.entry_index);
-    scheduler.restore_entry(
-        Rule{e.id, detail::unpack_match(e),
-             detail::unpack_actions(e, action_pool), l.priority},
-        l.addr);
-    addr_of[l.entry_index] = static_cast<long long>(l.addr);
-  }
+  dag::DependencyGraph graph;
+  graph.bulk_load_indexed(ids, idx_edges);
 
   // The cap cells fall straight out of the frozen edges + layout (the same
   // values CapIndex::rebuild would derive from the loaded graph + TCAM, at
-  // flat-array cost); hand them to the scheduler so it is update-ready
-  // without a rebuild.
+  // flat-array cost); hand them to the scheduler with the layout so it is
+  // update-ready without a rebuild.
   const size_t cap = scheduler.capacity();
-  std::vector<long long> lo_succ(cap, static_cast<long long>(cap));
-  std::vector<long long> hi_pred(cap, -1);
+  tcam::DagScheduler::Layout placed;
+  placed.entries.reserve(layout.size());
+  placed.lo_succ.assign(cap, static_cast<long long>(cap));
+  placed.hi_pred.assign(cap, -1);
+  std::vector<long long> addr_of(entry_pool.size(), -1);
+  for (const FrozenLayout& l : layout) {
+    const FrozenEntry& e = entry_at(l.entry_index);
+    if (l.addr >= cap) fail("layout address outside the TCAM");
+    placed.entries.push_back(
+        {l.addr, Rule{e.id, detail::unpack_match(e),
+                      detail::unpack_actions(e, action_pool), l.priority}});
+    addr_of[l.entry_index] = static_cast<long long>(l.addr);
+  }
   for (const FrozenEdge& e : edges) {
     const long long au = addr_of[e.u];
     const long long av = addr_of[e.v];
     if (au >= 0 && av >= 0) {
-      lo_succ[au] = std::min(lo_succ[au], av);
-      hi_pred[av] = std::max(hi_pred[av], au);
+      placed.lo_succ[au] = std::min(placed.lo_succ[au], av);
+      placed.hi_pred[av] = std::max(placed.hi_pred[av], au);
     }
   }
-  scheduler.restore_caps(std::move(lo_succ), std::move(hi_pred));
+  scheduler.load(std::move(graph), std::move(placed));
   return layout.size();
 }
 

@@ -132,9 +132,9 @@ class FrozenPolicy {
   RuleId id_floor() const { return meta_.id_floor; }
   size_t n_tables() const { return meta_.n_tables; }
 
-  /// Restores a scheduler to the frozen state of table `t`: loads the
-  /// visible DAG into scheduler.graph(), writes every layout entry at its
-  /// frozen TCAM address, and rebuilds the search caches. The scheduler
+  /// Restores a scheduler to the frozen state of table `t` through
+  /// DagScheduler::load: the visible DAG, every layout entry at its frozen
+  /// TCAM address, and the cap cells derived from the two. The scheduler
   /// must be empty (fresh TCAM). Returns the number of entries written.
   size_t restore(size_t t, tcam::DagScheduler& scheduler) const;
 

@@ -365,9 +365,7 @@ void SwitchSession::readmit(uint64_t anchor) {
   if (cfg_.on_readmit && !cfg_.on_readmit(anchor)) ++stats_.readmit_failures;
   // The TCAM the switch rejoins with must already satisfy every structural
   // invariant — re-admission may not launder a torn table back in.
-  // Read through the const device: the mutable graph() accessor would
-  // mark the firmware's cap cells stale and force a full rebuild.
-  const switchsim::SimulatedSwitch& device = std::as_const(agent_).device();
+  const switchsim::SimulatedSwitch& device = agent_.device();
   const tcam::AuditReport audit =
       tcam::audit_state(device.tcam(), device.dag_firmware().graph());
   if (!audit.clean()) ++stats_.rejoin_audit_violations;
@@ -515,7 +513,7 @@ void SwitchSession::verify(const std::vector<flowspace::Rule>& expected) {
             stats_.rejoin_audit_violations == 0;
   // The firmware state auditor checks all three invariants: address-ordered
   // DAG edges, exact expected-set match, no duplicate/orphan slots.
-  const switchsim::SimulatedSwitch& device = std::as_const(agent_).device();
+  const switchsim::SimulatedSwitch& device = agent_.device();
   const tcam::AuditReport audit =
       tcam::audit_state(device.tcam(), device.dag_firmware().graph(), expected);
   ok = ok && audit.clean();

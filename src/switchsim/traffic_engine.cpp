@@ -198,7 +198,6 @@ void TrafficEngine::finalize(TrafficReport& report) const {
     l = util::hash_pair(l, util::hash_pair(addr, canonical ^ (is_cover << 63)));
   }
   report.layout_checksum = l;
-  report.full_cap_rebuilds = manager_.full_cap_rebuilds();
 }
 
 }  // namespace ruletris::switchsim

@@ -76,9 +76,6 @@ struct TrafficReport {
   size_t failed_swaps = 0;
   size_t rebalance_early_stops = 0;
   size_t restore_failures = 0;
-  // Full cap-index rebuilds of the DAG firmware over the manager's life
-  // (CacheFlowManager::full_cap_rebuilds; swaps keep the cells exact).
-  size_t full_cap_rebuilds = 0;
   double update_ms = 0.0;
   double lookup_wall_ms = 0.0;
   // Determinism fingerprints: per-rule hit counts folded in rule order, and

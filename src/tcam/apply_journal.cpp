@@ -43,7 +43,7 @@ std::string to_string(const ApplyJournal& journal) {
         out << " " << op.u << " -> " << op.v;
         break;
     }
-    out << (op.applied ? "" : " [not applied]") << "\n";
+    out << "\n";
   }
   return out.str();
 }

@@ -6,15 +6,14 @@
 // journal makes every scheduler transaction recoverable: the log always
 // lists exactly the primitives (slot writes, moves, erases, DAG mutations)
 // that completed. The scheduler consults the crash hook before each
-// primitive and journals it immediately after it executes — crashes are
-// injected only at hook consultations, so nothing can tear between a
-// primitive and its journal entry, and the post-execution log is
-// observationally identical to write-ahead intent (the record/mark_applied
-// split stays available for callers that log intent first). On recovery a
-// torn transaction is undone in reverse — every journaled op has an exact
-// inverse (write/erase, move(from,to)/move(to,from), each graph delta
-// mirrored) — so the TCAM lands in the state equivalent to "update never
-// started". A transaction whose every op executed is sealed before the
+// primitive and journals it right after it executes (a vertex removal,
+// which drops its edges implicitly, right before) — crashes are injected
+// only at hook consultations, so nothing can tear between a primitive and
+// its journal entry, and the log is observationally identical to
+// write-ahead intent. On recovery a torn transaction is undone in reverse —
+// every journaled op has an exact inverse (write/erase,
+// move(from,to)/move(to,from), each graph delta mirrored) — so the TCAM
+// lands in the state equivalent to "update never started". A transaction whose every op executed is sealed before the
 // commit point; a crash between seal and commit rolls *forward* (the
 // device already holds the fully-applied state, only the journal is
 // discarded).
@@ -68,9 +67,6 @@ class ApplyJournal {
     uint32_t to = 0;
     uint32_t snapshot = kNoSnapshot;  // index into the erase-snapshot table
     OpKind kind = OpKind::kWrite;
-    /// False = intent logged but the hardware op never completed (the crash
-    /// point); recovery skips it.
-    bool applied = false;
   };
   static_assert(sizeof(Op) == 32, "Op sits on the apply fast path");
 
@@ -84,8 +80,8 @@ class ApplyJournal {
     sealed_ = false;
   }
 
-  /// Records intent for the next primitive. Call immediately before the op
-  /// executes; pair with mark_applied() immediately after.
+  /// Records a primitive that has executed (or, for a composite, is about
+  /// to with no crash point in between).
   void record(Op op) {
     ops_.push_back(op);
     ++total_recorded_;
@@ -103,20 +99,6 @@ class ApplyJournal {
   /// The erase snapshot an op recorded (op.snapshot != kNoSnapshot).
   const flowspace::Rule& snapshot(const Op& op) const {
     return snapshots_.at(op.snapshot);
-  }
-
-  /// Marks the most recently recorded op as executed.
-  void mark_applied() { ops_.back().applied = true; }
-
-  /// Marks every not-yet-applied trailing op as executed — for composite
-  /// primitives (vertex removal with its implicit edge drops) that record
-  /// several intents and then execute atomically. Ops before the trailing
-  /// run are applied already by invariant: an op is always resolved before
-  /// the next one is recorded.
-  void mark_applied_all() {
-    for (size_t i = ops_.size(); i-- > 0 && !ops_[i].applied;) {
-      ops_[i].applied = true;
-    }
   }
 
   /// Every op of the transaction has executed; only the commit is pending.

@@ -66,12 +66,6 @@ class CacheFlowManager {
 
   bool is_cached(flowspace::RuleId id) const;
 
-  /// Full cap-index rebuilds of the DAG firmware since construction (0 in
-  /// priority mode). Every swap goes through the scheduler's funnelled
-  /// update path, so this stays 0.
-  size_t full_cap_rebuilds() const {
-    return dag_firmware_ ? dag_firmware_->full_cap_rebuilds() : 0;
-  }
   size_t cached_count() const { return cached_count_; }
   size_t cover_count() const { return cover_targets_.size(); }
 
@@ -85,6 +79,8 @@ class CacheFlowManager {
 
   Tcam& tcam() { return *tcam_; }
   const Tcam& tcam() const { return *tcam_; }
+  /// The DAG firmware (nullptr in priority mode).
+  const DagScheduler* dag_firmware() const { return dag_firmware_.get(); }
 
   /// The software slow path over the full table.
   const SoftTable& soft_table() const { return soft_; }

@@ -37,8 +37,8 @@ class CapIndex {
   explicit CapIndex(size_t capacity);
 
   /// Recomputes the cells from scratch and drops all hydrated per-vertex
-  /// state — used after external (test-driven) mutation of the scheduler's
-  /// graph, and at construction. O(V + E), no per-edge allocation.
+  /// state — used when the scheduler loads a whole graph, and by tests as
+  /// the oracle for the live cells. O(V + E), no per-edge allocation.
   void rebuild(const Tcam& tcam, const dag::DependencyGraph& graph);
 
   /// Warm-boot fast path: adopts externally computed cap cells (e.g. derived

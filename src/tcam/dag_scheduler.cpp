@@ -14,33 +14,18 @@ namespace ruletris::tcam {
 using flowspace::RuleId;
 
 DagScheduler::DagScheduler(Tcam& tcam, Placement placement, SearchMode mode)
-    : tcam_(tcam),
-      occupancy_(tcam.capacity()),
-      placement_(placement),
-      mode_(mode),
-      caps_(tcam.capacity()) {
-  for (size_t a = 0; a < tcam.capacity(); ++a) {
-    if (!tcam.is_free(a)) occupancy_.set_occupied(a, true);
-  }
-  if (mode_ == SearchMode::kCached) caps_.rebuild(tcam_, graph_);
-}
+    : tcam_(tcam), placement_(placement), mode_(mode), caps_(tcam.capacity()) {}
 
-void DagScheduler::sync_caps() {
-  if (mode_ == SearchMode::kCached && caps_dirty_) {
+void DagScheduler::load(DependencyGraph graph, Layout layout) {
+  if (journaling()) throw std::logic_error("DagScheduler::load: transaction open");
+  graph_ = std::move(graph);
+  for (PlacedRule& e : layout.entries) tcam_.write(e.addr, std::move(e.rule));
+  if (!caps_live()) return;
+  if (layout.lo_succ.empty()) {
     caps_.rebuild(tcam_, graph_);
-    caps_dirty_ = false;
-    ++full_cap_rebuilds_;
+  } else {
+    caps_.load_cells(std::move(layout.lo_succ), std::move(layout.hi_pred));
   }
-}
-
-void DagScheduler::restore_entry(const Rule& rule, size_t addr) {
-  do_write(addr, rule);
-}
-
-void DagScheduler::restore_caps(std::vector<long long> lo_succ,
-                                std::vector<long long> hi_pred) {
-  caps_.load_cells(std::move(lo_succ), std::move(hi_pred));
-  caps_dirty_ = false;
 }
 
 void DagScheduler::fire_crash_hook() {
@@ -49,23 +34,21 @@ void DagScheduler::fire_crash_hook() {
   }
 }
 
-// Journaled funnels all follow the same shape: consult the crash hook,
-// execute the primitive, then journal it as applied. Crashes are injected
-// only at hook consultations, so nothing can tear between the execution
-// and its journal entry — the log a crash finds always lists exactly the
-// completed prefix, which is what write-ahead intent guarantees, without
-// paying existence pre-probes or a second journal touch per op.
+// Every primitive has one body: consult the crash hook, execute, fire the
+// cap hook, then journal the op if a transaction is open. Crashes are
+// injected only at hook consultations, so nothing can tear between the
+// execution and its journal entry — the log a crash finds always lists
+// exactly the completed prefix, which is what write-ahead intent
+// guarantees, without paying existence pre-probes or a second journal
+// touch per op.
 
 void DagScheduler::do_write(size_t addr, const Rule& rule) {
-  const bool journaled = journaling();
-  if (journaled) maybe_crash();
+  maybe_crash();
   tcam_.write(addr, rule);
-  occupancy_.set_occupied(addr, true);
   if (caps_live()) caps_.on_write(rule.id, addr, graph_, tcam_);
-  if (journaled) {
+  if (journaling()) {
     ApplyJournal::Op op;
     op.kind = ApplyJournal::OpKind::kWrite;
-    op.applied = true;
     op.to = addr;
     op.u = rule.id;
     journal_->record(op);
@@ -73,16 +56,12 @@ void DagScheduler::do_write(size_t addr, const Rule& rule) {
 }
 
 void DagScheduler::do_move(size_t from, size_t to) {
-  const bool journaled = journaling();
-  if (journaled) maybe_crash();
+  maybe_crash();
   tcam_.move(from, to);
-  occupancy_.set_occupied(from, false);
-  occupancy_.set_occupied(to, true);
   if (caps_live()) caps_.on_move(from, to, graph_, tcam_);
-  if (journaled) {
+  if (journaling()) {
     ApplyJournal::Op op;
     op.kind = ApplyJournal::OpKind::kMove;
-    op.applied = true;
     op.from = from;
     op.to = to;
     journal_->record(op);
@@ -90,125 +69,95 @@ void DagScheduler::do_move(size_t from, size_t to) {
 }
 
 void DagScheduler::do_erase(size_t addr) {
-  const RuleId id = *tcam_.at(addr);
+  maybe_crash();
+  // take() moves the dropped entry out: the journal keeps it as the data
+  // of the inverse write, which the device no longer holds.
+  Rule snapshot = tcam_.take(addr);
+  if (caps_live()) caps_.on_erase(snapshot.id, addr, graph_, tcam_);
   if (journaling()) {
-    maybe_crash();
-    // take() moves the dropped entry straight into the journal: the
-    // inverse is a fresh write of data the device no longer holds.
-    Rule snapshot = tcam_.take(addr);
-    occupancy_.set_occupied(addr, false);
-    if (caps_live()) caps_.on_erase(id, addr, graph_, tcam_);
     ApplyJournal::Op op;
     op.kind = ApplyJournal::OpKind::kErase;
-    op.applied = true;
     op.from = addr;
-    op.u = id;
+    op.u = snapshot.id;
     journal_->record(op, std::move(snapshot));
-    return;
   }
-  tcam_.erase(addr);
-  occupancy_.set_occupied(addr, false);
-  if (caps_live()) caps_.on_erase(id, addr, graph_, tcam_);
 }
 
 void DagScheduler::add_vertex_internal(RuleId v) {
-  if (journaling()) {
-    maybe_crash();
-    if (graph_.add_vertex(v)) {
-      ApplyJournal::Op op;
-      op.kind = ApplyJournal::OpKind::kAddVertex;
-      op.applied = true;
-      op.u = v;
-      journal_->record(op);
-    }
-    return;
+  maybe_crash();
+  if (graph_.add_vertex(v) && journaling()) {
+    ApplyJournal::Op op;
+    op.kind = ApplyJournal::OpKind::kAddVertex;
+    op.u = v;
+    journal_->record(op);
   }
-  graph_.add_vertex(v);
 }
 
 void DagScheduler::add_edge_internal(RuleId u, RuleId v) {
-  if (journaling()) {
-    maybe_crash();
-    // add_edge reports exactly what it changed; implicit endpoint creation
-    // is journaled as explicit vertex adds (before the edge, so the
-    // reverse-order rollback removes the edge first) and a no-op add
-    // journals nothing — its rollback must not strip a pre-existing edge.
-    const dag::DependencyGraph::EdgeAdd added = graph_.add_edge(u, v);
-    ApplyJournal::Op op;
-    op.applied = true;
-    if (added.created_u) {
-      op.kind = ApplyJournal::OpKind::kAddVertex;
-      op.u = u;
-      journal_->record(op);
-    }
-    if (added.created_v) {
-      op.kind = ApplyJournal::OpKind::kAddVertex;
-      op.u = v;
-      journal_->record(op);
-    }
-    if (added.added) {
-      if (caps_live()) caps_.on_add_edge(u, v, graph_, tcam_);
-      op.kind = ApplyJournal::OpKind::kAddEdge;
-      op.u = u;
-      op.v = v;
-      journal_->record(op);
-    }
-    return;
+  maybe_crash();
+  // add_edge reports exactly what it changed; implicit endpoint creation
+  // is journaled as explicit vertex adds (before the edge, so the
+  // reverse-order rollback removes the edge first) and a no-op add
+  // journals nothing — its rollback must not strip a pre-existing edge.
+  const dag::DependencyGraph::EdgeAdd added = graph_.add_edge(u, v);
+  if (added.added && caps_live()) caps_.on_add_edge(u, v, graph_, tcam_);
+  if (!journaling()) return;
+  ApplyJournal::Op op;
+  if (added.created_u) {
+    op.kind = ApplyJournal::OpKind::kAddVertex;
+    op.u = u;
+    journal_->record(op);
   }
-  graph_.add_edge(u, v);
-  if (caps_live()) caps_.on_add_edge(u, v, graph_, tcam_);
+  if (added.created_v) {
+    op.kind = ApplyJournal::OpKind::kAddVertex;
+    op.u = v;
+    journal_->record(op);
+  }
+  if (added.added) {
+    op.kind = ApplyJournal::OpKind::kAddEdge;
+    op.u = u;
+    op.v = v;
+    journal_->record(op);
+  }
 }
 
 void DagScheduler::remove_edge_internal(RuleId u, RuleId v) {
-  if (journaling()) {
-    maybe_crash();
-    if (graph_.remove_edge(u, v)) {
-      if (caps_live()) caps_.on_remove_edge(u, v, graph_, tcam_);
-      ApplyJournal::Op op;
-      op.kind = ApplyJournal::OpKind::kRemoveEdge;
-      op.applied = true;
-      op.u = u;
-      op.v = v;
-      journal_->record(op);
-    }
-    return;
-  }
-  graph_.remove_edge(u, v);
+  maybe_crash();
+  if (!graph_.remove_edge(u, v)) return;
   if (caps_live()) caps_.on_remove_edge(u, v, graph_, tcam_);
+  if (journaling()) {
+    ApplyJournal::Op op;
+    op.kind = ApplyJournal::OpKind::kRemoveEdge;
+    op.u = u;
+    op.v = v;
+    journal_->record(op);
+  }
 }
 
 void DagScheduler::remove_vertex_internal(RuleId v) {
+  if (!graph_.has_vertex(v)) return;
+  maybe_crash();
+  // remove_vertex drops incident edges implicitly, so this composite is
+  // journaled right before it executes: each incident edge as an explicit
+  // removal (the rollback restores them exactly), then the vertex. Nothing
+  // can crash between the records and the removal.
   if (journaling()) {
-    if (!graph_.has_vertex(v)) return;
-    // remove_vertex drops incident edges implicitly; journal each one as an
-    // explicit removal first so the rollback can restore them exactly. The
-    // removal itself then executes wholesale as one composite primitive —
-    // recording does not mutate the graph, so the edge sets are iterated in
-    // place, and the bulk cap-cache update is the same one the unjournaled
-    // path pays (not a per-edge teardown).
+    ApplyJournal::Op op;
+    op.kind = ApplyJournal::OpKind::kRemoveEdge;
     for (RuleId p : graph_.predecessors(v)) {
-      ApplyJournal::Op op;
-      op.kind = ApplyJournal::OpKind::kRemoveEdge;
       op.u = p;
       op.v = v;
       journal_->record(op);
     }
     for (RuleId s : graph_.successors(v)) {
-      ApplyJournal::Op op;
-      op.kind = ApplyJournal::OpKind::kRemoveEdge;
       op.u = v;
       op.v = s;
       journal_->record(op);
     }
-    ApplyJournal::Op op;
     op.kind = ApplyJournal::OpKind::kRemoveVertex;
     op.u = v;
+    op.v = 0;
     journal_->record(op);
-    maybe_crash();
-    graph_.remove_vertex(v);
-    if (caps_live()) caps_.on_remove_vertex(v);
-    journal_->mark_applied_all();
-    return;
   }
   graph_.remove_vertex(v);
   if (caps_live()) caps_.on_remove_vertex(v);
@@ -236,51 +185,47 @@ ApplyStatus DagScheduler::fail_txn(bool owns) {
 }
 
 size_t DagScheduler::rollback_open_txn(size_t* undone_writes) {
-  const std::vector<ApplyJournal::Op>& ops = journal_->ops();
-  size_t undone = 0;
-  size_t writes = 0;
-  // The undo uses the raw device/graph (not the do_* funnels): undo ops are
-  // not re-journaled and must not re-fire the crash hook. The cap cache is
-  // rebuilt lazily instead of tracking each inverse op.
-  caps_dirty_ = true;
+  // Each inverse op runs through the primitive bodies with the journal
+  // detached, so it is neither re-journaled nor a crash point, and the cap
+  // cells stay exact.
+  ApplyJournal* const journal = journal_;
+  journal_ = nullptr;
+  const size_t writes_before = tcam_.stats().entry_writes;
+  const std::vector<ApplyJournal::Op>& ops = journal->ops();
   for (size_t i = ops.size(); i-- > 0;) {
     const ApplyJournal::Op& op = ops[i];
-    if (!op.applied) continue;
-    ++undone;
     switch (op.kind) {
       case ApplyJournal::OpKind::kWrite:
-        tcam_.erase(op.to);
-        occupancy_.set_occupied(op.to, false);
+        do_erase(op.to);
         break;
       case ApplyJournal::OpKind::kMove:
-        tcam_.move(op.to, op.from);
-        occupancy_.set_occupied(op.to, false);
-        occupancy_.set_occupied(op.from, true);
-        ++writes;
+        do_move(op.to, op.from);
         break;
       case ApplyJournal::OpKind::kErase:
-        tcam_.write(op.from, journal_->snapshot(op));
-        occupancy_.set_occupied(op.from, true);
-        ++writes;
+        do_write(op.from, journal->snapshot(op));
         break;
       case ApplyJournal::OpKind::kAddVertex:
         // Later-journaled incident edges were already undone above, so the
         // vertex is isolated again.
-        graph_.remove_vertex(op.u);
+        remove_vertex_internal(op.u);
         break;
       case ApplyJournal::OpKind::kRemoveVertex:
-        graph_.add_vertex(op.u);
+        add_vertex_internal(op.u);
         break;
       case ApplyJournal::OpKind::kAddEdge:
-        graph_.remove_edge(op.u, op.v);
+        remove_edge_internal(op.u, op.v);
         break;
       case ApplyJournal::OpKind::kRemoveEdge:
-        graph_.add_edge(op.u, op.v);
+        add_edge_internal(op.u, op.v);
         break;
     }
   }
+  const size_t undone = ops.size();
+  journal_ = journal;
   journal_->commit();
-  if (undone_writes != nullptr) *undone_writes = writes;
+  if (undone_writes != nullptr) {
+    *undone_writes = tcam_.stats().entry_writes - writes_before;
+  }
   return undone;
 }
 
@@ -348,7 +293,7 @@ std::optional<DagScheduler::Chain> DagScheduler::find_chain_down(
 std::optional<DagScheduler::Chain> DagScheduler::find_chain_up_legacy(
     long long lo_bound, long long hi_bound) const {
   // Nearest free slot above the (full) insert range.
-  auto d_opt = occupancy_.nearest_free_at_or_above(static_cast<size_t>(lo_bound + 1));
+  auto d_opt = tcam_.nearest_free_at_or_above(static_cast<size_t>(lo_bound + 1));
   if (!d_opt) return std::nullopt;
   const long long d = static_cast<long long>(*d_opt);
   // The chain may start by displacing any entry in the range, *including*
@@ -395,7 +340,7 @@ std::optional<DagScheduler::Chain> DagScheduler::find_chain_up_legacy(
 std::optional<DagScheduler::Chain> DagScheduler::find_chain_down_legacy(
     long long lo_bound, long long hi_bound) const {
   if (hi_bound <= 0) return std::nullopt;
-  auto d_opt = occupancy_.nearest_free_at_or_below(static_cast<size_t>(hi_bound - 1));
+  auto d_opt = tcam_.nearest_free_at_or_below(static_cast<size_t>(hi_bound - 1));
   if (!d_opt) return std::nullopt;
   const long long d = static_cast<long long>(*d_opt);
   const long long start_lo = std::max(lo_bound, d + 1);
@@ -445,7 +390,7 @@ std::optional<DagScheduler::Chain> DagScheduler::find_chain_down_legacy(
 //     resize-only reuse makes steady-state inserts allocation-free.
 std::optional<DagScheduler::Chain> DagScheduler::find_chain_up_cached(
     long long lo_bound, long long hi_bound) const {
-  auto d_opt = occupancy_.nearest_free_at_or_above(static_cast<size_t>(lo_bound + 1));
+  auto d_opt = tcam_.nearest_free_at_or_above(static_cast<size_t>(lo_bound + 1));
   if (!d_opt) return std::nullopt;
   const long long d = static_cast<long long>(*d_opt);
   const long long start_hi = std::min(hi_bound, d - 1);
@@ -485,7 +430,7 @@ std::optional<DagScheduler::Chain> DagScheduler::find_chain_up_cached(
 std::optional<DagScheduler::Chain> DagScheduler::find_chain_down_cached(
     long long lo_bound, long long hi_bound) const {
   if (hi_bound <= 0) return std::nullopt;
-  auto d_opt = occupancy_.nearest_free_at_or_below(static_cast<size_t>(hi_bound - 1));
+  auto d_opt = tcam_.nearest_free_at_or_below(static_cast<size_t>(hi_bound - 1));
   if (!d_opt) return std::nullopt;
   const long long d = static_cast<long long>(*d_opt);
   const long long start_lo = std::max(lo_bound, d + 1);
@@ -538,7 +483,6 @@ void DagScheduler::execute_down(const Chain& chain, const Rule& rule) {
 }
 
 ApplyStatus DagScheduler::insert_status(const Rule& rule) {
-  sync_caps();
   const bool owns = begin_txn();
   if (!insert_impl(rule, 0)) return fail_txn(owns);
   commit_txn(owns);
@@ -618,10 +562,10 @@ bool DagScheduler::insert_impl(const Rule& rule, int depth) {
   if (hi - lo > 1) {
     const long long mid = (lo + hi) / 2;
     std::optional<size_t> best;
-    auto above = occupancy_.nearest_free_at_or_above(static_cast<size_t>(std::max(lo + 1, 0LL)));
+    auto above = tcam_.nearest_free_at_or_above(static_cast<size_t>(std::max(lo + 1, 0LL)));
     if (above && static_cast<long long>(*above) < hi) best = *above;
     if (placement_ == Placement::kBalanced && mid >= 0) {
-      auto below = occupancy_.nearest_free_at_or_below(static_cast<size_t>(mid));
+      auto below = tcam_.nearest_free_at_or_below(static_cast<size_t>(mid));
       if (below && static_cast<long long>(*below) > lo &&
           static_cast<long long>(*below) < hi) {
         if (!best || std::llabs(static_cast<long long>(*below) - mid) <
@@ -629,7 +573,7 @@ bool DagScheduler::insert_impl(const Rule& rule, int depth) {
           best = *below;
         }
       }
-      auto above_mid = occupancy_.nearest_free_at_or_above(static_cast<size_t>(mid));
+      auto above_mid = tcam_.nearest_free_at_or_above(static_cast<size_t>(mid));
       if (above_mid && static_cast<long long>(*above_mid) < hi &&
           static_cast<long long>(*above_mid) > lo) {
         if (!best || std::llabs(static_cast<long long>(*above_mid) - mid) <
@@ -668,7 +612,6 @@ void DagScheduler::remove(RuleId id) {
 }
 
 ApplyStatus DagScheduler::apply_status(const BackendUpdate& update) {
-  sync_caps();
   const bool owns = begin_txn();
   for (const auto& [u, v] : update.dag.removed_edges) remove_edge_internal(u, v);
   for (RuleId id : update.removed) {

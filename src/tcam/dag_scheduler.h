@@ -27,7 +27,6 @@
 #include "tcam/apply_journal.h"
 #include "tcam/backend_update.h"
 #include "tcam/cap_index.h"
-#include "tcam/occupancy.h"
 #include "tcam/tcam.h"
 
 namespace ruletris::tcam {
@@ -85,14 +84,13 @@ class DagScheduler {
 
   /// Attaches (or detaches, with nullptr) the write-ahead journal; not
   /// owned. With a journal every apply/insert/evict/remove runs as a
-  /// recoverable transaction. Direct graph() edits bypass the journal and
-  /// are not crash-protected.
+  /// recoverable transaction. load() is not journaled.
   void set_journal(ApplyJournal* journal) { journal_ = journal; }
   ApplyJournal* journal() const { return journal_; }
 
-  /// Crash-injection hook, consulted once per journaled op (after its
-  /// intent is recorded, before it executes) and once at the commit point
-  /// (after seal). Returning true throws CrashError, leaving the torn
+  /// Crash-injection hook, consulted once per primitive (before it
+  /// executes and is journaled) and once at the commit point (after
+  /// seal). Returning true throws CrashError, leaving the torn
   /// transaction for recover(). Only consulted while a journal transaction
   /// is open.
   void set_crash_hook(std::function<bool()> hook) {
@@ -111,37 +109,37 @@ class DagScheduler {
   };
 
   /// Replays the journal after a crash: commits a sealed transaction
-  /// (roll-forward) or undoes an unsealed one in reverse (rollback),
-  /// restoring occupancy and invalidating the cap cache for lazy rebuild.
+  /// (roll-forward) or undoes an unsealed one in reverse (rollback). The
+  /// undo runs through the same primitives as the update, so occupancy and
+  /// the cap cells are exact when it returns.
   RecoveryResult recover();
 
-  /// Warm-boot restore: writes `rule` at exactly `addr` (which must be
-  /// free), keeping occupancy exact. No chain search, no journal — the
-  /// address comes from a frozen layout that already satisfied every DAG
-  /// constraint. Callers load the graph first (via graph()) and finish with
-  /// rebuild_caches().
-  void restore_entry(const Rule& rule, size_t addr);
+  /// One entry of a frozen layout: `rule` sits at exactly `addr`.
+  struct PlacedRule {
+    size_t addr = 0;
+    Rule rule;
+  };
+  /// A frozen TCAM layout (warm boot) and, optionally, the cap cells it
+  /// implies (one pair per TCAM address, see CapIndex::load_cells) — frozen
+  /// restore derives them from the blob's flat index/address arrays, which
+  /// is cheaper than recomputing them from the graph.
+  struct Layout {
+    std::vector<PlacedRule> entries;
+    std::vector<long long> lo_succ;  // empty: rebuild the cells
+    std::vector<long long> hi_pred;
+  };
 
-  /// Rebuilds the O(1) search caches after external graph() edits or a
-  /// restore_entry() sequence. No-op in kLegacy mode or when already clean.
-  void rebuild_caches() { sync_caps(); }
-
-  /// Full CapIndex rebuilds since construction. Only direct graph() edits
-  /// and journal rollbacks dirty the caps; every funnelled update keeps
-  /// them exact, so a steady-state caller should see this stay flat.
-  size_t full_cap_rebuilds() const { return full_cap_rebuilds_; }
+  /// Bulk load, the one way to set the graph wholesale: replaces it with
+  /// `graph`, writes every `layout` entry at its address (each slot must be
+  /// free; no chain search, no journal — a frozen layout already satisfies
+  /// every DAG constraint), then sets the cap cells from the layout's cells
+  /// or, when it carries none, rebuilds them from the graph and the TCAM.
+  /// No transaction may be open.
+  void load(DependencyGraph graph, Layout layout = {});
 
   /// The live cap cells, for differential tests against a fresh rebuild.
-  /// Exact only while no direct graph() edit or rollback is pending.
+  /// Exact in kCached mode (kLegacy does not maintain them).
   const CapIndex& caps() const { return caps_; }
-
-  /// Warm-boot fast path: adopts externally computed cap cells (one pair of
-  /// entries per TCAM address, see CapIndex::load_cells) instead of
-  /// recomputing them from the graph, and marks the caches clean. The cells
-  /// must exactly describe the current graph() + TCAM state — frozen
-  /// restore derives them from the blob's flat index/address arrays.
-  void restore_caps(std::vector<long long> lo_succ,
-                    std::vector<long long> hi_pred);
 
   /// Erases the rule's TCAM entry but keeps its vertex and edges — the
   /// CacheFlow-style eviction primitive. Returns false if not installed.
@@ -151,15 +149,9 @@ class DagScheduler {
 
   size_t capacity() const { return tcam_.capacity(); }
 
+  /// Read-only: the graph changes only through updates and load(), which
+  /// keep the cap cells exact.
   const DependencyGraph& graph() const { return graph_; }
-  /// Mutable graph access for tests/adapters that edit the DAG directly.
-  /// Invalidates the cap cache; the next insert/apply rebuilds it.
-  DependencyGraph& graph() {
-    caps_dirty_ = true;
-    return graph_;
-  }
-
-  SearchMode search_mode() const { return mode_; }
 
   /// Length (number of entry moves, excluding the final new-entry write) of
   /// the chain the last insert executed. For diagnostics and optimality
@@ -204,10 +196,10 @@ class DagScheduler {
   void execute_up(const Chain& chain, const Rule& rule);
   void execute_down(const Chain& chain, const Rule& rule);
 
-  // All TCAM/graph mutations funnel through these so occupancy and the cap
-  // cache stay exact (hooks no-op in kLegacy mode or while the cache is
-  // dirty from external graph() edits) and so every op is journaled while a
-  // transaction is open.
+  // All TCAM/graph mutations funnel through these primitives. Each has one
+  // body: consult the crash hook, execute, fire the cap hook (kCached mode),
+  // then journal the op if a transaction is open. Rollback replays inverse
+  // ops through the same bodies with the journal detached.
   void do_write(size_t addr, const Rule& rule);
   void do_move(size_t from, size_t to);
   void do_erase(size_t addr);
@@ -215,15 +207,14 @@ class DagScheduler {
   void add_edge_internal(flowspace::RuleId u, flowspace::RuleId v);
   void remove_edge_internal(flowspace::RuleId u, flowspace::RuleId v);
   void remove_vertex_internal(flowspace::RuleId v);
-  bool caps_live() const { return mode_ == SearchMode::kCached && !caps_dirty_; }
-  void sync_caps();
+  bool caps_live() const { return mode_ == SearchMode::kCached; }
 
   bool journaling() const { return journal_ != nullptr && journal_->open(); }
   /// Fires the crash hook inside an open transaction; throws CrashError.
   /// Inline fast path: the hook is usually unset, and this sits on every
-  /// journaled primitive.
+  /// primitive.
   void maybe_crash() {
-    if (crash_hook_) fire_crash_hook();
+    if (crash_hook_ && journaling()) fire_crash_hook();
   }
   void fire_crash_hook();
   /// Opens a journal transaction if a journal is attached and none is open.
@@ -235,19 +226,16 @@ class DagScheduler {
   /// Failure path: rolls back an owned open transaction and maps the result
   /// to kRolledBack (work was undone) or kTableFull (nothing had executed).
   ApplyStatus fail_txn(bool owns);
-  /// Undoes every applied op of the open transaction in reverse, then
-  /// clears it. Returns the op count undone; `undone_writes` (optional)
-  /// receives the TCAM entry writes the undo itself cost.
+  /// Undoes every op of the open transaction in reverse, then clears it.
+  /// Returns the op count undone; `undone_writes` (optional) receives the
+  /// TCAM entry writes the undo itself cost.
   size_t rollback_open_txn(size_t* undone_writes = nullptr);
 
   Tcam& tcam_;
-  OccupancyIndex occupancy_;
   DependencyGraph graph_;
   Placement placement_ = Placement::kBalanced;
   SearchMode mode_ = SearchMode::kCached;
   CapIndex caps_;
-  bool caps_dirty_ = false;
-  size_t full_cap_rebuilds_ = 0;
   size_t last_chain_moves_ = 0;
   ApplyJournal* journal_ = nullptr;  // not owned
   std::function<bool()> crash_hook_;

@@ -3,10 +3,11 @@
 // Both firmwares repeatedly ask "nearest free slot above/below X" and
 // "k-th occupied slot"; a binary-indexed tree answers these in O(log n)
 // without scanning the slot array, which matters when emulating multi-
-// thousand-entry TCAMs under thousands of updates.
+// thousand-entry TCAMs under thousands of updates. The one instance per
+// device lives in tcam::Tcam, which keeps it exact on every write, move
+// and erase.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <optional>
 #include <stdexcept>
@@ -24,14 +25,6 @@ class OccupancyIndex {
 
   size_t capacity() const { return capacity_; }
   size_t occupied_count() const { return prefix(capacity_); }
-
-  // DagScheduler's chain search probes this in its inner loop; callers stay
-  // inside [0, capacity) by construction, so pay for the bounds check only
-  // in debug builds.
-  bool occupied(size_t addr) const {
-    assert(addr < capacity_ && "OccupancyIndex: address out of range");
-    return occupied_[addr];
-  }
 
   void set_occupied(size_t addr, bool value) {
     if (addr >= capacity_) throw std::out_of_range("OccupancyIndex: bad address");

@@ -9,11 +9,7 @@ namespace ruletris::tcam {
 using compiler::PrioritizedOp;
 using flowspace::RuleId;
 
-PriorityFirmware::PriorityFirmware(Tcam& tcam)
-    : tcam_(tcam), occupancy_(tcam.capacity()) {
-  for (size_t a = 0; a < tcam.capacity(); ++a) {
-    if (!tcam.is_free(a)) occupancy_.set_occupied(a, true);
-  }
+PriorityFirmware::PriorityFirmware(Tcam& tcam) : tcam_(tcam) {
   if (!layout_sorted()) {
     throw std::invalid_argument("PriorityFirmware: initial layout not priority-sorted");
   }
@@ -24,7 +20,7 @@ int32_t PriorityFirmware::priority_at(size_t addr) const {
 }
 
 std::pair<long long, long long> PriorityFirmware::priority_bounds(int32_t priority) const {
-  const size_t n = occupancy_.occupied_count();
+  const size_t n = tcam_.occupied();
   long long lo = -1;
   long long hi = static_cast<long long>(tcam_.capacity());
 
@@ -34,28 +30,28 @@ std::pair<long long, long long> PriorityFirmware::priority_bounds(int32_t priori
     size_t lo_rank = 0, hi_rank = n;
     while (lo_rank < hi_rank) {
       const size_t mid = lo_rank + (hi_rank - lo_rank) / 2;
-      const size_t addr = *occupancy_.kth_occupied(mid);
+      const size_t addr = *tcam_.kth_occupied(mid);
       if (priority_at(addr) > priority) {
         hi_rank = mid;
       } else {
         lo_rank = mid + 1;
       }
     }
-    if (lo_rank < n) hi = static_cast<long long>(*occupancy_.kth_occupied(lo_rank));
+    if (lo_rank < n) hi = static_cast<long long>(*tcam_.kth_occupied(lo_rank));
   }
   // Largest rank with priority < `priority`.
   {
     size_t lo_rank = 0, hi_rank = n;  // first rank with priority >= `priority`
     while (lo_rank < hi_rank) {
       const size_t mid = lo_rank + (hi_rank - lo_rank) / 2;
-      const size_t addr = *occupancy_.kth_occupied(mid);
+      const size_t addr = *tcam_.kth_occupied(mid);
       if (priority_at(addr) >= priority) {
         hi_rank = mid;
       } else {
         lo_rank = mid + 1;
       }
     }
-    if (lo_rank > 0) lo = static_cast<long long>(*occupancy_.kth_occupied(lo_rank - 1));
+    if (lo_rank > 0) lo = static_cast<long long>(*tcam_.kth_occupied(lo_rank - 1));
   }
   return {lo, hi};
 }
@@ -63,16 +59,12 @@ std::pair<long long, long long> PriorityFirmware::priority_bounds(int32_t priori
 void PriorityFirmware::shift_up(size_t from, size_t free_slot) {
   for (size_t a = free_slot; a-- > from;) {
     tcam_.move(a, a + 1);
-    occupancy_.set_occupied(a, false);
-    occupancy_.set_occupied(a + 1, true);
   }
 }
 
 void PriorityFirmware::shift_down(size_t from, size_t free_slot) {
   for (size_t a = free_slot + 1; a <= from; ++a) {
     tcam_.move(a, a - 1);
-    occupancy_.set_occupied(a, false);
-    occupancy_.set_occupied(a - 1, true);
   }
 }
 
@@ -82,10 +74,9 @@ bool PriorityFirmware::insert(const Rule& rule) {
   // Free slot inside the allowed band: single write.
   if (hi - lo > 1) {
     auto free_in_band =
-        occupancy_.nearest_free_at_or_above(static_cast<size_t>(lo + 1));
+        tcam_.nearest_free_at_or_above(static_cast<size_t>(lo + 1));
     if (free_in_band && static_cast<long long>(*free_in_band) < hi) {
       tcam_.write(*free_in_band, rule);
-      occupancy_.set_occupied(*free_in_band, true);
       return true;
     }
   }
@@ -93,10 +84,10 @@ bool PriorityFirmware::insert(const Rule& rule) {
   // Otherwise shift the contiguous block toward the nearest free slot.
   std::optional<size_t> hole_up, hole_down;
   if (hi < static_cast<long long>(tcam_.capacity())) {
-    hole_up = occupancy_.nearest_free_at_or_above(static_cast<size_t>(hi));
+    hole_up = tcam_.nearest_free_at_or_above(static_cast<size_t>(hi));
   }
   if (lo >= 0) {
-    hole_down = occupancy_.nearest_free_at_or_below(static_cast<size_t>(lo));
+    hole_down = tcam_.nearest_free_at_or_below(static_cast<size_t>(lo));
   }
   if (!hole_up && !hole_down) {
     util::log_warn("PriorityFirmware: TCAM full on insert");
@@ -109,20 +100,16 @@ bool PriorityFirmware::insert(const Rule& rule) {
   if (hole_up && (!hole_down || cost_up <= cost_down)) {
     shift_up(static_cast<size_t>(hi), *hole_up);
     tcam_.write(static_cast<size_t>(hi), rule);
-    occupancy_.set_occupied(static_cast<size_t>(hi), true);
   } else {
     shift_down(static_cast<size_t>(lo), *hole_down);
     tcam_.write(static_cast<size_t>(lo), rule);
-    occupancy_.set_occupied(static_cast<size_t>(lo), true);
   }
   return true;
 }
 
 void PriorityFirmware::remove(RuleId id) {
   if (!tcam_.contains(id)) return;
-  const size_t addr = tcam_.address_of(id);
-  tcam_.erase(addr);
-  occupancy_.set_occupied(addr, false);
+  tcam_.erase(tcam_.address_of(id));
 }
 
 bool PriorityFirmware::modify(const Rule& rule) {
@@ -159,10 +146,10 @@ bool PriorityFirmware::apply(const compiler::PrioritizedUpdate& update) {
 }
 
 bool PriorityFirmware::layout_sorted() const {
-  const size_t n = occupancy_.occupied_count();
+  const size_t n = tcam_.occupied();
   int32_t prev = INT32_MIN;
   for (size_t k = 0; k < n; ++k) {
-    const int32_t p = priority_at(*occupancy_.kth_occupied(k));
+    const int32_t p = priority_at(*tcam_.kth_occupied(k));
     if (p < prev) return false;
     prev = p;
   }

@@ -10,7 +10,6 @@
 #pragma once
 
 #include "compiler/prioritized.h"
-#include "tcam/occupancy.h"
 #include "tcam/tcam.h"
 
 namespace ruletris::tcam {
@@ -33,7 +32,8 @@ class PriorityFirmware {
  private:
   /// Exclusive address bounds implied by priorities: every installed rule
   /// with a strictly higher priority sits above `hi`, strictly lower below
-  /// `lo`. O(log^2 n) via the occupancy index (layout is priority-sorted).
+  /// `lo`. O(log^2 n) via the TCAM's occupancy index (layout is
+  /// priority-sorted).
   std::pair<long long, long long> priority_bounds(int32_t priority) const;
 
   int32_t priority_at(size_t addr) const;
@@ -44,7 +44,6 @@ class PriorityFirmware {
   void shift_down(size_t from, size_t free_slot);
 
   Tcam& tcam_;
-  OccupancyIndex occupancy_;
 };
 
 }  // namespace ruletris::tcam

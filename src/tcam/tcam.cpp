@@ -6,8 +6,7 @@
 
 namespace ruletris::tcam {
 
-Tcam::Tcam(size_t capacity) : slots_(capacity) {
-  if (capacity == 0) throw std::invalid_argument("Tcam: zero capacity");
+Tcam::Tcam(size_t capacity) : slots_(capacity), occupancy_(capacity) {
   if (capacity >= TupleSpace::kNone) throw std::length_error("Tcam: capacity too large");
   index_.reserve_handles(capacity);
 }
@@ -39,6 +38,7 @@ void Tcam::write(size_t addr, Rule rule) {
   const auto a = static_cast<uint32_t>(addr);
   if (!by_id_.insert(rule.id, a)) throw std::logic_error("Tcam::write: duplicate rule id");
   index_.insert(a, pack_match(rule.match), a);
+  occupancy_.set_occupied(addr, true);
   slots_[addr] = std::move(rule);
   ++stats_.entry_writes;
   notify(Op::kWrite, addr);
@@ -53,6 +53,8 @@ void Tcam::move(size_t from, size_t to) {
   // Insert before erase: a move up then never rescans its tuple for a max.
   index_.insert(t, m, t);
   index_.erase(static_cast<uint32_t>(from), m);
+  occupancy_.set_occupied(from, false);
+  occupancy_.set_occupied(to, true);
   slots_[to] = std::move(slots_[from]);
   slots_[from] = Rule{};
   ++stats_.entry_writes;
@@ -71,6 +73,7 @@ Rule Tcam::take(size_t addr) {
   slots_[addr] = Rule{};
   by_id_.erase(out.id);
   index_.erase(static_cast<uint32_t>(addr), pack_match(out.match));
+  occupancy_.set_occupied(addr, false);
   ++stats_.erases;
   notify(Op::kErase, addr);
   return out;

@@ -17,6 +17,11 @@
 // comparing every row (a warmed 1,024-entry CacheFlow TCAM's 18 masks form
 // one chain: ~4 hash probes). A TCAM never looked up keeps one hash table
 // per mask, which is cheaper to write.
+//
+// The TCAM is also the one owner of its occupancy: a Fenwick index kept exact
+// by the same four mutators answers the firmwares' "nearest free slot" and
+// "k-th occupied slot" queries in O(log n), so no firmware keeps a copy that
+// could go stale.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +31,7 @@
 #include <vector>
 
 #include "flowspace/rule.h"
+#include "tcam/occupancy.h"
 #include "tcam/tuple_space.h"
 #include "util/rule_id_map.h"
 
@@ -59,6 +65,20 @@ class Tcam {
     return *addr;
   }
   const Rule& rule(RuleId id) const;
+
+  /// Smallest free address >= `from`; nullopt when everything above is full.
+  std::optional<size_t> nearest_free_at_or_above(size_t from) const {
+    return occupancy_.nearest_free_at_or_above(from);
+  }
+  /// Largest free address <= `from`; nullopt when everything below is full.
+  std::optional<size_t> nearest_free_at_or_below(size_t from) const {
+    return occupancy_.nearest_free_at_or_below(from);
+  }
+  /// Address of the k-th occupied slot (0-based, ascending); nullopt if
+  /// fewer than k+1 slots are occupied.
+  std::optional<size_t> kth_occupied(size_t k) const {
+    return occupancy_.kth_occupied(k);
+  }
 
   /// Installs a new entry into a free slot (1 entry write). The rule id must
   /// not be kInvalidRuleId, which marks free slots.
@@ -130,6 +150,7 @@ class Tcam {
   // index == physical address; a free slot holds a rule with kInvalidRuleId.
   std::vector<Rule> slots_;
   TupleSpace index_;  // installed matches; handle == rank == address
+  OccupancyIndex occupancy_;
   util::RuleIdMap<uint32_t> by_id_;  // id -> address
   Stats stats_;
   OpObserver observer_;

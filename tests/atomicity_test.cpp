@@ -84,7 +84,7 @@ TEST(Atomicity, DagChainsAreHitless) {
 
     Tcam tcam(static_cast<size_t>(n + 2));
     DagScheduler scheduler(tcam);
-    scheduler.graph() = graph;
+    scheduler.load(graph);
 
     const auto order = graph.topo_order_high_to_low();
     const RuleId last = order.back();
@@ -117,7 +117,7 @@ TEST(Atomicity, CacheSwapStreamIsHitless) {
 
   Tcam tcam(48);
   DagScheduler scheduler(tcam);
-  scheduler.graph() = graph;
+  scheduler.load(graph);
 
   std::vector<RuleId> cached;
   for (RuleId id : graph.topo_order_high_to_low()) {
@@ -131,7 +131,7 @@ TEST(Atomicity, CacheSwapStreamIsHitless) {
   size_t checks = 0, violations = 0;
   for (int step = 0; step < 60; ++step) {
     const size_t out_idx = rng.next_below(cached.size());
-    scheduler.remove(cached[out_idx]);
+    scheduler.evict(cached[out_idx]);  // keeps the vertex and its edges
 
     RuleId in = 0;
     for (int guard = 0; guard < 200; ++guard) {
@@ -143,10 +143,6 @@ TEST(Atomicity, CacheSwapStreamIsHitless) {
       }
     }
     if (in == 0) continue;
-    // Rebind the vertex + its edges (remove() pruned the out rule).
-    scheduler.graph().add_vertex(in);
-    for (RuleId succ : graph.successors(in)) scheduler.graph().add_edge(in, succ);
-    for (RuleId pred : graph.predecessors(in)) scheduler.graph().add_edge(pred, in);
 
     // Snapshot pre-insert content in address order (the DAG firmware's
     // layout is priority-free, so address order IS the match order).

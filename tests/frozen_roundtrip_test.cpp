@@ -126,9 +126,10 @@ TEST(FrozenRoundtrip, RestoreMatchesColdInstallSlotForSlot) {
   // The restored scheduler is update-ready: a follow-up insert through the
   // cached search must succeed and keep the layout valid.
   Rule extra = classbench::generate_monitor(1, rng).front();
-  warm.graph().add_vertex(extra.id);
-  warm.rebuild_caches();
-  EXPECT_TRUE(warm.insert(extra));
+  tcam::BackendUpdate update;
+  update.added.push_back(extra);
+  update.dag.added_vertices.push_back(extra.id);
+  EXPECT_TRUE(warm.apply(update));
   EXPECT_TRUE(warm.layout_valid());
 }
 

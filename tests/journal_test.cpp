@@ -14,6 +14,7 @@
 #include "tcam/auditor.h"
 #include "tcam/backend_update.h"
 #include "tcam/dag_scheduler.h"
+#include "test_util.h"
 #include "util/logging.h"
 
 namespace ruletris {
@@ -55,19 +56,17 @@ TEST(ApplyJournal, LifecycleAndRendering) {
   move.from = 3;
   move.to = 5;
   journal.record(move);
-  EXPECT_FALSE(journal.ops().back().applied);  // intent only, crash point
-  journal.mark_applied();
-  EXPECT_TRUE(journal.ops().back().applied);
 
   ApplyJournal::Op write;
   write.kind = ApplyJournal::OpKind::kWrite;
   write.to = 3;
   write.u = 42;
-  journal.record(write);  // never marked applied: torn at this op
+  journal.record(write);
+  EXPECT_EQ(journal.size(), 2u);
 
   const std::string rendered = to_string(journal);
-  EXPECT_NE(rendered.find("move"), std::string::npos);
-  EXPECT_NE(rendered.find("not applied"), std::string::npos);
+  EXPECT_NE(rendered.find("move slot 3 -> 5"), std::string::npos);
+  EXPECT_NE(rendered.find("write rule 42 -> slot 3"), std::string::npos);
 
   journal.seal();
   EXPECT_TRUE(journal.sealed());
@@ -97,7 +96,7 @@ struct Fig2 {
     g.add_edge(rules[3].id, rules[2].id);  // 4 -> 3
     g.add_edge(rules[4].id, rules[1].id);  // 5 -> 2
     g.add_edge(rules[4].id, rules[3].id);  // 5 -> 4
-    sched->graph() = g;
+    sched->load(g);
     sched->set_journal(&journal);
   }
 };
@@ -163,6 +162,8 @@ TEST(CrashRecovery, EveryCrashPointRecoversToAnEndpointState) {
     const AuditReport audit = audit_state(torn.tcam, torn.sched->graph());
     EXPECT_TRUE(audit.clean()) << "point " << k << "\n" << audit.to_string();
     EXPECT_TRUE(torn.sched->layout_valid()) << "point " << k;
+    // The undo ran through the primitives: the cap cells are exact.
+    EXPECT_TRUE(testutil::caps_exact(*torn.sched, torn.tcam)) << "point " << k;
 
     if (r.outcome == DagScheduler::RecoveryResult::Outcome::kRolledForward) {
       // Only the very last point (between seal and commit) rolls forward.
@@ -205,7 +206,9 @@ TEST(ApplyStatusSemantics, FullTableWithNothingExecutedIsTableFull) {
   // The rule's vertex already exists, so the failing insert journals
   // nothing: a pure capacity rejection, not a rollback.
   const Rule r3 = make_rule(3);
-  sched.graph().add_vertex(r3.id);
+  tcam::BackendUpdate add_vertex;
+  add_vertex.dag.added_vertices.push_back(r3.id);
+  ASSERT_EQ(sched.apply_status(add_vertex), ApplyStatus::kOk);
   util::set_log_level(util::LogLevel::kOff);
   EXPECT_EQ(sched.insert_status(r3), ApplyStatus::kTableFull);
   util::set_log_level(util::LogLevel::kWarn);

@@ -113,6 +113,7 @@ TEST(RecoverySoak, CrashAtEveryInjectionPointRecoversBitIdentical) {
         ASSERT_TRUE(audit.clean())
             << "point " << k << " epoch " << e << "\n" << audit.to_string();
         ASSERT_TRUE(dag.layout_valid()) << "point " << k;
+        ASSERT_TRUE(testutil::caps_exact(dag, sw.tcam())) << "point " << k;
         if (r.outcome == DagScheduler::RecoveryResult::Outcome::kRolledForward) {
           ++roll_forwards;
           ++e;  // the sealed transaction committed: the epoch is applied

@@ -1,13 +1,14 @@
-// Cached-caps/flat-arena search ≡ legacy search (PR 4 tentpole contract).
+// Cached-caps/flat-arena search ≡ legacy search.
 //
 // The CapIndex-backed scheduler must be a pure performance change: for any
 // operation stream, both search modes produce identical TCAM layouts and
 // identical last_chain_moves(). These tests drive paired schedulers through
 // random DAG streams, batched BackendUpdates (the incremental cap-hook
 // path), the adversarial default-rule star (the O(n)-degree hotspot), and
-// direct graph() mutation (the dirty-rebuild path). Plus a property test for
-// the Fenwick-descent kth_free behind the free-slot queries. A CacheFlow-shaped
-// stream also checks the live cap cells against a from-scratch rebuild.
+// graph-only updates. A CacheFlow-shaped stream also checks the live cap
+// cells against a from-scratch rebuild, and replays through a journaled and
+// an unjournaled scheduler (rollbacks undo through the same primitives).
+// Plus a property test for the TCAM's Fenwick-descent free-slot queries.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -16,7 +17,6 @@
 #include "dag/builder.h"
 #include "tcam/backend_update.h"
 #include "tcam/dag_scheduler.h"
-#include "tcam/occupancy.h"
 #include "test_util.h"
 #include "util/logging.h"
 
@@ -33,7 +33,6 @@ using flowspace::RuleId;
 using flowspace::TernaryMatch;
 using tcam::BackendUpdate;
 using tcam::DagScheduler;
-using tcam::OccupancyIndex;
 using tcam::Tcam;
 using util::Rng;
 
@@ -43,21 +42,27 @@ Rule make_rule(uint32_t tag) {
   return Rule::make(m, ActionList{Action::forward(1)}, 0);
 }
 
-/// A cached-mode and a legacy-mode scheduler over twin TCAMs; every
-/// operation is mirrored to both and the results compared.
+/// A cached-mode scheduler and a twin (legacy-mode unless told otherwise)
+/// over twin TCAMs; every operation is mirrored to both and the results
+/// compared.
 struct SchedulerPair {
   Tcam tcam_cached;
   Tcam tcam_legacy;
   DagScheduler cached;
   DagScheduler legacy;
 
-  explicit SchedulerPair(size_t capacity)
+  explicit SchedulerPair(size_t capacity,
+                         DagScheduler::SearchMode twin = DagScheduler::SearchMode::kLegacy)
       : tcam_cached(capacity),
         tcam_legacy(capacity),
         cached(tcam_cached, DagScheduler::Placement::kBalanced,
                DagScheduler::SearchMode::kCached),
-        legacy(tcam_legacy, DagScheduler::Placement::kBalanced,
-               DagScheduler::SearchMode::kLegacy) {}
+        legacy(tcam_legacy, DagScheduler::Placement::kBalanced, twin) {}
+
+  void load_both(const DependencyGraph& g) {
+    cached.load(g);
+    legacy.load(g);
+  }
 
   void expect_identical(const char* where) {
     ASSERT_EQ(cached.last_chain_moves(), legacy.last_chain_moves()) << where;
@@ -109,8 +114,7 @@ TEST(SchedulerEquivalence, RandomDagStreamsProduceIdenticalLayouts) {
     const DependencyGraph min_dag = dag::build_min_dag(table);
 
     SchedulerPair pair(static_cast<size_t>(n + n / 8 + 2));
-    pair.cached.graph() = min_dag;
-    pair.legacy.graph() = min_dag;
+    pair.load_both(min_dag);
     for (RuleId id : min_dag.topo_order_high_to_low()) {
       pair.insert_both(table.rule(id));
       if (::testing::Test::HasFatalFailure()) return;
@@ -199,8 +203,7 @@ TEST(SchedulerEquivalence, DefaultRuleStarChurnEquivalence) {
     leaf_rules.push_back(make_rule(static_cast<uint32_t>(100 + i)));
     g.add_edge(def.id, leaf_rules.back().id);
   }
-  pair.cached.graph() = g;
-  pair.legacy.graph() = g;
+  pair.load_both(g);
   for (const Rule& leaf : leaf_rules) {
     pair.insert_both(leaf);
     if (::testing::Test::HasFatalFailure()) return;
@@ -238,25 +241,24 @@ TEST(SchedulerEquivalence, DefaultRuleStarChurnEquivalence) {
   ASSERT_TRUE(pair.legacy.layout_valid());
 }
 
-/// Direct graph() mutation invalidates the cap cache; the next insert must
-/// rebuild it exactly — layouts stay identical to a legacy scheduler that
-/// recomputes from the graph every time.
-TEST(SchedulerEquivalence, ExternalGraphMutationTriggersExactRebuild) {
+/// Graph-only updates (a vertex and its edges, no rule) followed by a
+/// separate insert: the cap cells stay exact without a rebuild, and layouts
+/// stay identical to a legacy scheduler that recomputes from the graph
+/// every time.
+TEST(SchedulerEquivalence, GraphOnlyUpdatesKeepCellsExact) {
   Rng rng(53);
   SchedulerPair pair(32);
   std::vector<Rule> live;
   uint32_t next_tag = 1;
   for (int op = 0; op < 60; ++op) {
     Rule fresh = make_rule(next_tag++);
-    // Mutate through the public graph() accessor, like the adapters and
-    // stress tests do.
-    pair.cached.graph().add_vertex(fresh.id);
-    pair.legacy.graph().add_vertex(fresh.id);
+    BackendUpdate delta;
+    delta.dag.added_vertices.push_back(fresh.id);
     for (int e = 0; e < 2 && !live.empty(); ++e) {
       const Rule& older = live[rng.next_below(live.size())];
-      pair.cached.graph().add_edge(fresh.id, older.id);
-      pair.legacy.graph().add_edge(fresh.id, older.id);
+      delta.dag.added_edges.push_back({fresh.id, older.id});
     }
+    pair.apply_both(delta);
     pair.insert_both(fresh);
     if (::testing::Test::HasFatalFailure()) return;
     live.push_back(fresh);
@@ -267,25 +269,24 @@ TEST(SchedulerEquivalence, ExternalGraphMutationTriggersExactRebuild) {
       live.pop_back();
     }
     ASSERT_TRUE(pair.cached.layout_valid());
+    ASSERT_TRUE(testutil::caps_exact(pair.cached, pair.tcam_cached)) << "op " << op;
   }
-  // Each direct graph() edit dirtied the caps: full rebuilds are counted.
-  EXPECT_GT(pair.cached.full_cap_rebuilds(), 0u);
 }
 
-/// The CacheFlow manager's update shape, mirrored to both search modes. An
-/// insert is one apply_status carrying the rule, its vertex and its edges
-/// to installed neighbours; an eviction keeps the vertex, so re-applying
-/// it later adds edges to a vertex whose caps are already hydrated; a
-/// removal drops the vertex; and on a full TCAM an infeasible insert is
-/// followed by remove, as CacheFlow does. After every step the layouts
-/// agree, and the live cap cells equal a CapIndex rebuilt from scratch at
-/// every occupied address without the scheduler ever rebuilding its own.
-TEST(SchedulerEquivalence, CacheFlowUpdateStreamKeepsCellsExact) {
+/// The CacheFlow manager's update shape, mirrored to both schedulers of
+/// `pair`. An insert is one apply_status carrying the rule, its vertex and
+/// its edges to installed neighbours; an eviction keeps the vertex, so
+/// re-applying it later adds edges to a vertex whose caps are already
+/// hydrated; a removal drops the vertex; and on a full TCAM an infeasible
+/// insert is followed by remove, as CacheFlow does. After every step the
+/// layouts agree, and the live cap cells of each cached-mode side equal a
+/// CapIndex rebuilt from scratch at every occupied address. With a
+/// journaled twin the stream inserts only below full: an infeasible insert
+/// can stop partway without a journal (kTableFull) where the journal rolls
+/// it back, so the two sides would part by design.
+void run_cacheflow_stream(SchedulerPair& pair, size_t capacity, bool twin_journaled) {
   util::set_log_level(util::LogLevel::kOff);  // infeasible inserts warn
   Rng rng(61);
-  const size_t capacity = 28;
-  SchedulerPair pair(capacity);
-  const DagScheduler& cached = pair.cached;  // const: graph() must not dirty
 
   // Edges point from a lower to a higher level, so the graph stays acyclic.
   struct Known {
@@ -297,13 +298,9 @@ TEST(SchedulerEquivalence, CacheFlowUpdateStreamKeepsCellsExact) {
 
   auto check_cells = [&](const char* where) {
     ASSERT_TRUE(pair.cached.layout_valid()) << where;
-    ASSERT_EQ(cached.full_cap_rebuilds(), 0u) << where;
-    tcam::CapIndex fresh(capacity);
-    fresh.rebuild(pair.tcam_cached, cached.graph());
-    for (size_t a = 0; a < capacity; ++a) {
-      if (pair.tcam_cached.is_free(a)) continue;
-      ASSERT_EQ(cached.caps().lo_succ_at(a), fresh.lo_succ_at(a)) << where << " addr " << a;
-      ASSERT_EQ(cached.caps().hi_pred_at(a), fresh.hi_pred_at(a)) << where << " addr " << a;
+    ASSERT_TRUE(testutil::caps_exact(pair.cached, pair.tcam_cached)) << where;
+    if (twin_journaled) {
+      ASSERT_TRUE(testutil::caps_exact(pair.legacy, pair.tcam_legacy)) << where;
     }
   };
   auto update_for = [&](const Known& k) {
@@ -352,7 +349,9 @@ TEST(SchedulerEquivalence, CacheFlowUpdateStreamKeepsCellsExact) {
   for (int step = 0; step < 600; ++step) {
     const double what = rng.next_double();
     const bool full = pair.tcam_cached.occupied() == capacity;
-    if (full && what < 0.3) {
+    if (full && twin_journaled) {
+      if (const auto i = pick(true)) pair.evict_both(known[*i].rule.id);
+    } else if (full && what < 0.3) {
       known.push_back({make_rule(next_tag++), rng.next_double()});
       ASSERT_FALSE(apply_or_remove(known.size() - 1, "infeasible insert"));
       ++infeasible;
@@ -373,45 +372,90 @@ TEST(SchedulerEquivalence, CacheFlowUpdateStreamKeepsCellsExact) {
     check_cells("step");
     if (::testing::Test::HasFatalFailure()) return;
   }
-  EXPECT_GT(infeasible, 5u);
+  if (!twin_journaled) {
+    EXPECT_GT(infeasible, 5u);
+  }
   EXPECT_GT(reapplied, 20u);
   util::set_log_level(util::LogLevel::kWarn);
 }
 
-/// Fenwick-descent kth_free: the nearest-free queries must agree with a
-/// linear scan over every address, under random occupancy churn and a
-/// non-power-of-two capacity.
+TEST(SchedulerEquivalence, CacheFlowUpdateStreamKeepsCellsExact) {
+  SchedulerPair pair(28);
+  run_cacheflow_stream(pair, 28, false);
+}
+
+/// One update stream through a journaled and an unjournaled cached-mode
+/// scheduler: a failed insert rolls back on the journaled side (its undo
+/// runs through the primitives) and stops partway on the other, and the
+/// remove that follows it leaves both sides slot-identical with exact cells.
+TEST(SchedulerEquivalence, JournaledAndUnjournaledStreamsEndSlotIdentical) {
+  SchedulerPair pair(28, DagScheduler::SearchMode::kCached);
+  tcam::ApplyJournal journal;
+  pair.legacy.set_journal(&journal);
+  run_cacheflow_stream(pair, 28, true);
+  EXPECT_GT(journal.total_recorded(), 0u);
+}
+
+/// Fenwick-descent free-slot queries, as the TCAM answers them: under a
+/// random stream of write/move/erase/take on a non-power-of-two capacity,
+/// nearest-free above/below and k-th occupied agree with a linear scan over
+/// every address.
 TEST(OccupancyIndexFenwick, NearestFreeMatchesLinearScan) {
   Rng rng(59);
   const size_t cap = 97;
-  OccupancyIndex index(cap);
-  std::vector<bool> reference(cap, false);
+  Tcam tcam(cap);
+  uint32_t next_tag = 1;
+  auto random_addr = [&](bool want_free) -> std::optional<size_t> {
+    std::vector<size_t> pool;
+    for (size_t a = 0; a < cap; ++a) {
+      if (tcam.is_free(a) == want_free) pool.push_back(a);
+    }
+    if (pool.empty()) return std::nullopt;
+    return pool[rng.next_below(pool.size())];
+  };
 
   for (int round = 0; round < 40; ++round) {
-    for (int flips = 0; flips < 13; ++flips) {
-      const size_t addr = rng.next_below(cap);
-      const bool value = rng.next_bool(0.6);
-      index.set_occupied(addr, value);
-      reference[addr] = value;
+    for (int ops = 0; ops < 13; ++ops) {
+      const double what = rng.next_double();
+      if (what < 0.45) {
+        if (const auto to = random_addr(true)) tcam.write(*to, make_rule(next_tag++));
+      } else if (what < 0.7) {
+        const auto from = random_addr(false);
+        const auto to = random_addr(true);
+        if (from && to) tcam.move(*from, *to);
+      } else if (what < 0.85) {
+        if (const auto at = random_addr(false)) tcam.erase(*at);
+      } else if (const auto at = random_addr(false)) {
+        (void)tcam.take(*at);
+      }
+    }
+    std::vector<size_t> occupied;
+    for (size_t a = 0; a < cap; ++a) {
+      if (!tcam.is_free(a)) occupied.push_back(a);
+    }
+    for (size_t k = 0; k <= occupied.size(); ++k) {
+      const std::optional<size_t> want =
+          k < occupied.size() ? std::optional<size_t>(occupied[k]) : std::nullopt;
+      ASSERT_EQ(tcam.kth_occupied(k), want) << "round " << round << " k " << k;
     }
     for (size_t from = 0; from < cap; ++from) {
       std::optional<size_t> want_above;
       for (size_t a = from; a < cap; ++a) {
-        if (!reference[a]) {
+        if (tcam.is_free(a)) {
           want_above = a;
           break;
         }
       }
       std::optional<size_t> want_below;
       for (size_t a = from + 1; a-- > 0;) {
-        if (!reference[a]) {
+        if (tcam.is_free(a)) {
           want_below = a;
           break;
         }
       }
-      ASSERT_EQ(index.nearest_free_at_or_above(from), want_above)
+      ASSERT_EQ(tcam.nearest_free_at_or_above(from), want_above)
           << "round " << round << " from " << from;
-      ASSERT_EQ(index.nearest_free_at_or_below(from), want_below)
+      ASSERT_EQ(tcam.nearest_free_at_or_below(from), want_below)
           << "round " << round << " from " << from;
     }
   }

@@ -6,6 +6,8 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "dag/builder.h"
 #include "util/logging.h"
@@ -26,6 +28,14 @@ using flowspace::TernaryMatch;
 using tcam::DagScheduler;
 using tcam::Tcam;
 using util::Rng;
+
+// graph() is read-only: the graph changes only through updates and load(),
+// which keep the cap cells exact, so no call may yield a mutable graph.
+template <typename S>
+concept GraphMutable = requires(S& s, const DependencyGraph& g) { s.graph() = g; };
+static_assert(!GraphMutable<DagScheduler>);
+static_assert(std::is_same_v<decltype(std::declval<DagScheduler&>().graph()),
+                             const DependencyGraph&>);
 
 Rule make_rule(uint32_t tag) {
   TernaryMatch m;
@@ -114,9 +124,12 @@ TEST(DagScheduler, PaperFig2InsertTakesTwoMoves) {
   // (00*), rule 2 (**0), rule 5 (***): 6 depends on 1, and 2 depends on 6
   // (6 is inserted between 1 and 2), 5 depends transitively.
   Tcam tcam(6);
+  DagScheduler fresh(tcam);
   std::vector<Rule> rules;
   for (uint32_t i = 1; i <= 5; ++i) rules.push_back(make_rule(i));
   // Address layout: 1 at 5 (top), 2 at 4, 3 at 3, 4 at 2, 5 at 1; slot 0 free.
+  // The TCAM owns its occupancy, so writing it directly is visible to the
+  // scheduler built before the writes.
   DependencyGraph g;
   // Fig. 2(c) dependencies among existing rules.
   g.add_edge(rules[1].id, rules[0].id);  // 2 -> 1
@@ -129,16 +142,14 @@ TEST(DagScheduler, PaperFig2InsertTakesTwoMoves) {
   tcam.write(3, rules[2]);
   tcam.write(2, rules[3]);
   tcam.write(1, rules[4]);
-  // Scheduler's occupancy was initialized before the writes; rebuild.
-  DagScheduler fresh(tcam);
-  fresh.graph() = g;
 
   // Rule 6 = 0*0: depends on rule 1; rules 2 and 5 depend on it.
   Rule r6 = make_rule(6);
-  fresh.graph().add_vertex(r6.id);
-  fresh.graph().add_edge(r6.id, rules[0].id);
-  fresh.graph().add_edge(rules[1].id, r6.id);
-  fresh.graph().add_edge(rules[4].id, r6.id);
+  g.add_vertex(r6.id);
+  g.add_edge(r6.id, rules[0].id);
+  g.add_edge(rules[1].id, r6.id);
+  g.add_edge(rules[4].id, r6.id);
+  fresh.load(g);
 
   ASSERT_TRUE(fresh.insert(r6));
   // Fig. 2(c): only rules 2 and 5 move (the priority-based plan needs 4).
@@ -153,7 +164,6 @@ TEST(DagScheduler, InsertIntoFreeRangeCostsOneWrite) {
   Tcam tcam(8);
   DagScheduler scheduler(tcam);
   Rule r = make_rule(1);
-  scheduler.graph().add_vertex(r.id);
   const auto before = tcam.stats();
   ASSERT_TRUE(scheduler.insert(r));
   EXPECT_EQ(tcam.stats().entry_writes - before.entry_writes, 1u);
@@ -196,7 +206,7 @@ TEST(DagScheduler, RandomStreamKeepsLayoutValidAndSemanticsIntact) {
 
     Tcam tcam(static_cast<size_t>(n + n / 4 + 1));
     DagScheduler scheduler(tcam);
-    scheduler.graph() = min_dag;
+    scheduler.load(min_dag);
     // Install in matched-first order (dependencies first).
     for (RuleId id : min_dag.topo_order_high_to_low()) {
       ASSERT_TRUE(scheduler.insert(table.rule(id)));
@@ -240,7 +250,7 @@ TEST(DagScheduler, MoveCountMatchesExhaustiveOracle) {
     // Capacity n+1: exactly one free slot once n rules are in.
     Tcam tcam(static_cast<size_t>(n + 1));
     DagScheduler scheduler(tcam);
-    scheduler.graph() = min_dag;
+    scheduler.load(min_dag);
 
     // Install all but the last-priority rule, then insert it and compare.
     const auto order = min_dag.topo_order_high_to_low();
@@ -290,7 +300,7 @@ TEST(DagScheduler, MoveCountMatchesOracleOnDefaultRuleStar) {
 
     Tcam tcam(n + 2);  // one free slot once everything but `probe` is in
     DagScheduler scheduler(tcam);
-    scheduler.graph() = g;
+    scheduler.load(g);
     for (const Rule& s : specifics) ASSERT_TRUE(scheduler.insert(s));
     ASSERT_TRUE(scheduler.insert(def));
 
@@ -313,8 +323,10 @@ TEST(DagScheduler, EvictKeepsGraphAndReinsertHonoursBounds) {
   Rule top = make_rule(1);
   Rule mid = make_rule(2);
   Rule bot = make_rule(3);
-  scheduler.graph().add_edge(mid.id, top.id);  // mid below top
-  scheduler.graph().add_edge(bot.id, mid.id);  // bot below mid
+  DependencyGraph g;
+  g.add_edge(mid.id, top.id);  // mid below top
+  g.add_edge(bot.id, mid.id);  // bot below mid
+  scheduler.load(g);
   ASSERT_TRUE(scheduler.insert(top));
   ASSERT_TRUE(scheduler.insert(mid));
   ASSERT_TRUE(scheduler.insert(bot));

@@ -44,7 +44,7 @@ TEST_P(FirmwareStressTest, BothFirmwaresStayEquivalentUnderChurn) {
 
   Tcam dag_tcam(capacity);
   DagScheduler dag_fw(dag_tcam);
-  dag_fw.graph() = graph;
+  dag_fw.load(graph);
   Tcam prio_tcam(capacity);
   PriorityFirmware prio_fw(prio_tcam);
 
@@ -84,16 +84,9 @@ TEST_P(FirmwareStressTest, BothFirmwaresStayEquivalentUnderChurn) {
     }
     if (!viable) continue;
 
-    dag_fw.remove(cached[out_idx]);
+    // evict() keeps the vertex and its edges for a later reinsert.
+    dag_fw.evict(cached[out_idx]);
     prio_fw.remove(cached[out_idx]);
-    // Re-register the vertex (remove() erased it from the firmware graph).
-    dag_fw.graph().add_vertex(cached[out_idx]);
-    for (RuleId succ : graph.successors(cached[out_idx])) {
-      dag_fw.graph().add_edge(cached[out_idx], succ);
-    }
-    for (RuleId pred : graph.predecessors(cached[out_idx])) {
-      dag_fw.graph().add_edge(pred, cached[out_idx]);
-    }
 
     ASSERT_TRUE(dag_fw.insert(fib.rule(in)));
     ASSERT_TRUE(prio_fw.insert(fib.rule(in)));
@@ -152,7 +145,7 @@ TEST(FirmwareStress, DeepDependencyChain) {
 
   Tcam tcam(kDepth + 2);
   DagScheduler scheduler(tcam);
-  scheduler.graph() = graph;
+  scheduler.load(graph);
   // Install most-general-first (reverse dependency order) to force maximal
   // repositioning pressure.
   for (size_t i = rules.size(); i-- > 0;) {
@@ -175,7 +168,7 @@ TEST(FirmwareStress, FullTableFailThenRecover) {
   const auto graph = build_min_dag(fib);
   Tcam tcam(32);
   DagScheduler scheduler(tcam);
-  scheduler.graph() = graph;
+  scheduler.load(graph);
 
   std::vector<RuleId> installed;
   for (RuleId id : graph.topo_order_high_to_low()) {

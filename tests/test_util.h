@@ -13,6 +13,8 @@
 #include "flowspace/action.h"
 #include "flowspace/rule.h"
 #include "runtime/controller.h"
+#include "tcam/cap_index.h"
+#include "tcam/dag_scheduler.h"
 #include "util/rng.h"
 
 namespace ruletris::testutil {
@@ -168,6 +170,25 @@ inline void expect_reports_identical(const runtime::RuntimeReport& a,
     EXPECT_EQ(x.converged, y.converged) << "session " << i;
     EXPECT_EQ(x.tcam_layout, y.tcam_layout) << "session " << i;
   }
+}
+
+/// The scheduler's live cap cells equal a CapIndex rebuilt from scratch
+/// from its graph and `tcam`, at every occupied address.
+inline ::testing::AssertionResult caps_exact(const tcam::DagScheduler& sched,
+                                             const tcam::Tcam& tcam) {
+  tcam::CapIndex fresh(tcam.capacity());
+  fresh.rebuild(tcam, sched.graph());
+  for (size_t a = 0; a < tcam.capacity(); ++a) {
+    if (tcam.is_free(a)) continue;
+    if (sched.caps().lo_succ_at(a) != fresh.lo_succ_at(a) ||
+        sched.caps().hi_pred_at(a) != fresh.hi_pred_at(a)) {
+      return ::testing::AssertionFailure()
+             << "cap cells at addr " << a << ": live (" << sched.caps().lo_succ_at(a)
+             << ", " << sched.caps().hi_pred_at(a) << "), rebuilt ("
+             << fresh.lo_succ_at(a) << ", " << fresh.hi_pred_at(a) << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace ruletris::testutil

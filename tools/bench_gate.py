@@ -15,8 +15,10 @@ loosen the gate for wall-clock benches.
 Row identity defaults to a per-benchmark profile (PROFILES below;
 e.g. the chaos harness keys on mode/switches/shards/threads), falling
 back to the fleet geometry; --key overrides either. A profile may also
-name host wall-clock fields (PROFILE_IGNORE), which are skipped on top
-of --ignore.
+name host wall-clock fields (PROFILE_IGNORE, shell-style patterns),
+which are skipped on top of --ignore, and may let rows of different
+shapes share one key (NULLABLE_KEY_PROFILES: a key field a row does not
+carry reads as null).
 
     tools/bench_gate.py BASELINE FRESH [--key k1,k2,...]
                         [--tolerance 0.02] [--ignore f1,f2,...]
@@ -29,6 +31,7 @@ the baseline must be regenerated and committed alongside.
 """
 
 import argparse
+import fnmatch
 import json
 import sys
 
@@ -44,7 +47,15 @@ PROFILES = {
     "fig11_cacheflow": ("load", "backend"),
     "fig9_parallel": ("config", "compiler"),
     "fig10_sequential": ("config", "compiler"),
+    # Scheduler rows (star) carry capacity/occupancy_target, the pipeline
+    # row carries stages; each reads the other's key fields as null.
+    "tcam_scheduler": ("workload", "capacity", "occupancy_target", "stages"),
 }
+NULLABLE_KEY_PROFILES = {"tcam_scheduler"}
+
+# Per-benchmark default tolerance (when --tolerance is not passed): the
+# scheduler's chains are integer counts, so one extra move must fail.
+PROFILE_TOLERANCE = {"tcam_scheduler": 0.0}
 
 # Per-benchmark wall-clock fields: fig11's firmware_* columns time the DAG
 # firmware on the host; its swap and TCAM-latency columns are modelled. The
@@ -58,6 +69,9 @@ PROFILE_IGNORE = {
     "fig11_cacheflow": _FIRMWARE_MS,
     "fig9_parallel": _COMPOSITION_WALL_MS,
     "fig10_sequential": _COMPOSITION_WALL_MS,
+    # The modelled columns are the chains (chain_ops, total_moves,
+    # max_chain), occupancy and the identical/layout_valid verdicts.
+    "tcam_scheduler": ("*_ms", "speedup", "threads_effective"),
 }
 
 
@@ -70,7 +84,9 @@ def load(path):
         sys.exit(2)
 
 
-def row_key(row, key_fields, path):
+def row_key(row, key_fields, path, nullable=False):
+    if nullable:
+        return tuple(row.get(k) for k in key_fields)
     try:
         return tuple(row[k] for k in key_fields)
     except KeyError as e:
@@ -85,13 +101,17 @@ def main():
     ap.add_argument("--key", default=None,
                     help="comma-separated row-identity fields (default: "
                          "per-benchmark profile, else switches/shards/threads)")
-    ap.add_argument("--tolerance", type=float, default=0.02,
-                    help="max relative drift for numeric fields")
+    ap.add_argument("--tolerance", type=float, default=None,
+                    help="max relative drift for numeric fields (default: "
+                         "per-benchmark profile, else 0.02)")
     ap.add_argument("--ignore", default=",".join(DEFAULT_IGNORE),
                     help="comma-separated fields excluded from comparison")
     args = ap.parse_args()
 
     ignored = set(f for f in args.ignore.split(",") if f)
+
+    def is_ignored(field):
+        return any(fnmatch.fnmatchcase(field, pat) for pat in ignored)
 
     base = load(args.baseline)
     fresh = load(args.fresh)
@@ -101,6 +121,9 @@ def main():
     else:
         key_fields = PROFILES.get(base.get("benchmark"), DEFAULT_KEY)
     ignored |= set(PROFILE_IGNORE.get(base.get("benchmark"), ()))
+    nullable = args.key is None and base.get("benchmark") in NULLABLE_KEY_PROFILES
+    if args.tolerance is None:
+        args.tolerance = PROFILE_TOLERANCE.get(base.get("benchmark"), 0.02)
 
     failures = []
 
@@ -114,7 +137,7 @@ def main():
     if not isinstance(prov, dict) or "git_sha" not in prov:
         failures.append("fresh report lacks a provenance object with git_sha")
 
-    base_rows = {row_key(r, key_fields, args.baseline): r
+    base_rows = {row_key(r, key_fields, args.baseline, nullable): r
                  for r in base.get("rows", [])}
     fresh_rows = fresh.get("rows", [])
     if not fresh_rows:
@@ -122,7 +145,7 @@ def main():
 
     compared = 0
     for row in fresh_rows:
-        key = row_key(row, key_fields, args.fresh)
+        key = row_key(row, key_fields, args.fresh, nullable)
         tag = "/".join(f"{k}={v:g}" if isinstance(v, (int, float)) else
                        f"{k}={v}" for k, v in zip(key_fields, key))
         ref = base_rows.get(key)
@@ -131,7 +154,7 @@ def main():
                             f"regenerate and commit {args.baseline}")
             continue
         for field in sorted(set(ref) & set(row)):
-            if field in ignored or field in key_fields:
+            if is_ignored(field) or field in key_fields:
                 continue
             want, got = ref[field], row[field]
             if isinstance(want, (int, float)) and isinstance(got, (int, float)):
@@ -143,7 +166,7 @@ def main():
                         f"({drift:+.1%} > {args.tolerance:.1%})")
             elif want != got:
                 failures.append(f"[{tag}] {field}: {want!r} -> {got!r}")
-        missing = set(ref) - set(row) - ignored
+        missing = {f for f in set(ref) - set(row) if not is_ignored(f)}
         if missing:
             failures.append(f"[{tag}] fields dropped: {sorted(missing)}")
         compared += 1

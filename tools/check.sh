@@ -118,4 +118,16 @@ for fig in fig9_parallel:fig9 fig10_sequential:fig10; do
     || { echo "PERF GATE FAILED: $bench drifted from baseline"; exit 1; }
 done
 
+# Same gate for the TCAM scheduler sweep: its chain columns (chain_ops,
+# total_moves, max_chain), occupancy and the cached-vs-legacy verdicts are
+# modelled, so a firmware change that moves one entry fails here. The
+# wall-clock *_ms, speedup and threads_effective columns are skipped
+# (bench_gate.py PROFILE_IGNORE).
+echo "=== tcam perf gate (vs committed BENCH_tcam.json)"
+tcam_fresh="$ROOT/build-check-$first_tree/BENCH_tcam.fresh.json"
+"$bench_dir/tcam_scheduler" --threads 4 --json "$tcam_fresh" > /dev/null \
+  || { echo "BENCH FAILED: tcam_scheduler (gate run)"; exit 1; }
+python3 "$ROOT/tools/bench_gate.py" "$ROOT/BENCH_tcam.json" "$tcam_fresh" \
+  || { echo "PERF GATE FAILED: tcam_scheduler drifted from baseline"; exit 1; }
+
 echo "=== all checks passed (trees: $CHECK_TREES)"
