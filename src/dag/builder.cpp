@@ -248,6 +248,7 @@ void RowIndex::compute_next_containers() {
 /// Reusable per-row scratch: candidate positions, residue fragment arena,
 /// per-pair cover arena. One instance per thread.
 struct RowScratch {
+  std::vector<size_t> targets;
   std::vector<size_t> cands;
   std::vector<TernaryMatch> residue;
   std::vector<TernaryMatch> next;
@@ -350,15 +351,28 @@ void row_direct_dependencies(const Rows& rows, const RowIndex& index, size_t i,
   }
 }
 
+/// A build's edges as bulk_load_indexed takes them: (row, row) pairs.
+using RowEdges = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/// Appends row i's direct dependencies to `edges` in row order.
+void append_row_edges(const Rows& rows, const RowIndex& index, size_t i,
+                      const MinDagBuildOptions& opts, RowScratch& scratch, RowEdges& edges) {
+  std::vector<size_t>& targets = scratch.targets;
+  targets.clear();
+  row_direct_dependencies(rows, index, i, opts, scratch, targets);
+  // The kernel finds them nearest first, i.e. in descending position.
+  for (size_t k = targets.size(); k-- > 0;) {
+    edges.emplace_back(static_cast<uint32_t>(i), static_cast<uint32_t>(targets[k]));
+  }
+}
+
 /// Direct small-table path: the brute-force pair/between structure, but with
 /// the arena-backed try_cover kernel and the repository's uniform
 /// conservative overflow policy (keep the edge). No index, no residue walk —
 /// below kSmallTableDirectCutoff their setup costs more than they save.
-DependencyGraph build_direct(const Rows& rows, const MinDagBuildOptions& opts,
-                             MinDagBuildStats& stats) {
-  DependencyGraph graph;
-  for (RuleId id : rows.ids) graph.add_vertex(id);
-
+RowEdges direct_edges(const Rows& rows, const MinDagBuildOptions& opts,
+                      MinDagBuildStats& stats) {
+  RowEdges edges;
   flowspace::CoverScratch cover;
   std::vector<TernaryMatch> between;
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -372,59 +386,69 @@ DependencyGraph build_direct(const Rows& rows, const MinDagBuildOptions& opts,
       const CoverResult r = flowspace::try_cover(
           *overlap, {between.data(), between.size()}, cover, opts.fragment_limit);
       if (r != CoverResult::kCovered) {  // overflow keeps a conservative edge
-        graph.add_edge(rows.ids[i], rows.ids[j]);
+        edges.emplace_back(static_cast<uint32_t>(i), static_cast<uint32_t>(j));
       }
       if (r == CoverResult::kOverflow) ++stats.cover_overflows;
     }
   }
-  return graph;
+  return edges;
 }
 
-/// The one row loop every optimized entry point shares.
-DependencyGraph build_rows(const Rows& rows, const MinDagBuildOptions& opts,
-                           MinDagBuildStats* stats) {
-  MinDagBuildStats local;
-  MinDagBuildStats& out = stats != nullptr ? *stats : local;
-  out = MinDagBuildStats{};
+/// The edges of the indexed row loop, in row order.
+RowEdges indexed_edges(const Rows& rows, const MinDagBuildOptions& opts,
+                       MinDagBuildStats& stats) {
   const size_t n = rows.size();
-  if (uses_direct_path(n, opts)) return build_direct(rows, opts, out);
-
-  DependencyGraph graph;
-  for (RuleId id : rows.ids) graph.add_vertex(id);
-  if (n < 2) return graph;
-
+  RowEdges edges;
+  if (n < 2) return edges;
   const RowIndex index(rows);
-  std::vector<std::vector<size_t>> row_targets(n);
   // One scratch per worker (one in total when serial); each counts its
   // rows' overflow fallbacks, summed after the join.
   std::deque<RowScratch> scratches;
   if (!uses_parallel_path(n, opts)) {
     RowScratch& scratch = scratches.emplace_back();
-    for (size_t i = 1; i < n; ++i) {
-      row_direct_dependencies(rows, index, i, opts, scratch, row_targets[i]);
-    }
+    for (size_t i = 1; i < n; ++i) append_row_edges(rows, index, i, opts, scratch, edges);
   } else {
     // Rows are independent given the (read-only) input and index: workers
-    // claim chunks off an atomic cursor with per-thread arenas, and results
-    // land in per-row slots so the merged edge set is order-independent.
-    util::ChunkCursor cursor(1, n, util::ChunkCursor::suggest_chunk(n, opts.n_threads));
+    // claim chunks off an atomic cursor with per-thread arenas, and each
+    // chunk's edges land in that chunk's slot, so concatenating the slots
+    // gives the serial row order on any thread count.
+    const size_t chunk = util::ChunkCursor::suggest_chunk(n, opts.n_threads);
+    std::vector<RowEdges> chunk_edges((n - 1 + chunk - 1) / chunk);
+    util::ChunkCursor cursor(1, n, chunk);
     util::ThreadPool pool(opts.n_threads);
     util::run_on_workers(pool, [&] {
       return [&, &scratch = scratches.emplace_back()] {
         size_t begin, end;
         while (cursor.next(begin, end)) {
+          RowEdges& out = chunk_edges[(begin - 1) / chunk];
           for (size_t i = begin; i < end; ++i) {
-            row_direct_dependencies(rows, index, i, opts, scratch, row_targets[i]);
+            append_row_edges(rows, index, i, opts, scratch, out);
           }
         }
       };
     });
+    size_t total = 0;
+    for (const RowEdges& c : chunk_edges) total += c.size();
+    edges.reserve(total);
+    for (const RowEdges& c : chunk_edges) edges.insert(edges.end(), c.begin(), c.end());
   }
+  for (const RowScratch& scratch : scratches) stats.cover_overflows += scratch.cover_overflows;
+  return edges;
+}
 
-  for (size_t i = 1; i < n; ++i) {
-    for (size_t t : row_targets[i]) graph.add_edge(rows.ids[i], rows.ids[t]);
-  }
-  for (const RowScratch& scratch : scratches) out.cover_overflows += scratch.cover_overflows;
+/// The one row loop every optimized entry point shares. The edges come out
+/// in row order and are bulk-loaded once, so every adjacency list ascends
+/// by row (see dependency_graph.h) on any thread count.
+DependencyGraph build_rows(const Rows& rows, const MinDagBuildOptions& opts,
+                           MinDagBuildStats* stats) {
+  MinDagBuildStats local;
+  MinDagBuildStats& out = stats != nullptr ? *stats : local;
+  out = MinDagBuildStats{};
+  const RowEdges edges = uses_direct_path(rows.size(), opts)
+                             ? direct_edges(rows, opts, out)
+                             : indexed_edges(rows, opts, out);
+  DependencyGraph graph;
+  graph.bulk_load_indexed(rows.ids, edges);
   return graph;
 }
 

@@ -24,8 +24,12 @@
 //    later one it has passed, which can neither hit nor subtract, and reuses
 //    arena buffers, so the hot loop is allocation-free;
 //  * parallel: rows are independent given the input, so they are sharded
-//    across a thread pool with per-thread arenas. The edge set is merged in
-//    row order and is bit-identical to the serial build.
+//    across a thread pool with per-thread arenas. The edges are merged in
+//    row order and are bit-identical to the serial build.
+// Every path collects its edges in row order (ascending by the tail's
+// input position, then the head's) and bulk-loads the graph once, so every
+// successors() and predecessors() list ascends by input position: the
+// adjacency order CacheFlow walks, pinned by tests/dag_golden_test.
 // build_min_dag / build_min_dag_parallel are its FlowTable adapters;
 // build_min_dag_brute — the literal O(n^3) all-pairs definition — stays
 // apart as the oracle and the bench baseline.

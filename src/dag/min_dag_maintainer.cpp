@@ -88,8 +88,9 @@ const DagDelta& MinDagMaintainer::insert_at(size_t idx, RuleId id, TernaryMatch 
   // overlap it.
   for (RuleId u : candidates) {
     if (u == id || rank(u) < my_rank) continue;
-    std::vector<RuleId>& succs = succ_scratch_;  // remove_edge edits the set
-    succs.assign(graph_.successors(u).begin(), graph_.successors(u).end());
+    std::vector<RuleId>& succs = succ_scratch_;  // remove_edge edits the list
+    const auto current = graph_.successors(u);
+    succs.assign(current.begin(), current.end());
     for (RuleId s : succs) {
       if (s == id || rank(s) > my_rank) continue;
       if (!match.overlaps(slots_.at(s).match)) continue;

@@ -240,6 +240,11 @@ MessageBatch decode_batch(const Bytes& bytes) {
   // Verify the frame before parsing a single field: a flipped bit anywhere
   // (body or trailer) fails here instead of reaching the message decoders.
   if (!checksum_ok(bytes)) throw std::runtime_error("codec: checksum mismatch");
+  return decode_verified_batch(bytes);
+}
+
+MessageBatch decode_verified_batch(const Bytes& bytes) {
+  if (bytes.size() < 4) throw std::runtime_error("codec: truncated frame");
   Reader r(bytes, bytes.size() - 4);
   MessageBatch batch;
   const uint32_t count = r.u32();

@@ -41,4 +41,9 @@ Bytes encode_batch(const MessageBatch& batch);
 /// verified before the body is parsed.
 MessageBatch decode_batch(const Bytes& bytes);
 
+/// decode_batch for a frame whose trailer already passed checksum_ok (a
+/// receiver that screened it on arrival): parses the body without a second
+/// CRC pass. Still throws std::runtime_error on a malformed body.
+MessageBatch decode_verified_batch(const Bytes& bytes);
+
 }  // namespace ruletris::proto

@@ -58,7 +58,8 @@ SwitchAgent::Ingest SwitchAgent::on_data(
   double t = std::max(now_ms, busy_until_ms_);
   for (auto it = buffer_.find(last_applied_ + 1); it != buffer_.end();
        it = buffer_.find(last_applied_ + 1)) {
-    const proto::MessageBatch batch = proto::decode_batch(*it->second);
+    // Only frames that passed checksum_ok above are buffered.
+    const proto::MessageBatch batch = proto::decode_verified_batch(*it->second);
 
     AppliedEpoch applied;
     applied.epoch = it->first;

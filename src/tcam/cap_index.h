@@ -8,6 +8,12 @@
 // are *always exact* for installed entries, so every BFS probe is one array
 // load (O(1)).
 //
+// The graph side is cheap to walk: DependencyGraph hands out each vertex's
+// successors and predecessors as one contiguous span (dag::AdjacencyList,
+// ids inline or in one heap block; ~96 bytes per vertex in all on the
+// 100 k-rule FIB), so a neighbour scan is one handle lookup and an array
+// read.
+//
 // Per-vertex sorted neighbour-address lists back the cells, but they are
 // hydrated lazily: a vertex's set is built from the graph + TCAM the first
 // time an operation actually needs it (a cap can *decrease* — erase, move,

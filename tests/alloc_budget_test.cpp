@@ -4,11 +4,13 @@
 // fleet_churn per-switch task (monitor(24) ∥ router(16), bursty churn, 24
 // epochs, in a private rule-id namespace) through the layers the compiled
 // fleet runs: ChurnEngine -> proto::encode_batch -> proto::decode_batch ->
-// SimulatedSwitch::apply. It pins two ceilings: heap allocations per
-// churned rule op inside ChurnEngine::step(), and per engine construction
-// (the initial compile). Both ceilings sit a little above the counts this
-// tree measures, so a change that puts the allocator back on the compile
-// path fails here even when the fleet fingerprints do not move.
+// SimulatedSwitch::apply. It pins three ceilings: heap allocations per
+// churned rule op inside ChurnEngine::step(), per engine construction (the
+// initial compile), and per rule op on the switch side (encode + decode +
+// apply, the initial install included). Each ceiling sits a little above
+// the count this tree measures, so a change that puts the allocator back on
+// the compile or apply path fails here even when the fleet fingerprints do
+// not move.
 //
 // Sanitizer runtimes allocate on their own behalf, so the counts only mean
 // something in plain builds: the tests skip under ASan and TSan.
@@ -75,13 +77,15 @@ constexpr size_t kSwitches = 64;
 constexpr size_t kUpdatesPerSwitch = 24;
 constexpr size_t kTcamEntries = 256;
 
-// Ceilings: the counts measured at 64 switches, seed 1 (13.3 per churned op
-// and 461 per engine) plus headroom for standard-library and optimisation
-// level differences. Before bursts were netted through one ChurnLog the
-// same run read 14.4 per churned op, and before the allocation-lean compile
-// step 57.7 and 1,041.
-constexpr double kMaxAllocsPerChurnedOp = 14.0;
-constexpr double kMaxAllocsPerEngine = 500.0;
+// Ceilings: the counts measured at 64 switches, seed 1 (12.1 per churned
+// op, 386 per engine, 7.7 per switch-side rule op) plus headroom for
+// standard-library and optimisation level differences. With the node-map
+// DependencyGraph of per-vertex hash sets the same run read 13.3, 461 and
+// 9.0; before bursts were netted through one ChurnLog, 14.4 per churned op;
+// and before the allocation-lean compile step, 57.7 and 1,041.
+constexpr double kMaxAllocsPerChurnedOp = 12.5;
+constexpr double kMaxAllocsPerEngine = 400.0;
+constexpr double kMaxAllocsPerWireOp = 8.0;
 
 /// One switch's fleet_churn task, as perfbench builds it.
 struct Task {
@@ -164,8 +168,10 @@ TEST(AllocBudget, FleetChurnCompileStepStaysUnderCeilings) {
               per_op, t.churned_ops, per_engine, wire_per_op);
   RecordProperty("allocs_per_churned_op", std::to_string(per_op));
   RecordProperty("allocs_per_engine", std::to_string(per_engine));
+  RecordProperty("allocs_per_wire_op", std::to_string(wire_per_op));
   EXPECT_LE(per_op, kMaxAllocsPerChurnedOp);
   EXPECT_LE(per_engine, kMaxAllocsPerEngine);
+  EXPECT_LE(wire_per_op, kMaxAllocsPerWireOp);
 }
 
 }  // namespace

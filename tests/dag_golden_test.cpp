@@ -1,21 +1,22 @@
 // Golden output of the bulk minimum-DAG builder.
 //
-// CacheFlow reads a DependencyGraph's adjacency in its iteration order:
-// each vertex's successors() and predecessors() IdSet, whose slot order
-// follows the graph's add_edge sequence. So the builder promises more than
-// "the minimum DAG": the same input gives the same call sequence, on any
-// thread count. Each case below hashes (FNV-1a) that adjacency, vertex by
-// vertex in the table's row order, and the build's sorted edge set
-// (edges() is ascending). The tables are classbench router, monitor and
-// firewall tables, built serially and on four threads. An optimisation of
-// the builder must leave both constants unchanged.
+// CacheFlow reads a DependencyGraph's adjacency in list order, so the
+// builder promises more than "the minimum DAG": every vertex's
+// successors() and predecessors() ascend by row (build-input position), on
+// any thread count. Each case below checks that order, hashes (FNV-1a) the
+// adjacency vertex by vertex in the table's row order, and hashes the
+// build's sorted edge set (edges() is ascending). The tables are classbench
+// router, monitor and firewall tables, built serially and on four threads.
+// An optimisation of the builder must leave both constants unchanged.
 // Rule ids come from a private ScopedRuleIdNamespace, so they do not depend
 // on what else the process allocated.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "classbench/generator.h"
@@ -52,22 +53,38 @@ uint64_t fnv_edges(const std::vector<std::pair<RuleId, RuleId>>& edges) {
 }
 
 /// What CacheFlow walks: per vertex (in row order), its successors and then
-/// its predecessors, each in IdSet iteration order.
+/// its predecessors, each in list order.
 uint64_t fnv_adjacency(const FlowTable& table, const DependencyGraph& graph) {
   Fnv f;
   for (const Rule& r : table.rules()) {
-    for (const dag::IdSet* set : {&graph.successors(r.id), &graph.predecessors(r.id)}) {
-      f.word(set->size());
-      for (RuleId id : *set) f.word(id);
+    for (const auto list : {graph.successors(r.id), graph.predecessors(r.id)}) {
+      f.word(list.size());
+      for (RuleId id : list) f.word(id);
     }
   }
   return f.h;
 }
 
+/// Number of vertices with a list out of row order (0 when every
+/// successors() and predecessors() list ascends by row).
+size_t lists_out_of_row_order(const FlowTable& table, const DependencyGraph& graph) {
+  std::unordered_map<RuleId, size_t> row;
+  for (const Rule& r : table.rules()) row.emplace(r.id, row.size());
+  const auto ascending = [&](std::span<const RuleId> list) {
+    return std::is_sorted(list.begin(), list.end(),
+                          [&](RuleId a, RuleId b) { return row.at(a) < row.at(b); });
+  };
+  size_t bad = 0;
+  for (const Rule& r : table.rules()) {
+    bad += !ascending(graph.successors(r.id)) || !ascending(graph.predecessors(r.id));
+  }
+  return bad;
+}
+
 struct GoldenCase {
   const char* profile;
   size_t rules;
-  uint64_t adjacency;  // hash of the IdSet adjacency in iteration order
+  uint64_t adjacency;  // hash of the adjacency in list order
   uint64_t sorted;    // hash of the sorted edge set
   size_t edges;
 };
@@ -83,13 +100,13 @@ FlowTable golden_table(const GoldenCase& c) {
 }
 
 constexpr GoldenCase kCases[] = {
-    {"router", 500, 0x88f1e8b716cef807ull, 0x3b36ff62acec4c32ull, 499},
-    {"router", 5000, 0x2908ce2e118a6e8full, 0xc27b6cc5053fb67bull, 4999},
-    {"router", 20000, 0xfb6712b4314d6161ull, 0x580a9966f1e9ce89ull, 19999},
-    {"monitor", 500, 0x0505d7d389c50ed6ull, 0x13eb1703d7627181ull, 588},
-    {"monitor", 5000, 0x99f4d628b47855a8ull, 0x59435d5f53e4e0c2ull, 16681},
-    {"firewall", 500, 0x504f8ed6947df8efull, 0x65977261d68e40cdull, 621},
-    {"firewall", 5000, 0xac5ecb9d6ef7f04aull, 0xd6a326ccabf82360ull, 16428},
+    {"router", 500, 0x71580a576339264full, 0x3b36ff62acec4c32ull, 499},
+    {"router", 5000, 0xd50767aa6ad64fafull, 0xc27b6cc5053fb67bull, 4999},
+    {"router", 20000, 0xd902cc43793b8599ull, 0x580a9966f1e9ce89ull, 19999},
+    {"monitor", 500, 0xbafbc74149771352ull, 0x13eb1703d7627181ull, 588},
+    {"monitor", 5000, 0x9dcf2da11a167644ull, 0x59435d5f53e4e0c2ull, 16681},
+    {"firewall", 500, 0x43990bbc6b8a77b3ull, 0x65977261d68e40cdull, 621},
+    {"firewall", 5000, 0x5d629a3c810679beull, 0xd6a326ccabf82360ull, 16428},
 };
 
 TEST(DagGolden, BuildsKeepTheirEdgeSequence) {
@@ -107,6 +124,7 @@ TEST(DagGolden, BuildsKeepTheirEdgeSequence) {
       const std::string tag = std::string(c.profile) + "(" + std::to_string(c.rules) +
                               "), threads=" + std::to_string(threads);
       EXPECT_EQ(edges.size(), c.edges) << tag;
+      EXPECT_EQ(lists_out_of_row_order(table, graph), 0u) << tag;
       EXPECT_EQ(adjacency, c.adjacency) << tag << ": adjacency 0x" << std::hex << adjacency;
       EXPECT_EQ(sorted, c.sorted) << tag << ": sorted 0x" << std::hex << sorted;
     }

@@ -2,11 +2,13 @@
 // builder (the oracle for all compositional DAG construction).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
+#include <vector>
 
+#include "dag/adjacency_list.h"
 #include "dag/builder.h"
 #include "dag/dependency_graph.h"
-#include "dag/id_set.h"
 #include "flowspace/rule.h"
 #include "test_util.h"
 
@@ -258,57 +260,95 @@ TEST(OrderRespectsDag, DetectsViolation) {
   EXPECT_FALSE(dag::order_respects_dag(rules, g));
 }
 
+TEST(DependencyGraph, BulkLoadRejectsMalformedInputAndStaysEmpty) {
+  const std::vector<RuleId> ids{11, 12, 13};
+  using Edges = std::vector<std::pair<uint32_t, uint32_t>>;
+  for (const Edges& bad : {Edges{{0, 1}, {2, 1}, {0, 1}}, Edges{{1, 1}}, Edges{{0, 3}}}) {
+    DependencyGraph g;
+    EXPECT_THROW(g.bulk_load_indexed(ids, bad), std::invalid_argument);
+    EXPECT_EQ(g.vertex_count(), 0u);
+    EXPECT_EQ(g.edge_count(), 0u);
+  }
+  DependencyGraph g;
+  EXPECT_THROW(g.bulk_load_indexed({11, 12, 11}, {}), std::invalid_argument);
+  EXPECT_THROW(g.bulk_load_indexed({11, ~RuleId{0}}, {}), std::invalid_argument);
+  g.bulk_load_indexed(ids, {{0, 1}, {2, 1}, {0, 2}});
+  EXPECT_EQ(g.edge_count(), 3u);
+  EXPECT_EQ(std::vector<RuleId>(g.successors(11).begin(), g.successors(11).end()),
+            (std::vector<RuleId>{12, 13}));
+  EXPECT_EQ(std::vector<RuleId>(g.predecessors(12).begin(), g.predecessors(12).end()),
+            (std::vector<RuleId>{11, 13}));
+  EXPECT_THROW(g.bulk_load_indexed(ids, {}), std::invalid_argument);  // not empty
+}
+
 // ---------------------------------------------------------------------------
-// IdSet: the flat adjacency set backing DependencyGraph
+// AdjacencyList: the per-vertex list backing DependencyGraph
 // ---------------------------------------------------------------------------
 
 /// Differential fuzz against std::unordered_set: a long random stream of
 /// insert/erase/contains/clear must agree op-for-op, and iteration must
-/// visit exactly the reference elements. Exercises the backward-shift
-/// deletion and the grow/rehash path (ids cluster to force probe chains).
-TEST(IdSet, MatchesUnorderedSetUnderRandomChurn) {
+/// visit exactly the reference elements. A vector with swap-remove shadows
+/// the documented order. The id universe lets the list cross every storage
+/// threshold both ways: inline, heap block, hub position index.
+TEST(AdjacencyList, MatchesUnorderedSetUnderRandomChurn) {
   util::Rng rng(0x1d5e7);
-  dag::IdSet set;
+  dag::AdjacencyList set;
   std::unordered_set<RuleId> ref;
+  std::vector<RuleId> order;
+  size_t peak = 0;
   for (int op = 0; op < 20000; ++op) {
-    // Small id universe => plenty of collisions, erases of present ids,
-    // and re-inserts of just-erased ids.
+    // Small id universe => erases of present ids and re-inserts of
+    // just-erased ids.
     const RuleId id = 1 + rng.next_below(512);
     switch (rng.next_below(4)) {
       case 0:
-      case 1:
-        EXPECT_EQ(set.insert(id), ref.insert(id).second);
+      case 1: {
+        const bool fresh = ref.insert(id).second;
+        EXPECT_EQ(set.insert(id), fresh);
+        if (fresh) order.push_back(id);
         break;
-      case 2:
-        EXPECT_EQ(set.erase(id), ref.erase(id) != 0);
+      }
+      case 2: {
+        const bool present = ref.erase(id) != 0;
+        EXPECT_EQ(set.erase(id), present);
+        if (present) {
+          *std::find(order.begin(), order.end(), id) = order.back();
+          order.pop_back();
+        }
         break;
+      }
       default:
-        EXPECT_EQ(set.count(id), ref.count(id));
+        EXPECT_EQ(set.contains(id), ref.count(id) != 0);
         break;
     }
+    peak = std::max(peak, set.size());
+    ASSERT_TRUE(std::equal(set.begin(), set.end(), order.begin(), order.end()))
+        << "order diverged at op " << op;
     if (op % 4096 == 0) {
       set.clear();
       ref.clear();
+      order.clear();
     }
   }
+  EXPECT_GT(peak, dag::AdjacencyList::kHubDegree);
   ASSERT_EQ(set.size(), ref.size());
   std::unordered_set<RuleId> seen;
   for (RuleId id : set) EXPECT_TRUE(seen.insert(id).second) << "duplicate " << id;
   EXPECT_EQ(seen, ref);
 }
 
-TEST(IdSet, EqualityIsOrderIndependentAndReserveKeepsElements) {
-  dag::IdSet a;
-  dag::IdSet b;
+TEST(AdjacencyList, EqualityIsOrderIndependentAndReserveKeepsElements) {
+  dag::AdjacencyList a;
+  dag::AdjacencyList b;
   for (RuleId id = 1; id <= 100; ++id) a.insert(id);
   for (RuleId id = 100; id >= 1; --id) b.insert(id);
   EXPECT_EQ(a, b);
   b.erase(57);
   EXPECT_NE(a, b);
-  a.reserve(4096);  // force a rehash well past the current table
+  a.reserve(4096);  // force a reallocation well past the current block
   EXPECT_EQ(a.size(), 100u);
   for (RuleId id = 1; id <= 100; ++id) EXPECT_TRUE(a.contains(id));
-  dag::IdSet c = a;  // copies stay independent
+  dag::AdjacencyList c = a;  // copies stay independent
   c.erase(1);
   EXPECT_TRUE(a.contains(1));
   EXPECT_FALSE(c.contains(1));

@@ -14,6 +14,11 @@
 // trees of compile_golden_test. Each epoch's update is applied to a DAG
 // firmware switch; the per-epoch wire messages, entry writes and moves and
 // the final TCAM layout must all agree.
+//
+// A fourth shape runs the data plane: TrafficEngine's flow-driven CacheFlow
+// (FDRC) run over a bulk-built FIB DAG, whose admission, cover and firmware
+// decisions walk the graph's adjacency lists. Its hits, swaps, writes and
+// final layout, folded by FIB position, must agree under three bases.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,9 +29,12 @@
 
 #include "classbench/generator.h"
 #include "compiler/ruletris_compiler.h"
+#include "dag/builder.h"
 #include "runtime/workload.h"
 #include "switchsim/adapters.h"
 #include "switchsim/switch.h"
+#include "switchsim/traffic_engine.h"
+#include "tcam/cacheflow.h"
 #include "test_util.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -277,6 +285,84 @@ Transcript run_nested(RuleId base) {
 
 TEST(IdInvariance, NestedTreeIsIdentical) {
   expect_same(run_nested(kBaseA), run_nested(kBaseB), "(a + b) > c");
+}
+
+// ---------------------------------------------------------------------------
+// The FDRC CacheFlow run of TrafficEngine.GoldenFdrcRunPinsEveryDecision
+// ---------------------------------------------------------------------------
+
+/// One FDRC run's outcome, with every rule named by its FIB position.
+struct FdrcOutcome {
+  std::vector<uint64_t> hits;  // per FIB position
+  size_t swaps = 0;
+  size_t entry_writes = 0;
+  uint64_t fast_hits = 0;
+  // Per address: 0 when free, else 2 * (FIB position + 1), plus 1 for a
+  // cover (named by its target).
+  std::vector<uint64_t> layout;
+
+  bool operator==(const FdrcOutcome&) const = default;
+};
+
+FdrcOutcome run_fdrc(RuleId base) {
+  RuleId counter = base;
+  flowspace::ScopedRuleIdNamespace ns(&counter);
+  Rng rng(0x601d);
+  const FlowTable fib{classbench::generate_router(5000, rng)};
+  tcam::CacheFlowManager mgr(fib.rules(), dag::build_min_dag(fib),
+                             tcam::CacheFlowManager::Mode::kDagFirmware, 512);
+  switchsim::TrafficConfig cfg;
+  cfg.flows = 1 << 16;
+  cfg.zipf_alpha = 1.1;
+  cfg.churn_rate = 0.01;
+  cfg.packets_per_epoch = 10000;
+  cfg.epochs = 8;
+  cfg.seed = 0x601d;
+  cfg.n_threads = 2;
+  cfg.policy = tcam::CacheFlowManager::AdmissionPolicy::kFlowDriven;
+  cfg.rebalance_swaps = 64;
+  switchsim::TrafficEngine engine(mgr, fib.rules(), cfg);
+  const switchsim::TrafficReport r = engine.run();
+
+  FdrcOutcome out;
+  std::map<RuleId, uint64_t> position;
+  for (const Rule& rule : fib.rules()) {
+    position.emplace(rule.id, out.hits.size());
+    out.hits.push_back(mgr.hits(rule.id));
+  }
+  out.swaps = r.swaps;
+  out.entry_writes = r.entry_writes;
+  out.fast_hits = r.fast_hits;
+  const tcam::Tcam& tcam = mgr.tcam();
+  for (size_t addr = 0; addr < tcam.capacity(); ++addr) {
+    const auto id = tcam.at(addr);
+    if (!id) {
+      out.layout.push_back(0);
+      continue;
+    }
+    const RuleId target = mgr.cover_target(*id);
+    const bool cover = target != flowspace::kInvalidRuleId;
+    out.layout.push_back(2 * (position.at(cover ? target : *id) + 1) + cover);
+  }
+  return out;
+}
+
+TEST(IdInvariance, FdrcCacheFlowRunIsIdentical) {
+  const FdrcOutcome a = run_fdrc(RuleId{1} << 40);
+  ASSERT_GT(a.swaps, 0u);
+  for (const RuleId base : {RuleId{3} << 40, RuleId{1} << 20}) {
+    const FdrcOutcome b = run_fdrc(base);
+    EXPECT_EQ(a.hits, b.hits) << "base " << base;
+    EXPECT_EQ(a.swaps, b.swaps) << "base " << base;
+    EXPECT_EQ(a.entry_writes, b.entry_writes) << "base " << base;
+    EXPECT_EQ(a.fast_hits, b.fast_hits) << "base " << base;
+    size_t differ = 0;
+    for (size_t addr = 0; addr < a.layout.size(); ++addr) {
+      differ += a.layout[addr] != b.layout[addr];
+    }
+    EXPECT_EQ(differ, 0u) << "base " << base << ": final layouts differ at " << differ
+                          << " of " << a.layout.size() << " addresses";
+  }
 }
 
 }  // namespace

@@ -85,6 +85,28 @@ TEST(Codec, RandomRuleFuzzRoundTrip) {
   }
 }
 
+TEST(Codec, VerifiedDecodeParsesWhatDecodeBatchParses) {
+  // decode_verified_batch skips only the CRC pass: on a screened frame it
+  // returns decode_batch's batch; a flipped bit is for checksum_ok (and
+  // decode_batch) to catch, never for it.
+  Rng rng(4);
+  MessageBatch batch{FlowModAdd{testutil::random_rule(rng, 5)}, FlowModDelete{9},
+                     Barrier{}};
+  proto::Bytes bytes = encode_batch(batch);
+  ASSERT_TRUE(proto::checksum_ok(bytes));
+  const MessageBatch checked = decode_batch(bytes);
+  const MessageBatch verified = proto::decode_verified_batch(bytes);
+  ASSERT_EQ(verified.size(), checked.size());
+  EXPECT_EQ(std::get<FlowModAdd>(verified[0]).rule.match,
+            std::get<FlowModAdd>(checked[0]).rule.match);
+  EXPECT_EQ(std::get<FlowModDelete>(verified[1]).id, 9u);
+  EXPECT_TRUE(std::holds_alternative<Barrier>(verified[2]));
+  bytes[bytes.size() / 2] ^= 0x10;
+  EXPECT_FALSE(proto::checksum_ok(bytes));
+  EXPECT_THROW(decode_batch(bytes), std::runtime_error);
+  EXPECT_THROW(proto::decode_verified_batch(proto::Bytes{1, 2}), std::runtime_error);
+}
+
 TEST(Codec, TruncatedInputThrows) {
   Rng rng(3);
   MessageBatch batch{FlowModAdd{testutil::random_rule(rng, 1)}};

@@ -695,7 +695,7 @@ TEST(TrafficEngine, GoldenFdrcRunPinsEveryDecision) {
   TrafficEngine engine(mgr, fib.rules(), cfg);
   const TrafficReport r = engine.run();
   EXPECT_EQ(r.hit_checksum, 0x8bd24de19c55ed9eULL);
-  EXPECT_EQ(r.layout_checksum, 0xfdcc28d2e90257cbULL);
+  EXPECT_EQ(r.layout_checksum, 0xbef85dcbd137c6a2ULL);
   EXPECT_EQ(r.swaps, 508u);
   EXPECT_EQ(r.entry_writes, 596u);
   EXPECT_EQ(r.fast_hits, 48324u);
