@@ -47,11 +47,14 @@ PROFILES = {
     "fig11_cacheflow": ("load", "backend"),
     "fig9_parallel": ("config", "compiler"),
     "fig10_sequential": ("config", "compiler"),
+    # Fleet rows carry journal/crash_p; the fast-path overhead and recovery
+    # cost summaries carry neither and read them as null.
+    "recovery_latency": ("part", "journal", "crash_p"),
     # Scheduler rows (star) carry capacity/occupancy_target, the pipeline
     # row carries stages; each reads the other's key fields as null.
     "tcam_scheduler": ("workload", "capacity", "occupancy_target", "stages"),
 }
-NULLABLE_KEY_PROFILES = {"tcam_scheduler"}
+NULLABLE_KEY_PROFILES = {"recovery_latency", "tcam_scheduler"}
 
 # Per-benchmark default tolerance (when --tolerance is not passed): the
 # scheduler's chains are integer counts, so one extra move must fail.
@@ -69,6 +72,9 @@ PROFILE_IGNORE = {
     "fig11_cacheflow": _FIRMWARE_MS,
     "fig9_parallel": _COMPOSITION_WALL_MS,
     "fig10_sequential": _COMPOSITION_WALL_MS,
+    # The firmware CPU time and the overheads derived from it are host wall
+    # clock; crash counts, undone writes and recovery latency are modelled.
+    "recovery_latency": ("firmware_cpu_ms", "*_overhead_pct"),
     # The modelled columns are the chains (chain_ops, total_moves,
     # max_chain), occupancy and the identical/layout_valid verdicts.
     "tcam_scheduler": ("*_ms", "speedup", "threads_effective"),

@@ -90,6 +90,20 @@ chaos_fresh="$ROOT/build-check-$first_tree/BENCH_chaos.smoke.json"
 python3 "$ROOT/tools/bench_gate.py" "$ROOT/BENCH_chaos.json" "$chaos_fresh" \
   || { echo "PERF GATE FAILED: chaos_recovery drifted from baseline"; exit 1; }
 
+# Same gate for the crash-recovery harness (full run, ~1 s): every crash
+# point is one seeded Bernoulli draw at a crash-hook consultation, so a
+# firmware change that adds, drops or reorders a consultation moves the
+# rollback/roll-forward split and the recovered writes. The host-timed
+# firmware_cpu_ms and *_overhead_pct columns are skipped (bench_gate.py
+# PROFILE_IGNORE). Regenerate BENCH_recovery.json with
+# `recovery_latency --json` when the modelled system legitimately moves.
+echo "=== recovery perf gate (vs committed BENCH_recovery.json)"
+recovery_fresh="$ROOT/build-check-$first_tree/BENCH_recovery.fresh.json"
+"$bench_dir/recovery_latency" --json "$recovery_fresh" > /dev/null \
+  || { echo "BENCH FAILED: recovery_latency (gate run)"; exit 1; }
+python3 "$ROOT/tools/bench_gate.py" "$ROOT/BENCH_recovery.json" "$recovery_fresh" \
+  || { echo "PERF GATE FAILED: recovery_latency drifted from baseline"; exit 1; }
+
 # Same gate for the CacheFlow figure: its FIB DAG comes from
 # dag::build_min_dag and drives the DAG firmware's swaps, so a builder change
 # that moved an edge shows in the swap and TCAM-latency columns. The
