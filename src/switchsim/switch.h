@@ -25,8 +25,8 @@ enum class FirmwareMode { kDag, kPriority };
 
 struct UpdateMetrics {
   bool ok = true;  // status == kOk; kept for the many boolean call sites
-  /// Structured firmware outcome: kTableFull / kRolledBack distinguish a
-  /// capacity rejection (reportable) from a corrupted request (rolled back).
+  /// Structured firmware outcome: kTableFull is a capacity rejection that
+  /// executed nothing; kRolledBack a malformed (cyclic) request, undone.
   tcam::ApplyStatus status = tcam::ApplyStatus::kOk;
   double channel_ms = 0.0;   // modelled transfer latency (actual encoded bytes)
   double firmware_ms = 0.0;  // measured schedule computation time

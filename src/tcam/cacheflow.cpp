@@ -86,17 +86,17 @@ bool CacheFlowManager::firmware_insert(const Rule& rule,
   if (mode_ == Mode::kDagFirmware) {
     // One funnelled update: the vertex, its edges and the rule go through
     // apply_status, whose graph hooks keep the scheduler's cap cells exact,
-    // so a swap never pays a full CapIndex rebuild. The update's vectors
-    // are reused, so this allocates only when an edge list outgrows them.
+    // so a swap never pays a full CapIndex rebuild. On a full TCAM it is
+    // rejected before adding the vertex or an edge, so a failure needs no
+    // cleanup. The update's vectors are reused, so this allocates only when
+    // an edge list outgrows them.
     BackendUpdate& u = firmware_update_;
     u.added.assign(1, rule);
     u.dag.added_vertices.assign(1, rule.id);
     u.dag.added_edges.clear();
     for (RuleId a : above_ids) u.dag.added_edges.emplace_back(rule.id, a);
     for (RuleId b : below_ids) u.dag.added_edges.emplace_back(b, rule.id);
-    if (dag_firmware_->apply_status(u) == ApplyStatus::kOk) return true;
-    dag_firmware_->remove(rule.id);  // keep state rollback-clean
-    return false;
+    return dag_firmware_->apply(u);
   }
   return priority_firmware_->insert(rule);
 }

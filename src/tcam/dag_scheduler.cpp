@@ -179,9 +179,8 @@ void DagScheduler::commit_txn(bool owns) {
 }
 
 ApplyStatus DagScheduler::fail_txn(bool owns) {
-  if (!owns) return ApplyStatus::kTableFull;
-  return rollback_open_txn() > 0 ? ApplyStatus::kRolledBack
-                                 : ApplyStatus::kTableFull;
+  if (owns) rollback_open_txn();
+  return ApplyStatus::kRolledBack;
 }
 
 size_t DagScheduler::rollback_open_txn(size_t* undone_writes) {
@@ -244,230 +243,132 @@ DagScheduler::RecoveryResult DagScheduler::recover() {
   return result;
 }
 
-std::pair<long long, long long> DagScheduler::insert_bounds(RuleId id) const {
-  long long lo = -1;
-  long long hi = static_cast<long long>(tcam_.capacity());
-  for (RuleId pred : graph_.predecessors(id)) {
-    if (!tcam_.contains(pred)) continue;
-    lo = std::max(lo, static_cast<long long>(tcam_.address_of(pred)));
-  }
-  for (RuleId succ : graph_.successors(id)) {
-    if (!tcam_.contains(succ)) continue;
-    hi = std::min(hi, static_cast<long long>(tcam_.address_of(succ)));
-  }
-  return {lo, hi};
-}
-
-long long DagScheduler::lowest_successor_addr(size_t addr) const {
-  const RuleId id = *tcam_.at(addr);
-  long long out = static_cast<long long>(tcam_.capacity());
-  for (RuleId succ : graph_.successors(id)) {
-    if (!tcam_.contains(succ)) continue;
-    out = std::min(out, static_cast<long long>(tcam_.address_of(succ)));
+long long DagScheduler::neighbour_bound(RuleId id, bool successors) const {
+  long long out = successors ? static_cast<long long>(tcam_.capacity()) : -1;
+  for (RuleId n : successors ? graph_.successors(id) : graph_.predecessors(id)) {
+    const std::optional<size_t> addr = tcam_.address_if(n);
+    if (!addr) continue;
+    const long long a = static_cast<long long>(*addr);
+    out = successors ? std::min(out, a) : std::max(out, a);
   }
   return out;
 }
 
-long long DagScheduler::highest_predecessor_addr(size_t addr) const {
-  const RuleId id = *tcam_.at(addr);
-  long long out = -1;
-  for (RuleId pred : graph_.predecessors(id)) {
-    if (!tcam_.contains(pred)) continue;
-    out = std::max(out, static_cast<long long>(tcam_.address_of(pred)));
-  }
-  return out;
-}
-
-std::optional<DagScheduler::Chain> DagScheduler::find_chain_up(
-    long long lo_bound, long long hi_bound) const {
-  return caps_live() ? find_chain_up_cached(lo_bound, hi_bound)
-                     : find_chain_up_legacy(lo_bound, hi_bound);
-}
-
-std::optional<DagScheduler::Chain> DagScheduler::find_chain_down(
-    long long lo_bound, long long hi_bound) const {
-  return caps_live() ? find_chain_down_cached(lo_bound, hi_bound)
-                     : find_chain_down_legacy(lo_bound, hi_bound);
-}
-
-std::optional<DagScheduler::Chain> DagScheduler::find_chain_up_legacy(
-    long long lo_bound, long long hi_bound) const {
-  // Nearest free slot above the (full) insert range.
-  auto d_opt = tcam_.nearest_free_at_or_above(static_cast<size_t>(lo_bound + 1));
-  if (!d_opt) return std::nullopt;
-  const long long d = static_cast<long long>(*d_opt);
+// Algorithm 1's two chain directions are mirror images. An upward chain
+// starts next to the predecessor bound `lo` and runs to the nearest free
+// slot above; each entry may land on any slot up to and *including* its
+// lowest successor's (line 15 is inclusive: landing there displaces the
+// successor, which continues the chain). A downward chain starts next to
+// `hi` and runs to the nearest free slot below, each entry landing down to
+// and including its highest predecessor's slot (line 23). Both searches
+// walk addresses in steps of `s` (+1 up, -1 down), so a layered jump-BFS
+// with one water mark — the farthest address enqueued — serves both and
+// stays O(span).
+std::optional<DagScheduler::ChainSweep> DagScheduler::chain_sweep(long long lo,
+                                                                  long long hi,
+                                                                  bool up) const {
+  const long long first = up ? lo + 1 : hi - 1;
+  if (first < 0) return std::nullopt;
+  const std::optional<size_t> free = up
+                                         ? tcam_.nearest_free_at_or_above(static_cast<size_t>(first))
+                                         : tcam_.nearest_free_at_or_below(static_cast<size_t>(first));
+  if (!free) return std::nullopt;
+  const long long d = static_cast<long long>(*free);
   // The chain may start by displacing any entry in the range, *including*
-  // the lowest successor itself (Algorithm 1's base cases span
-  // [r_pre.addr, r_succ.addr]).
-  const long long start_hi = std::min(hi_bound, d - 1);
-  if (start_hi <= lo_bound) return std::nullopt;
+  // the bound on the far side (Algorithm 1's base cases span
+  // [r_pre.addr, r_succ.addr]), but not the free slot itself.
+  const long long last = up ? std::min(hi, d - 1) : std::max(lo, d + 1);
+  const long long s = up ? 1 : -1;
+  if (s * (last - first) < 0) return std::nullopt;
+  return ChainSweep{s, first, last, d};
+}
 
-  // Layered jump-BFS: the entry at address a may land on any slot in
-  // (a, lowest_successor_addr(a)). The high-water mark keeps this O(span).
+template <typename ParentOf>
+DagScheduler::Chain DagScheduler::trace_chain(long long end, long long free_slot,
+                                              ParentOf parent_of) {
+  Chain chain;
+  for (long long cur = end; cur != -1; cur = parent_of(cur)) {
+    chain.hops.push_back(static_cast<size_t>(cur));
+  }
+  std::reverse(chain.hops.begin(), chain.hops.end());
+  chain.free_slot = static_cast<size_t>(free_slot);
+  return chain;
+}
+
+std::optional<DagScheduler::Chain> DagScheduler::find_chain_legacy(long long lo,
+                                                                   long long hi,
+                                                                   bool up) const {
+  const std::optional<ChainSweep> sweep = chain_sweep(lo, hi, up);
+  if (!sweep) return std::nullopt;
+  const auto [s, first, last, d] = *sweep;
   std::unordered_map<long long, long long> parent;  // addr -> previous hop
   std::deque<long long> queue;
-  for (long long a = lo_bound + 1; a <= start_hi; ++a) {
+  for (long long a = first; s * (last - a) >= 0; a += s) {
     parent[a] = -1;  // chain start: displaced directly by the new rule
     queue.push_back(a);
   }
-  long long hwm = start_hi;
+  long long wm = last;
   while (!queue.empty()) {
     const long long a = queue.front();
     queue.pop_front();
-    // The entry may land on any slot up to and *including* its lowest
-    // successor's (Algorithm 1 line 15 is inclusive): landing there
-    // displaces the successor, which then continues the chain upward.
-    const long long cap = std::min(lowest_successor_addr(static_cast<size_t>(a)), d);
-    if (cap >= d) {
-      // This entry can land on the free slot: chain complete.
-      Chain chain;
-      for (long long cur = a; cur != -1; cur = parent.at(cur)) {
-        chain.hops.push_back(static_cast<size_t>(cur));
-      }
-      std::reverse(chain.hops.begin(), chain.hops.end());
-      chain.free_slot = static_cast<size_t>(d);
-      return chain;
+    const long long bound = neighbour_bound(*tcam_.at(static_cast<size_t>(a)), up);
+    const long long reach = up ? std::min(bound, d) : std::max(bound, d);
+    if (reach == d) {  // this entry can land on the free slot: chain complete
+      return trace_chain(a, d, [&](long long cur) { return parent.at(cur); });
     }
-    for (long long j = hwm + 1; j <= cap; ++j) {
+    for (long long j = wm + s; s * (reach - j) >= 0; j += s) {
       parent[j] = a;
       queue.push_back(j);
     }
-    hwm = std::max(hwm, cap);
+    if (s * (reach - wm) > 0) wm = reach;
   }
   return std::nullopt;
 }
 
-std::optional<DagScheduler::Chain> DagScheduler::find_chain_down_legacy(
-    long long lo_bound, long long hi_bound) const {
-  if (hi_bound <= 0) return std::nullopt;
-  auto d_opt = tcam_.nearest_free_at_or_below(static_cast<size_t>(hi_bound - 1));
-  if (!d_opt) return std::nullopt;
-  const long long d = static_cast<long long>(*d_opt);
-  const long long start_lo = std::max(lo_bound, d + 1);
-  if (start_lo >= hi_bound) return std::nullopt;
-
-  std::unordered_map<long long, long long> parent;
-  std::deque<long long> queue;
-  for (long long a = hi_bound - 1; a >= start_lo; --a) {
-    parent[a] = -2;  // chain start sentinel (−1 is a valid address bound here)
-    queue.push_back(a);
-  }
-  long long lwm = start_lo;
-  while (!queue.empty()) {
-    const long long a = queue.front();
-    queue.pop_front();
-    // Inclusive of the highest predecessor's slot (Algorithm 1 line 23):
-    // landing there displaces the predecessor further down the chain.
-    const long long cap =
-        std::max(highest_predecessor_addr(static_cast<size_t>(a)), d);
-    if (cap <= d) {
-      Chain chain;
-      for (long long cur = a; cur != -2; cur = parent.at(cur)) {
-        chain.hops.push_back(static_cast<size_t>(cur));
-      }
-      std::reverse(chain.hops.begin(), chain.hops.end());
-      chain.free_slot = static_cast<size_t>(d);
-      return chain;
-    }
-    for (long long j = lwm - 1; j >= cap; --j) {
-      parent[j] = a;
-      queue.push_back(j);
-    }
-    lwm = std::min(lwm, cap);
-  }
-  return std::nullopt;
-}
-
-// The cached searches mirror the legacy traversal order exactly — same
+// The cached search mirrors the legacy traversal order exactly — same
 // seeds, same FIFO discipline, same water-mark extension — so both modes
 // discover the same chains. They differ only in the data structures:
 //
 //   * each probe is one CapIndex array load instead of an O(degree) scan;
-//   * parent links live in an offset-indexed arena (address − range base)
+//   * parent links live in an offset-indexed arena (distance from `first`)
 //     and the FIFO is a flat vector with a head cursor. Addresses get their
 //     parent written before being enqueued and only enqueued addresses are
 //     ever read back, so the arena needs no clearing between searches —
 //     resize-only reuse makes steady-state inserts allocation-free.
-std::optional<DagScheduler::Chain> DagScheduler::find_chain_up_cached(
-    long long lo_bound, long long hi_bound) const {
-  auto d_opt = tcam_.nearest_free_at_or_above(static_cast<size_t>(lo_bound + 1));
-  if (!d_opt) return std::nullopt;
-  const long long d = static_cast<long long>(*d_opt);
-  const long long start_hi = std::min(hi_bound, d - 1);
-  if (start_hi <= lo_bound) return std::nullopt;
-
-  const long long base = lo_bound + 1;  // candidate hop addresses: [base, d)
-  const size_t span = static_cast<size_t>(d - base);
+std::optional<DagScheduler::Chain> DagScheduler::find_chain_cached(long long lo,
+                                                                   long long hi,
+                                                                   bool up) const {
+  const std::optional<ChainSweep> sweep = chain_sweep(lo, hi, up);
+  if (!sweep) return std::nullopt;
+  const auto [s, first, last, d] = *sweep;
+  // Candidate hops lie between `first` and the free slot d (exclusive).
+  const size_t span = static_cast<size_t>(s * (d - first));
   if (arena_parent_.size() < span) arena_parent_.resize(span);
+  auto parent = [&](long long a) -> long long& {
+    return arena_parent_[static_cast<size_t>(s * (a - first))];
+  };
   arena_queue_.clear();
-  for (long long a = base; a <= start_hi; ++a) {
-    arena_parent_[static_cast<size_t>(a - base)] = -1;
+  for (long long a = first; s * (last - a) >= 0; a += s) {
+    parent(a) = -1;
     arena_queue_.push_back(a);
   }
-  long long hwm = start_hi;
+  long long wm = last;
   for (size_t head = 0; head < arena_queue_.size(); ++head) {
     const long long a = arena_queue_[head];
-    const long long cap = std::min(caps_.lo_succ_at(static_cast<size_t>(a)), d);
-    if (cap >= d) {
-      Chain chain;
-      for (long long cur = a; cur != -1;
-           cur = arena_parent_[static_cast<size_t>(cur - base)]) {
-        chain.hops.push_back(static_cast<size_t>(cur));
-      }
-      std::reverse(chain.hops.begin(), chain.hops.end());
-      chain.free_slot = static_cast<size_t>(d);
-      return chain;
-    }
-    for (long long j = hwm + 1; j <= cap; ++j) {
-      arena_parent_[static_cast<size_t>(j - base)] = a;
+    const size_t at = static_cast<size_t>(a);
+    const long long reach = up ? std::min(caps_.lo_succ_at(at), d)
+                               : std::max(caps_.hi_pred_at(at), d);
+    if (reach == d) return trace_chain(a, d, parent);
+    for (long long j = wm + s; s * (reach - j) >= 0; j += s) {
+      parent(j) = a;
       arena_queue_.push_back(j);
     }
-    hwm = std::max(hwm, cap);
+    if (s * (reach - wm) > 0) wm = reach;
   }
   return std::nullopt;
 }
 
-std::optional<DagScheduler::Chain> DagScheduler::find_chain_down_cached(
-    long long lo_bound, long long hi_bound) const {
-  if (hi_bound <= 0) return std::nullopt;
-  auto d_opt = tcam_.nearest_free_at_or_below(static_cast<size_t>(hi_bound - 1));
-  if (!d_opt) return std::nullopt;
-  const long long d = static_cast<long long>(*d_opt);
-  const long long start_lo = std::max(lo_bound, d + 1);
-  if (start_lo >= hi_bound) return std::nullopt;
-
-  const long long base = d + 1;  // candidate hop addresses: (d, hi_bound)
-  const size_t span = static_cast<size_t>(hi_bound - base);
-  if (arena_parent_.size() < span) arena_parent_.resize(span);
-  arena_queue_.clear();
-  for (long long a = hi_bound - 1; a >= start_lo; --a) {
-    arena_parent_[static_cast<size_t>(a - base)] = -2;
-    arena_queue_.push_back(a);
-  }
-  long long lwm = start_lo;
-  for (size_t head = 0; head < arena_queue_.size(); ++head) {
-    const long long a = arena_queue_[head];
-    const long long cap = std::max(caps_.hi_pred_at(static_cast<size_t>(a)), d);
-    if (cap <= d) {
-      Chain chain;
-      for (long long cur = a; cur != -2;
-           cur = arena_parent_[static_cast<size_t>(cur - base)]) {
-        chain.hops.push_back(static_cast<size_t>(cur));
-      }
-      std::reverse(chain.hops.begin(), chain.hops.end());
-      chain.free_slot = static_cast<size_t>(d);
-      return chain;
-    }
-    for (long long j = lwm - 1; j >= cap; --j) {
-      arena_parent_[static_cast<size_t>(j - base)] = a;
-      arena_queue_.push_back(j);
-    }
-    lwm = std::min(lwm, cap);
-  }
-  return std::nullopt;
-}
-
-void DagScheduler::execute_up(const Chain& chain, const Rule& rule) {
+void DagScheduler::execute(const Chain& chain, const Rule& rule) {
   size_t target = chain.free_slot;
   for (size_t i = chain.hops.size(); i-- > 0;) {
     do_move(chain.hops[i], target);
@@ -477,12 +378,32 @@ void DagScheduler::execute_up(const Chain& chain, const Rule& rule) {
   last_chain_moves_ = chain.hops.size();
 }
 
-void DagScheduler::execute_down(const Chain& chain, const Rule& rule) {
-  // Identical mechanics; the hop addresses simply descend.
-  execute_up(chain, rule);
+// Claim 1 makes capacity the only way an insert can fail: from a
+// non-inverted range a chain reaches the nearest free slot in whichever
+// direction has one (each hop lands strictly closer to it), and the
+// inverted-range repair frees exactly as many slots as it refills. So an
+// update fits exactly when its removals leave a free slot for every insert,
+// and one that does not is rejected before anything runs.
+bool DagScheduler::fits(size_t inserts, std::span<const RuleId> removed) const {
+  const size_t free = tcam_.capacity() - tcam_.occupied();
+  if (free < inserts) {
+    // Each installed id frees its slot once, however often a batch lists it.
+    std::vector<size_t> freed;
+    for (RuleId id : removed) {
+      if (const std::optional<size_t> addr = tcam_.address_if(id)) freed.push_back(*addr);
+    }
+    std::sort(freed.begin(), freed.end());
+    const auto distinct = std::unique(freed.begin(), freed.end()) - freed.begin();
+    if (free + static_cast<size_t>(distinct) < inserts) {
+      util::log_warn("DagScheduler: TCAM full, update rejected");
+      return false;
+    }
+  }
+  return true;
 }
 
 ApplyStatus DagScheduler::insert_status(const Rule& rule) {
+  if (!fits(1, {})) return ApplyStatus::kTableFull;
   const bool owns = begin_txn();
   if (!insert_impl(rule, 0)) return fail_txn(owns);
   commit_txn(owns);
@@ -500,7 +421,8 @@ bool DagScheduler::evict(RuleId id) {
 bool DagScheduler::insert_impl(const Rule& rule, int depth) {
   add_vertex_internal(rule.id);
   const auto [lo, hi] =
-      caps_live() ? caps_.bounds_of(rule.id, graph_, tcam_) : insert_bounds(rule.id);
+      caps_live() ? caps_.bounds_of(rule.id, graph_, tcam_)
+                  : std::pair{neighbour_bound(rule.id, false), neighbour_bound(rule.id, true)};
   last_chain_moves_ = 0;
 
   if (lo >= hi) {
@@ -556,31 +478,24 @@ bool DagScheduler::insert_impl(const Rule& rule, int depth) {
     return true;
   }
 
-  // Fast path: a free slot inside the open interval (lo, hi). Prefer the
-  // slot nearest the interval midpoint so remaining slack stays balanced for
-  // future inserts.
+  // Fast path: a free slot inside the open interval (lo, hi). kBalanced
+  // prefers the slot nearest the interval midpoint so remaining slack stays
+  // balanced for future inserts; ties keep the earlier candidate.
   if (hi - lo > 1) {
     const long long mid = (lo + hi) / 2;
     std::optional<size_t> best;
-    auto above = tcam_.nearest_free_at_or_above(static_cast<size_t>(std::max(lo + 1, 0LL)));
-    if (above && static_cast<long long>(*above) < hi) best = *above;
-    if (placement_ == Placement::kBalanced && mid >= 0) {
-      auto below = tcam_.nearest_free_at_or_below(static_cast<size_t>(mid));
-      if (below && static_cast<long long>(*below) > lo &&
-          static_cast<long long>(*below) < hi) {
-        if (!best || std::llabs(static_cast<long long>(*below) - mid) <
-                         std::llabs(static_cast<long long>(*best) - mid)) {
-          best = *below;
-        }
+    auto consider = [&](std::optional<size_t> slot) {
+      if (!slot) return;
+      const long long a = static_cast<long long>(*slot);
+      if (a <= lo || a >= hi) return;
+      if (!best || std::llabs(a - mid) < std::llabs(static_cast<long long>(*best) - mid)) {
+        best = slot;
       }
-      auto above_mid = tcam_.nearest_free_at_or_above(static_cast<size_t>(mid));
-      if (above_mid && static_cast<long long>(*above_mid) < hi &&
-          static_cast<long long>(*above_mid) > lo) {
-        if (!best || std::llabs(static_cast<long long>(*above_mid) - mid) <
-                         std::llabs(static_cast<long long>(*best) - mid)) {
-          best = *above_mid;
-        }
-      }
+    };
+    consider(tcam_.nearest_free_at_or_above(static_cast<size_t>(lo + 1)));
+    if (placement_ == Placement::kBalanced) {
+      consider(tcam_.nearest_free_at_or_below(static_cast<size_t>(mid)));
+      consider(tcam_.nearest_free_at_or_above(static_cast<size_t>(mid)));
     }
     if (best) {
       do_write(*best, rule);
@@ -588,17 +503,13 @@ bool DagScheduler::insert_impl(const Rule& rule, int depth) {
     }
   }
 
-  auto up = find_chain_up(lo, hi);
-  auto down = find_chain_down(lo, hi);
-  if (!up && !down) {
-    util::log_warn("DagScheduler: TCAM full or no feasible chain for insert");
-    return false;
-  }
-  if (up && (!down || up->hops.size() <= down->hops.size())) {
-    execute_up(*up, rule);
-  } else {
-    execute_down(*down, rule);
-  }
+  const std::optional<Chain> up =
+      caps_live() ? find_chain_cached(lo, hi, true) : find_chain_legacy(lo, hi, true);
+  const std::optional<Chain> down =
+      caps_live() ? find_chain_cached(lo, hi, false) : find_chain_legacy(lo, hi, false);
+  // fits() admitted this update, so some slot is free (see there).
+  if (!up && !down) throw std::logic_error("DagScheduler: no chain reaches a free slot");
+  execute(up && (!down || up->hops.size() <= down->hops.size()) ? *up : *down, rule);
   return true;
 }
 
@@ -612,6 +523,7 @@ void DagScheduler::remove(RuleId id) {
 }
 
 ApplyStatus DagScheduler::apply_status(const BackendUpdate& update) {
+  if (!fits(update.added.size(), update.removed)) return ApplyStatus::kTableFull;
   const bool owns = begin_txn();
   for (const auto& [u, v] : update.dag.removed_edges) remove_edge_internal(u, v);
   for (RuleId id : update.removed) {

@@ -8,19 +8,27 @@
 //   2. A free slot inside the range costs a single entry write.
 //   3. Otherwise the scheduler runs the shortest-moving-chain search in both
 //      directions — a BFS where an entry at address a may hop to any slot
-//      strictly below its own lowest successor (upward) or strictly above
-//      its highest predecessor (downward) — and executes the shorter chain.
+//      up to its own lowest successor (upward) or down to its highest
+//      predecessor (downward) — and executes the shorter chain.
+//
+// Such a chain reaches the nearest free slot whenever there is one (Claim
+// 1), so an update fails for capacity exactly when its inserts outnumber
+// the free slots left after its removals. apply_status/insert_status check
+// that count first and reject an update that cannot fit before it touches
+// anything.
 //
 // Two search implementations coexist (see DESIGN.md "TCAM firmware fast
-// path"). kCached (default) answers every bound/probe from an incrementally
-// maintained CapIndex in O(1) and runs the BFS in a reusable flat arena;
-// kLegacy scans the graph per probe (O(degree)) and BFSes through an
-// unordered_map — kept for the --legacy-search ablation and the equivalence
-// tests. Both produce bit-identical chains and layouts.
+// path"), each one direction-parameterised function. kCached (default)
+// answers every bound/probe from an incrementally maintained CapIndex in
+// O(1) and runs the BFS in a reusable flat arena; kLegacy scans the graph
+// per probe (O(degree)) and BFSes through an unordered_map — kept for the
+// --legacy-search ablation and as the equivalence tests' oracle. Both
+// produce bit-identical chains and layouts.
 #pragma once
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dag/dependency_graph.h"
@@ -33,11 +41,14 @@ namespace ruletris::tcam {
 
 using dag::DependencyGraph;
 
-/// Structured outcome of an update transaction. kTableFull: the update was
-/// infeasible and the device was left untouched (with a journal attached) or
-/// partially applied up to the failing insert (legacy, journal-less mode).
-/// kRolledBack: part of the update had executed before it failed; the
-/// journal undid it, so the device equals its pre-update state.
+/// Structured outcome of an update transaction. kTableFull: the update's
+/// inserts outnumber the free slots its removals would leave; it was
+/// rejected before anything executed (no primitive, journal record or
+/// crash-hook consultation), with or without a journal. kRolledBack: the
+/// update was malformed — a dependency cycle among its rules, or an
+/// inverted-range repair past its depth limit — and failed partway; with a
+/// journal the executed prefix was undone, so the device equals its
+/// pre-update state, without one the prefix stays.
 enum class ApplyStatus : uint8_t { kOk = 0, kTableFull = 1, kRolledBack = 2 };
 
 inline const char* to_string(ApplyStatus s) {
@@ -65,18 +76,16 @@ class DagScheduler {
                         SearchMode mode = SearchMode::kCached);
 
   /// Applies one incremental update: edge removals, rule deletions, DAG
-  /// additions, then rule inserts in dependency order. With a journal
-  /// attached the whole update is one recoverable transaction: on an
-  /// infeasible insert every executed op is undone (kRolledBack, or
-  /// kTableFull when nothing had executed) and the device is exactly its
-  /// pre-update state. Without a journal a failure stops mid-update
-  /// (kTableFull), preserving the legacy partial-stop behaviour.
+  /// additions, then rule inserts in dependency order. An update that
+  /// cannot fit returns kTableFull untouched (see ApplyStatus). With a
+  /// journal attached the whole update is one recoverable transaction.
   ApplyStatus apply_status(const BackendUpdate& update);
   bool apply(const BackendUpdate& update) {
     return apply_status(update) == ApplyStatus::kOk;
   }
 
-  /// Inserts one rule whose vertex/edges are already in the graph.
+  /// Inserts one rule whose vertex/edges are already in the graph;
+  /// kTableFull, untouched, when no slot is free.
   ApplyStatus insert_status(const Rule& rule);
   bool insert(const Rule& rule) {
     return insert_status(rule) == ApplyStatus::kOk;
@@ -170,31 +179,35 @@ class DagScheduler {
     size_t free_slot = 0;
   };
 
-  /// Bounds (exclusive) for where `id` may sit, from its graph neighbours.
-  std::pair<long long, long long> insert_bounds(flowspace::RuleId id) const;
+  /// Lowest installed successor address of `id` (capacity when none), or
+  /// with `successors` false its highest installed predecessor address (-1
+  /// when none): the legacy O(degree) probe, and its insert bounds.
+  long long neighbour_bound(flowspace::RuleId id, bool successors) const;
+
+  /// Whether `inserts` rules fit once the installed ids of `removed` are
+  /// erased (each counted once); logs the rejection when they do not.
+  bool fits(size_t inserts, std::span<const flowspace::RuleId> removed) const;
 
   /// insert() body; `depth` bounds the displace-and-reinsert repair used
   /// when the insert range is inverted (predecessor above successor).
+  /// Fails only on the repair's depth and cycle guards.
   bool insert_impl(const Rule& rule, int depth);
 
-  std::optional<Chain> find_chain_up(long long lo_bound, long long hi_bound) const;
-  std::optional<Chain> find_chain_down(long long lo_bound, long long hi_bound) const;
-  std::optional<Chain> find_chain_up_legacy(long long lo_bound,
-                                            long long hi_bound) const;
-  std::optional<Chain> find_chain_down_legacy(long long lo_bound,
-                                              long long hi_bound) const;
-  std::optional<Chain> find_chain_up_cached(long long lo_bound,
-                                            long long hi_bound) const;
-  std::optional<Chain> find_chain_down_cached(long long lo_bound,
-                                              long long hi_bound) const;
+  /// One chain search's extent, walking addresses in steps of `step` (+1
+  /// up, -1 down): seeds run from `first` (next to the range edge it
+  /// leaves) through `last`, and `free_slot` ends every chain.
+  struct ChainSweep {
+    long long step, first, last, free_slot;
+  };
+  std::optional<ChainSweep> chain_sweep(long long lo, long long hi, bool up) const;
+  /// The shortest chain from the insert range (lo, hi) to the nearest free
+  /// slot above (`up`) or below it; nullopt when that side has no free slot.
+  std::optional<Chain> find_chain_cached(long long lo, long long hi, bool up) const;
+  std::optional<Chain> find_chain_legacy(long long lo, long long hi, bool up) const;
+  template <typename ParentOf>
+  static Chain trace_chain(long long end, long long free_slot, ParentOf parent_of);
 
-  /// Lowest successor address of the entry at `addr` (upward landing cap).
-  long long lowest_successor_addr(size_t addr) const;
-  /// Highest predecessor address of the entry at `addr` (downward cap).
-  long long highest_predecessor_addr(size_t addr) const;
-
-  void execute_up(const Chain& chain, const Rule& rule);
-  void execute_down(const Chain& chain, const Rule& rule);
+  void execute(const Chain& chain, const Rule& rule);
 
   // All TCAM/graph mutations funnel through these primitives. Each has one
   // body: consult the crash hook, execute, fire the cap hook (kCached mode),
@@ -223,8 +236,8 @@ class DagScheduler {
   /// Seals and commits an owned transaction; the seal->commit gap is a
   /// crash point (recovery then rolls forward).
   void commit_txn(bool owns);
-  /// Failure path: rolls back an owned open transaction and maps the result
-  /// to kRolledBack (work was undone) or kTableFull (nothing had executed).
+  /// Malformed-input failure path: rolls back an owned open transaction;
+  /// returns kRolledBack.
   ApplyStatus fail_txn(bool owns);
   /// Undoes every op of the open transaction in reverse, then clears it.
   /// Returns the op count undone; `undone_writes` (optional) receives the

@@ -157,7 +157,10 @@ TEST_P(CacheFlowModeTest, RandomSwapsStayConsistent) {
 TEST_P(CacheFlowModeTest, RandomChurnStreamStaysConsistent) {
   // Mixed install/evict/swap/rebalance stream; after EVERY step the fast
   // path must still never contradict the full table, and the combined
-  // two-level lookup (classify) must equal the full table's decision.
+  // two-level lookup (classify) must equal the full table's decision. The
+  // stream runs into a full TCAM, and the manager's bookkeeping must match
+  // the device through every failed install: each cached rule is in the
+  // TCAM, and the TCAM holds exactly the cached rules and the covers.
   Rng rng(13);
   const auto rules = generate_router(150, rng);
   FlowTable table{rules};
@@ -185,13 +188,19 @@ TEST_P(CacheFlowModeTest, RandomChurnStreamStaysConsistent) {
       }
     }
     ASSERT_LE(mgr.tcam().occupied(), mgr.tcam().capacity());
+    ASSERT_EQ(mgr.tcam().occupied(), mgr.cached_count() + mgr.cover_count())
+        << "step " << step;
+    for (const RuleId id : mgr.cached_rules()) {
+      ASSERT_TRUE(mgr.tcam().contains(id)) << "step " << step << " rule " << id;
+    }
   };
 
+  size_t failed_installs = 0;
   for (int step = 0; step < 200; ++step) {
     switch (rng.next_below(4)) {
       case 0: {  // install a random uncached rule (may fail when full)
         const RuleId pick = all[rng.next_below(all.size())];
-        if (!mgr.is_cached(pick)) mgr.install(pick);
+        if (!mgr.is_cached(pick)) failed_installs += !mgr.install(pick);
         break;
       }
       case 1: {  // evict a random cached rule
@@ -204,7 +213,10 @@ TEST_P(CacheFlowModeTest, RandomChurnStreamStaysConsistent) {
         const RuleId in = all[rng.next_below(all.size())];
         if (!cached.empty() && !mgr.is_cached(in)) {
           const RuleId out = cached[rng.next_below(cached.size())];
-          if (!mgr.swap(out, in)) mgr.install(out);
+          if (!mgr.swap(out, in)) {
+            ++failed_installs;
+            mgr.install(out);
+          }
         }
         break;
       }
@@ -219,7 +231,9 @@ TEST_P(CacheFlowModeTest, RandomChurnStreamStaysConsistent) {
       }
     }
     audit(step);
+    if (::testing::Test::HasFatalFailure()) return;
   }
+  EXPECT_GT(failed_installs, 0u);  // the full-TCAM path ran
 }
 
 // --- keyed top-k planner against the full stable sort --------------------

@@ -217,33 +217,160 @@ TEST(ApplyStatusSemantics, FullTableWithNothingExecutedIsTableFull) {
   EXPECT_TRUE(audit_state(tcam, sched.graph()).clean());
 }
 
-TEST(ApplyStatusSemantics, OverflowingUpdateRollsBackAndAuditsClean) {
+/// Everything a rejected update must leave as it was: the layout, the
+/// graph's edge set and the live cap cells.
+struct DeviceState {
+  std::string layout;
+  std::vector<std::pair<RuleId, RuleId>> edges;
+
+  DeviceState(const Tcam& tcam, const DagScheduler& sched)
+      : layout(tcam.to_string()), edges(sorted_edges(sched.graph())) {}
+  bool operator==(const DeviceState&) const = default;
+};
+
+TEST(ApplyStatusSemantics, OverflowingUpdateIsRejectedUntouched) {
   Tcam tcam(3);
   ApplyJournal journal;
   DagScheduler sched(tcam);
   sched.set_journal(&journal);
+  size_t hook_calls = 0;
+  sched.set_crash_hook([&hook_calls] {
+    ++hook_calls;
+    return false;
+  });
   std::vector<Rule> installed;
   for (uint32_t i = 1; i <= 3; ++i) {
     installed.push_back(make_rule(i));
     ASSERT_EQ(sched.insert_status(installed.back()), ApplyStatus::kOk);
   }
-  const std::string before = tcam.to_string();
+  const DeviceState before(tcam, sched);
+  const size_t recorded = journal.total_recorded();
+  const size_t consulted = hook_calls;
 
-  // Two fresh rules against zero free slots: the first add journals its
-  // vertex before the insert fails, so the executed prefix must be undone.
+  // Two fresh rules against zero free slots: rejected before the vertex
+  // adds run, so nothing is journaled and no crash point is consulted.
   tcam::BackendUpdate update;
   update.added.push_back(make_rule(10));
   update.added.push_back(make_rule(11));
   for (const Rule& r : update.added) update.dag.added_vertices.push_back(r.id);
 
   util::set_log_level(util::LogLevel::kOff);
+  EXPECT_EQ(sched.apply_status(update), ApplyStatus::kTableFull);
+  util::set_log_level(util::LogLevel::kWarn);
+  EXPECT_FALSE(journal.open());
+  EXPECT_EQ(journal.total_recorded(), recorded);
+  EXPECT_EQ(hook_calls, consulted);
+  EXPECT_TRUE(DeviceState(tcam, sched) == before);
+  for (const Rule& r : update.added) {
+    EXPECT_FALSE(sched.graph().has_vertex(r.id));
+  }
+  EXPECT_TRUE(testutil::caps_exact(sched, tcam));
+  const AuditReport audit = audit_state(tcam, sched.graph(), installed);
+  EXPECT_TRUE(audit.clean()) << audit.to_string();
+}
+
+/// An insert whose range is inverted (its predecessor P sits above its
+/// successor S) on a full TCAM. The repair would erase P, place the rule,
+/// then find no slot for P; the capacity check rejects the update first,
+/// so the device, the graph and the cap cells are untouched, journaled or
+/// not, and a journaled rejection records nothing and consults no crash
+/// point.
+TEST(ApplyStatusSemantics, InvertedRangeInsertOnFullTableIsRejectedUntouched) {
+  const Rule a = make_rule(1), s = make_rule(2), p = make_rule(3), r = make_rule(4);
+  for (const bool journaled : {false, true}) {
+    Tcam tcam(3);
+    DagScheduler sched(tcam);
+    DependencyGraph g;
+    for (const Rule& x : {a, s, p}) g.add_vertex(x.id);
+    DagScheduler::Layout layout;
+    layout.entries = {{0, a}, {1, s}, {2, p}};
+    sched.load(std::move(g), std::move(layout));
+    ApplyJournal journal;
+    size_t hook_calls = 0;
+    if (journaled) {
+      sched.set_journal(&journal);
+      sched.set_crash_hook([&hook_calls] {
+        ++hook_calls;
+        return false;
+      });
+    }
+    const DeviceState before(tcam, sched);
+
+    tcam::BackendUpdate update;
+    update.added.push_back(r);
+    update.dag.added_vertices.push_back(r.id);
+    update.dag.added_edges = {{p.id, r.id}, {r.id, s.id}};  // p below r below s
+
+    util::set_log_level(util::LogLevel::kOff);
+    EXPECT_EQ(sched.apply_status(update), ApplyStatus::kTableFull) << journaled;
+    util::set_log_level(util::LogLevel::kWarn);
+    EXPECT_TRUE(DeviceState(tcam, sched) == before) << journaled << "\n" << tcam.to_string();
+    EXPECT_FALSE(sched.graph().has_vertex(r.id)) << journaled;
+    EXPECT_TRUE(testutil::caps_exact(sched, tcam)) << journaled;
+    EXPECT_EQ(journal.total_recorded(), 0u);
+    EXPECT_EQ(hook_calls, 0u);
+  }
+}
+
+/// A wire batch may list an id twice in `removed`; its slot is freed once,
+/// so two inserts against one freed slot are rejected untouched, while two
+/// distinct removals make room for them.
+TEST(ApplyStatusSemantics, DuplicateRemovedIdIsCountedOnce) {
+  Tcam tcam(3);
+  DagScheduler sched(tcam);
+  std::vector<Rule> installed;
+  for (uint32_t i = 1; i <= 3; ++i) {
+    installed.push_back(make_rule(i));
+    ASSERT_TRUE(sched.insert(installed.back()));
+  }
+  const DeviceState before(tcam, sched);
+
+  tcam::BackendUpdate update;
+  update.removed = {installed[0].id, installed[0].id};
+  update.added = {make_rule(10), make_rule(11)};
+  for (const Rule& r : update.added) update.dag.added_vertices.push_back(r.id);
+  util::set_log_level(util::LogLevel::kOff);
+  EXPECT_EQ(sched.apply_status(update), ApplyStatus::kTableFull);
+  util::set_log_level(util::LogLevel::kWarn);
+  EXPECT_TRUE(DeviceState(tcam, sched) == before);
+  EXPECT_TRUE(sched.graph().has_vertex(installed[0].id));
+
+  update.removed = {installed[0].id, installed[1].id};
+  EXPECT_EQ(sched.apply_status(update), ApplyStatus::kOk);
+  EXPECT_EQ(tcam.occupied(), 3u);
+  EXPECT_TRUE(sched.layout_valid());
+}
+
+/// kRolledBack is left to malformed input: a batch whose new rules depend
+/// on each other in a cycle (a -> b, b -> a). The batch's free rule c is
+/// installed before the Kahn order stalls, so the journal must undo c's
+/// write along with the vertex and edge adds: device, graph and cap cells
+/// end as they began.
+TEST(ApplyStatusSemantics, CyclicBatchRollsBackAndAuditsClean) {
+  Tcam tcam(6);
+  ApplyJournal journal;
+  DagScheduler sched(tcam);
+  sched.set_journal(&journal);
+  std::vector<Rule> installed;
+  for (uint32_t i = 1; i <= 2; ++i) {
+    installed.push_back(make_rule(i));
+    ASSERT_EQ(sched.insert_status(installed.back()), ApplyStatus::kOk);
+  }
+  const DeviceState before(tcam, sched);
+
+  const Rule a = make_rule(10), b = make_rule(11), c = make_rule(12);
+  tcam::BackendUpdate update;
+  update.added = {c, a, b};
+  for (const Rule& r : update.added) update.dag.added_vertices.push_back(r.id);
+  update.dag.added_edges = {{a.id, b.id}, {b.id, a.id}, {installed[0].id, c.id}};
+
+  util::set_log_level(util::LogLevel::kOff);
   EXPECT_EQ(sched.apply_status(update), ApplyStatus::kRolledBack);
   util::set_log_level(util::LogLevel::kWarn);
   EXPECT_FALSE(journal.open());
-  EXPECT_EQ(tcam.to_string(), before);
-  for (const Rule& r : update.added) {
-    EXPECT_FALSE(sched.graph().has_vertex(r.id));  // vertex adds undone too
-  }
+  EXPECT_TRUE(DeviceState(tcam, sched) == before) << tcam.to_string();
+  for (const Rule& r : update.added) EXPECT_FALSE(sched.graph().has_vertex(r.id));
+  EXPECT_TRUE(testutil::caps_exact(sched, tcam));
   const AuditReport audit = audit_state(tcam, sched.graph(), installed);
   EXPECT_TRUE(audit.clean()) << audit.to_string();
 }
